@@ -42,7 +42,7 @@ from .model import (Action, AspectPol, CAP_LETTER, CombinePol, Const, EBin,
                     PFalse, PForall, PGeq, PNot, POr, PTest, PTestPost, PTrue,
                     ReplicationPresent, Substitution, TruePol, canonicalize,
                     has_replication, loc_set, take_actions)
-from .semantics import (check_cut, interp_test, occurs_in,
+from .semantics import (check_cut, data_index, interp_test, occurs_in,
                         policies_by_location)
 from .unification import extract, findsubs
 
@@ -60,9 +60,11 @@ def _may_equal(t, name: str) -> bool:
 
 
 class MutationInfo:
-    """Which data tuples the network's actions may add or remove."""
+    """Which data tuples the network holds at the start, and which its
+    actions may add or remove."""
 
     def __init__(self, net: Net):
+        self.initial = data_index(net)      # the tuples present at the start
         acts = [la.action for la in take_actions(net)]
         self._outs = [a for a in acts if a.cap == OUT]
         self._ins = [a for a in acts if a.cap == IN]
@@ -87,8 +89,8 @@ class MutationInfo:
 # ---------------------------------------------------------------------------
 # abstract values: the set of truth values an expression may take
 
-def _test_values(net, mut, at, values):
-    if interp_test(values, at, net):
+def _test_values(mut, at, values):
+    if interp_test(values, at, mut.initial):
         return frozenset((TT,)) if not mut.may_remove(at, values) else _BOTH
     return frozenset((FF,)) if not mut.may_add(at, values) else _BOTH
 
@@ -111,7 +113,7 @@ def abstract_expr(e, net: Net, mut: MutationInfo, cont_env: dict) -> frozenset:
         return _BOTH
     if isinstance(e, ETest):
         if all(isinstance(t, Const) for t in e.args) and isinstance(e.at, Const):
-            return _test_values(net, mut, e.at.name,
+            return _test_values(mut, e.at.name,
                                 tuple(t.name for t in e.args))
         return _BOTH
     if isinstance(e, EOccursIn):
@@ -244,7 +246,7 @@ def static_pred(pred, net: Net, mut: MutationInfo, domain):
                 or not isinstance(pred.at, Const):
             return False, True
         vals = tuple(t.name for t in pred.args)
-        here = interp_test(vals, pred.at.name, net)
+        here = interp_test(vals, pred.at.name, mut.initial)
         must = here and not mut.may_remove(pred.at.name, vals)
         may = here or mut.may_add(pred.at.name, vals)
         return must, may
@@ -295,11 +297,14 @@ class StaticVerdict:
 
 def check_single_action(obl: Obligation, net: Net, act,
                         pols: Optional[dict] = None,
-                        mut: Optional[MutationInfo] = None) -> ActionReport:
+                        mut: Optional[MutationInfo] = None,
+                        domain: Optional[list] = None) -> ActionReport:
     if pols is None:
         pols = policies_by_location(net)
     if mut is None:
         mut = MutationInfo(net)
+    if domain is None:
+        domain = sorted(loc_set(net))
     if CAP_LETTER[act.action.cap] != obl.cut.cap:
         return ActionReport(act.source, act.action, IRRELEVANT)
     th0 = findsubs(extract(obl.cut), extract(act))
@@ -321,7 +326,6 @@ def check_single_action(obl: Obligation, net: Net, act,
         return ActionReport(act.source, act.action, DENIED, th0,
                             side_values=sides)
     pred0 = th0.apply_pred(obl.pred)
-    domain = sorted(loc_set(net))
     constraints = src.constraints + tgt_side.constraints
     if static_pred(pred0, net, mut, domain)[0] \
             or entailed(pred0, set(constraints)):
@@ -340,7 +344,8 @@ def check_network(net: Net, obl: Obligation) -> StaticVerdict:
     net = canonicalize(net)
     pols = policies_by_location(net)
     mut = MutationInfo(net)
-    reports = tuple(check_single_action(obl, net, act, pols, mut)
+    domain = sorted(loc_set(net))
+    reports = tuple(check_single_action(obl, net, act, pols, mut, domain)
                     for act in take_actions(net))
     certified = all(r.outcome != NOT_CERTIFIED for r in reports)
     return StaticVerdict(certified, reports)

@@ -6,7 +6,8 @@ akbl trace NET       print one maximal run, chosen by seed
 
 Exit codes: 0 the obligation holds (or the run finished), 1 the
 obligation is violated, 2 the static certifier alone could not
-decide, 3 the input was rejected or a limit was hit.
+decide, 3 the input was rejected or a limit was hit, 4 an internal
+error (reported in one line on stderr, without a traceback).
 """
 from __future__ import annotations
 
@@ -18,13 +19,13 @@ from pathlib import Path
 
 from .certify import check_network, report_json
 from .exhaustive import Verdict, sat_obl
-from .model import AkblError, Net, canonicalize, validate
+from .model import AkblError, Net, validate
 from .parser import (ParseError, parse_net, parse_obligation,
                      render_obligation, render_pred)
-from .semantics import (build_lts, dot_export, json_export, net_text,
-                        step_candidates)
+from .semantics import (Interner, build_lts, dot_export, json_export,
+                        net_text, step_candidates)
 
-OK, VIOLATED, UNDECIDED, BAD_INPUT = 0, 1, 2, 3
+OK, VIOLATED, UNDECIDED, BAD_INPUT, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 
 def _dump(obj) -> str:
@@ -134,18 +135,19 @@ def cmd_lts(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    net = canonicalize(_load_net(args.net))
+    space = Interner()
+    state = space.state(_load_net(args.net))
     rng = random.Random(args.seed)
     for _ in range(args.max_depth):
-        steps, denied = step_candidates(net)
+        steps, denied = step_candidates(state, space)
         if args.explain_denied:
             for label, f in denied:
                 print(f"blocked: {label.text()} ({f.text})")
         if not steps:
             break
-        label, net = steps[rng.randrange(len(steps))]
+        label, state = steps[rng.randrange(len(steps))]
         print(label.text())
-    print(f"final: {net_text(net)}")
+    print(f"final: {net_text(space.net(state))}")
     return OK
 
 
@@ -206,6 +208,10 @@ def main(argv=None) -> int:
     except AkblError as e:
         print(f"error: {e}", file=sys.stderr)
         return BAD_INPUT
+    except Exception as e:  # a crash must never read as a verdict
+        detail = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from typing import Optional
 from .model import (Const, EvaluationError, Label, LabelPattern, Net,
                     Obligation, PAnd, PEqual, PExists, PFalse, PForall, PGeq,
                     PNot, POr, PTest, PTestPost, PTrue, Substitution, loc_set)
-from .semantics import LTS, build_lts, interp_test
+from .semantics import LTS, build_lts, data_index, interp_test
 from .unification import extract, findsubs
 
 
@@ -39,7 +39,7 @@ def _numeric(t) -> int:
 def sat_bp(pair, theta: Substitution, bp) -> bool:
     """Satisfaction of one basic predicate on a transition's state pair."""
     pre, post = pair
-    return _sat(theta.apply_pred(bp), pre, post,
+    return _sat(theta.apply_pred(bp), data_index(pre), data_index(post),
                 sorted(loc_set(pre) | loc_set(post)))
 
 
@@ -47,11 +47,12 @@ def sat_pred(pair, theta: Substitution, pred) -> bool:
     """Satisfaction of a predicate on a transition's state pair, under
     the substitution that matched the obligation's pattern."""
     pre, post = pair
-    return _sat(theta.apply_pred(pred), pre, post,
+    return _sat(theta.apply_pred(pred), data_index(pre), data_index(post),
                 sorted(loc_set(pre) | loc_set(post)))
 
 
-def _sat(pred, pre: Net, post: Net, domain) -> bool:
+def _sat(pred, pre, post, domain) -> bool:
+    # pre and post are the data indexes of the states around the step
     if isinstance(pred, PTrue):
         return True
     if isinstance(pred, PFalse):
@@ -78,8 +79,8 @@ def _sat(pred, pre: Net, post: Net, domain) -> bool:
         if not all(isinstance(t, Const) for t in pred.args) \
                 or not isinstance(pred.at, Const):
             return False
-        net = post if isinstance(pred, PTestPost) else pre
-        return interp_test([t.name for t in pred.args], pred.at.name, net)
+        data = post if isinstance(pred, PTestPost) else pre
+        return interp_test([t.name for t in pred.args], pred.at.name, data)
     raise TypeError(f"not a predicate: {pred!r}")
 
 
@@ -105,13 +106,10 @@ class Verdict:
 
 
 def _path_to(lts: LTS, sid: int):
-    parent: dict = {lts.initial: None}
-    for t in lts.transitions:
-        if t.dst not in parent:
-            parent[t.dst] = t
+    # breadth first search found every state first along a shortest path
     labels = []
-    while parent.get(sid) is not None:
-        t = parent[sid]
+    while lts.discovered_by[sid] is not None:
+        t = lts.discovered_by[sid]
         labels.append(t.label)
         sid = t.src
     return tuple(reversed(labels))
@@ -120,15 +118,23 @@ def _path_to(lts: LTS, sid: int):
 def check_lts(lts: LTS, obl: Obligation) -> Verdict:
     """Check an obligation against an already built transition system."""
     checked = 0
+    seen: dict = {}          # state id -> (data index, location constants)
+
+    def state(sid):
+        if sid not in seen:
+            ids = lts.ids[sid]
+            seen[sid] = (lts.space.data_index(ids), lts.space.constants(ids))
+        return seen[sid]
+
     for t in lts.transitions:
         checked += 1
         th = unify_label(obl.cut, t.label)
         if th is None:
             continue
-        pair = (lts.states[t.src], lts.states[t.dst])
-        if not sat_pred(pair, th, obl.pred):
-            witness = Witness(_path_to(lts, t.src), t.label, th,
-                              th.apply_pred(obl.pred))
+        pred = th.apply_pred(obl.pred)
+        (pre, pre_locs), (post, post_locs) = state(t.src), state(t.dst)
+        if not _sat(pred, pre, post, sorted(pre_locs | post_locs)):
+            witness = Witness(_path_to(lts, t.src), t.label, th, pred)
             return Verdict(obl, False, witness, len(lts.states), checked)
     return Verdict(obl, True, None, len(lts.states), checked)
 

@@ -404,20 +404,10 @@ class Substitution:
             p = _subst_pred(p, key, val)
         return p
 
-    def apply_net(self, n: Net) -> Net:
-        entries = []
-        for e in n.entries:
-            body = e.body if e.is_data() else self.apply_process(e.body)
-            entries.append(NetEntry(e.location, e.policy, body))
-        return Net(tuple(entries))
-
     def apply_located(self, la: LocatedAction) -> LocatedAction:
         return LocatedAction(la.source, la.policy,
                              self.apply_action(la.action),
                              self.apply_process(la.continuation))
-
-
-EMPTY_SUBST = Substitution()
 
 
 def _subst_term(t: Term, key: str, val: Term) -> Term:
@@ -510,17 +500,34 @@ def _term_text(t: Term) -> str:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def _flatten_entry(loc: str, pol: Policy, body, out: list):
+def split_entry(loc: str, pol: Policy, body, out: list):
+    """Append the entries of body at loc, split at top-level parallels."""
     if isinstance(body, Par):
-        _flatten_entry(loc, pol, body.left, out)
-        _flatten_entry(loc, pol, body.right, out)
+        split_entry(loc, pol, body.left, out)
+        split_entry(loc, pol, body.right, out)
     else:
         out.append(NetEntry(loc, pol, body))
 
 
-def _entry_sort_key(e: NetEntry):
+def entry_sort_key(e: NetEntry):
+    """The total syntactic order of canonical forms."""
     kind = "data" if e.is_data() else "proc"
     return (e.location, kind, repr(e.body), repr(e.policy))
+
+
+def drop_nils(items: list, group, is_nil) -> list:
+    """The nil rule: keep a nil item only while no other item of its
+    group (location and policy) is kept, and then only its first."""
+    alive = {group(x) for x in items if not is_nil(x)}
+    kept = []
+    for x in items:
+        if is_nil(x):
+            g = group(x)
+            if g in alive:
+                continue
+            alive.add(g)
+        kept.append(x)
+    return kept
 
 
 def canonicalize(net: Net) -> Net:
@@ -534,18 +541,10 @@ def canonicalize(net: Net) -> Net:
     """
     flat: list = []
     for e in net.entries:
-        _flatten_entry(e.location, e.policy, e.body, flat)
-    alive = {(e.location, repr(e.policy)) for e in flat if not isinstance(e.body, Nil)}
-    kept = []
-    seen_nil = set()
-    for e in flat:
-        if isinstance(e.body, Nil):
-            k = (e.location, repr(e.policy))
-            if k in alive or k in seen_nil:
-                continue
-            seen_nil.add(k)
-        kept.append(e)
-    kept.sort(key=_entry_sort_key)
+        split_entry(e.location, e.policy, e.body, flat)
+    kept = drop_nils(flat, lambda e: (e.location, repr(e.policy)),
+                     lambda e: isinstance(e.body, Nil))
+    kept.sort(key=entry_sort_key)
     return Net(tuple(kept))
 
 
@@ -651,17 +650,20 @@ def _policy_consts(p: Policy, acc: set):
         _expr_consts(asp.cond, acc)
 
 
+def entry_consts(e: NetEntry) -> frozenset:
+    """All location constants occurring in one entry."""
+    acc = {e.location}
+    if e.is_data():
+        acc.update(e.body)
+    else:
+        _process_consts(e.body, acc)
+    _policy_consts(e.policy, acc)
+    return frozenset(acc)
+
+
 def loc_set(net: Net) -> frozenset:
     """All location constants occurring anywhere in the network."""
-    acc: set = set()
-    for e in net.entries:
-        acc.add(e.location)
-        if e.is_data():
-            acc.update(e.body)
-        else:
-            _process_consts(e.body, acc)
-        _policy_consts(e.policy, acc)
-    return frozenset(acc)
+    return frozenset().union(*map(entry_consts, net.entries))
 
 
 def _walk_actions(loc: str, pol: Policy, p: Process, out: list):

@@ -17,19 +17,35 @@ they carry the matched tuple.
 States are kept in canonical form, which makes the state space of a
 replication-free network finite and the construction below a plain
 breadth first search.
+
+The search hash-conses its states.  A per-run `Interner` gives every
+distinct entry an integer id the first time it is seen, and computes
+its canonical sort key, nil group, data pair and location constants
+then and only then.  A state is the tuple of its entries' ids, sorted
+by those keys, so deduplicating a successor hashes a tuple of small
+integers once.  A step carries the ids of the entries it leaves alone
+over from its source state and interns only the entries it adds,
+which are remembered per acting entry and branch.  Policy test atoms
+are set lookups in the state's data index.  `LTS.states` still holds
+ordinary `Net` values, built from the shared interned entries, and the
+LTS keeps the id tuples and the interner for the obligation checker,
+along with the transition that first discovered each state, from which
+witnesses are read back.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 from .belnap import BINARY_OPS, BOT, FF, TT, FourValue, grant, join_k, neg
 from .model import (Action, AspectPol, BindVar, CAP_LETTER, CombinePol, Const,
                     Cut, EBin, EEqual, EFalse, ENot, EOccursIn, ETest, ETrue,
                     EvaluationError, FalsePol, Label, LimitExceeded, Net,
-                    NetEntry, NotPol, Par, Process, Repl, ReplicationPresent,
-                    Substitution, Sum, TruePol, Wildcard, canonicalize,
-                    has_replication)
+                    NetEntry, Nil, NotPol, Par, Process, Repl,
+                    ReplicationPresent, Substitution, Sum, TruePol, Wildcard,
+                    drop_nils, entry_consts, entry_sort_key, has_replication,
+                    split_entry)
 from .unification import findsubs
 
 # states explored by the most recent exploration-based run; the static
@@ -94,11 +110,15 @@ def occurs_in(template: Action, proc: Process) -> bool:
 # ---------------------------------------------------------------------------
 # policy evaluation
 
-def interp_test(args, at: str, net: Net) -> bool:
-    """Is the ground tuple present as a data entry at the location."""
-    values = tuple(args)
-    return any(e.location == at and e.is_data() and e.body == values
-               for e in net.entries)
+def data_index(net: Net) -> frozenset:
+    """The (location, tuple) pairs of the network's data entries."""
+    return frozenset((e.location, e.body) for e in net.entries if e.is_data())
+
+
+def interp_test(args, at: str, data) -> bool:
+    """Is the ground tuple present as a data entry at the location.
+    `data` is a state's data index, as `data_index` returns it."""
+    return (at, tuple(args)) in data
 
 
 def _ground_name(t, what: str) -> str:
@@ -107,8 +127,9 @@ def _ground_name(t, what: str) -> str:
     raise EvaluationError(f"unbound variable in {what}: {t!r}")
 
 
-def eval_expr(e, net: Net, cont_env: dict) -> FourValue:
-    """Evaluate a recommendation or condition to a truth value.
+def eval_expr(e, data, cont_env: dict) -> FourValue:
+    """Evaluate a recommendation or condition to a truth value, with
+    test atoms looked up in the data index of the current state.
 
     Atoms are two valued, so conditions (restricted to not/and/or)
     come out classical.  Unbound variables raise EvaluationError.
@@ -118,10 +139,10 @@ def eval_expr(e, net: Net, cont_env: dict) -> FourValue:
     if isinstance(e, EFalse):
         return FF
     if isinstance(e, ENot):
-        return neg(eval_expr(e.body, net, cont_env))
+        return neg(eval_expr(e.body, data, cont_env))
     if isinstance(e, EBin):
-        return BINARY_OPS[e.op](eval_expr(e.left, net, cont_env),
-                                eval_expr(e.right, net, cont_env))
+        return BINARY_OPS[e.op](eval_expr(e.left, data, cont_env),
+                                eval_expr(e.right, data, cont_env))
     if isinstance(e, EEqual):
         l = _ground_name(e.left, "equality")
         r = _ground_name(e.right, "equality")
@@ -129,7 +150,7 @@ def eval_expr(e, net: Net, cont_env: dict) -> FourValue:
     if isinstance(e, ETest):
         vals = [_ground_name(t, "test") for t in e.args]
         at = _ground_name(e.at, "test")
-        return TT if interp_test(vals, at, net) else FF
+        return TT if interp_test(vals, at, data) else FF
     if isinstance(e, EOccursIn):
         if e.var not in cont_env:
             raise EvaluationError(f"occurs-in variable {e.var} is unbound")
@@ -160,31 +181,115 @@ def eval_policy(pol, trapped, net: Net) -> FourValue:
     the data an input will bind.
     """
     return _eval_pol(pol, trapped.source, trapped.action,
-                     trapped.continuation, net)
+                     trapped.continuation, data_index(net))
 
 
 def _eval_pol(pol, subject: str, action: Action, continuation: Process,
-              net: Net) -> FourValue:
+              data) -> FourValue:
     if isinstance(pol, TruePol):
         return TT
     if isinstance(pol, FalsePol):
         return FF
     if isinstance(pol, NotPol):
-        return neg(_eval_pol(pol.body, subject, action, continuation, net))
+        return neg(_eval_pol(pol.body, subject, action, continuation, data))
     if isinstance(pol, CombinePol):
         return BINARY_OPS[pol.op](
-            _eval_pol(pol.left, subject, action, continuation, net),
-            _eval_pol(pol.right, subject, action, continuation, net))
+            _eval_pol(pol.left, subject, action, continuation, data),
+            _eval_pol(pol.right, subject, action, continuation, data))
     if isinstance(pol, AspectPol):
         asp = pol.aspect
         res = check_cut(asp.cut, subject, action, continuation)
         if res is None:
             return BOT
         th, env = res
-        if eval_expr(th.apply_expr(asp.cond), net, env) is not TT:
+        if eval_expr(th.apply_expr(asp.cond), data, env) is not TT:
             return BOT
-        return eval_expr(th.apply_expr(asp.rec), net, env)
+        return eval_expr(th.apply_expr(asp.rec), data, env)
     raise TypeError(f"not a policy: {pol!r}")
+
+
+# ---------------------------------------------------------------------------
+# interned states
+
+class Interner:
+    """The distinct entries met by one exploration.
+
+    The first time an entry is seen it gets an integer id, and with it
+    everything later steps ask of it: its canonical sort key, its nil
+    group (location and policy), its (location, tuple) pair when it is
+    a data entry, and its location constants.  A state is the tuple of
+    its entries' ids in canonical order, so comparing and hashing a
+    state touches only integers.  The entries a step adds are also
+    remembered per acting entry and branch, so each is interned once.
+    """
+
+    def __init__(self):
+        self.entries: list = []      # id -> NetEntry
+        self.keys: list = []         # id -> canonical sort key
+        self.locations: list = []    # id -> location
+        self.groups: list = []       # id -> nil group number
+        self.nils: list = []         # id -> is the body nil
+        self.data: list = []         # id -> (location, tuple) or None
+        self.consts: list = []       # id -> frozenset of location constants
+        self._ids: dict = {}         # NetEntry -> id
+        self._groups: dict = {}      # (location, policy text) -> group number
+        # (acting entry, branch, target group for out or matched data
+        # entry for in and read) -> ids of the entries the step adds
+        self.added: dict = {}
+
+    def intern(self, e: NetEntry) -> int:
+        i = self._ids.get(e)
+        if i is None:
+            i = self._ids[e] = len(self.entries)
+            key = entry_sort_key(e)
+            self.entries.append(e)
+            self.keys.append(key)
+            self.locations.append(e.location)
+            self.groups.append(self._groups.setdefault((key[0], key[3]),
+                                                       len(self._groups)))
+            self.nils.append(isinstance(e.body, Nil))
+            self.data.append((e.location, e.body) if e.is_data() else None)
+            self.consts.append(entry_consts(e))
+        return i
+
+    def split(self, loc: str, pol, body) -> tuple:
+        """Ids of the entries of body at loc, split at parallels."""
+        flat: list = []
+        split_entry(loc, pol, body, flat)
+        return tuple(self.intern(e) for e in flat)
+
+    def canonical(self, kept: tuple, new: tuple, nil_groups=()) -> tuple:
+        """The id form of `canonicalize`: the canonical state of kept +
+        new, where new are split entries and kept is a canonical state
+        less some non-nil entries, with nil_groups the groups of its nil
+        entries.  The nil rule then has work only if an entry of new is
+        nil or joins the group of a nil."""
+        ids = list(kept + new)
+        nils, groups = self.nils, self.groups
+        for j in new:
+            if nils[j] or groups[j] in nil_groups:
+                ids = drop_nils(ids, groups.__getitem__, nils.__getitem__)
+                break
+        ids.sort(key=self.keys.__getitem__)
+        return tuple(ids)
+
+    def state(self, net: Net) -> tuple:
+        """The canonical state of a network."""
+        new: tuple = ()
+        for e in net.entries:
+            new += self.split(e.location, e.policy, e.body)
+        return self.canonical((), new)
+
+    def net(self, ids) -> Net:
+        return Net(tuple(map(self.entries.__getitem__, ids)))
+
+    def data_index(self, ids) -> frozenset:
+        """`data_index` of a state."""
+        return frozenset(filter(None, map(self.data.__getitem__, ids)))
+
+    def constants(self, ids) -> frozenset:
+        """`loc_set` of a state."""
+        return frozenset().union(*map(self.consts.__getitem__, ids))
 
 
 # ---------------------------------------------------------------------------
@@ -197,79 +302,109 @@ def policies_by_location(net: Net) -> dict:
     return pols
 
 
-def step_candidates(net: Net):
+def step_candidates(state, space: Optional[Interner] = None):
     """All transition candidates out of a canonical network.
 
     Returns (steps, denied): steps is a list of (label, successor) in
     deterministic order with duplicates removed, denied is a list of
     (label, combined-policy-value) for candidates whose action was
     blocked by the policies.
+
+    `state` is a Net, and so are the successors; within an exploration
+    it is the id tuple of a state of `space`, and so are the
+    successors.
     """
-    pols = policies_by_location(net)
+    if space is not None:
+        return _steps(state, space)
+    space = Interner()
+    steps, denied = _steps(tuple(space.intern(e) for e in state.entries),
+                           space)
+    return [(label, space.net(succ)) for label, succ in steps], denied
+
+
+def _steps(ids: tuple, space: Interner):
+    entries, locations, data_of = space.entries, space.locations, space.data
+    added = space.added
+    # location -> id of its first entry, whose policy guards it
+    first = dict(zip(map(locations.__getitem__, ids[::-1]), ids[::-1]))
+    data = space.data_index(ids)
+    nil_groups = {space.groups[j] for j in ids if space.nils[j]}
     steps: list = []
     denied: list = []
-    seen_steps: set = set()
     seen_denied: set = set()
+    done: set = set()
 
-    def emit(label, succ, granted, f):
-        if granted:
-            key = (label, succ)
-            if key not in seen_steps:
-                seen_steps.add(key)
-                steps.append((label, succ))
-        else:
-            key = (label, f)
-            if key not in seen_denied:
-                seen_denied.add(key)
-                denied.append((label, f))
+    def emit(label, succ, seen):
+        if seen is not None:
+            if (label, succ) in seen:
+                return
+            seen.add((label, succ))
+        steps.append((label, succ))
 
-    entries = net.entries
-    for i, e in enumerate(entries):
-        if e.is_data() or not isinstance(e.body, Sum):
+    def deny(label, f):
+        if (label, f) not in seen_denied:
+            seen_denied.add((label, f))
+            denied.append((label, f))
+
+    for p, i in enumerate(ids):
+        e = entries[i]
+        if i in done or not isinstance(e.body, Sum):
             continue
-        for action, cont in e.body.branches:
+        done.add(i)             # an identical entry makes identical steps
+        rest = ids[:p] + ids[p + 1:]
+        branches = e.body.branches
+        # distinct entries never make the same step; branches of one can
+        seen = set() if len(branches) > 1 else None
+        for k, (action, cont) in enumerate(branches):
             tgt = action.target
             if not isinstance(tgt, Const):
                 raise EvaluationError(f"unbound target in {action!r}")
-            if tgt.name not in pols:
+            holder = first.get(tgt.name)
+            if holder is None:
                 continue            # no entry to receive or hold the data
-            f = join_k(
-                _eval_pol(e.policy, e.location, action, cont, net),
-                _eval_pol(pols[tgt.name], e.location, action, cont, net))
+            tgt_pol = entries[holder].policy
+            f = join_k(_eval_pol(e.policy, e.location, action, cont, data),
+                       _eval_pol(tgt_pol, e.location, action, cont, data))
             granted = grant(f)
             letter = CAP_LETTER[action.cap]
             if action.cap == "out":
                 args = tuple(_ground_name(t, "out argument")
                              for t in action.args)
                 label = Label(e.location, letter, args, tgt.name)
-                succ = None
-                if granted:
-                    rest = entries[:i] + entries[i + 1:]
-                    succ = canonicalize(Net(rest + (
-                        NetEntry(e.location, e.policy, cont),
-                        NetEntry(tgt.name, pols[tgt.name], args))))
-                emit(label, succ, granted, f)
+                if not granted:
+                    deny(label, f)
+                    continue
+                key = (i, k, space.groups[holder])
+                new = added.get(key)
+                if new is None:
+                    new = added[key] = space.split(
+                        e.location, e.policy, cont) + (space.intern(
+                            NetEntry(tgt.name, tgt_pol, args)),)
+                emit(label, space.canonical(rest, new, nil_groups), seen)
                 continue
-            consumed = set()
-            for j, d in enumerate(entries):
-                if d.location != tgt.name or not d.is_data():
+            consumed = set()        # identical tuples make identical steps
+            for q, d in enumerate(rest):
+                dd = data_of[d]
+                if dd is None or dd[0] != tgt.name or dd[1] in consumed:
                     continue
-                th = match(action.args, d.body)
-                if th is None:
+                if not granted:
+                    if match(action.args, dd[1]) is not None:
+                        consumed.add(dd[1])
+                        deny(Label(e.location, letter, dd[1], tgt.name), f)
                     continue
-                label = Label(e.location, letter, d.body, tgt.name)
-                succ = None
-                if granted:
-                    keep = [k for k in range(len(entries))
-                            if k != i and (action.cap == "read" or k != j)]
-                    rest = tuple(entries[k] for k in keep)
-                    succ = canonicalize(Net(rest + (
-                        NetEntry(e.location, e.policy,
-                                 th.apply_process(cont)),)))
-                if d.body in consumed:
-                    continue        # identical tuple, identical step
-                consumed.add(d.body)
-                emit(label, succ, granted, f)
+                key = (i, k, d)
+                new = added.get(key, False)
+                if new is False:
+                    th = match(action.args, dd[1])
+                    new = added[key] = None if th is None else space.split(
+                        e.location, e.policy, th.apply_process(cont))
+                if new is None:
+                    continue
+                consumed.add(dd[1])
+                label = Label(e.location, letter, dd[1], tgt.name)
+                kept = rest if action.cap == "read" \
+                    else rest[:q] + rest[q + 1:]
+                emit(label, space.canonical(kept, new, nil_groups), seen)
     return steps, denied
 
 
@@ -291,42 +426,49 @@ class Transition:
 class LTS:
     states: list             # state id -> canonical Net
     transitions: list        # in discovery order
+    discovered_by: list      # state id -> first Transition into it, or None
+    ids: list                # state id -> its id tuple in `space`
+    space: Interner          # the entries the states are built from
     initial: int = 0
-
-    def successors(self, sid: int):
-        return [(t.label, t.dst) for t in self.transitions if t.src == sid]
 
 
 def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000) -> LTS:
     """Breadth first exploration of the reachable state space."""
     if has_replication(net):
         raise ReplicationPresent("replication is outside the checkable fragment")
-    start = canonicalize(net)
-    states = [start]
-    ids = {start: 0}
+    space = Interner()
+    start = space.state(net)
+    ids = [start]
+    index = {start: 0}
     depth = [0]
+    discovered_by: list = [None]
     transitions: list = []
     queue = deque([0])
     STATS["states_explored"] += 1
     while queue:
         sid = queue.popleft()
-        steps, _ = step_candidates(states[sid])
+        steps, _ = step_candidates(ids[sid], space)
         for label, succ in steps:
-            nid = ids.get(succ)
+            nid = index.get(succ)
             if nid is None:
-                if len(states) >= max_states:
+                if len(ids) >= max_states:
                     raise LimitExceeded("states", max_states)
                 d = depth[sid] + 1
                 if d > max_depth:
                     raise LimitExceeded("depth", max_depth)
-                nid = len(states)
-                ids[succ] = nid
-                states.append(succ)
+                nid = len(ids)
+                index[succ] = nid
+                ids.append(succ)
                 depth.append(d)
                 queue.append(nid)
                 STATS["states_explored"] += 1
-            transitions.append(Transition(sid, nid, label))
-    return LTS(states, transitions)
+                t = Transition(sid, nid, label)
+                discovered_by.append(t)
+            else:
+                t = Transition(sid, nid, label)
+            transitions.append(t)
+    states = [space.net(s) for s in ids]
+    return LTS(states, transitions, discovered_by, ids, space)
 
 
 def net_text(net: Net) -> str:
@@ -335,9 +477,21 @@ def net_text(net: Net) -> str:
 
 
 def json_export(lts: LTS) -> dict:
+    from .parser import render_entry
+    # states share their interned entries, so each is rendered once;
+    # joined, the texts read as net_text of the state
+    texts: dict = {}
+
+    def entry_text(i: int) -> str:
+        text = texts.get(i)
+        if text is None:
+            entry = lts.space.entries[i]
+            text = texts[i] = render_entry(entry).replace("\n", " ")
+        return text
+
     return {
-        "states": [{"id": i, "net": net_text(n)}
-                   for i, n in enumerate(lts.states)],
+        "states": [{"id": sid, "net": " || ".join(map(entry_text, ids))}
+                   for sid, ids in enumerate(lts.ids)],
         "transitions": [{"from": t.src, "to": t.dst, "label": t.label.text()}
                         for t in lts.transitions],
     }

@@ -8,9 +8,9 @@ import random
 import time
 
 from aspectkbl import (BOT, FF, TOP, TT, VALUES, STATS, build_lts,
-                       canonicalize, check_network, enabled_steps, grant,
-                       implies, interp_test, join_k, join_t, meet_k, meet_t,
-                       neg, parse_net, parse_obligation, parse_policy,
+                       canonicalize, check_network, data_index, enabled_steps,
+                       grant, implies, interp_test, join_k, join_t, meet_k,
+                       meet_t, neg, parse_net, parse_obligation, parse_policy,
                        priority, render_net, render_obligation, render_policy,
                        reset_stats, sat_obl)
 import corpusio
@@ -158,7 +158,8 @@ def test_criterion_7_congruent_rewrites_preserve_verdicts():
                 at = rng.choice(locs)
                 args = rng.choice(tuples) if tuples and rng.random() < 0.7 \
                     else (rng.choice(("k", "v", "w")),)
-                assert interp_test(args, at, net) == interp_test(args, at, twin)
+                assert interp_test(args, at, data_index(net)) \
+                    == interp_test(args, at, data_index(twin))
 
 
 def test_criterion_8_round_trips():

@@ -180,3 +180,16 @@ def test_input_errors_exit_three(capsys, tmp_path):
     rc, _, err = run(capsys, "lts", str(mixed))
     assert rc == 3
     assert "location A carries inconsistent policies" in err
+
+
+def test_deep_inputs_never_read_as_a_verdict(capsys, tmp_path):
+    # a 300-prefix chain is deeper than the recursive tree walkers go;
+    # whatever happens, it must not exit 1 ("violated") or show a traceback
+    chain = tmp_path / "chain.akbl"
+    prefixes = " . ".join(f"out(k{i})@A" for i in range(300))
+    chain.write_text(f"A ::[true] {prefixes} . 0\n")
+    for argv in (("lts", str(chain)), ("check", str(chain), EQ1)):
+        rc, _, err = run(capsys, *argv)
+        assert rc in (0, 3, 4), (argv, rc, err)
+        assert "Traceback" not in err
+        assert len(err.splitlines()) <= 1

@@ -1,0 +1,158 @@
+"""Byte-for-byte comparison of command line output with stored goldens.
+
+The goldens under tests/golden/ hold the exit code, stdout and stderr
+of `akbl` runs on the bundled corpus and on seeded generated networks,
+so any change to exploration order, state numbering, witnesses or
+export formats shows up as a difference here.
+
+Regenerate them, only when an output change is intended, with
+
+    PYTHONPATH=src:tests python tests/test_golden.py
+"""
+import contextlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from aspectkbl import Net, NetEntry, corpus_path, render_net, render_obligation
+from aspectkbl.cli import main
+import gen
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = corpus_path("")
+NETS = sorted(p.name for p in CORPUS.iterdir() if p.name.endswith(".akbl"))
+OBLS = sorted(p.name for p in CORPUS.iterdir() if p.name.endswith(".obl"))
+GEN_SEEDS = range(50)
+WIDE_SEEDS = range(50, 70)      # each with extra processes: larger spaces
+
+
+def _run(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return {"exit": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _corpus(name) -> str:
+    return str(CORPUS / name)
+
+
+def _lts_cases():
+    return {n: _run(["lts", _corpus(n), "--json"]) for n in NETS}
+
+
+def _dot_cases():
+    cases = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        dot = Path(tmp) / "lts.dot"
+        for n in NETS:
+            case = _run(["lts", _corpus(n), "--dot", str(dot)])
+            case["dot"] = dot.read_text()
+            cases[n] = case
+    return cases
+
+
+def _check_cases():
+    return {f"{n} {o}": _run(["check", _corpus(n), _corpus(o),
+                              "--mode", "exhaustive", "--json"])
+            for n in NETS if n.startswith("example") for o in OBLS}
+
+
+def _trace_cases():
+    return {f"{n} seed {s}": _run(["trace", _corpus(n), "--seed", str(s),
+                                   "--explain-denied"])
+            for n in NETS for s in range(3)}
+
+
+def _widen(rng, net):
+    pols = {e.location: e.policy for e in net.entries}
+    locs = sorted(pols)
+    extra = []
+    for _ in range(rng.randint(3, 5)):
+        loc = rng.choice(locs)
+        proc = gen.gen_small_process(rng, locs)
+        extra.append(NetEntry(loc, pols[loc], proc))
+    return Net(net.entries + tuple(extra))
+
+
+def _generated_inputs():
+    for seed in [*GEN_SEEDS, *WIDE_SEEDS]:
+        rng = random.Random(seed)
+        net = gen.gen_small_net(rng)
+        if seed in WIDE_SEEDS:
+            net = _widen(rng, net)
+        obl = gen.gen_obligation_for(rng, net)
+        yield f"seed {seed}", render_net(net), render_obligation(obl)
+
+
+def _generated_cases(inputs):
+    cases = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        net_file, obl_file = Path(tmp) / "net.akbl", Path(tmp) / "obl.obl"
+        for name, net_text, obl_text in inputs:
+            net_file.write_text(net_text)
+            obl_file.write_text(obl_text)
+            cases[name] = {
+                "net": net_text,
+                "obligation": obl_text,
+                "lts": _run(["lts", str(net_file), "--json"]),
+                "check": _run(["check", str(net_file), str(obl_file),
+                               "--mode", "exhaustive", "--json"]),
+            }
+    return cases
+
+
+KINDS = {
+    "lts": _lts_cases,
+    "dot": _dot_cases,
+    "check": _check_cases,
+    "trace": _trace_cases,
+    "generated": lambda: _generated_cases(_generated_inputs()),
+}
+
+
+def _load(kind) -> dict:
+    return json.loads((GOLDEN / f"{kind}.json").read_text())
+
+
+def _assert_matches(kind, got):
+    want = _load(kind)
+    assert sorted(got) == sorted(want)
+    differ = [name for name in sorted(want) if got[name] != want[name]]
+    assert not differ, f"{kind} output differs from the golden for {differ}"
+
+
+def test_lts_json_matches_golden():
+    _assert_matches("lts", _lts_cases())
+
+
+def test_dot_export_matches_golden():
+    _assert_matches("dot", _dot_cases())
+
+
+def test_exhaustive_check_matches_golden():
+    _assert_matches("check", _check_cases())
+
+
+def test_trace_matches_golden():
+    _assert_matches("trace", _trace_cases())
+
+
+def test_generated_networks_match_golden():
+    # the stored network texts are the inputs, so a later change to
+    # the generators cannot move the goldens
+    want = _load("generated")
+    inputs = [(name, case["net"], case["obligation"])
+              for name, case in want.items()]
+    _assert_matches("generated", _generated_cases(inputs))
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for kind, make in KINDS.items():
+        text = json.dumps(make(), indent=1, sort_keys=True) + "\n"
+        (GOLDEN / f"{kind}.json").write_text(text)
+        print(f"wrote {GOLDEN / kind}.json", file=sys.stderr)

@@ -2,9 +2,9 @@
 import pytest
 
 from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
-                       ReplicationPresent, STATS, build_lts, dot_export,
-                       enabled_steps, eval_policy, interp_test, json_export,
-                       match, occurs_in, parse_net, reset_stats,
+                       ReplicationPresent, STATS, build_lts, data_index,
+                       dot_export, enabled_steps, eval_policy, interp_test,
+                       json_export, match, occurs_in, parse_net, reset_stats,
                        step_candidates, take_actions)
 from aspectkbl.semantics import net_text
 from aspectkbl.model import (Action, BindVar, Const, Net, NetEntry, NIL, Repl,
@@ -34,10 +34,11 @@ def test_occurs_in_scans_every_branch():
 
 def test_interp_test_wants_exact_data_entries():
     net = parse_net("R ::[true] <Doctor, Hansen> || R ::[true] out(k)@R . 0")
-    assert interp_test(("Doctor", "Hansen"), "R", net)
-    assert not interp_test(("Doctor",), "R", net)
-    assert not interp_test(("Doctor", "Hansen"), "S", net)
-    assert not interp_test(("k",), "R", net)
+    data = data_index(net)
+    assert interp_test(("Doctor", "Hansen"), "R", data)
+    assert not interp_test(("Doctor",), "R", data)
+    assert not interp_test(("Doctor", "Hansen"), "S", data)
+    assert not interp_test(("k",), "R", data)
 
 
 def locate(net, source, cap):
