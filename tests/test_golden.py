@@ -27,6 +27,12 @@ NETS = sorted(p.name for p in CORPUS.iterdir() if p.name.endswith(".akbl"))
 OBLS = sorted(p.name for p in CORPUS.iterdir() if p.name.endswith(".obl"))
 GEN_SEEDS = range(50)
 WIDE_SEEDS = range(50, 70)      # each with extra processes: larger spaces
+STATIC_SEEDS = range(1000, 1400)
+# the certifier's own output: JSON with the abstract policy values, and text
+STATIC_MODES = {
+    "json": ["--mode", "static", "--json", "--explain-denied"],
+    "text": ["--mode", "static", "--explain-denied"],
+}
 
 
 def _run(argv) -> dict:
@@ -105,12 +111,39 @@ def _generated_cases(inputs):
     return cases
 
 
+def _static_runs(net_file, obl_file) -> dict:
+    return {mode: _run(["check", str(net_file), str(obl_file), *flags])
+            for mode, flags in STATIC_MODES.items()}
+
+
+def _static_inputs():
+    for seed in STATIC_SEEDS:
+        rng = random.Random(seed)
+        net = gen.gen_small_net(rng)
+        obl = gen.gen_obligation_for(rng, net)
+        yield f"seed {seed}", render_net(net), render_obligation(obl)
+
+
+def _static_cases(inputs):
+    cases = {f"{n} {o}": _static_runs(_corpus(n), _corpus(o))
+             for n in NETS for o in OBLS}
+    with tempfile.TemporaryDirectory() as tmp:
+        net_file, obl_file = Path(tmp) / "net.akbl", Path(tmp) / "obl.obl"
+        for name, net_text, obl_text in inputs:
+            net_file.write_text(net_text)
+            obl_file.write_text(obl_text)
+            cases[name] = {"net": net_text, "obligation": obl_text,
+                           **_static_runs(net_file, obl_file)}
+    return cases
+
+
 KINDS = {
     "lts": _lts_cases,
     "dot": _dot_cases,
     "check": _check_cases,
     "trace": _trace_cases,
     "generated": lambda: _generated_cases(_generated_inputs()),
+    "static": lambda: _static_cases(_static_inputs()),
 }
 
 
@@ -148,6 +181,13 @@ def test_generated_networks_match_golden():
     inputs = [(name, case["net"], case["obligation"])
               for name, case in want.items()]
     _assert_matches("generated", _generated_cases(inputs))
+
+
+def test_static_certifier_matches_golden():
+    want = _load("static")
+    inputs = [(name, case["net"], case["obligation"])
+              for name, case in want.items() if "net" in case]
+    _assert_matches("static", _static_cases(inputs))
 
 
 if __name__ == "__main__":
