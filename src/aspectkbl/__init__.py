@@ -23,11 +23,11 @@ from .unification import extract, findsubs, unify, unifylist
 from .parser import (ParseError, parse_net, parse_obligation, parse_policy,
                      render, render_net, render_obligation, render_policy,
                      render_process)
-from .semantics import (LTS, build_lts, data_index, dot_export,
-                        enabled_steps, eval_policy, interp_test, json_export,
-                        match, occurs_in, reset_stats, STATS, step_candidates)
-from .exhaustive import (Verdict, Witness, check_lts, sat_bp, sat_obl,
-                         sat_pred, unify_label)
+from .semantics import (LTS, build_lts, data_index, dot_export, enabled_steps,
+                        eval_policy, interp_test, json_export, match,
+                        occurs_in, step_candidates)
+from .exhaustive import (Verdict, Witness, check_lts, sat_obl, sat_pred,
+                         unify_label)
 from .certify import (ActionReport, MightGrant, MutationInfo, StaticVerdict,
                       check_network, check_single_action, might_grant,
                       report_json)

@@ -7,6 +7,12 @@ information).  Two partial orders structure them: the knowledge order
 operators are lubs and glbs in one of the two orders and are stored as
 explicit 16-entry tables; the test suite re-derives every entry from
 the order relations.
+
+A value set is a nonempty set of the four values, the values an
+expression may take.  It is coded as a 4-bit mask with bit `1 << tag`
+for each member, so a single value is a singleton, and every operator
+is lifted to value sets pointwise: s op t holds a op b for every a in
+s and b in t.
 """
 from __future__ import annotations
 
@@ -131,3 +137,42 @@ BINARY_OPS = {
     "implies": implies,
     "pref": priority,
 }
+
+
+# ---------------------------------------------------------------------------
+# value sets
+
+def vset(*values: FourValue) -> int:
+    """The value set of the given values."""
+    return sum(1 << v.tag for v in set(values))
+
+
+def members(s: int) -> frozenset:
+    return frozenset(v for v in VALUES if s >> v.tag & 1)
+
+
+def only(s: int) -> FourValue:
+    """The member of a singleton value set."""
+    return VALUES[s.bit_length() - 1]
+
+
+def _lift(op) -> tuple:
+    # a set past a singleton is its lowest member joined to the rest
+    table = [[0] * 16]
+    for s in range(1, 16):
+        rest = s & s - 1
+        if rest:
+            row = [a | b for a, b in zip(table[s ^ rest], table[rest])]
+        else:
+            row = [0] * 16
+            for t in range(1, 16):
+                low = t & -t
+                row[t] = row[t ^ low] | (row[low] if t != low else
+                                         1 << op(only(s), only(t)).tag)
+        table.append(row)
+    return tuple(map(tuple, table))
+
+
+GRANTS = vset(*filter(grant, VALUES))   # the values that let an action fire
+NEG_SETS = tuple(vset(*map(neg, members(s))) for s in range(16))
+LIFTED = {name: _lift(op) for name, op in BINARY_OPS.items()}

@@ -15,13 +15,16 @@ analysis is sound but incomplete: a certified network satisfies the
 obligation on every run, a NotCertified action only means the fast
 route gave up and the exhaustive checker should decide.
 
-Truth of a test atom changes over time, so the static route abstracts
-a policy to the set of truth values it may take on any run: a test
-atom that holds initially and is not removable by any input action is
-always tt; one that fails initially and is not addable by any output
-action is always ff; anything else gets both values.  Location
-entries are never created at fresh locations and constants never
-appear out of thin air, which keeps these approximations sound.
+The certifier is the explorer's evaluator, `semantics.policy_values`
+and `semantics.pred_values`, run in an abstract value domain: an
+abstract interpretation of the same semantics.  The explorer runs it
+in one state, where every value set is a singleton.  Here the domain
+is `MutationInfo`, whose leaves take every value they may have in any
+reachable state, since the truth of a test atom changes over time.
+Location entries are never created at fresh locations and constants
+never appear out of thin air, so each leaf's set holds its value in
+every reachable state, and as each operator is lifted pointwise, so
+does the set of every policy and predicate.
 
 When an aspect's trap applies to every firing of the action, its
 condition definitely holds and its recommendation is a ground test
@@ -35,23 +38,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .belnap import BINARY_OPS, BOT, FF, TT, grant, join_k, neg
-from .model import (Action, AspectPol, CAP_LETTER, CombinePol, Const, EBin,
-                    EEqual, EFalse, ENot, EOccursIn, ETest, ETrue, FalsePol,
-                    Net, NotPol, Obligation, OUT, IN, PAnd, PEqual, PExists,
-                    PFalse, PForall, PGeq, PNot, POr, PTest, PTestPost, PTrue,
-                    ReplicationPresent, Substitution, TruePol, canonicalize,
-                    has_replication, loc_set, take_actions)
-from .semantics import (check_cut, data_index, interp_test, occurs_in,
-                        policies_by_location)
+from .belnap import GRANTS, grant, join_k, members
+from .model import (Action, CAP_LETTER, Const, ETest, Net, Obligation, OUT, IN,
+                    PAnd, PEqual, POr, PTest, PTrue, ReplicationPresent,
+                    Substitution, canonicalize, has_replication, loc_set,
+                    take_actions)
+from .semantics import (BOTH, FALSE, TRUE, data_index, ground_names,
+                        interp_test, numeral, occurs_in, policies_by_location,
+                        policy_values, pred_values, truth)
 from .unification import extract, findsubs
 
 IRRELEVANT = "CertifiedIrrelevant"
 DENIED = "CertifiedDenied"
 ENTAILED = "CertifiedByEntailment"
 NOT_CERTIFIED = "NotCertified"
-
-_BOTH = frozenset((TT, FF))
 
 
 def _may_equal(t, name: str) -> bool:
@@ -61,7 +61,17 @@ def _may_equal(t, name: str) -> bool:
 
 class MutationInfo:
     """Which data tuples the network holds at the start, and which its
-    actions may add or remove."""
+    actions may add or remove.
+
+    This is the certifier's value domain.  A test may take any value
+    its tuple can have on some run: tt when the tuple is present at the
+    start and no input may remove it, ff when it is absent and no
+    output may add it, and else both.  A term that is not a constant
+    stands for a value not known before the run, so an atom over one
+    takes both values, and a refuted occurs-in stays refuted.
+    """
+
+    exact = False
 
     def __init__(self, net: Net):
         self.initial = data_index(net)      # the tuples present at the start
@@ -85,99 +95,38 @@ class MutationInfo:
     def may_remove(self, at: str, values) -> bool:
         return self._may_touch(self._ins, at, values)
 
+    def equal(self, left, right) -> int:
+        if isinstance(left, Const) and isinstance(right, Const):
+            return truth(left.name == right.name)
+        return BOTH
 
-# ---------------------------------------------------------------------------
-# abstract values: the set of truth values an expression may take
+    def geq(self, left, right) -> int:
+        l, r = numeral(left), numeral(right)
+        if l is None or r is None:
+            return BOTH
+        return truth(l >= r)
 
-def _test_values(mut, at, values):
-    if interp_test(values, at, mut.initial):
-        return frozenset((TT,)) if not mut.may_remove(at, values) else _BOTH
-    return frozenset((FF,)) if not mut.may_add(at, values) else _BOTH
+    def test(self, args, at, post=None) -> int:
+        values = ground_names(args)
+        if values is None or not isinstance(at, Const):
+            return BOTH
+        if interp_test(values, at.name, self.initial):
+            return BOTH if self.may_remove(at.name, values) else TRUE
+        return BOTH if self.may_add(at.name, values) else FALSE
 
-
-def abstract_expr(e, net: Net, mut: MutationInfo, cont_env: dict) -> frozenset:
-    if isinstance(e, ETrue):
-        return frozenset((TT,))
-    if isinstance(e, EFalse):
-        return frozenset((FF,))
-    if isinstance(e, ENot):
-        return frozenset(neg(v) for v in abstract_expr(e.body, net, mut, cont_env))
-    if isinstance(e, EBin):
-        op = BINARY_OPS[e.op]
-        ls = abstract_expr(e.left, net, mut, cont_env)
-        rs = abstract_expr(e.right, net, mut, cont_env)
-        return frozenset(op(a, b) for a in ls for b in rs)
-    if isinstance(e, EEqual):
-        if isinstance(e.left, Const) and isinstance(e.right, Const):
-            return frozenset((TT if e.left.name == e.right.name else FF,))
-        return _BOTH
-    if isinstance(e, ETest):
-        if all(isinstance(t, Const) for t in e.args) and isinstance(e.at, Const):
-            return _test_values(mut, e.at.name,
-                                tuple(t.name for t in e.args))
-        return _BOTH
-    if isinstance(e, EOccursIn):
-        proc = cont_env.get(e.var)
-        if proc is None or occurs_in(e.action, proc):
-            return _BOTH
+    def occurs(self, action, var: str, env: dict) -> int:
+        proc = env.get(var)
+        if proc is None or occurs_in(action, proc):
+            return BOTH
         # grounding a template only removes matches, never adds one
-        return frozenset((FF,))
-    raise TypeError(f"not an expression: {e!r}")
+        return FALSE
 
 
-def _plain_key(key: str) -> bool:
-    return not key.startswith(("$", "#", "!"))
-
-
-def _constraint_atom(e) -> Optional[tuple]:
-    if isinstance(e, ETest) and isinstance(e.at, Const) \
-            and all(isinstance(t, Const) for t in e.args):
-        return ("test", e.at.name, tuple(t.name for t in e.args))
-    return None
-
-
-def _abs_aspect(asp, subject, action, cont, net, mut, positive, cons):
-    res = check_cut(asp.cut, subject, action, cont)
-    if res is None:
-        return frozenset((BOT,))
-    th1, env = res
-    # bindings of the action's own variables mean the trap only catches
-    # some of the instantiations this action can fire with
-    conditional = any(_plain_key(k) for k, _ in th1.pairs)
-    cond_set = abstract_expr(th1.apply_expr(asp.cond), net, mut, env)
-    if TT not in cond_set:
-        return frozenset((BOT,))
-    must_cond = cond_set == frozenset((TT,))
-    out = set(abstract_expr(th1.apply_expr(asp.rec), net, mut, env))
-    if conditional or not must_cond:
-        out.add(BOT)
-    elif positive:
-        atom = _constraint_atom(th1.apply_expr(asp.rec))
-        if atom is not None:
-            cons.append(atom)
-    return frozenset(out)
-
-
-def _abs_policy(pol, subject, action, cont, net, mut, positive, cons):
-    if isinstance(pol, TruePol):
-        return frozenset((TT,))
-    if isinstance(pol, FalsePol):
-        return frozenset((FF,))
-    if isinstance(pol, NotPol):
-        inner = _abs_policy(pol.body, subject, action, cont, net, mut,
-                            False, [])
-        return frozenset(neg(v) for v in inner)
-    if isinstance(pol, CombinePol):
-        keep = positive and pol.op == "oplus"
-        sink = cons if keep else []
-        op = BINARY_OPS[pol.op]
-        ls = _abs_policy(pol.left, subject, action, cont, net, mut, keep, sink)
-        rs = _abs_policy(pol.right, subject, action, cont, net, mut, keep, sink)
-        return frozenset(op(a, b) for a in ls for b in rs)
-    if isinstance(pol, AspectPol):
-        return _abs_aspect(pol.aspect, subject, action, cont, net, mut,
-                           positive, cons)
-    raise TypeError(f"not a policy: {pol!r}")
+def _test_atom(args, at) -> Optional[tuple]:
+    values = ground_names(args)
+    if values is None or not isinstance(at, Const):
+        return None
+    return ("test", at.name, values)
 
 
 @dataclass(frozen=True)
@@ -193,68 +142,23 @@ def might_grant(pol, act, net: Net, mut: Optional[MutationInfo] = None) -> Might
     guaranteed at any firing, and the set of values it may take."""
     if mut is None:
         mut = MutationInfo(net)
-    cons: list = []
-    vals = _abs_policy(pol, act.source, act.action, act.continuation, net,
-                       mut, True, cons)
-    return MightGrant(any(grant(v) for v in vals), tuple(cons), vals)
+    sure: list = []
+    values = policy_values(pol, act.source, act.action, act.continuation, mut,
+                           sure)
+    constraints = tuple(filter(None, (_test_atom(e.args, e.at) for e in sure
+                                      if isinstance(e, ETest))))
+    return MightGrant(bool(values & GRANTS), constraints, members(values))
 
 
 # ---------------------------------------------------------------------------
 # static predicate truth
 
-def static_pred(pred, net: Net, mut: MutationInfo, domain):
+def static_pred(pred, mut: MutationInfo, domain):
     """Kleene pair (definitely true, possibly true) over every
-    reachable transition the enclosing action could produce."""
-    if isinstance(pred, PTrue):
-        return True, True
-    if isinstance(pred, PFalse):
-        return False, False
-    if isinstance(pred, PNot):
-        must, may = static_pred(pred.body, net, mut, domain)
-        return not may, not must
-    if isinstance(pred, PAnd):
-        l = static_pred(pred.left, net, mut, domain)
-        r = static_pred(pred.right, net, mut, domain)
-        return l[0] and r[0], l[1] and r[1]
-    if isinstance(pred, POr):
-        l = static_pred(pred.left, net, mut, domain)
-        r = static_pred(pred.right, net, mut, domain)
-        return l[0] or r[0], l[1] or r[1]
-    if isinstance(pred, PForall):
-        # constants never appear out of thin air, so every runtime
-        # quantifier domain is a subset of the initial one
-        must = all(static_pred(_bind(pred.var, l, pred.body), net, mut,
-                               domain)[0] for l in domain)
-        return must, True
-    if isinstance(pred, PExists):
-        may = any(static_pred(_bind(pred.var, l, pred.body), net, mut,
-                              domain)[1] for l in domain)
-        return False, may
-    if isinstance(pred, PEqual):
-        if isinstance(pred.left, Const) and isinstance(pred.right, Const):
-            v = pred.left.name == pred.right.name
-            return v, v
-        return False, True
-    if isinstance(pred, PGeq):
-        if isinstance(pred.left, Const) and isinstance(pred.right, Const) \
-                and pred.left.name.isdigit() and pred.right.name.isdigit():
-            v = int(pred.left.name) >= int(pred.right.name)
-            return v, v
-        return False, True
-    if isinstance(pred, (PTest, PTestPost)):
-        if not all(isinstance(t, Const) for t in pred.args) \
-                or not isinstance(pred.at, Const):
-            return False, True
-        vals = tuple(t.name for t in pred.args)
-        here = interp_test(vals, pred.at.name, mut.initial)
-        must = here and not mut.may_remove(pred.at.name, vals)
-        may = here or mut.may_add(pred.at.name, vals)
-        return must, may
-    raise TypeError(f"not a predicate: {pred!r}")
-
-
-def _bind(var: str, loc: str, body):
-    return Substitution(((var, Const(loc)),)).apply_pred(body)
+    reachable transition the enclosing action could produce; domain
+    holds the location constants of the network."""
+    values = pred_values(pred, mut, domain)
+    return not values & FALSE, bool(values & TRUE)
 
 
 def entailed(pred, atoms: set) -> bool:
@@ -268,12 +172,7 @@ def entailed(pred, atoms: set) -> bool:
     if isinstance(pred, PEqual):
         return (isinstance(pred.left, Const) and isinstance(pred.right, Const)
                 and pred.left.name == pred.right.name)
-    if isinstance(pred, PTest):
-        if all(isinstance(t, Const) for t in pred.args) \
-                and isinstance(pred.at, Const):
-            return ("test", pred.at.name,
-                    tuple(t.name for t in pred.args)) in atoms
-    return False
+    return isinstance(pred, PTest) and _test_atom(pred.args, pred.at) in atoms
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +226,7 @@ def check_single_action(obl: Obligation, net: Net, act,
                             side_values=sides)
     pred0 = th0.apply_pred(obl.pred)
     constraints = src.constraints + tgt_side.constraints
-    if static_pred(pred0, net, mut, domain)[0] \
+    if static_pred(pred0, mut, domain)[0] \
             or entailed(pred0, set(constraints)):
         return ActionReport(act.source, act.action, ENTAILED, th0,
                             constraints=constraints, side_values=sides)

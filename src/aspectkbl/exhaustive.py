@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import (Const, EvaluationError, Label, LabelPattern, Net,
-                    Obligation, PAnd, PEqual, PExists, PFalse, PForall, PGeq,
-                    PNot, POr, PTest, PTestPost, PTrue, Substitution, loc_set)
-from .semantics import LTS, build_lts, data_index, interp_test
+from .model import Label, LabelPattern, Net, Obligation, Substitution, loc_set
+from .semantics import (LTS, TRUE, StateDomain, build_lts, data_index,
+                        pred_values)
 from .unification import extract, findsubs
 
 
@@ -24,68 +23,13 @@ def unify_label(pattern: LabelPattern, label: Label) -> Optional[Substitution]:
     return findsubs(extract(pattern), extract(label))
 
 
-def _name(t, what: str) -> str:
-    if isinstance(t, Const):
-        return t.name
-    raise EvaluationError(f"unbound variable in {what}: {t!r}")
-
-
-def _numeric(t) -> int:
-    if isinstance(t, Const) and t.name.isdigit():
-        return int(t.name)
-    raise EvaluationError(f"not a numeric constant: {t!r}")
-
-
-def sat_bp(pair, theta: Substitution, bp) -> bool:
-    """Satisfaction of one basic predicate on a transition's state pair."""
-    pre, post = pair
-    return _sat(theta.apply_pred(bp), data_index(pre), data_index(post),
-                sorted(loc_set(pre) | loc_set(post)))
-
-
 def sat_pred(pair, theta: Substitution, pred) -> bool:
     """Satisfaction of a predicate on a transition's state pair, under
     the substitution that matched the obligation's pattern."""
     pre, post = pair
-    return _sat(theta.apply_pred(pred), data_index(pre), data_index(post),
-                sorted(loc_set(pre) | loc_set(post)))
-
-
-def _sat(pred, pre, post, domain) -> bool:
-    # pre and post are the data indexes of the states around the step
-    if isinstance(pred, PTrue):
-        return True
-    if isinstance(pred, PFalse):
-        return False
-    if isinstance(pred, PNot):
-        return not _sat(pred.body, pre, post, domain)
-    if isinstance(pred, PAnd):
-        return (_sat(pred.left, pre, post, domain)
-                and _sat(pred.right, pre, post, domain))
-    if isinstance(pred, POr):
-        return (_sat(pred.left, pre, post, domain)
-                or _sat(pred.right, pre, post, domain))
-    if isinstance(pred, PForall):
-        return all(_sat(_bind(pred.var, l, pred.body), pre, post, domain)
-                   for l in domain)
-    if isinstance(pred, PExists):
-        return any(_sat(_bind(pred.var, l, pred.body), pre, post, domain)
-                   for l in domain)
-    if isinstance(pred, PEqual):
-        return _name(pred.left, "equality") == _name(pred.right, "equality")
-    if isinstance(pred, PGeq):
-        return _numeric(pred.left) >= _numeric(pred.right)
-    if isinstance(pred, (PTest, PTestPost)):
-        if not all(isinstance(t, Const) for t in pred.args) \
-                or not isinstance(pred.at, Const):
-            return False
-        data = post if isinstance(pred, PTestPost) else pre
-        return interp_test([t.name for t in pred.args], pred.at.name, data)
-    raise TypeError(f"not a predicate: {pred!r}")
-
-
-def _bind(var: str, loc: str, body):
-    return Substitution(((var, Const(loc)),)).apply_pred(body)
+    return pred_values(theta.apply_pred(pred),
+                       StateDomain(data_index(pre), data_index(post)),
+                       sorted(loc_set(pre) | loc_set(post))) == TRUE
 
 
 @dataclass(frozen=True)
@@ -133,7 +77,8 @@ def check_lts(lts: LTS, obl: Obligation) -> Verdict:
             continue
         pred = th.apply_pred(obl.pred)
         (pre, pre_locs), (post, post_locs) = state(t.src), state(t.dst)
-        if not _sat(pred, pre, post, sorted(pre_locs | post_locs)):
+        if pred_values(pred, StateDomain(pre, post),
+                       sorted(pre_locs | post_locs)) != TRUE:
             witness = Witness(_path_to(lts, t.src), t.label, th, pred)
             return Verdict(obl, False, witness, len(lts.states), checked)
     return Verdict(obl, True, None, len(lts.states), checked)

@@ -375,9 +375,6 @@ class Substitution:
     def then(self, other: "Substitution") -> "Substitution":
         return Substitution(self.pairs + other.pairs)
 
-    def bind(self, key: str, value: Term) -> "Substitution":
-        return Substitution(self.pairs + ((key, value),))
-
     # -- application ------------------------------------------------------
 
     def apply_term(self, t: Term) -> Term:

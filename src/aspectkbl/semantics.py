@@ -14,6 +14,17 @@ wildcards but learns nothing about the data that will be bound.
 Transition labels on the other hand are fully ground; for in and read
 they carry the matched tuple.
 
+Policies and obligation predicates have one evaluator each,
+`policy_values` and `pred_values`, over value sets: nonempty sets of
+the four values, with every operator lifted pointwise.  A value domain
+supplies the leaves (equality, test, >= and occurs-in) and says
+whether it is exact.  The explorer runs the evaluators in the
+concrete `StateDomain` of a state, where every set is a singleton.
+The static certifier (certify.py) runs them in an abstract domain
+whose leaves cover every reachable state, so its sets hold every
+value the explorer can meet: it is the explorer's evaluator run in
+the abstract domain.
+
 States are kept in canonical form, which makes the state space of a
 replication-free network finite and the construction below a plain
 breadth first search.
@@ -38,24 +49,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .belnap import BINARY_OPS, BOT, FF, TT, FourValue, grant, join_k, neg
+from .belnap import (BOT, FF, GRANTS, LIFTED, NEG_SETS, TT, FourValue, only,
+                     vset)
 from .model import (Action, AspectPol, BindVar, CAP_LETTER, CombinePol, Const,
                     Cut, EBin, EEqual, EFalse, ENot, EOccursIn, ETest, ETrue,
                     EvaluationError, FalsePol, Label, LimitExceeded, Net,
-                    NetEntry, Nil, NotPol, Par, Process, Repl,
-                    ReplicationPresent, Substitution, Sum, TruePol, Wildcard,
-                    drop_nils, entry_consts, entry_sort_key, has_replication,
-                    split_entry)
+                    NetEntry, Nil, NotPol, PAnd, PEqual, PExists, PFalse,
+                    PForall, PGeq, PNot, POr, PTest, PTestPost, PTrue, Par,
+                    Process, Repl, ReplicationPresent, Substitution, Sum,
+                    TruePol, Wildcard, drop_nils, entry_consts, entry_sort_key,
+                    has_replication, split_entry)
 from .unification import findsubs
-
-# states explored by the most recent exploration-based run; the static
-# route must leave this untouched
-STATS = {"states_explored": 0}
-
-
-def reset_stats():
-    STATS["states_explored"] = 0
-
 
 # ---------------------------------------------------------------------------
 # template matching
@@ -108,7 +112,10 @@ def occurs_in(template: Action, proc: Process) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# policy evaluation
+# evaluation over value sets
+
+TRUE, FALSE, BOTH, BOTTOM = vset(TT), vset(FF), vset(TT, FF), vset(BOT)
+
 
 def data_index(net: Net) -> frozenset:
     """The (location, tuple) pairs of the network's data entries."""
@@ -121,40 +128,87 @@ def interp_test(args, at: str, data) -> bool:
     return (at, tuple(args)) in data
 
 
+def ground_names(terms) -> Optional[tuple]:
+    """The names of the terms, or None unless every one is a constant."""
+    names = tuple(t.name for t in terms if isinstance(t, Const))
+    return names if len(names) == len(terms) else None
+
+
+def numeral(t) -> Optional[int]:
+    return int(t.name) if isinstance(t, Const) and t.name.isdigit() else None
+
+
+def truth(b: bool) -> int:
+    return TRUE if b else FALSE
+
+
 def _ground_name(t, what: str) -> str:
     if isinstance(t, Const):
         return t.name
     raise EvaluationError(f"unbound variable in {what}: {t!r}")
 
 
-def eval_expr(e, data, cont_env: dict) -> FourValue:
-    """Evaluate a recommendation or condition to a truth value, with
-    test atoms looked up in the data index of the current state.
+def _numeric(t) -> int:
+    n = numeral(t)
+    if n is None:
+        raise EvaluationError(f"not a numeric constant: {t!r}")
+    return n
 
-    Atoms are two valued, so conditions (restricted to not/and/or)
-    come out classical.  Unbound variables raise EvaluationError.
-    """
+
+class StateDomain:
+    """The concrete value domain, whose value sets are all singletons:
+    the leaves read the data index of one state, or for a predicate
+    those of the states before and after a step.  An unbound variable
+    raises EvaluationError, except that a predicate's test on one
+    names no tuple and is false."""
+
+    exact = True
+
+    def __init__(self, pre: frozenset, post: frozenset = frozenset()):
+        self.pre, self.post = pre, post
+
+    def equal(self, left, right) -> int:
+        return truth(_ground_name(left, "equality")
+                      == _ground_name(right, "equality"))
+
+    def geq(self, left, right) -> int:
+        return truth(_numeric(left) >= _numeric(right))
+
+    def test(self, args, at, post: Optional[bool] = None) -> int:
+        # post is None in a policy, else the side of the step read
+        if post is None:
+            vals = [_ground_name(t, "test") for t in args]
+            return truth(interp_test(vals, _ground_name(at, "test"),
+                                      self.pre))
+        vals = ground_names(args)
+        return truth(vals is not None and isinstance(at, Const)
+                      and interp_test(vals, at.name,
+                                      self.post if post else self.pre))
+
+    def occurs(self, action: Action, var: str, env: dict) -> int:
+        if var not in env:
+            raise EvaluationError(f"occurs-in variable {var} is unbound")
+        return truth(occurs_in(action, env[var]))
+
+
+def expr_values(e, domain, env: dict) -> int:
+    """The value set of a recommendation or condition, where env binds
+    the trap's process variable to the continuation."""
     if isinstance(e, ETrue):
-        return TT
+        return TRUE
     if isinstance(e, EFalse):
-        return FF
+        return FALSE
     if isinstance(e, ENot):
-        return neg(eval_expr(e.body, data, cont_env))
+        return NEG_SETS[expr_values(e.body, domain, env)]
     if isinstance(e, EBin):
-        return BINARY_OPS[e.op](eval_expr(e.left, data, cont_env),
-                                eval_expr(e.right, data, cont_env))
+        left = expr_values(e.left, domain, env)
+        return LIFTED[e.op][left][expr_values(e.right, domain, env)]
     if isinstance(e, EEqual):
-        l = _ground_name(e.left, "equality")
-        r = _ground_name(e.right, "equality")
-        return TT if l == r else FF
+        return domain.equal(e.left, e.right)
     if isinstance(e, ETest):
-        vals = [_ground_name(t, "test") for t in e.args]
-        at = _ground_name(e.at, "test")
-        return TT if interp_test(vals, at, data) else FF
+        return domain.test(e.args, e.at)
     if isinstance(e, EOccursIn):
-        if e.var not in cont_env:
-            raise EvaluationError(f"occurs-in variable {e.var} is unbound")
-        return TT if occurs_in(e.action, cont_env[e.var]) else FF
+        return domain.occurs(e.action, e.var, env)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -173,6 +227,51 @@ def check_cut(cut: Cut, subject: str, action: Action, continuation: Process):
     return th, {cut.cont_var: continuation}
 
 
+def policy_values(pol, subject: str, action: Action, continuation: Process,
+                  domain, sure: Optional[list] = None) -> int:
+    """The value set of a policy judging an attempted action.
+
+    In an inexact domain a trap adds bot when it may let the action
+    pass: its condition only may hold, or it binds a variable of the
+    action and so catches only some instantiations.  The instantiated
+    recommendations of the other traps that reach the top through
+    oplus alone are appended to `sure` when it is a list.
+    """
+    if isinstance(pol, TruePol):
+        return TRUE
+    if isinstance(pol, FalsePol):
+        return FALSE
+    if isinstance(pol, NotPol):
+        return NEG_SETS[policy_values(pol.body, subject, action,
+                                      continuation, domain)]
+    if isinstance(pol, CombinePol):
+        sure = sure if pol.op == "oplus" else None
+        left = policy_values(pol.left, subject, action, continuation, domain,
+                             sure)
+        return LIFTED[pol.op][left][policy_values(
+            pol.right, subject, action, continuation, domain, sure)]
+    if isinstance(pol, AspectPol):
+        asp = pol.aspect
+        res = check_cut(asp.cut, subject, action, continuation)
+        if res is None:
+            return BOTTOM
+        th, env = res
+        cond = expr_values(th.apply_expr(asp.cond), domain, env)
+        if not cond & TRUE:
+            return BOTTOM
+        rec = th.apply_expr(asp.rec)
+        values = expr_values(rec, domain, env)
+        if domain.exact:
+            return values
+        if cond != TRUE or any(not k.startswith(("$", "#", "!"))
+                               for k, _ in th.pairs):
+            return values | BOTTOM
+        if sure is not None:
+            sure.append(rec)
+        return values
+    raise TypeError(f"not a policy: {pol!r}")
+
+
 def eval_policy(pol, trapped, net: Net) -> FourValue:
     """Judge an attempted action (a LocatedAction) under a policy.
 
@@ -180,32 +279,43 @@ def eval_policy(pol, trapped, net: Net) -> FourValue:
     unsubstituted; a trap pattern consequently learns nothing about
     the data an input will bind.
     """
-    return _eval_pol(pol, trapped.source, trapped.action,
-                     trapped.continuation, data_index(net))
+    return only(policy_values(pol, trapped.source, trapped.action,
+                              trapped.continuation,
+                              StateDomain(data_index(net))))
 
 
-def _eval_pol(pol, subject: str, action: Action, continuation: Process,
-              data) -> FourValue:
-    if isinstance(pol, TruePol):
-        return TT
-    if isinstance(pol, FalsePol):
-        return FF
-    if isinstance(pol, NotPol):
-        return neg(_eval_pol(pol.body, subject, action, continuation, data))
-    if isinstance(pol, CombinePol):
-        return BINARY_OPS[pol.op](
-            _eval_pol(pol.left, subject, action, continuation, data),
-            _eval_pol(pol.right, subject, action, continuation, data))
-    if isinstance(pol, AspectPol):
-        asp = pol.aspect
-        res = check_cut(asp.cut, subject, action, continuation)
-        if res is None:
-            return BOT
-        th, env = res
-        if eval_expr(th.apply_expr(asp.cond), data, env) is not TT:
-            return BOT
-        return eval_expr(th.apply_expr(asp.rec), data, env)
-    raise TypeError(f"not a policy: {pol!r}")
+def pred_values(pred, domain, locs) -> int:
+    """The value set, within {tt, ff}, of an obligation's predicate on
+    a step, with quantifiers ranging over the location constants locs.
+    and, or and the quantifiers stop once their value is decided.  In
+    an inexact domain the range at run time may be any subset of locs,
+    so a quantifier may also take its value on the empty range."""
+    if isinstance(pred, PTrue):
+        return TRUE
+    if isinstance(pred, PFalse):
+        return FALSE
+    if isinstance(pred, PNot):
+        return NEG_SETS[pred_values(pred.body, domain, locs)]
+    if isinstance(pred, (PAnd, POr, PForall, PExists)):
+        conj = isinstance(pred, (PAnd, PForall))
+        op = LIFTED["and" if conj else "or"]
+        unit, decided = (TRUE, FALSE) if conj else (FALSE, TRUE)
+        quantified = isinstance(pred, (PForall, PExists))
+        parts = (Substitution(((pred.var, Const(loc)),)).apply_pred(pred.body)
+                 for loc in locs) if quantified else (pred.left, pred.right)
+        values = unit
+        for part in parts:
+            values = op[values][pred_values(part, domain, locs)]
+            if values == decided:
+                break
+        return values | unit if quantified and not domain.exact else values
+    if isinstance(pred, PEqual):
+        return domain.equal(pred.left, pred.right)
+    if isinstance(pred, PGeq):
+        return domain.geq(pred.left, pred.right)
+    if isinstance(pred, (PTest, PTestPost)):
+        return domain.test(pred.args, pred.at, isinstance(pred, PTestPost))
+    raise TypeError(f"not a predicate: {pred!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +435,10 @@ def step_candidates(state, space: Optional[Interner] = None):
 def _steps(ids: tuple, space: Interner):
     entries, locations, data_of = space.entries, space.locations, space.data
     added = space.added
+    oplus = LIFTED["oplus"]
     # location -> id of its first entry, whose policy guards it
     first = dict(zip(map(locations.__getitem__, ids[::-1]), ids[::-1]))
-    data = space.data_index(ids)
+    here = StateDomain(space.data_index(ids))
     nil_groups = {space.groups[j] for j in ids if space.nils[j]}
     steps: list = []
     denied: list = []
@@ -344,7 +455,7 @@ def _steps(ids: tuple, space: Interner):
     def deny(label, f):
         if (label, f) not in seen_denied:
             seen_denied.add((label, f))
-            denied.append((label, f))
+            denied.append((label, only(f)))
 
     for p, i in enumerate(ids):
         e = entries[i]
@@ -363,9 +474,9 @@ def _steps(ids: tuple, space: Interner):
             if holder is None:
                 continue            # no entry to receive or hold the data
             tgt_pol = entries[holder].policy
-            f = join_k(_eval_pol(e.policy, e.location, action, cont, data),
-                       _eval_pol(tgt_pol, e.location, action, cont, data))
-            granted = grant(f)
+            f = oplus[policy_values(e.policy, e.location, action, cont, here)][
+                policy_values(tgt_pol, e.location, action, cont, here)]
+            granted = f & GRANTS
             letter = CAP_LETTER[action.cap]
             if action.cap == "out":
                 args = tuple(_ground_name(t, "out argument")
@@ -444,7 +555,6 @@ def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000) -> LTS
     discovered_by: list = [None]
     transitions: list = []
     queue = deque([0])
-    STATS["states_explored"] += 1
     while queue:
         sid = queue.popleft()
         steps, _ = step_candidates(ids[sid], space)
@@ -461,7 +571,6 @@ def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000) -> LTS
                 ids.append(succ)
                 depth.append(d)
                 queue.append(nid)
-                STATS["states_explored"] += 1
                 t = Transition(sid, nid, label)
                 discovered_by.append(t)
             else:

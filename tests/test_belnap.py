@@ -9,7 +9,8 @@ import itertools
 from aspectkbl import (BOT, FF, TT, TOP, VALUES, from_name, grant, implies,
                        join_k, join_t, leq_k, leq_t, meet_k, meet_t, neg,
                        priority)
-from aspectkbl.belnap import BINARY_OPS
+from aspectkbl.belnap import (BINARY_OPS, GRANTS, LIFTED, NEG_SETS, members,
+                              only, vset)
 import oracles
 
 PAIRS = list(itertools.product(VALUES, repeat=2))
@@ -85,3 +86,19 @@ def test_spelled_operator_names():
                                "pref"}
     assert BINARY_OPS["oplus"](TT, FF) is TOP
     assert BINARY_OPS["pref"](BOT, FF) is FF
+
+
+def test_value_sets_lift_every_operator_pointwise():
+    sets = [frozenset(c) for n in range(1, 5)
+            for c in itertools.combinations(VALUES, n)]
+    assert len({vset(*s) for s in sets}) == 15
+    for s in sets:
+        assert members(vset(*s)) == s
+        assert members(NEG_SETS[vset(*s)]) == {neg(a) for a in s}
+        assert bool(GRANTS & vset(*s)) == any(grant(a) for a in s)
+    for v in VALUES:
+        assert only(vset(v)) is v
+    for name, op in BINARY_OPS.items():
+        for s, t in itertools.product(sets, repeat=2):
+            got = members(LIFTED[name][vset(*s)][vset(*t)])
+            assert got == {op(a, b) for a in s for b in t}, (name, s, t)

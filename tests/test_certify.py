@@ -3,13 +3,17 @@ import random
 
 import pytest
 
-from aspectkbl import (BOT, FF, TT, ReplicationPresent, STATS, check_network,
-                       check_single_action, might_grant, parse_net,
-                       parse_obligation, parse_policy, report_json,
-                       reset_stats, sat_obl, take_actions)
+from aspectkbl import (BOT, FF, TT, ReplicationPresent, build_lts,
+                       canonicalize, check_network, check_single_action,
+                       corpus_path, eval_policy, might_grant, parse_net,
+                       parse_obligation, parse_policy, report_json, sat_obl,
+                       semantics, take_actions)
 from aspectkbl.certify import (DENIED, ENTAILED, IRRELEVANT, NOT_CERTIFIED,
                                MutationInfo, static_pred)
-from aspectkbl.model import Const, Repl, Net, NetEntry, TruePol, loc_set
+from aspectkbl.model import (BindVar, Const, LocatedAction, Net, NetEntry,
+                             Repl, Sum, TruePol, loc_set)
+from aspectkbl.semantics import policies_by_location
+from aspectkbl.unification import extract, findsubs
 import corpusio
 import gen
 
@@ -145,11 +149,11 @@ def test_static_pred_respects_future_removals():
     mut = MutationInfo(net)
     dom = sorted(loc_set(net))
     pred = parse_obligation("AG [$u : r(_)@R] test(Doctor, H)@R").pred
-    must, may = static_pred(pred, net, mut, dom)
+    must, may = static_pred(pred, mut, dom)
     assert (must, may) == (False, True)
 
     frozen = parse_net("R ::[true] <Doctor, H>")
-    must, may = static_pred(pred, frozen, MutationInfo(frozen),
+    must, may = static_pred(pred, MutationInfo(frozen),
                             sorted(loc_set(frozen)))
     assert (must, may) == (True, True)
 
@@ -183,7 +187,7 @@ def test_entailment_by_constraint_when_truth_may_change():
     # route A alone would not certify this
     pred0 = report.theta0.apply_pred(obl.pred)
     mut = MutationInfo(net)
-    assert not static_pred(pred0, net, mut, sorted(loc_set(net)))[0]
+    assert not static_pred(pred0, mut, sorted(loc_set(net)))[0]
 
 
 def test_uncertified_action_on_the_open_store():
@@ -215,12 +219,18 @@ def test_replication_is_rejected_statically():
         check_network(repl, corpusio.obl("eq1.obl"))
 
 
-def test_certifier_never_explores_states():
-    reset_stats()
+def test_certifier_never_explores_states(monkeypatch):
+    # every exploration, build_lts and step_candidates alike, starts an
+    # Interner
+    def explored():
+        raise AssertionError("the certifier explored a state")
+
+    monkeypatch.setattr(semantics, "Interner", explored)
+    with pytest.raises(AssertionError):
+        build_lts(corpusio.net("example1_policies.akbl"))
     for name in ("example1_policies.akbl", "example2_trivial.akbl"):
         for eq in ("eq5.obl", "eq6.obl", "eq7.obl", "eq8.obl"):
             check_network(corpusio.net(name), corpusio.obl(eq))
-    assert STATS["states_explored"] == 0
 
 
 def test_report_json_shape():
@@ -257,3 +267,113 @@ def test_certified_networks_satisfy_their_obligations():
             violations += 1
     assert certified > 50
     assert violations > 0
+
+
+def _branches(state, pols):
+    # the located actions of the top-level entries of a state, aimed at
+    # a location that holds entries
+    for e in state.entries:
+        if isinstance(e.body, Sum):
+            for action, cont in e.body.branches:
+                if action.target.name in pols:
+                    yield LocatedAction(e.location, e.policy, action, cont)
+
+
+def test_policy_values_are_sound_per_side():
+    # every concrete verdict of either policy side on a step out of the
+    # initial state lies in the certifier's value set for that side
+    nets = [corpusio.net(p.name) for p in sorted(corpus_path("").iterdir())
+            if p.name.endswith(".akbl")]
+    nets += [gen.gen_small_net(random.Random(seed)) for seed in range(300)]
+    checked, unsound = 0, []
+    for net in map(canonicalize, nets):
+        pols = policies_by_location(net)
+        for act in _branches(net, pols):
+            for pol in (act.policy, pols[act.action.target.name]):
+                checked += 1
+                if eval_policy(pol, act, net) \
+                        not in might_grant(pol, act, net).values:
+                    unsound.append((net, act, pol))
+    assert checked > 1000
+    assert unsound == []
+
+
+def _guarded_net(rng) -> str:
+    # processes at P and Q change the flags and roles at R that the
+    # policies at S and Q test, so the tests' truth changes over runs
+    flags = ("a", "b", "P", "Q")
+
+    def atom(bound):
+        pick = rng.randrange(5)
+        if pick == 0:
+            return f"test({rng.choice(flags + bound)})@R"
+        if pick == 1:
+            return f"not test({rng.choice(flags)})@R"
+        if pick == 2:
+            return f"{rng.choice(bound)} = {rng.choice(flags)}"
+        if pick == 3:
+            cap = rng.choice(("out", "in"))
+            return f"{cap}({rng.choice(flags + ('_',))})@R occurs-in X"
+        return rng.choice(("true", "false"))
+
+    def aspect(at):
+        cap = rng.choice(("out", "in", "read"))
+        arg = "#a" if cap == "out" and rng.random() < 0.5 else "_"
+        bound = ("#u", "#a") if arg == "#a" else ("#u",)
+        rec = atom(bound)
+        if rng.random() < 0.5:
+            rec = f"({rec}) {rng.choice(gen.REC_OPS)} ({atom(bound)})"
+        cond = "true" if rng.random() < 0.4 else atom(bound)
+        return f"[{rec} if #u :: {cap}({arg})@{at} . X : {cond}]"
+
+    def policy(at):
+        pol = aspect(at)
+        if rng.random() < 0.5:
+            pol = f"{pol} {rng.choice(gen.POL_OPS)} {aspect(at)}"
+        return f"not {pol}" if rng.random() < 0.2 else pol
+
+    def process():
+        steps = []
+        for _ in range(rng.randint(1, 3)):
+            c = rng.choice(flags)
+            steps.append(rng.choice((
+                f"out({c})@R", f"in({c})@R", f"read({c})@R", f"out({c})@S",
+                f"in(!x)@R . out(x)@S", f"read(!x)@S . out(x)@Q")))
+        return " . ".join(steps) + " . 0"
+
+    entries = [f"R ::[true] <{c}>" for c in flags if rng.random() < 0.5]
+    entries += [f"S ::[{policy('S')}] <a>", f"P ::[true] {process()}",
+                f"Q ::[{policy('Q')}] {process()}"]
+    return " || ".join(entries)
+
+
+def _instance_of(act, template) -> bool:
+    # binders are not instantiated, they stay binders
+    th = findsubs(extract(template), extract(act))
+    return th is not None and th.apply_located(template) == act \
+        and all(v == BindVar(k[1:]) for k, v in th.pairs if k[0] == "!")
+
+
+def test_policy_values_are_sound_in_every_reachable_state():
+    # a step out of any reachable state instantiates syntactic actions
+    # of the network, and the concrete verdict of either policy side
+    # lies in the certifier's value set for each of them
+    checked, unsound = 0, []
+    for seed in range(300):
+        net = canonicalize(parse_net(_guarded_net(random.Random(seed))))
+        pols, mut = policies_by_location(net), MutationInfo(net)
+        actions = take_actions(net)
+        for state in build_lts(net).states:
+            for act in _branches(state, pols):
+                origins = [a for a in actions if a.action.cap == act.action.cap
+                           and _instance_of(act, a)]
+                assert origins, act
+                for pol in (act.policy, pols[act.action.target.name]):
+                    value = eval_policy(pol, act, state)
+                    for origin in origins:
+                        checked += 1
+                        if value not in might_grant(pol, origin, net,
+                                                    mut).values:
+                            unsound.append((net, state, act, pol))
+    assert checked > 10000
+    assert unsound == []

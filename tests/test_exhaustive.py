@@ -5,7 +5,7 @@ import pytest
 
 from aspectkbl import (EvaluationError, LimitExceeded, build_lts, check_lts,
                        enabled_steps, extract, findsubs, parse_net,
-                       parse_obligation, sat_bp, sat_obl, unify_label)
+                       parse_obligation, sat_pred, sat_obl, unify_label)
 from aspectkbl.model import (Const, Label, LabelPattern, PEqual, PGeq, PTest,
                              PTestPost, Substitution, Var, Wildcard, WILDCARD)
 import corpusio
@@ -74,29 +74,29 @@ def test_test_and_test_post_straddle_the_step():
     th = Substitution()
     before = PTest((Const("k"), Const("v")), Const("B"))
     after = PTestPost((Const("k"), Const("v")), Const("B"))
-    assert not sat_bp((pre, post), th, before)
-    assert sat_bp((pre, post), th, after)
+    assert not sat_pred((pre, post), th, before)
+    assert sat_pred((pre, post), th, after)
     # the seed tuple is present on both sides
-    assert sat_bp((pre, post), th, PTest((Const("seed"),), Const("B")))
+    assert sat_pred((pre, post), th, PTest((Const("seed"),), Const("B")))
 
 
 def test_unresolved_test_arguments_fail_soft():
     pre, post, _ = pair_for("A ::[true] out(k)@B . 0 || B ::[true] <seed>")
     th = Substitution()
-    assert not sat_bp((pre, post), th, PTest((Var("$u"),), Const("B")))
-    assert not sat_bp((pre, post), th, PTest((Const("seed"),), Var("$u")))
+    assert not sat_pred((pre, post), th, PTest((Var("$u"),), Const("B")))
+    assert not sat_pred((pre, post), th, PTest((Const("seed"),), Var("$u")))
 
 
 def test_equality_and_arithmetic_want_ground_terms():
     pre, post, _ = pair_for("A ::[true] out(k)@B . 0 || B ::[true] <seed>")
     th = Substitution()
-    assert sat_bp((pre, post), th, PEqual(Const("k"), Const("k")))
+    assert sat_pred((pre, post), th, PEqual(Const("k"), Const("k")))
     with pytest.raises(EvaluationError):
-        sat_bp((pre, post), th, PEqual(Var("$u"), Const("k")))
-    assert sat_bp((pre, post), th, PGeq(Const("12"), Const("3")))
-    assert not sat_bp((pre, post), th, PGeq(Const("3"), Const("12")))
+        sat_pred((pre, post), th, PEqual(Var("$u"), Const("k")))
+    assert sat_pred((pre, post), th, PGeq(Const("12"), Const("3")))
+    assert not sat_pred((pre, post), th, PGeq(Const("3"), Const("12")))
     with pytest.raises(EvaluationError):
-        sat_bp((pre, post), th, PGeq(Const("k"), Const("3")))
+        sat_pred((pre, post), th, PGeq(Const("k"), Const("3")))
 
 
 def test_quantifiers_range_over_both_states_location_constants():
@@ -104,9 +104,9 @@ def test_quantifiers_range_over_both_states_location_constants():
     th = Substitution()
     obl = parse_obligation("AG [$u : o(_)@B] exists $v : $v = fresh")
     # fresh is only a constant of the post state, the domain still has it
-    assert sat_bp((pre, post), th, obl.pred)
+    assert sat_pred((pre, post), th, obl.pred)
     missing = parse_obligation("AG [$u : o(_)@B] exists $v : $v = ghost")
-    assert not sat_bp((pre, post), th, missing.pred)
+    assert not sat_pred((pre, post), th, missing.pred)
 
 
 def test_obligations_on_the_record_store():

@@ -109,19 +109,19 @@ def test_subst_key_forms():
 
 
 def test_substitution_application_and_composition():
-    th = Substitution().bind("x", Const("k"))
+    th = Substitution((("x", Const("k")),))
     assert th.apply_term(Var("x")) == Const("k")
     assert th.apply_term(Const("x")) == Const("x")
     assert th.apply_term(WILDCARD) == WILDCARD
     # composition applies left pairs first, then right pairs
-    chained = Substitution().bind("x", Var("y")).then(
-        Substitution().bind("y", Const("z")))
+    chained = Substitution((("x", Var("y")),)).then(
+        Substitution((("y", Const("z")),)))
     assert chained.apply_term(Var("x")) == Const("z")
 
 
 def test_substitution_stops_at_rebinding_action():
     proc = parse_net("A ::[true] in(!x)@B . out(x)@B . 0").entries[0].body
-    th = Substitution().bind("x", Const("k"))
+    th = Substitution((("x", Const("k")),))
     got = th.apply_process(proc)
     # the binder shadows the outer x, so the continuation is untouched
     assert got == proc
@@ -135,7 +135,7 @@ def test_substitution_stops_at_rebinding_action():
 
 def test_substitution_respects_quantifier_scope():
     pred = PForall("$x", PEqual(Var("$x"), Const("k")))
-    th = Substitution().bind("$x", Const("v"))
+    th = Substitution((("$x", Const("v")),))
     assert th.apply_pred(pred) == pred
 
     free = PForall("$y", PEqual(Var("$x"), Const("k")))

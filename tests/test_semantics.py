@@ -2,9 +2,9 @@
 import pytest
 
 from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
-                       ReplicationPresent, STATS, build_lts, data_index,
-                       dot_export, enabled_steps, eval_policy, interp_test,
-                       json_export, match, occurs_in, parse_net, reset_stats,
+                       ReplicationPresent, build_lts, data_index, dot_export,
+                       enabled_steps, eval_policy, interp_test, json_export,
+                       match, occurs_in, parse_net, parse_policy,
                        step_candidates, take_actions)
 from aspectkbl.semantics import net_text
 from aspectkbl.model import (Action, BindVar, Const, Net, NetEntry, NIL, Repl,
@@ -180,12 +180,8 @@ def test_replication_is_rejected():
 
 
 def test_exploration_counter():
-    reset_stats()
-    assert STATS["states_explored"] == 0
-    build_lts(corpusio.net("tiny_with_policies.akbl"))
-    assert STATS["states_explored"] == 2
-    build_lts(corpusio.net("tiny_no_policies.akbl"))
-    assert STATS["states_explored"] == 8
+    assert len(build_lts(corpusio.net("tiny_with_policies.akbl")).states) == 2
+    assert len(build_lts(corpusio.net("tiny_no_policies.akbl")).states) == 6
 
 
 def test_export_shapes():
@@ -203,3 +199,20 @@ def test_export_shapes():
 
     one_line = net_text(lts.states[0])
     assert "\n" not in one_line and "||" in one_line
+
+
+def test_policies_judging_binders_raise_evaluation_errors():
+    # the trap binds #a to the input's binder, which names no value yet
+    net = parse_net("A ::[true] in(!x)@B . 0 || B ::[true] <seed>")
+    act, = take_actions(net)
+    for rec in ("test(#a)@B", "test(k)@#a", "#a = k", "k = #a",
+                "false and test(#a)@B"):
+        pol = parse_policy(f"[{rec} if #u :: in(#a)@B . X : true]")
+        with pytest.raises(EvaluationError):
+            eval_policy(pol, act, net)
+    pol = parse_policy("[true if #u :: in(#a)@B . X : #a = k]")
+    with pytest.raises(EvaluationError):
+        eval_policy(pol, act, net)
+    # a condition that fails leaves the recommendation unevaluated
+    pol = parse_policy("[test(#a)@B if #u :: in(#a)@B . X : false]")
+    assert eval_policy(pol, act, net) is BOT
