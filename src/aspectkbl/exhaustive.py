@@ -4,7 +4,9 @@ An obligation AG [pattern] pred holds when every reachable transition
 whose label matches the pattern satisfies pred under the matching
 substitution.  Quantifiers in pred range over the location constants
 of the two states joined by the transition; test consults the state
-before the step and test' the state after it.
+before the step and test' the state after it.  `check_lts` matches
+each distinct label against the pattern, and instantiates the
+predicate for it, once per call.
 """
 from __future__ import annotations
 
@@ -63,6 +65,7 @@ def check_lts(lts: LTS, obl: Obligation) -> Verdict:
     """Check an obligation against an already built transition system."""
     checked = 0
     seen: dict = {}          # state id -> (data index, location constants)
+    matched: dict = {}       # label -> (theta, instantiated pred) or None
 
     def state(sid):
         if sid not in seen:
@@ -72,10 +75,14 @@ def check_lts(lts: LTS, obl: Obligation) -> Verdict:
 
     for t in lts.transitions:
         checked += 1
-        th = unify_label(obl.cut, t.label)
-        if th is None:
+        m = matched.get(t.label, False)
+        if m is False:
+            th = unify_label(obl.cut, t.label)
+            m = matched[t.label] = None if th is None \
+                else (th, th.apply_pred(obl.pred))
+        if m is None:
             continue
-        pred = th.apply_pred(obl.pred)
+        th, pred = m
         (pre, pre_locs), (post, post_locs) = state(t.src), state(t.dst)
         if pred_values(pred, StateDomain(pre, post),
                        sorted(pre_locs | post_locs)) != TRUE:

@@ -42,6 +42,22 @@ ordinary `Net` values, built from the shared interned entries, and the
 LTS keeps the id tuples and the interner for the obligation checker,
 along with the transition that first discovered each state, from which
 witnesses are read back.
+
+The explorer also judges each step's policies once per exploration.
+A step's combined verdict depends on the acting entry, the branch and
+the nil group of the entry that guards the target (which fixes the
+target policy), and on the state only through the `test` atoms of the
+policies: `test` is the only leaf of `StateDomain` that reads the
+state, while equality, >= and occurs-in read the step alone.  The
+`Interner` keeps, per such key, every verdict computed so far with the
+test atoms its evaluation found present and absent.  A later step
+reuses the first verdict whose atoms answer the same in its state:
+the evaluator is deterministic, so with the same answers it takes the
+same path, reads the same atoms and returns the same value, even when
+a false condition left a recommendation unread.  Otherwise both sides
+are evaluated afresh and the verdict is added.  An evaluation that
+raises adds nothing, so an `EvaluationError` surfaces in every state
+where a fresh evaluation would raise it.
 """
 from __future__ import annotations
 
@@ -191,6 +207,22 @@ class StateDomain:
         return truth(occurs_in(action, env[var]))
 
 
+class RecordingDomain(StateDomain):
+    """The concrete domain of one state for policies, noting the test
+    atoms it answers as (location, tuple) pairs, split into those found
+    present and those found absent."""
+
+    def __init__(self, pre: frozenset):
+        super().__init__(pre)
+        self.present, self.absent = set(), set()
+
+    def test(self, args, at, post: Optional[bool] = None) -> int:
+        value = super().test(args, at, post)
+        atom = (at.name, tuple(t.name for t in args))
+        (self.present if value == TRUE else self.absent).add(atom)
+        return value
+
+
 def expr_values(e, domain, env: dict) -> int:
     """The value set of a recommendation or condition, where env binds
     the trap's process variable to the continuation."""
@@ -330,7 +362,9 @@ class Interner:
     a data entry, and its location constants.  A state is the tuple of
     its entries' ids in canonical order, so comparing and hashing a
     state touches only integers.  The entries a step adds are also
-    remembered per acting entry and branch, so each is interned once.
+    remembered per acting entry and branch, so each is interned once,
+    and so are the policy verdicts of a step, with the test atoms each
+    one read.
     """
 
     def __init__(self):
@@ -346,6 +380,9 @@ class Interner:
         # (acting entry, branch, target group for out or matched data
         # entry for in and read) -> ids of the entries the step adds
         self.added: dict = {}
+        # (acting entry, branch, target group) -> list of (atoms found
+        # present, atoms found absent, combined policy value)
+        self.verdicts: dict = {}
 
     def intern(self, e: NetEntry) -> int:
         i = self._ids.get(e)
@@ -434,11 +471,11 @@ def step_candidates(state, space: Optional[Interner] = None):
 
 def _steps(ids: tuple, space: Interner):
     entries, locations, data_of = space.entries, space.locations, space.data
-    added = space.added
+    added, verdicts = space.added, space.verdicts
     oplus = LIFTED["oplus"]
     # location -> id of its first entry, whose policy guards it
     first = dict(zip(map(locations.__getitem__, ids[::-1]), ids[::-1]))
-    here = StateDomain(space.data_index(ids))
+    data = space.data_index(ids)
     nil_groups = {space.groups[j] for j in ids if space.nils[j]}
     steps: list = []
     denied: list = []
@@ -474,8 +511,17 @@ def _steps(ids: tuple, space: Interner):
             if holder is None:
                 continue            # no entry to receive or hold the data
             tgt_pol = entries[holder].policy
-            f = oplus[policy_values(e.policy, e.location, action, cont, here)][
-                policy_values(tgt_pol, e.location, action, cont, here)]
+            key = (i, k, space.groups[holder])
+            for present, absent, f in verdicts.get(key, ()):
+                if present <= data and data.isdisjoint(absent):
+                    break
+            else:
+                here = RecordingDomain(data)
+                src = policy_values(e.policy, e.location, action, cont, here)
+                f = oplus[src][policy_values(tgt_pol, e.location, action,
+                                             cont, here)]
+                verdicts.setdefault(key, []).append(
+                    (frozenset(here.present), frozenset(here.absent), f))
             granted = f & GRANTS
             letter = CAP_LETTER[action.cap]
             if action.cap == "out":
@@ -485,7 +531,6 @@ def _steps(ids: tuple, space: Interner):
                 if not granted:
                     deny(label, f)
                     continue
-                key = (i, k, space.groups[holder])
                 new = added.get(key)
                 if new is None:
                     new = added[key] = space.split(

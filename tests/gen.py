@@ -12,6 +12,7 @@ from aspectkbl.model import (Action, Aspect, AspectPol, BindVar, CombinePol,
                              PExists, PFalse, PForall, PNot, POr, PTest,
                              PTestPost, PTrue, Par, Repl, Sum, TruePol, Var,
                              WILDCARD)
+from aspectkbl.parser import parse_net
 
 LOCS = ("A", "B", "C")
 CONSTS = ("k", "v", "w", "m", "n")
@@ -379,6 +380,56 @@ def gen_obligation_for(rng, net):
         node = PForall if rng.random() < 0.5 else PExists
         pred = node("$q", atom(bound + ["$q"]))
     return Obligation(pattern, pred)
+
+
+def gen_guarded_net(rng):
+    """A network whose processes at P and Q change the flags and roles
+    at R that the policies at S and Q test, so the truth of those tests
+    changes from state to state."""
+    flags = ("a", "b", "P", "Q")
+
+    def atom(bound):
+        pick = rng.randrange(5)
+        if pick == 0:
+            return f"test({rng.choice(flags + bound)})@R"
+        if pick == 1:
+            return f"not test({rng.choice(flags)})@R"
+        if pick == 2:
+            return f"{rng.choice(bound)} = {rng.choice(flags)}"
+        if pick == 3:
+            cap = rng.choice(("out", "in"))
+            return f"{cap}({rng.choice(flags + ('_',))})@R occurs-in X"
+        return rng.choice(("true", "false"))
+
+    def aspect(at):
+        cap = rng.choice(("out", "in", "read"))
+        arg = "#a" if cap == "out" and rng.random() < 0.5 else "_"
+        bound = ("#u", "#a") if arg == "#a" else ("#u",)
+        rec = atom(bound)
+        if rng.random() < 0.5:
+            rec = f"({rec}) {rng.choice(REC_OPS)} ({atom(bound)})"
+        cond = "true" if rng.random() < 0.4 else atom(bound)
+        return f"[{rec} if #u :: {cap}({arg})@{at} . X : {cond}]"
+
+    def policy(at):
+        pol = aspect(at)
+        if rng.random() < 0.5:
+            pol = f"{pol} {rng.choice(POL_OPS)} {aspect(at)}"
+        return f"not {pol}" if rng.random() < 0.2 else pol
+
+    def process():
+        steps = []
+        for _ in range(rng.randint(1, 3)):
+            c = rng.choice(flags)
+            steps.append(rng.choice((
+                f"out({c})@R", f"in({c})@R", f"read({c})@R", f"out({c})@S",
+                f"in(!x)@R . out(x)@S", f"read(!x)@S . out(x)@Q")))
+        return " . ".join(steps) + " . 0"
+
+    entries = [f"R ::[true] <{c}>" for c in flags if rng.random() < 0.5]
+    entries += [f"S ::[{policy('S')}] <a>", f"P ::[true] {process()}",
+                f"Q ::[{policy('Q')}] {process()}"]
+    return parse_net(" || ".join(entries))
 
 
 def congruent_variant(rng, net):

@@ -267,6 +267,17 @@ def test_certified_networks_satisfy_their_obligations():
             violations += 1
     assert certified > 50
     assert violations > 0
+    # guarded networks give the certifier value sets of more than one
+    # value, which small random networks almost never do
+    certified = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        net = gen.gen_guarded_net(rng)
+        obl = gen.gen_obligation_for(rng, net)
+        if check_network(net, obl).certified:
+            certified += 1
+            assert sat_obl(net, obl).holds, (net, obl)
+    assert certified > 400
 
 
 def _branches(state, pols):
@@ -298,55 +309,6 @@ def test_policy_values_are_sound_per_side():
     assert unsound == []
 
 
-def _guarded_net(rng) -> str:
-    # processes at P and Q change the flags and roles at R that the
-    # policies at S and Q test, so the tests' truth changes over runs
-    flags = ("a", "b", "P", "Q")
-
-    def atom(bound):
-        pick = rng.randrange(5)
-        if pick == 0:
-            return f"test({rng.choice(flags + bound)})@R"
-        if pick == 1:
-            return f"not test({rng.choice(flags)})@R"
-        if pick == 2:
-            return f"{rng.choice(bound)} = {rng.choice(flags)}"
-        if pick == 3:
-            cap = rng.choice(("out", "in"))
-            return f"{cap}({rng.choice(flags + ('_',))})@R occurs-in X"
-        return rng.choice(("true", "false"))
-
-    def aspect(at):
-        cap = rng.choice(("out", "in", "read"))
-        arg = "#a" if cap == "out" and rng.random() < 0.5 else "_"
-        bound = ("#u", "#a") if arg == "#a" else ("#u",)
-        rec = atom(bound)
-        if rng.random() < 0.5:
-            rec = f"({rec}) {rng.choice(gen.REC_OPS)} ({atom(bound)})"
-        cond = "true" if rng.random() < 0.4 else atom(bound)
-        return f"[{rec} if #u :: {cap}({arg})@{at} . X : {cond}]"
-
-    def policy(at):
-        pol = aspect(at)
-        if rng.random() < 0.5:
-            pol = f"{pol} {rng.choice(gen.POL_OPS)} {aspect(at)}"
-        return f"not {pol}" if rng.random() < 0.2 else pol
-
-    def process():
-        steps = []
-        for _ in range(rng.randint(1, 3)):
-            c = rng.choice(flags)
-            steps.append(rng.choice((
-                f"out({c})@R", f"in({c})@R", f"read({c})@R", f"out({c})@S",
-                f"in(!x)@R . out(x)@S", f"read(!x)@S . out(x)@Q")))
-        return " . ".join(steps) + " . 0"
-
-    entries = [f"R ::[true] <{c}>" for c in flags if rng.random() < 0.5]
-    entries += [f"S ::[{policy('S')}] <a>", f"P ::[true] {process()}",
-                f"Q ::[{policy('Q')}] {process()}"]
-    return " || ".join(entries)
-
-
 def _instance_of(act, template) -> bool:
     # binders are not instantiated, they stay binders
     th = findsubs(extract(template), extract(act))
@@ -360,7 +322,7 @@ def test_policy_values_are_sound_in_every_reachable_state():
     # lies in the certifier's value set for each of them
     checked, unsound = 0, []
     for seed in range(300):
-        net = canonicalize(parse_net(_guarded_net(random.Random(seed))))
+        net = canonicalize(gen.gen_guarded_net(random.Random(seed)))
         pols, mut = policies_by_location(net), MutationInfo(net)
         actions = take_actions(net)
         for state in build_lts(net).states:

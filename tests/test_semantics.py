@@ -1,4 +1,6 @@
 """Operational layer: matching, policy evaluation, steps, state spaces."""
+import random
+
 import pytest
 
 from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
@@ -10,6 +12,7 @@ from aspectkbl.semantics import net_text
 from aspectkbl.model import (Action, BindVar, Const, Net, NetEntry, NIL, Repl,
                              Sum, TruePol, Var, WILDCARD)
 import corpusio
+import gen
 import oracles
 
 
@@ -216,3 +219,40 @@ def test_policies_judging_binders_raise_evaluation_errors():
     # a condition that fails leaves the recommendation unevaluated
     pol = parse_policy("[test(#a)@B if #u :: in(#a)@B . X : false]")
     assert eval_policy(pol, act, net) is BOT
+
+
+def test_policy_memo_matches_fresh_evaluation():
+    # the run's verdict table, warmed by the exploration, gives the
+    # steps and denials of a fresh Interner, whose table is empty
+    states = repeated = read_apart = 0
+    for seed in range(300):
+        lts = build_lts(gen.gen_guarded_net(random.Random(seed)))
+        space = lts.space
+        for sid, ids in enumerate(lts.ids):
+            steps, denied = step_candidates(ids, space)
+            fresh = step_candidates(lts.states[sid])
+            assert ([(label, space.net(succ)) for label, succ in steps],
+                    denied) == fresh, (seed, sid)
+        states += len(lts.ids)
+        for cached in space.verdicts.values():
+            repeated += len(cached) > 1
+            read_apart += len({present | absent
+                               for present, absent, _ in cached}) > 1
+    # the table was put to the test: keys whose verdict depends on the
+    # state, some of them through different atoms
+    assert states >= 3000
+    assert repeated >= 1
+    assert read_apart >= 1
+
+
+def test_cached_verdicts_do_not_hide_evaluation_errors():
+    # A's in is judged while flag is absent from B, and the trap's
+    # condition is false; once C has put flag there, the recommendation
+    # is evaluated and tests the binder #a is bound to
+    net = parse_net(
+        "B ::[[test(#a)@B if #u :: in(#a)@B . X : test(flag)@B]] <seed>\n"
+        "|| A ::[true] in(!x)@B . 0 || C ::[true] out(flag)@B . 0")
+    steps, _ = step_candidates(net)
+    assert len(steps) == 2
+    with pytest.raises(EvaluationError):
+        build_lts(net)
