@@ -57,7 +57,16 @@ same path, reads the same atoms and returns the same value, even when
 a false condition left a recommendation unread.  Otherwise both sides
 are evaluated afresh and the verdict is added.  An evaluation that
 raises adds nothing, so an `EvaluationError` surfaces in every state
-where a fresh evaluation would raise it.
+where a fresh evaluation would raise it.  Labels depend on the step
+alone and are kept per step too.
+
+There is one search loop, `build_lts`, with two optional hooks that
+the obligation checker (exhaustive.py) uses.  `visit` sees every
+transition as it is discovered and may stop the search, which checks
+an obligation on the fly.  `ample` may pick, per state, one entry
+whose steps alone are expanded, which gives a partial-order reduced
+graph.  Without them, as for `akbl lts` and every export, the LTS is
+the whole reachable state space.
 """
 from __future__ import annotations
 
@@ -380,6 +389,10 @@ class Interner:
         # (acting entry, branch, target group for out or matched data
         # entry for in and read) -> ids of the entries the step adds
         self.added: dict = {}
+        # (acting entry, branch) for out, or (acting entry, branch,
+        # data entry) for in and read -> the step's label, or None
+        # when the data entry does not match
+        self.labels: dict = {}
         # (acting entry, branch, target group) -> list of (atoms found
         # present, atoms found absent, combined policy value)
         self.verdicts: dict = {}
@@ -409,14 +422,16 @@ class Interner:
         """The id form of `canonicalize`: the canonical state of kept +
         new, where new are split entries and kept is a canonical state
         less some non-nil entries, with nil_groups the groups of its nil
-        entries.  The nil rule then has work only if an entry of new is
-        nil or joins the group of a nil."""
+        entries.  The nil rule then has work only in a group that an
+        entry of new is nil in or joins as the group of a nil, and the
+        groups of kept alone are canonical already."""
         ids = list(kept + new)
         nils, groups = self.nils, self.groups
-        for j in new:
-            if nils[j] or groups[j] in nil_groups:
-                ids = drop_nils(ids, groups.__getitem__, nils.__getitem__)
-                break
+        touched = {groups[j] for j in new if nils[j] or groups[j] in nil_groups}
+        if touched:
+            ids = [j for j in ids if groups[j] not in touched] + drop_nils(
+                [j for j in ids if groups[j] in touched],
+                groups.__getitem__, nils.__getitem__)
         ids.sort(key=self.keys.__getitem__)
         return tuple(ids)
 
@@ -449,45 +464,45 @@ def policies_by_location(net: Net) -> dict:
     return pols
 
 
-def step_candidates(state, space: Optional[Interner] = None):
-    """All transition candidates out of a canonical network.
+def step_candidates(state, space: Optional[Interner] = None, ample=None):
+    """All transition candidates out of a network.
 
     Returns (steps, denied): steps is a list of (label, successor) in
     deterministic order with duplicates removed, denied is a list of
     (label, combined-policy-value) for candidates whose action was
     blocked by the policies.
 
-    `state` is a Net, and so are the successors; within an exploration
-    it is the id tuple of a state of `space`, and so are the
-    successors.
+    `state` is a Net, taken to its canonical form first, and the
+    successors are canonical Nets; within an exploration it is the id
+    tuple of a state of `space`, and so are the successors.
+
+    `ample`, when given, is called as ample(space, ids, p) for the
+    entries at positions p of the state that have a step, in order,
+    and the steps are those of the first entry it accepts, or of every
+    entry when it accepts none.  Every entry's branches are judged
+    either way, so an EvaluationError surfaces in the same states.
     """
     if space is not None:
-        return _steps(state, space)
+        return _steps(state, space, ample)
     space = Interner()
-    steps, denied = _steps(tuple(space.intern(e) for e in state.entries),
-                           space)
+    steps, denied = _steps(space.state(state), space, ample)
     return [(label, space.net(succ)) for label, succ in steps], denied
 
 
-def _steps(ids: tuple, space: Interner):
+def _steps(ids: tuple, space: Interner, ample=None):
     entries, locations, data_of = space.entries, space.locations, space.data
-    added, verdicts = space.added, space.verdicts
+    added, verdicts, labels = space.added, space.verdicts, space.labels
     oplus = LIFTED["oplus"]
     # location -> id of its first entry, whose policy guards it
     first = dict(zip(map(locations.__getitem__, ids[::-1]), ids[::-1]))
     data = space.data_index(ids)
     nil_groups = {space.groups[j] for j in ids if space.nils[j]}
-    steps: list = []
+    # (position of the acting entry, label, position in the rest of the
+    # state of the data entry an in consumes or None, added ids)
+    moves: list = []
     denied: list = []
     seen_denied: set = set()
     done: set = set()
-
-    def emit(label, succ, seen):
-        if seen is not None:
-            if (label, succ) in seen:
-                return
-            seen.add((label, succ))
-        steps.append((label, succ))
 
     def deny(label, f):
         if (label, f) not in seen_denied:
@@ -499,11 +514,8 @@ def _steps(ids: tuple, space: Interner):
         if i in done or not isinstance(e.body, Sum):
             continue
         done.add(i)             # an identical entry makes identical steps
-        rest = ids[:p] + ids[p + 1:]
-        branches = e.body.branches
-        # distinct entries never make the same step; branches of one can
-        seen = set() if len(branches) > 1 else None
-        for k, (action, cont) in enumerate(branches):
+        rest = None
+        for k, (action, cont) in enumerate(e.body.branches):
             tgt = action.target
             if not isinstance(tgt, Const):
                 raise EvaluationError(f"unbound target in {action!r}")
@@ -525,9 +537,12 @@ def _steps(ids: tuple, space: Interner):
             granted = f & GRANTS
             letter = CAP_LETTER[action.cap]
             if action.cap == "out":
-                args = tuple(_ground_name(t, "out argument")
-                             for t in action.args)
-                label = Label(e.location, letter, args, tgt.name)
+                label = labels.get((i, k))
+                if label is None:
+                    label = labels[i, k] = Label(
+                        e.location, letter,
+                        tuple(_ground_name(t, "out argument")
+                              for t in action.args), tgt.name)
                 if not granted:
                     deny(label, f)
                     continue
@@ -535,32 +550,50 @@ def _steps(ids: tuple, space: Interner):
                 if new is None:
                     new = added[key] = space.split(
                         e.location, e.policy, cont) + (space.intern(
-                            NetEntry(tgt.name, tgt_pol, args)),)
-                emit(label, space.canonical(rest, new, nil_groups), seen)
+                            NetEntry(tgt.name, tgt_pol, label.args)),)
+                moves.append((p, label, None, new))
                 continue
+            if rest is None:
+                rest = ids[:p] + ids[p + 1:]
             consumed = set()        # identical tuples make identical steps
             for q, d in enumerate(rest):
                 dd = data_of[d]
                 if dd is None or dd[0] != tgt.name or dd[1] in consumed:
                     continue
-                if not granted:
-                    if match(action.args, dd[1]) is not None:
-                        consumed.add(dd[1])
-                        deny(Label(e.location, letter, dd[1], tgt.name), f)
-                    continue
                 key = (i, k, d)
-                new = added.get(key, False)
-                if new is False:
-                    th = match(action.args, dd[1])
-                    new = added[key] = None if th is None else space.split(
-                        e.location, e.policy, th.apply_process(cont))
-                if new is None:
+                label = labels.get(key, False)
+                if label is False:
+                    label = labels[key] = None \
+                        if match(action.args, dd[1]) is None \
+                        else Label(e.location, letter, dd[1], tgt.name)
+                if label is None:
                     continue
                 consumed.add(dd[1])
-                label = Label(e.location, letter, dd[1], tgt.name)
-                kept = rest if action.cap == "read" \
-                    else rest[:q] + rest[q + 1:]
-                emit(label, space.canonical(kept, new, nil_groups), seen)
+                if not granted:
+                    deny(label, f)
+                    continue
+                new = added.get(key)
+                if new is None:
+                    new = added[key] = space.split(
+                        e.location, e.policy,
+                        match(action.args, dd[1]).apply_process(cont))
+                moves.append((p, label, None if action.cap == "read" else q,
+                              new))
+    if ample is not None:
+        for p in dict.fromkeys(m[0] for m in moves):
+            if ample(space, ids, p):
+                moves = [m for m in moves if m[0] == p]
+                break
+    steps: list = []
+    # distinct entries never make the same step; branches of one can
+    seen: set = set()
+    for p, label, q, new in moves:
+        rest = ids[:p] + ids[p + 1:]
+        kept = rest if q is None else rest[:q] + rest[q + 1:]
+        succ = space.canonical(kept, new, nil_groups)
+        if (p, label, succ) not in seen:
+            seen.add((p, label, succ))
+            steps.append((label, succ))
     return steps, denied
 
 
@@ -588,21 +621,30 @@ class LTS:
     initial: int = 0
 
 
-def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000) -> LTS:
-    """Breadth first exploration of the reachable state space."""
+def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000,
+              ample=None, visit=None) -> LTS:
+    """Breadth first exploration of the reachable state space.
+
+    `ample` is passed on to `step_candidates`, so that each state
+    expands the steps of the one entry it accepts, when it accepts one;
+    without it the LTS is the whole reachable state space.  `visit` is
+    called as visit(lts, transition) on every transition as it is
+    discovered, and the search stops after the first one for which it
+    returns true; `LTS.states` then holds the states discovered so far.
+    """
     if has_replication(net):
         raise ReplicationPresent("replication is outside the checkable fragment")
     space = Interner()
     start = space.state(net)
-    ids = [start]
+    lts = LTS([], [], [None], [start], space)
+    ids, discovered_by, transitions = lts.ids, lts.discovered_by, \
+        lts.transitions
     index = {start: 0}
     depth = [0]
-    discovered_by: list = [None]
-    transitions: list = []
     queue = deque([0])
     while queue:
         sid = queue.popleft()
-        steps, _ = step_candidates(ids[sid], space)
+        steps, _ = step_candidates(ids[sid], space, ample)
         for label, succ in steps:
             nid = index.get(succ)
             if nid is None:
@@ -621,8 +663,11 @@ def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000) -> LTS
             else:
                 t = Transition(sid, nid, label)
             transitions.append(t)
-    states = [space.net(s) for s in ids]
-    return LTS(states, transitions, discovered_by, ids, space)
+            if visit is not None and visit(lts, t):
+                queue.clear()
+                break
+    lts.states = [space.net(s) for s in ids]
+    return lts
 
 
 def net_text(net: Net) -> str:

@@ -12,3 +12,9 @@ def obl(name):
 
 def path(name) -> str:
     return str(corpus_path(name))
+
+
+def names(suffix):
+    """The names of the corpus files with the suffix, sorted."""
+    return sorted(p.name for p in corpus_path("").iterdir()
+                  if p.name.endswith(suffix))

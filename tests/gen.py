@@ -5,13 +5,13 @@ reproduce from the seed printed by the failing test.
 """
 import random
 
-from aspectkbl.model import (Action, Aspect, AspectPol, BindVar, CombinePol,
-                             Const, Cut, EEqual, EFalse, ENot, EOccursIn,
-                             ETest, ETrue, EBin, FalsePol, LabelPattern, Net,
-                             NetEntry, NIL, NotPol, Obligation, PAnd, PEqual,
-                             PExists, PFalse, PForall, PNot, POr, PTest,
-                             PTestPost, PTrue, Par, Repl, Sum, TruePol, Var,
-                             WILDCARD)
+from aspectkbl.model import (Action, Aspect, AspectPol, BindVar, CAP_LETTER,
+                             CombinePol, Const, Cut, EEqual, EFalse, ENot,
+                             EOccursIn, ETest, ETrue, EBin, FalsePol,
+                             LabelPattern, Net, NetEntry, NIL, NotPol,
+                             Obligation, PAnd, PEqual, PExists, PFalse,
+                             PForall, PNot, POr, PTest, PTestPost, PTrue, Par,
+                             Repl, Sum, TruePol, Var, WILDCARD, take_actions)
 from aspectkbl.parser import parse_net
 
 LOCS = ("A", "B", "C")
@@ -380,6 +380,111 @@ def gen_obligation_for(rng, net):
         node = PForall if rng.random() < 0.5 else PExists
         pred = node("$q", atom(bound + ["$q"]))
     return Obligation(pattern, pred)
+
+
+def gen_obligation_from_net(rng, net):
+    """An obligation whose pattern and predicate constants come from
+    the network's own actions and data: the pattern takes the shape of
+    one of its actions, and the tests name tuples it holds or writes,
+    with positions sometimes left to the pattern's variables.  So the
+    pattern matches steps the network takes and the tests read tuples
+    whose presence changes, where `gen_obligation_for` draws from
+    CONSTS, which most networks never use."""
+    acts = take_actions(net)
+    locs = sorted({e.location for e in net.entries})
+    tuples = [(e.location, e.body) for e in net.entries if e.is_data()]
+    tuples += [(a.action.target.name, tuple(t.name for t in a.action.args))
+               for a in acts if a.action.cap == "out"
+               and all(isinstance(t, Const)
+                       for t in (a.action.target,) + a.action.args)]
+    names = sorted({n for _, body in tuples for n in body} | set(locs))
+    bound = []
+
+    def term(t):
+        if isinstance(t, Const) and rng.random() < 0.7:
+            return t
+        return Const(rng.choice(names))
+
+    if acts and rng.random() < 0.9:
+        act = rng.choice(acts)
+        subject = Const(act.source)
+        if rng.random() < 0.7:
+            subject = Var("$u")
+            bound.append("$u")
+        args = []
+        for i, t in enumerate(act.action.args):
+            r = rng.random()
+            if r < 0.3:
+                args.append(WILDCARD)
+            elif r < 0.6:
+                args.append(Var(f"$a{i}"))
+                bound.append(f"$a{i}")
+            else:
+                args.append(term(t))
+        target = act.action.target
+        pattern = LabelPattern(subject, CAP_LETTER[act.action.cap],
+                               tuple(args),
+                               target if isinstance(target, Const)
+                               else Const(rng.choice(locs)))
+    else:
+        pattern = LabelPattern(Const(rng.choice(locs)), rng.choice("oir"),
+                               (WILDCARD,), Const(rng.choice(locs)))
+
+    def atom():
+        pick = rng.randrange(6)
+        if pick == 0 or not tuples:
+            return rng.choice((PTrue(), PFalse()))
+        if pick == 1:
+            left = Var(rng.choice(bound)) if bound else Const(rng.choice(names))
+            return PEqual(left, Const(rng.choice(names)))
+        at, body = rng.choice(tuples)
+        args = tuple(Var(rng.choice(bound)) if bound and rng.random() < 0.3
+                     else Const(n) for n in body)
+        return (PTest if pick < 4 else PTestPost)(args, Const(at))
+
+    pred = atom()
+    r = rng.random()
+    if r < 0.15:
+        pred = PNot(pred)
+    elif r < 0.45:
+        pred = (PAnd if rng.random() < 0.5 else POr)(pred, atom())
+    elif r < 0.55:
+        pred = PNot((PAnd if rng.random() < 0.5 else POr)(pred, atom()))
+    return Obligation(pattern, pred)
+
+
+def gen_ward_net(rng):
+    """A small ward in the shape of the benchmark's: staff read the
+    notes of a guarded store, file a copy in an archive and maybe read
+    its index, while an administrator changes roles in between, so the
+    guard's test of a role changes from state to state."""
+    staff = rng.sample(("Ann", "Bo", "Cy", "Di"), rng.randint(2, 3))
+    roles = {s: rng.choice(("Doctor", "Nurse")) for s in staff}
+    changes = []
+    for s in rng.sample(staff, rng.randint(1, 2)):
+        old, new = roles[s], "Nurse" if roles[s] == "Doctor" else "Doctor"
+        changes += [f"in({old}, {s})@ROLES", f"out({new}, {s})@ROLES"]
+    if rng.random() < 0.3:
+        changes.append("read(Doctor, !d)@ROLES")
+    guard = rng.choice((
+        "[test(Doctor, #u)@ROLES if #u :: read(Notes, _)@Store . X : true]",
+        "[test(Doctor, #u)@ROLES if #u :: read(Notes, _)@Store . X : true]"
+        " oplus [not test(Nurse, #u)@ROLES if #u :: in(_, _)@Store . X"
+        " : true]",
+        "[test(Doctor, #u)@ROLES if #u :: read(Notes, _)@Store . X"
+        " : out(Copy, _)@Archive occurs-in X]"))
+    entries = [f"Store ::[{guard}] <Notes, n1>",
+               "Archive ::[true] <Index, i1>",
+               f"Admin ::[true] {' . '.join(changes)} . 0"]
+    entries += [f"ROLES ::[true] <{roles[s]}, {s}>" for s in staff]
+    for s in staff:
+        steps = ["read(Notes, !c)@Store", "out(Copy, c)@Archive"]
+        if rng.random() < 0.5:
+            steps.append(rng.choice(("read(Index, !i)@Archive",
+                                     f"out(Done, {s})@Store")))
+        entries.append(f"{s} ::[true] {' . '.join(steps)} . 0")
+    rng.shuffle(entries)
+    return parse_net(" || ".join(entries))
 
 
 def gen_guarded_net(rng):

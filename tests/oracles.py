@@ -5,7 +5,7 @@ diagrams by brute force (reflexive-transitive closure, then minimal
 upper bound / maximal lower bound search) so the tests do not merely
 compare the implementation tables against themselves.
 """
-from aspectkbl import BOT, TT, FF, TOP, VALUES
+from aspectkbl import BOT, TT, FF, TOP, VALUES, enabled_steps
 
 # knowledge order: bot below tt and ff, both below top
 _K_HASSE = {("bot", "tt"), ("bot", "ff"), ("tt", "top"), ("ff", "top")}
@@ -100,3 +100,13 @@ def maximal_paths(lts):
         for t in succ[sid]:
             stack.append((t.dst, path + (t.label.text(),)))
     return sorted(set(done))
+
+
+def replay(net, witness):
+    """Drive the network along the witness path by label text and
+    confirm the failing step is enabled at its end."""
+    for want in witness.path:
+        steps = enabled_steps(net)
+        net = next(s for l, s in steps if l.text() == want.text())
+    return any(l.text() == witness.label.text()
+               for l, _ in enabled_steps(net))

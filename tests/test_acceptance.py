@@ -69,16 +69,6 @@ def test_criterion_2_record_store_state_spaces():
         assert enabled_steps(guarded.states[1]) == []
 
 
-def replay(net, witness):
-    """Drive the network along the witness path by label text and
-    confirm the failing step is enabled at its end."""
-    for want in witness.path:
-        steps = enabled_steps(net)
-        net = next(s for l, s in steps if l.text() == want.text())
-    return any(l.text() == witness.label.text()
-               for l, _ in enabled_steps(net))
-
-
 def test_criterion_3_role_obligations_on_the_record_store():
     guarded = corpusio.net("tiny_with_policies.akbl")
     open_net = corpusio.net("tiny_no_policies.akbl")
@@ -88,7 +78,7 @@ def test_criterion_3_role_obligations_on_the_record_store():
             assert sat_obl(guarded, obl).holds
             v = sat_obl(open_net, obl)
             assert not v.holds
-            assert replay(open_net, v.witness)
+            assert oracles.replay(open_net, v.witness)
 
 
 def both_checkers(net_name, obl_name):
@@ -124,7 +114,7 @@ def test_criterion_5_cookie_exchange():
         v = sat_obl(bare, corpusio.obl("eq9.obl"))
         assert not v.holds
         assert v.witness.label.text() == "BadServer:o(Server,thirdpartydata)@Client"
-        assert replay(bare, v.witness)
+        assert oracles.replay(bare, v.witness)
 
 
 def test_criterion_6_static_certification_is_sound():

@@ -95,6 +95,51 @@ def test_json_output_is_reproducible(capsys):
     assert third == fourth
 
 
+def _ward(staff: int) -> str:
+    # every other member of staff a nurse, and nothing changes roles
+    store = ("[[test(Doctor, #u)@ROLES if #u :: "
+             "read(_, PrivateNotes, _)@EHDB . X : true]]")
+    entries = [f"EHDB ::{store} <Bob, PrivateNotes, notes>",
+               "Archive ::[true] <Index, idx>"]
+    for n in range(staff):
+        entries += [f"ROLES ::[true] <{('Doctor', 'Nurse')[n % 2]}, S{n}>",
+                    f"S{n} ::[true] read(Bob, PrivateNotes, !c)@EHDB . "
+                    f"out(Bob, Copy, c)@Archive . 0"]
+    return "\n|| ".join(entries) + "\n"
+
+
+def test_exhaustive_check_takes_independent_steps_one_order(capsys, tmp_path):
+    # the ten doctors' steps are independent of each other and none can
+    # violate the obligation, so one order of them is searched: 21
+    # states where the whole transition system has 3^10
+    ward = tmp_path / "ward.akbl"
+    ward.write_text(_ward(20))
+    rc, out, _ = run(capsys, "check", str(ward), EQ1, "--mode", "exhaustive",
+                     "--json")
+    doc = json.loads(out)
+    assert rc == 0 and doc["holds"] is True
+    assert doc["states_explored"] <= 41
+
+
+def test_violation_beyond_the_state_budget_of_the_whole_system(capsys,
+                                                                tmp_path):
+    # the first step violates; the whole transition system has 64 states
+    net = tmp_path / "net.akbl"
+    net.write_text("A ::[true] out(bad)@S . 0\n|| "
+                   + "\n|| ".join(f"B{i} ::[true] out(k)@S . 0"
+                                  for i in range(5))
+                   + "\n|| S ::[true] <s>\n")
+    obl = tmp_path / "bad.obl"
+    obl.write_text("AG [$u : o(bad)@S] false\n")
+    rc, _, err = run(capsys, "lts", str(net), "--max-states", "10")
+    assert rc == 3 and "limit" in err
+    for mode in ("exhaustive", "auto"):
+        rc, out, _ = run(capsys, "check", str(net), str(obl), "--mode", mode,
+                         "--max-states", "10")
+        assert rc == 1
+        assert "failing step: A:o(bad)@S" in out
+
+
 def test_lts_summary_exports_and_limits(capsys, tmp_path):
     rc, out, _ = run(capsys, "lts", WITHOUT)
     assert rc == 0

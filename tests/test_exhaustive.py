@@ -10,6 +10,7 @@ from aspectkbl.model import (Const, Label, LabelPattern, PEqual, PGeq, PTest,
                              PTestPost, Substitution, Var, Wildcard, WILDCARD)
 import corpusio
 import gen
+import oracles
 
 
 def lbl(subject, cap, args, target):
@@ -132,21 +133,11 @@ def test_obligations_on_the_record_store():
     assert v2.witness.label.text() == "Hansen:o(Bob,PrivateNotes,bobtext)@Olsen"
 
 
-def replay(net, witness):
-    """Walk the witness path by label text and confirm the failing step
-    is enabled at its end."""
-    for want in witness.path:
-        steps = enabled_steps(net)
-        net = next(s for l, s in steps if l.text() == want.text())
-    return any(l.text() == witness.label.text()
-               for l, _ in enabled_steps(net))
-
-
 def test_witnesses_replay_on_the_source_network():
     open_net = corpusio.net("tiny_no_policies.akbl")
     for name in ("eq1.obl", "eq2.obl"):
         v = sat_obl(open_net, corpusio.obl(name))
-        assert replay(open_net, v.witness)
+        assert oracles.replay(open_net, v.witness)
 
 
 def test_witness_path_is_shortest():
@@ -180,3 +171,149 @@ def test_check_lts_counts_work():
     assert v.holds
     assert v.transitions_checked == 7
     assert v.states_explored == 6
+
+
+# ---------------------------------------------------------------------------
+# on-the-fly checking and the reduced search
+
+def _outcome(check):
+    try:
+        return check()
+    except EvaluationError as e:
+        return e
+
+
+def _agree(net, obl):
+    """Compare sat_obl with a check of the whole transition system:
+    the same verdict and witness, or an EvaluationError from both.
+    Returns the verdict, or None when the whole system is too large."""
+    try:
+        want = _outcome(lambda: check_lts(
+            build_lts(net, max_states=3000, max_depth=300), obl))
+    except LimitExceeded:
+        return None
+    got = _outcome(lambda: sat_obl(net, obl, max_states=3000, max_depth=300))
+    if isinstance(want, EvaluationError) or isinstance(got, EvaluationError):
+        assert isinstance(want, EvaluationError) \
+            and isinstance(got, EvaluationError), (net, obl, want, got)
+        return got
+    assert (got.holds, got.witness) == (want.holds, want.witness), (net, obl)
+    assert got.states_explored <= want.states_explored
+    return got, want
+
+
+# the two dependencies of the reduction that are easy to miss
+TAKES_THE_LAST_ENTRY = (
+    "P ::[true] out(P)@R . 0 || Q ::[true] in(b)@R . 0 || R ::[true] <b>",
+    "AG [$u : o(P)@R] test(P)@R")
+WRITES_WHAT_THE_PREDICATE_READS = (
+    "P ::[true] out(c)@R . 0 || A ::[true] out(ok)@S . 0\n"
+    "|| S ::[true] <x> || R ::[true] <y>",
+    "AG [$u : o(c)@R] test(ok)@S")
+QUANTIFIED = (
+    "P ::[true] out(go)@S . 0 || Q ::[true] in(gone)@T . 0\n"
+    "|| T ::[true] <gone> || S ::[true] <s>",
+    "AG [$u : o(go)@S] forall $x : not $x = gone")
+# a policy that raises once A reaches its in, after steps the
+# reduction would take one at a time
+RAISES_LATER = (
+    "A ::[true] out(go)@D . in(!x)@B . 0\n"
+    "|| B ::[[test(#a)@B if #u :: in(#a)@B . X : true]] <seed>\n"
+    "|| C ::[true] out(k)@D . out(m)@D . 0 || D ::[true] <d>",
+    "AG [$u : o(k)@D] true")
+
+
+def test_reduced_search_agrees_with_the_whole_transition_system():
+    pairs = [(corpusio.net(n), corpusio.obl(o))
+             for n in corpusio.names(".akbl") for o in corpusio.names(".obl")]
+    families = (gen.gen_small_net, gen.gen_guarded_net, gen.gen_ward_net)
+    for seed in range(700):
+        for family in families:
+            rng = random.Random(seed)
+            net = family(rng)
+            obligation = gen.gen_obligation_from_net if seed % 2 \
+                else gen.gen_obligation_for
+            pairs.append((net, obligation(rng, net)))
+    pairs += [(parse_net(n), parse_obligation(o))
+              for n, o in (TAKES_THE_LAST_ENTRY, QUANTIFIED,
+                           WRITES_WHAT_THE_PREDICATE_READS, RAISES_LATER)]
+    compared = reduced = errors = 0
+    for net, obl in pairs:
+        result = _agree(net, obl)
+        if result is None:
+            continue
+        compared += 1
+        if isinstance(result, EvaluationError):
+            errors += 1
+            continue
+        got, want = result
+        reduced += got.states_explored < want.states_explored
+    assert compared >= 2000
+    assert errors >= 1
+    assert reduced >= 800
+
+
+@pytest.mark.parametrize("case", [TAKES_THE_LAST_ENTRY,
+                                  WRITES_WHAT_THE_PREDICATE_READS])
+def test_reduction_keeps_the_violation_a_dependency_hides(case):
+    # ordering the other entry's step first would make the obligation
+    # hold: an in that takes R's last entry disables the out aimed at
+    # R, and A's out makes the predicate true
+    net, obl = parse_net(case[0]), parse_obligation(case[1])
+    v = sat_obl(net, obl)
+    assert not v.holds
+    assert v.witness == check_lts(build_lts(net), obl).witness
+
+
+def test_reduction_skips_quantifiers_and_mixed_policies():
+    outs = ("A ::[true] out(a)@S . 0 || B ::[true] out(b)@S . 0\n"
+            "|| C ::[true] out(c)@S . 0 || S ::[true] <s>")
+    whole = len(build_lts(parse_net(outs)).states)
+    assert whole == 8
+    plain = parse_obligation("AG [$u : o(_)@S] true")
+    assert sat_obl(parse_net(outs), plain).states_explored == 4
+    # quantifiers range over the location constants of the states:
+    # Q's in removes the constant gone, and moving it before P's out
+    # would make the predicate true there
+    net, obl = parse_net(QUANTIFIED[0]), parse_obligation(QUANTIFIED[1])
+    v = sat_obl(net, obl)
+    assert not v.holds and v.witness.path == ()
+    assert v.witness == check_lts(build_lts(net), obl).witness
+    holds = parse_obligation("AG [$u : o(_)@S] exists $x : $x = S")
+    v = sat_obl(parse_net(outs), holds)
+    assert v.holds and v.states_explored == whole
+    # S's first entry, whose policy guards S, changes with the states
+    mixed = parse_net(outs + "\n|| S ::[[true if #u :: in(_)@S . X : true]] <t>")
+    assert len({e.policy for e in mixed.entries if e.location == "S"}) == 2
+    v = sat_obl(mixed, plain)
+    assert v.holds and v.states_explored == len(build_lts(mixed).states)
+
+
+def test_violation_is_found_within_a_state_budget_the_whole_system_exceeds():
+    net = parse_net("A ::[true] out(bad)@S . 0\n|| "
+                    + "\n|| ".join(f"B{i} ::[true] out(k)@S . 0"
+                                   for i in range(5))
+                    + "\n|| S ::[true] <s>")
+    obl = parse_obligation("AG [$u : o(bad)@S] false")
+    with pytest.raises(LimitExceeded):
+        build_lts(net, max_states=10)
+    v = sat_obl(net, obl, max_states=10)
+    assert not v.holds
+    assert v.witness.path == () and v.witness.label.text() == "A:o(bad)@S"
+    assert v.states_explored <= 10
+
+
+def test_on_the_fly_check_stops_at_the_first_violation():
+    # A violates at once; the policy of B raises only after C's step,
+    # a state that the whole transition system holds and the check of
+    # it meets, but the on-the-fly check never reaches
+    net = parse_net(
+        "A ::[true] out(bad)@S . 0 || S ::[true] <s>\n"
+        "|| C ::[true] out(flag)@B . in(!x)@B . 0\n"
+        "|| B ::[[test(#a)@B if #u :: in(#a)@B . X : test(flag)@B]] <seed>")
+    obl = parse_obligation("AG [$u : o(bad)@S] false")
+    with pytest.raises(EvaluationError):
+        build_lts(net)
+    v = sat_obl(net, obl)
+    assert not v.holds and v.witness.label.text() == "A:o(bad)@S"
+    assert (v.states_explored, v.transitions_checked) == (2, 1)

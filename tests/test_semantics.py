@@ -9,8 +9,8 @@ from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
                        match, occurs_in, parse_net, parse_policy,
                        step_candidates, take_actions)
 from aspectkbl.semantics import net_text
-from aspectkbl.model import (Action, BindVar, Const, Net, NetEntry, NIL, Repl,
-                             Sum, TruePol, Var, WILDCARD)
+from aspectkbl.model import (Action, BindVar, Const, Net, NetEntry, NIL, Par,
+                             Repl, Sum, TruePol, Var, WILDCARD, canonicalize)
 import corpusio
 import gen
 import oracles
@@ -132,6 +132,16 @@ def test_identical_branches_give_one_step():
     net = parse_net("A ::[true] out(k)@B . 0 + out(k)@B . 0 || B ::[true] <v>")
     steps, _ = step_candidates(net)
     assert len(steps) == 1
+
+
+def test_steps_of_a_network_are_those_of_its_canonical_form():
+    # one entry whose body is a parallel composition steps as two
+    out = lambda k: Sum(((Action("out", (Const(k),), Const("A")), NIL),))
+    net = Net((NetEntry("A", TruePol(), Par(out("k"), out("v"))),))
+    steps = enabled_steps(net)
+    assert [label.text() for label, _ in steps] == ["A:o(k)@A", "A:o(v)@A"]
+    assert steps == enabled_steps(canonicalize(net))
+    assert len(build_lts(net).states) == 4
 
 
 def test_unbound_target_is_an_evaluation_error():
