@@ -514,7 +514,7 @@ def _steps(ids: tuple, space: Interner, ample=None):
         if i in done or not isinstance(e.body, Sum):
             continue
         done.add(i)             # an identical entry makes identical steps
-        rest = None
+        rest = ids[:p] + ids[p + 1:]
         for k, (action, cont) in enumerate(e.body.branches):
             tgt = action.target
             if not isinstance(tgt, Const):
@@ -553,8 +553,6 @@ def _steps(ids: tuple, space: Interner, ample=None):
                             NetEntry(tgt.name, tgt_pol, label.args)),)
                 moves.append((p, label, None, new))
                 continue
-            if rest is None:
-                rest = ids[:p] + ids[p + 1:]
             consumed = set()        # identical tuples make identical steps
             for q, d in enumerate(rest):
                 dd = data_of[d]

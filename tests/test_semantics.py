@@ -243,6 +243,9 @@ def test_policy_memo_matches_fresh_evaluation():
             fresh = step_candidates(lts.states[sid])
             assert ([(label, space.net(succ)) for label, succ in steps],
                     denied) == fresh, (seed, sid)
+            # the interner's nil rule, run over the groups a step
+            # touches, agrees with the canonical form of the model
+            assert all(canonicalize(succ) == succ for _, succ in fresh[0])
         states += len(lts.ids)
         for cached in space.verdicts.values():
             repeated += len(cached) > 1
