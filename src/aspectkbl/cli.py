@@ -107,7 +107,7 @@ def cmd_check(args) -> int:
                 _print_static(static_report, args.explain_denied)
             return OK if static_report.certified else UNDECIDED
     verdict = sat_obl(net, obl, max_states=args.max_states,
-                      max_depth=args.max_depth, static=static_report)
+                      max_depth=args.max_depth)
     if args.json:
         out = _verdict_json(verdict)
         if static_report is not None:

@@ -20,7 +20,10 @@ independent of everything the other entries may still do, only that
 entry's steps are expanded, so independent processes are interleaved
 in one order instead of all of them.  The static certifier decides
 visibility: a step is visible only if it instantiates an action that
-`check_network` reports NotCertified.  What each action reads and
+`check_network` reports NotCertified.  So a "holds" from `sat_obl` is
+only as sound as the certifier, and `check_lts` over the whole
+transition system, which trusts nothing of it, is the check to test
+the certifier against.  What each action reads and
 writes is worked out from the action templates and the policies that
 judge them.  The reduced graph keeps a violation whenever the whole
 one has one, but not the shortest path to it, so it answers only
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .certify import NOT_CERTIFIED, StaticVerdict, check_network
+from .certify import NOT_CERTIFIED, check_network
 from .model import (IN, NIL, OUT, READ, Const, EvaluationError, Label,
                     LabelPattern, LimitExceeded, LocatedAction, Net, NetEntry,
                     Obligation, PAnd, PExists, PForall, PNot, POr,
@@ -131,17 +134,12 @@ class TransitionCheck:
                        len(lts.ids), self.checked)
 
 
-def check_lts(lts: LTS, obl: Obligation,
-              check: Optional[TransitionCheck] = None) -> Verdict:
-    """Check an obligation against a transition system.  `check` is the
-    check an on-the-fly search already ran on the transitions it
-    discovered; only those after them are checked here."""
-    if check is None:
-        check = TransitionCheck(obl)
-    if check.witness is None:
-        for t in lts.transitions[check.checked:]:
-            if check(lts, t):
-                break
+def check_lts(lts: LTS, obl: Obligation) -> Verdict:
+    """Check an obligation against a built transition system."""
+    check = TransitionCheck(obl)
+    for t in lts.transitions:
+        if check(lts, t):
+            break
     return check.verdict(lts)
 
 
@@ -150,24 +148,21 @@ def _search(net: Net, obl: Obligation, max_states: int, max_depth: int,
     check = TransitionCheck(obl)
     lts = build_lts(net, max_states=max_states, max_depth=max_depth,
                     ample=ample, visit=check)
-    return check_lts(lts, obl, check)
+    return check.verdict(lts)
 
 
 def sat_obl(net: Net, obl: Obligation, max_states: int = 100000,
-            max_depth: int = 10000,
-            static: Optional[StaticVerdict] = None) -> Verdict:
+            max_depth: int = 10000) -> Verdict:
     """Check the obligation on the fly: every transition as the search
     discovers it, stopping at the first violation.
 
     When the obligation and the network allow it, a reduced search
-    runs first (see `Reduction`); `static` is the certifier's verdict
-    on the same network and obligation, computed here when not given.
-    The reduced search answers only when the obligation holds.  When it
+    runs first (see `Reduction`).  The reduced search answers only when the obligation holds.  When it
     finds a violation, raises an EvaluationError or exceeds a limit,
     the unreduced search runs and answers, with the witness a search of
     the whole transition system finds first.
     """
-    ample = Reduction.of(net, obl, static)
+    ample = Reduction.of(net, obl)
     if ample is not None:
         try:
             verdict = _search(net, obl, max_states, max_depth, ample)
@@ -297,8 +292,7 @@ class Reduction:
         self._deps: dict = {}          # (entry id, entry id) -> dependent
 
     @classmethod
-    def of(cls, net: Net, obl: Obligation,
-           static: Optional[StaticVerdict] = None) -> Optional["Reduction"]:
+    def of(cls, net: Net, obl: Obligation) -> Optional["Reduction"]:
         """The reduction for the network and obligation, or None where
         the argument does not hold: a predicate's quantifiers range
         over the location constants of the states, which most steps
@@ -310,10 +304,9 @@ class Reduction:
         pols = policies_by_location(net)
         if any(e.policy != pols[e.location] for e in net.entries):
             return None
-        if static is None:
-            static = check_network(net, obl)
         loud = [(r.source, r.action.cap, _atom(r.action))
-                for r in static.actions if r.outcome == NOT_CERTIFIED]
+                for r in check_network(net, obl).actions
+                if r.outcome == NOT_CERTIFIED]
         reads = TestReads()
         if loud:
             pred_values(obl.pred, reads, ())

@@ -127,7 +127,8 @@ def test_criterion_6_static_certification_is_sound():
             static = check_network(net, obl)
             if not static.certified:
                 continue
-            verdict = sat_obl(net, obl, max_states=3000, max_depth=300)
+            verdict = oracles.check_whole(net, obl, max_states=3000,
+                                          max_depth=300)
             if not verdict.holds:
                 unsound.append((render_net(net), render_obligation(obl)))
         assert unsound == []

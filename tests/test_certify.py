@@ -6,8 +6,8 @@ import pytest
 from aspectkbl import (BOT, FF, TT, ReplicationPresent, build_lts,
                        canonicalize, check_network, check_single_action,
                        corpus_path, eval_policy, might_grant, parse_net,
-                       parse_obligation, parse_policy, report_json, sat_obl,
-                       semantics, take_actions)
+                       parse_obligation, parse_policy, report_json, semantics,
+                       take_actions)
 from aspectkbl.certify import (DENIED, ENTAILED, IRRELEVANT, NOT_CERTIFIED,
                                MutationInfo, static_pred)
 from aspectkbl.model import (BindVar, Const, LocatedAction, Net, NetEntry,
@@ -16,6 +16,7 @@ from aspectkbl.semantics import policies_by_location
 from aspectkbl.unification import extract, findsubs
 import corpusio
 import gen
+import oracles
 
 BOTH = frozenset((TT, FF))
 
@@ -206,8 +207,8 @@ def test_actions_aimed_nowhere_are_irrelevant():
     obl = parse_obligation("AG [$u : o(_)@Ghost] false")
     report, = check_network(net, obl).actions
     assert report.outcome == IRRELEVANT
-    # and the exhaustive route agrees vacuously
-    assert sat_obl(net, obl).holds
+    # and a check of the whole transition system agrees vacuously
+    assert oracles.check_whole(net, obl).holds
 
 
 def test_replication_is_rejected_statically():
@@ -259,7 +260,8 @@ def test_certified_networks_satisfy_their_obligations():
         net = gen.gen_small_net(rng)
         obl = gen.gen_obligation_for(rng, net)
         static = check_network(net, obl)
-        verdict = sat_obl(net, obl, max_states=3000, max_depth=300)
+        verdict = oracles.check_whole(net, obl, max_states=3000,
+                                      max_depth=300)
         if static.certified:
             certified += 1
             assert verdict.holds, (net, obl)
@@ -276,7 +278,7 @@ def test_certified_networks_satisfy_their_obligations():
         obl = gen.gen_obligation_for(rng, net)
         if check_network(net, obl).certified:
             certified += 1
-            assert sat_obl(net, obl).holds, (net, obl)
+            assert oracles.check_whole(net, obl).holds, (net, obl)
     assert certified > 400
     # obligations drawn from the networks' own actions and data, whose
     # patterns match steps the networks take: most certifications rest
@@ -293,8 +295,8 @@ def test_certified_networks_satisfy_their_obligations():
                 certified += 1
                 relevant += any(r.outcome != IRRELEVANT
                                 for r in static.actions)
-                assert sat_obl(net, obl, max_states=3000, max_depth=300,
-                               static=static).holds, (net, obl)
+                assert oracles.check_whole(net, obl, max_states=3000,
+                                           max_depth=300).holds, (net, obl)
         assert certified > 100
     assert relevant > 200
 

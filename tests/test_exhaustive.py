@@ -188,8 +188,8 @@ def _agree(net, obl):
     the same verdict and witness, or an EvaluationError from both.
     Returns the verdict, or None when the whole system is too large."""
     try:
-        want = _outcome(lambda: check_lts(
-            build_lts(net, max_states=3000, max_depth=300), obl))
+        want = _outcome(lambda: oracles.check_whole(
+            net, obl, max_states=3000, max_depth=300))
     except LimitExceeded:
         return None
     got = _outcome(lambda: sat_obl(net, obl, max_states=3000, max_depth=300))
