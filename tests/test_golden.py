@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -33,6 +34,16 @@ STATIC_MODES = {
     "json": ["--mode", "static", "--json", "--explain-denied"],
     "text": ["--mode", "static", "--explain-denied"],
 }
+# token-level mutations of each corpus file, checked with --mode static
+# (which explores no state) to pin the parser's diagnostics
+DIAG_SEEDS = range(24)
+DIAG_NET, DIAG_OBL = "tiny_with_policies.akbl", "eq1.obl"
+DIAG_POOL = ("out", "in", "read", "test", "AG", "forall", "exists", "true",
+             "false", "not", "and", "or", "oplus", "otimes", "implies",
+             "pref", "if", "occurs-in", "||", "::", ">=", "|", "+", "*", ":",
+             ".", ",", "(", ")", "<", ">", "[", "]", "@", "!", "_", "=", "'",
+             "$x", "#x", "0")
+_TOKEN = re.compile(r"//[^\n]*|occurs-in|[$#]?\w+|\|\||::|>=|\S")
 
 
 def _run(argv) -> dict:
@@ -137,6 +148,45 @@ def _static_cases(inputs):
     return cases
 
 
+def _mutate(rng, text):
+    """Delete, duplicate, swap or replace one token of the text."""
+    spans = [m.span() for m in _TOKEN.finditer(text)
+             if not m.group().startswith("//")]
+    op = rng.choice(("delete", "duplicate", "swap", "replace"))
+    i = rng.randrange(len(spans) - (op == "swap"))
+    (a, b), tok = spans[i], text[slice(*spans[i])]
+    if op == "delete":
+        return op, text[:a] + text[b:]
+    if op == "duplicate":
+        return op, text[:b] + " " + tok + text[b:]
+    if op == "swap":
+        c, d = spans[i + 1]
+        return op, text[:a] + text[c:d] + text[b:c] + tok + text[d:]
+    return op, text[:a] + rng.choice(DIAG_POOL) + text[b:]
+
+
+def _diagnostic_inputs():
+    for name in [*NETS, *OBLS]:
+        for seed in DIAG_SEEDS:
+            op, text = _mutate(random.Random(seed),
+                               (CORPUS / name).read_text())
+            yield f"{name} seed {seed} {op}", name.endswith(".akbl"), text
+
+
+def _diagnostic_cases(inputs):
+    cases = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / "mutated"
+        for name, is_net, text in inputs:
+            mutated.write_text(text)
+            files = ((str(mutated), _corpus(DIAG_OBL)) if is_net
+                     else (_corpus(DIAG_NET), str(mutated)))
+            key = "net" if is_net else "obligation"
+            cases[name] = {key: text, **_run(["check", *files,
+                                              "--mode", "static"])}
+    return cases
+
+
 KINDS = {
     "lts": _lts_cases,
     "dot": _dot_cases,
@@ -144,6 +194,7 @@ KINDS = {
     "trace": _trace_cases,
     "generated": lambda: _generated_cases(_generated_inputs()),
     "static": lambda: _static_cases(_static_inputs()),
+    "diagnostics": lambda: _diagnostic_cases(_diagnostic_inputs()),
 }
 
 
@@ -188,6 +239,14 @@ def test_static_certifier_matches_golden():
     inputs = [(name, case["net"], case["obligation"])
               for name, case in want.items() if "net" in case]
     _assert_matches("static", _static_cases(inputs))
+
+
+def test_parser_diagnostics_match_golden():
+    want = _load("diagnostics")
+    inputs = [(name, "net" in case, case.get("net", case.get("obligation")))
+              for name, case in want.items()]
+    assert len(inputs) >= 200
+    _assert_matches("diagnostics", _diagnostic_cases(inputs))
 
 
 if __name__ == "__main__":
