@@ -366,7 +366,7 @@ class Substitution:
         return hash(self.pairs)
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={_term_text(v)}" for k, v in self.pairs)
+        inner = ", ".join(f"{k}={render_term(v)}" for k, v in self.pairs)
         return f"[{inner}]"
 
     def __bool__(self):
@@ -484,14 +484,15 @@ def _subst_pred(p: Pred, key: str, val: Term) -> Pred:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def _term_text(t: Term) -> str:
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, Var):
+def render_term(t) -> str:
+    """The source text of a term."""
+    if isinstance(t, (Const, Var)):
         return t.name
     if isinstance(t, BindVar):
         return "!" + t.name
-    return "_"
+    if isinstance(t, Wildcard):
+        return "_"
+    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -663,23 +664,23 @@ def loc_set(net: Net) -> frozenset:
     return frozenset().union(*map(entry_consts, net.entries))
 
 
-def _walk_actions(loc: str, pol: Policy, p: Process, out: list):
+def process_actions(p: Process):
+    """Yield (action, continuation) for every action prefix occurring
+    syntactically in the process, in document order."""
     if isinstance(p, Sum):
         for action, cont in p.branches:
-            out.append(LocatedAction(loc, pol, action, cont))
-            _walk_actions(loc, pol, cont, out)
+            yield action, cont
+            yield from process_actions(cont)
     elif isinstance(p, Par):
-        _walk_actions(loc, pol, p.left, out)
-        _walk_actions(loc, pol, p.right, out)
+        yield from process_actions(p.left)
+        yield from process_actions(p.right)
     elif isinstance(p, Repl):
-        _walk_actions(loc, pol, p.body, out)
+        yield from process_actions(p.body)
 
 
 def take_actions(net: Net) -> list:
     """Every action occurring syntactically in the network, in document
     order, paired with its hosting location, policy and continuation."""
-    out: list = []
-    for e in net.entries:
-        if not e.is_data():
-            _walk_actions(e.location, e.policy, e.body, out)
-    return out
+    return [LocatedAction(e.location, e.policy, action, cont)
+            for e in net.entries if not e.is_data()
+            for action, cont in process_actions(e.body)]

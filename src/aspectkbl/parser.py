@@ -9,11 +9,17 @@ files hold a single AG [label-pattern] predicate form.  $-variables
 belong to obligations, #-variables to aspects, !x binds in input and
 read templates and _ is the pattern wildcard.  // starts a comment.
 
+One precedence table, _PREC, orders the binary operators of policies,
+rec/cond expressions and obligation predicates.  The parser reads it
+in its one infix rule and the renderer in its one binary renderer, so
+the two agree on where parentheses are needed.
+
 The full grammar is documented in docs/grammar.md.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .model import (Action, Aspect, AspectPol, BindVar, CombinePol, Const,
                     Cut, Diagnostic, EBin, EEqual, EFalse, ENot, EOccursIn,
@@ -21,7 +27,7 @@ from .model import (Action, Aspect, AspectPol, BindVar, CombinePol, Const,
                     LETTER_CAP, Net, NetEntry, Nil, NIL, NotPol, Obligation,
                     PAnd, PEqual, PExists, PFalse, PForall, PGeq, PNot, POr,
                     PTest, PTestPost, PTrue, Par, Repl, Sum, TruePol, Var,
-                    WILDCARD, Wildcard, canonicalize)
+                    WILDCARD, Wildcard, canonicalize, render_term)
 
 
 class ParseError(Exception):
@@ -41,6 +47,20 @@ KEYWORDS = {"out", "in", "read", "test", "AG", "forall", "exists", "true",
 
 _PUNCT2 = ("||", "::", ">=")
 _PUNCT1 = "|+*:.,()<>[]@!_='"
+
+# The binary operators of policies, expressions and predicates, from
+# loosest to tightest.  All associate to the left except implies.
+# Quantifiers (predicates only) bind looser than any of them, `not`
+# tighter, and atoms tightest.
+_PREC = {"implies": 1, "or": 2, "and": 3, "oplus": 4, "otimes": 5, "pref": 6}
+_QUANT, _NOT, _ATOM = 0, 7, 8
+
+# Per syntax, the node that `not` and each binary operator it admits build.
+_POLICY = {"not": NotPol, **{op: partial(CombinePol, op) for op in _PREC}}
+_EXPR = {"not": ENot,
+         **{op: partial(EBin, op) for op in _PREC if op != "pref"}}
+_PRED = {"not": PNot, "or": POr, "and": PAnd}
+_CAPS = ("out", "in", "read")
 
 
 @dataclass(frozen=True)
@@ -189,6 +209,43 @@ class _Parser:
             self.error(f"{self.peek().text!r} is a reserved word")
         self.error(f"expected {what}, found {self.peek().text or 'end of input'!r}")
 
+    def at_cap(self) -> bool:
+        return self.at("kw") and self.peek().text in _CAPS
+
+    # -- the shared rules -----------------------------------------------------
+
+    def parse_infix(self, syntax, atom, level=1):
+        """Operands joined by those binary operators of syntax that bind
+        at least as tightly as level; atom() parses one atom."""
+        left = self.parse_unary(syntax, atom)
+        while True:
+            op = self.peek().text
+            if _PREC.get(op, 0) < level or op not in syntax:
+                return left
+            self.advance()
+            tighter = _PREC[op] + (op != "implies")
+            left = syntax[op](left, self.parse_infix(syntax, atom, tighter))
+
+    def parse_unary(self, syntax, atom):
+        if self.at("kw", "not"):
+            self.advance()
+            return syntax["not"](self.parse_unary(syntax, atom))
+        return atom()
+
+    def parse_args(self, arg, target):
+        """( arg, ... ) @ target, as in actions, cuts, tests and label
+        patterns; arg() and target() each parse one term."""
+        self.expect("(")
+        args = []
+        if not self.at(")"):
+            args.append(arg())
+            while self.at(","):
+                self.advance()
+                args.append(arg())
+        self.expect(")")
+        self.expect("@")
+        return tuple(args), target()
+
     # -- networks -----------------------------------------------------------
 
     def parse_net(self) -> Net:
@@ -256,7 +313,7 @@ class _Parser:
             p = self.parse_process(scope)
             self.expect(")")
             return p
-        if self.at("kw", "out") or self.at("kw", "in") or self.at("kw", "read"):
+        if self.at_cap():
             action, binders = self.parse_proc_action(scope)
             self.expect(".")
             inner = scope | binders if action.cap in ("in", "read") else scope
@@ -266,18 +323,11 @@ class _Parser:
 
     def parse_proc_action(self, scope):
         cap = self.advance().text
-        self.expect("(")
         binders: set = set()
-        args = []
-        if not self.at(")"):
-            args.append(self.parse_proc_term(scope, cap, binders))
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_proc_term(scope, cap, binders))
-        self.expect(")")
-        self.expect("@")
-        target = self.parse_proc_term(scope, cap, None)
-        return Action(cap, tuple(args), target), frozenset(binders)
+        args, target = self.parse_args(
+            lambda: self.parse_proc_term(scope, cap, binders),
+            lambda: self.parse_proc_term(scope, cap, None))
+        return Action(cap, args, target), frozenset(binders)
 
     def parse_proc_term(self, scope, cap, binders):
         t = self.peek()
@@ -305,39 +355,7 @@ class _Parser:
     # -- policies ------------------------------------------------------------
 
     def parse_policy(self):
-        left = self.parse_pol_or()
-        if self.at("kw", "implies"):
-            self.advance()
-            return CombinePol("implies", left, self.parse_policy())
-        return left
-
-    def _pol_chain(self, sub, op):
-        left = sub()
-        while self.at("kw", op):
-            self.advance()
-            left = CombinePol(op, left, sub())
-        return left
-
-    def parse_pol_or(self):
-        return self._pol_chain(self.parse_pol_and, "or")
-
-    def parse_pol_and(self):
-        return self._pol_chain(self.parse_pol_oplus, "and")
-
-    def parse_pol_oplus(self):
-        return self._pol_chain(self.parse_pol_otimes, "oplus")
-
-    def parse_pol_otimes(self):
-        return self._pol_chain(self.parse_pol_pref, "otimes")
-
-    def parse_pol_pref(self):
-        return self._pol_chain(self.parse_pol_unary, "pref")
-
-    def parse_pol_unary(self):
-        if self.at("kw", "not"):
-            self.advance()
-            return NotPol(self.parse_pol_unary())
-        return self.parse_pol_atom()
+        return self.parse_infix(_POLICY, self.parse_pol_atom)
 
     def parse_pol_atom(self):
         if self.at("kw", "true"):
@@ -374,22 +392,15 @@ class _Parser:
         cut_vars: set = set()
         subject = self.parse_cut_term(cut_vars, wild_ok=False, bind_cap=None)
         self.expect("::")
-        if not (self.at("kw", "out") or self.at("kw", "in") or self.at("kw", "read")):
+        if not self.at_cap():
             self.error("expected out, in or read in a cut")
         cap = self.advance().text
-        self.expect("(")
-        args = []
-        if not self.at(")"):
-            args.append(self.parse_cut_term(cut_vars, wild_ok=True, bind_cap=cap))
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_cut_term(cut_vars, wild_ok=True, bind_cap=cap))
-        self.expect(")")
-        self.expect("@")
-        target = self.parse_cut_term(cut_vars, wild_ok=False, bind_cap=None)
+        args, target = self.parse_args(
+            lambda: self.parse_cut_term(cut_vars, wild_ok=True, bind_cap=cap),
+            lambda: self.parse_cut_term(cut_vars, wild_ok=False, bind_cap=None))
         self.expect(".")
         cont = self.expect_name("a continuation variable").text
-        return Cut(subject, Action(cap, tuple(args), target), cont), cut_vars
+        return Cut(subject, Action(cap, args, target), cont), cut_vars
 
     def parse_cut_term(self, cut_vars, wild_ok, bind_cap):
         t = self.peek()
@@ -417,36 +428,7 @@ class _Parser:
     # rec and cond expressions
 
     def parse_expr(self):
-        left = self.parse_e_or()
-        if self.at("kw", "implies"):
-            self.advance()
-            return EBin("implies", left, self.parse_expr())
-        return left
-
-    def _expr_chain(self, sub, op):
-        left = sub()
-        while self.at("kw", op):
-            self.advance()
-            left = EBin(op, left, sub())
-        return left
-
-    def parse_e_or(self):
-        return self._expr_chain(self.parse_e_and, "or")
-
-    def parse_e_and(self):
-        return self._expr_chain(self.parse_e_oplus, "and")
-
-    def parse_e_oplus(self):
-        return self._expr_chain(self.parse_e_otimes, "oplus")
-
-    def parse_e_otimes(self):
-        return self._expr_chain(self.parse_e_unary, "otimes")
-
-    def parse_e_unary(self):
-        if self.at("kw", "not"):
-            self.advance()
-            return ENot(self.parse_e_unary())
-        return self.parse_e_atom()
+        return self.parse_infix(_EXPR, self.parse_e_atom)
 
     def parse_e_atom(self):
         if self.at("kw", "true"):
@@ -464,28 +446,19 @@ class _Parser:
             self.advance()
             if self.at("'"):
                 self.error("test' belongs to obligation predicates")
-            args, at = self.parse_test_args()
-            return ETest(args, at)
-        if self.at("kw", "out") or self.at("kw", "in") or self.at("kw", "read"):
-            template = self.parse_occurs_action()
+            return ETest(*self.parse_args(self.parse_expr_term,
+                                          self.parse_expr_term))
+        if self.at_cap():
+            cap = self.advance().text
+            template = Action(cap, *self.parse_args(
+                lambda: self.parse_occurs_term(cap),
+                lambda: self.parse_occurs_term(None)))
             self.expect("occursin", what="occurs-in")
             var = self.expect_name("a continuation variable").text
             return EOccursIn(template, var)
         left = self.parse_expr_term()
         self.expect("=", what="= in a comparison")
         return EEqual(left, self.parse_expr_term())
-
-    def parse_test_args(self):
-        self.expect("(")
-        args = []
-        if not self.at(")"):
-            args.append(self.parse_expr_term())
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_expr_term())
-        self.expect(")")
-        self.expect("@")
-        return tuple(args), self.parse_expr_term()
 
     def parse_expr_term(self):
         t = self.peek()
@@ -498,20 +471,6 @@ class _Parser:
         if t.kind == "_":
             self.error("wildcards cannot occur in recommendations or conditions")
         self.error("expected a constant or an aspect variable")
-
-    def parse_occurs_action(self) -> Action:
-        cap = self.advance().text
-        self.expect("(")
-        args = []
-        if not self.at(")"):
-            args.append(self.parse_occurs_term(cap))
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_occurs_term(cap))
-        self.expect(")")
-        self.expect("@")
-        target = self.parse_occurs_term(None)
-        return Action(cap, tuple(args), target)
 
     def parse_occurs_term(self, bind_cap):
         t = self.peek()
@@ -573,27 +532,13 @@ class _Parser:
         if cap_tok.text not in LETTER_CAP:
             self.error(f"unknown capability {cap_tok.text!r}, expected o, i or r",
                        cap_tok)
-        self.expect("(")
-        args = []
-        if not self.at(")"):
-            args.append(self.parse_obl_cut_term(bound, wild_ok=True))
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_obl_cut_term(bound, wild_ok=True))
-        self.expect(")")
-        self.expect("@")
-        tgt_tok = self.peek()
-        if tgt_tok.kind == "dollar":
-            self.error("the cut target must be a location constant")
-        if tgt_tok.kind == "_":
-            self.error("the cut target must be a location constant")
-        target = Const(self.expect_name("a location constant").text) \
-            if not self.at("number") else Const(self.advance().text)
+        args, target = self.parse_args(
+            lambda: self.parse_obl_cut_term(bound, wild_ok=True),
+            self.parse_obl_target)
         self.expect("]")
         pred = self.parse_pred(frozenset(bound))
         self.expect("eof", what="end of input")
-        return Obligation(LabelPattern(subject, cap_tok.text, tuple(args), target),
-                          pred)
+        return Obligation(LabelPattern(subject, cap_tok.text, args, target), pred)
 
     def parse_obl_cut_term(self, bound, wild_ok):
         t = self.peek()
@@ -613,6 +558,13 @@ class _Parser:
             self.error(f"{t.text} is an aspect variable; obligation variables use $")
         self.error("expected a pattern term")
 
+    def parse_obl_target(self):
+        if self.peek().kind in ("dollar", "_"):
+            self.error("the cut target must be a location constant")
+        if self.at("number"):
+            return Const(self.advance().text)
+        return Const(self.expect_name("a location constant").text)
+
     def parse_pred(self, bound):
         if self.at("kw", "forall") or self.at("kw", "exists"):
             cls = PForall if self.advance().text == "forall" else PExists
@@ -622,27 +574,7 @@ class _Parser:
             self.advance()
             self.expect(":")
             return cls(var_tok.text, self.parse_pred(bound | {var_tok.text}))
-        return self.parse_p_or(bound)
-
-    def parse_p_or(self, bound):
-        left = self.parse_p_and(bound)
-        while self.at("kw", "or"):
-            self.advance()
-            left = POr(left, self.parse_p_and(bound))
-        return left
-
-    def parse_p_and(self, bound):
-        left = self.parse_p_unary(bound)
-        while self.at("kw", "and"):
-            self.advance()
-            left = PAnd(left, self.parse_p_unary(bound))
-        return left
-
-    def parse_p_unary(self, bound):
-        if self.at("kw", "not"):
-            self.advance()
-            return PNot(self.parse_p_unary(bound))
-        return self.parse_p_atom(bound)
+        return self.parse_infix(_PRED, lambda: self.parse_p_atom(bound))
 
     def parse_p_atom(self, bound):
         if self.at("kw", "true"):
@@ -662,7 +594,8 @@ class _Parser:
             if self.at("'"):
                 self.advance()
                 post = True
-            args, at = self.parse_pred_test_args(bound)
+            term = lambda: self.parse_pred_term(bound)
+            args, at = self.parse_args(term, term)
             return PTestPost(args, at) if post else PTest(args, at)
         left = self.parse_pred_term(bound)
         if self.at("="):
@@ -672,18 +605,6 @@ class _Parser:
             self.advance()
             return PGeq(left, self.parse_pred_term(bound))
         self.error("expected = or >= in a comparison")
-
-    def parse_pred_test_args(self, bound):
-        self.expect("(")
-        args = []
-        if not self.at(")"):
-            args.append(self.parse_pred_term(bound))
-            while self.at(","):
-                self.advance()
-                args.append(self.parse_pred_term(bound))
-        self.expect(")")
-        self.expect("@")
-        return tuple(args), self.parse_pred_term(bound)
 
     def parse_pred_term(self, bound):
         t = self.peek()
@@ -734,21 +655,35 @@ def parse_obligation(src: str) -> Obligation:
 # ---------------------------------------------------------------------------
 # rendering
 
-def render_term(t) -> str:
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, BindVar):
-        return "!" + t.name
-    if isinstance(t, Wildcard):
-        return "_"
-    raise TypeError(f"not a term: {t!r}")
+def _render_args(args, target) -> str:
+    return f"({', '.join(map(render_term, args))})@{render_term(target)}"
 
 
 def render_action(a: Action) -> str:
-    args = ", ".join(render_term(t) for t in a.args)
-    return f"{a.cap}({args})@{render_term(a.target)}"
+    return a.cap + _render_args(a.args, a.target)
+
+
+# where each node that is not a binary operator sits in the table _PREC
+_LEVEL = {NotPol: _NOT, ENot: _NOT, PNot: _NOT, PForall: _QUANT,
+          PExists: _QUANT, POr: _PREC["or"], PAnd: _PREC["and"]}
+
+
+def _level(node) -> int:
+    if isinstance(node, (CombinePol, EBin)):
+        return _PREC[node.op]
+    return _LEVEL.get(type(node), _ATOM)
+
+
+def _wrap(node, render, level) -> str:
+    """Render node, in parentheses if it binds more loosely than level."""
+    text = render(node)
+    return f"({text})" if _level(node) < level else text
+
+
+def _render_binary(op, left, right, render) -> str:
+    right_assoc = op == "implies"
+    return (f"{_wrap(left, render, _PREC[op] + right_assoc)} {op} "
+            f"{_wrap(right, render, _PREC[op] + (not right_assoc))}")
 
 
 def _render_term_proc(p) -> str:
@@ -771,37 +706,15 @@ def render_process(p) -> str:
     raise TypeError(f"not a process: {p!r}")
 
 
-_POL_LEVEL = {"implies": 1, "or": 2, "and": 3, "oplus": 4, "otimes": 5, "pref": 6}
-
-
-def _pol_level(p) -> int:
-    if isinstance(p, CombinePol):
-        return _POL_LEVEL[p.op]
-    if isinstance(p, NotPol):
-        return 7
-    return 8
-
-
 def render_policy(p) -> str:
     if isinstance(p, TruePol):
         return "true"
     if isinstance(p, FalsePol):
         return "false"
     if isinstance(p, NotPol):
-        body = render_policy(p.body)
-        if isinstance(p.body, CombinePol):
-            body = f"({body})"
-        return f"not {body}"
+        return f"not {_wrap(p.body, render_policy, _NOT)}"
     if isinstance(p, CombinePol):
-        lvl = _POL_LEVEL[p.op]
-        right_assoc = p.op == "implies"
-        left = render_policy(p.left)
-        right = render_policy(p.right)
-        if _pol_level(p.left) < lvl or (right_assoc and _pol_level(p.left) == lvl):
-            left = f"({left})"
-        if _pol_level(p.right) < lvl or (not right_assoc and _pol_level(p.right) == lvl):
-            right = f"({right})"
-        return f"{left} {p.op} {right}"
+        return _render_binary(p.op, p.left, p.right, render_policy)
     if isinstance(p, AspectPol):
         return render_aspect(p.aspect)
     raise TypeError(f"not a policy: {p!r}")
@@ -816,42 +729,23 @@ def render_aspect(a: Aspect) -> str:
     return f"[{render_expr(a.rec)} if {render_cut(a.cut)} : {render_expr(a.cond)}]"
 
 
-_EXPR_LEVEL = {"implies": 1, "or": 2, "and": 3, "oplus": 4, "otimes": 5}
-
-
-def _expr_level(e) -> int:
-    if isinstance(e, EBin):
-        return _EXPR_LEVEL[e.op]
-    if isinstance(e, ENot):
-        return 6
-    return 7
-
-
 def render_expr(e) -> str:
     if isinstance(e, ETrue):
         return "true"
     if isinstance(e, EFalse):
         return "false"
     if isinstance(e, ENot):
-        body = render_expr(e.body)
-        if isinstance(e.body, (EBin, EEqual, EOccursIn)):
-            body = f"({body})"
-        return f"not {body}"
+        # a comparison or occurs-in under not is bracketed for the reader
+        # only: the parser reads `not a = b` as not (a = b) either way
+        if isinstance(e.body, (EEqual, EOccursIn)):
+            return f"not ({render_expr(e.body)})"
+        return f"not {_wrap(e.body, render_expr, _NOT)}"
     if isinstance(e, EBin):
-        lvl = _EXPR_LEVEL[e.op]
-        right_assoc = e.op == "implies"
-        left = render_expr(e.left)
-        right = render_expr(e.right)
-        if _expr_level(e.left) < lvl or (right_assoc and _expr_level(e.left) == lvl):
-            left = f"({left})"
-        if _expr_level(e.right) < lvl or (not right_assoc and _expr_level(e.right) == lvl):
-            right = f"({right})"
-        return f"{left} {e.op} {right}"
+        return _render_binary(e.op, e.left, e.right, render_expr)
     if isinstance(e, EEqual):
         return f"{render_term(e.left)} = {render_term(e.right)}"
     if isinstance(e, ETest):
-        args = ", ".join(render_term(t) for t in e.args)
-        return f"test({args})@{render_term(e.at)}"
+        return "test" + _render_args(e.args, e.at)
     if isinstance(e, EOccursIn):
         return f"{render_action(e.action)} occurs-in {e.var}"
     raise TypeError(f"not an expression: {e!r}")
@@ -868,37 +762,16 @@ def render_net(n: Net) -> str:
     return "\n|| ".join(render_entry(e) for e in n.entries)
 
 
-def _pred_level(p) -> int:
-    if isinstance(p, (PForall, PExists)):
-        return 1
-    if isinstance(p, POr):
-        return 2
-    if isinstance(p, PAnd):
-        return 3
-    if isinstance(p, PNot):
-        return 4
-    return 5
-
-
 def render_pred(p) -> str:
     if isinstance(p, PTrue):
         return "true"
     if isinstance(p, PFalse):
         return "false"
     if isinstance(p, PNot):
-        body = render_pred(p.body)
-        if _pred_level(p.body) < 5:
-            body = f"({body})"
-        return f"not {body}"
+        return f"not {_wrap(p.body, render_pred, _ATOM)}"
     if isinstance(p, (PAnd, POr)):
-        op, lvl = ("and", 3) if isinstance(p, PAnd) else ("or", 2)
-        left = render_pred(p.left)
-        right = render_pred(p.right)
-        if _pred_level(p.left) < lvl:
-            left = f"({left})"
-        if _pred_level(p.right) <= lvl:
-            right = f"({right})"
-        return f"{left} {op} {right}"
+        op = "and" if isinstance(p, PAnd) else "or"
+        return _render_binary(op, p.left, p.right, render_pred)
     if isinstance(p, (PForall, PExists)):
         word = "forall" if isinstance(p, PForall) else "exists"
         return f"{word} {p.var} : {render_pred(p.body)}"
@@ -908,16 +781,14 @@ def render_pred(p) -> str:
         return f"{render_term(p.left)} >= {render_term(p.right)}"
     if isinstance(p, (PTest, PTestPost)):
         mark = "'" if isinstance(p, PTestPost) else ""
-        args = ", ".join(render_term(t) for t in p.args)
-        return f"test{mark}({args})@{render_term(p.at)}"
+        return f"test{mark}" + _render_args(p.args, p.at)
     raise TypeError(f"not a predicate: {p!r}")
 
 
 def render_obligation(o: Obligation) -> str:
     cut = o.cut
-    args = ", ".join(render_term(t) for t in cut.args)
-    pattern = (f"{render_term(cut.subject)} : {cut.cap}({args})"
-               f"@{render_term(cut.target)}")
+    pattern = (f"{render_term(cut.subject)} : {cut.cap}"
+               + _render_args(cut.args, cut.target))
     return f"AG [{pattern}] {render_pred(o.pred)}"
 
 

@@ -80,10 +80,10 @@ from .model import (Action, AspectPol, BindVar, CAP_LETTER, CombinePol, Const,
                     Cut, EBin, EEqual, EFalse, ENot, EOccursIn, ETest, ETrue,
                     EvaluationError, FalsePol, Label, LimitExceeded, Net,
                     NetEntry, Nil, NotPol, PAnd, PEqual, PExists, PFalse,
-                    PForall, PGeq, PNot, POr, PTest, PTestPost, PTrue, Par,
-                    Process, Repl, ReplicationPresent, Substitution, Sum,
+                    PForall, PGeq, PNot, POr, PTest, PTestPost, PTrue,
+                    Process, ReplicationPresent, Substitution, Sum,
                     TruePol, Wildcard, drop_nils, entry_consts, entry_sort_key,
-                    has_replication, split_entry)
+                    has_replication, process_actions, split_entry)
 from .unification import findsubs
 
 # ---------------------------------------------------------------------------
@@ -113,21 +113,9 @@ def match(templates, values):
     return Substitution(tuple(pairs))
 
 
-def _proc_actions(p: Process):
-    if isinstance(p, Sum):
-        for action, cont in p.branches:
-            yield action
-            yield from _proc_actions(cont)
-    elif isinstance(p, Par):
-        yield from _proc_actions(p.left)
-        yield from _proc_actions(p.right)
-    elif isinstance(p, Repl):
-        yield from _proc_actions(p.body)
-
-
 def occurs_in(template: Action, proc: Process) -> bool:
     """May an action matching the template occur in the process."""
-    for action in _proc_actions(proc):
+    for action, _ in process_actions(proc):
         if action.cap != template.cap:
             continue
         if findsubs((Const("_s"), template.args, template.target),
