@@ -6,8 +6,9 @@ akbl trace NET       print one maximal run, chosen by seed
 
 Exit codes: 0 the obligation holds (or the run finished), 1 the
 obligation is violated, 2 the static certifier alone could not
-decide, 3 the input was rejected or a limit was hit, 4 an internal
-error (reported in one line on stderr, without a traceback).
+decide, 3 the input or the command line was rejected or a limit was
+hit, 4 an internal error (reported in one line on stderr, without a
+traceback).
 """
 from __future__ import annotations
 
@@ -189,13 +190,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=0, help="choice seed")
     t.add_argument("--explain-denied", action="store_true",
                    help="list blocked actions with the value that blocked them")
-    _add_limits(t)
+    t.add_argument("--max-depth", type=int, default=10000,
+                   help="steps to take at most (default 10000)")
     t.set_defaults(fn=cmd_trace)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed the help or a usage error
+        return BAD_INPUT if e.code else OK
     try:
         return args.fn(args)
     except ParseError as e:

@@ -182,6 +182,12 @@ def test_trace_is_seeded_and_reproducible(capsys):
                     for s in range(8))
     assert different
 
+    rc, short, _ = run(capsys, "trace", WITHOUT, "--seed", "1",
+                       "--max-depth", "2")
+    assert rc == 0
+    assert short.splitlines()[:2] == labels[:2]
+    assert short.splitlines()[2].startswith("final: ")
+
 
 def test_trace_reports_denials(capsys):
     rc, out, _ = run(capsys, "trace", WITH, "--seed", "0",
@@ -225,6 +231,18 @@ def test_input_errors_exit_three(capsys, tmp_path):
     rc, _, err = run(capsys, "lts", str(mixed))
     assert rc == 3
     assert "location A carries inconsistent policies" in err
+
+
+def test_usage_errors_exit_three_and_help_exits_zero(capsys):
+    # exit 2 means "the static certifier could not decide", never a usage error
+    for argv in (("check", WITH), ("check", WITH, EQ1, "--mode", "bogus"),
+                 ("bogus",), ("trace", WITH, "--max-states", "5"), ()):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3, argv
+        assert out == "" and "usage: akbl" in err and "error:" in err
+
+    rc, out, err = run(capsys, "check", "--help")
+    assert rc == 0 and out.startswith("usage: akbl check") and err == ""
 
 
 def test_deep_inputs_never_read_as_a_verdict(capsys, tmp_path):
