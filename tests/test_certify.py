@@ -1,5 +1,6 @@
 """Static per-action certification."""
 import random
+from collections import Counter
 
 import pytest
 
@@ -341,9 +342,11 @@ def test_policy_values_are_sound_in_every_reachable_state():
     # a step out of any reachable state instantiates syntactic actions
     # of the network, and the concrete verdict of either policy side
     # lies in the certifier's value set for each of them
-    checked, unsound = 0, []
-    for seed in range(300):
-        net = canonicalize(gen.gen_guarded_net(random.Random(seed)))
+    checked, unsound = Counter(), []
+    nets = [(gen.gen_guarded_net, seed) for seed in range(300)]
+    nets += [(gen.gen_ward_net, seed) for seed in range(100)]
+    for family, seed in nets:
+        net = canonicalize(family(random.Random(seed)))
         pols, mut = policies_by_location(net), MutationInfo(net)
         actions = take_actions(net)
         for state in build_lts(net).states:
@@ -354,9 +357,10 @@ def test_policy_values_are_sound_in_every_reachable_state():
                 for pol in (act.policy, pols[act.action.target.name]):
                     value = eval_policy(pol, act, state)
                     for origin in origins:
-                        checked += 1
+                        checked[family] += 1
                         if value not in might_grant(pol, origin, net,
                                                     mut).values:
                             unsound.append((net, state, act, pol))
-    assert checked > 10000
+    assert checked[gen.gen_guarded_net] > 10000
+    assert checked[gen.gen_ward_net] > 20000
     assert unsound == []
