@@ -325,8 +325,8 @@ class _Parser:
         cap = self.advance().text
         binders: set = set()
         args, target = self.parse_args(
-            lambda: self.parse_proc_term(scope, cap, binders),
-            lambda: self.parse_proc_term(scope, cap, None))
+            partial(self.parse_proc_term, scope, cap, binders),
+            partial(self.parse_proc_term, scope, cap, None))
         return Action(cap, args, target), frozenset(binders)
 
     def parse_proc_term(self, scope, cap, binders):
@@ -396,8 +396,8 @@ class _Parser:
             self.error("expected out, in or read in a cut")
         cap = self.advance().text
         args, target = self.parse_args(
-            lambda: self.parse_cut_term(cut_vars, wild_ok=True, bind_cap=cap),
-            lambda: self.parse_cut_term(cut_vars, wild_ok=False, bind_cap=None))
+            partial(self.parse_cut_term, cut_vars, wild_ok=True, bind_cap=cap),
+            partial(self.parse_cut_term, cut_vars, wild_ok=False, bind_cap=None))
         self.expect(".")
         cont = self.expect_name("a continuation variable").text
         return Cut(subject, Action(cap, args, target), cont), cut_vars
@@ -451,8 +451,8 @@ class _Parser:
         if self.at_cap():
             cap = self.advance().text
             template = Action(cap, *self.parse_args(
-                lambda: self.parse_occurs_term(cap),
-                lambda: self.parse_occurs_term(None)))
+                partial(self.parse_occurs_term, cap),
+                partial(self.parse_occurs_term, None)))
             self.expect("occursin", what="occurs-in")
             var = self.expect_name("a continuation variable").text
             return EOccursIn(template, var)
@@ -533,7 +533,7 @@ class _Parser:
             self.error(f"unknown capability {cap_tok.text!r}, expected o, i or r",
                        cap_tok)
         args, target = self.parse_args(
-            lambda: self.parse_obl_cut_term(bound, wild_ok=True),
+            partial(self.parse_obl_cut_term, bound, wild_ok=True),
             self.parse_obl_target)
         self.expect("]")
         pred = self.parse_pred(frozenset(bound))
@@ -574,7 +574,7 @@ class _Parser:
             self.advance()
             self.expect(":")
             return cls(var_tok.text, self.parse_pred(bound | {var_tok.text}))
-        return self.parse_infix(_PRED, lambda: self.parse_p_atom(bound))
+        return self.parse_infix(_PRED, partial(self.parse_p_atom, bound))
 
     def parse_p_atom(self, bound):
         if self.at("kw", "true"):
@@ -594,7 +594,7 @@ class _Parser:
             if self.at("'"):
                 self.advance()
                 post = True
-            term = lambda: self.parse_pred_term(bound)
+            term = partial(self.parse_pred_term, bound)
             args, at = self.parse_args(term, term)
             return PTestPost(args, at) if post else PTest(args, at)
         left = self.parse_pred_term(bound)
