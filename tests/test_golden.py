@@ -1,9 +1,10 @@
 """Byte-for-byte comparison of command line output with stored goldens.
 
 The goldens under tests/golden/ hold the exit code, stdout and stderr
-of `akbl` runs on the bundled corpus and on seeded generated networks,
-so any change to exploration order, state numbering, witnesses or
-export formats shows up as a difference here.
+of `akbl` runs on the bundled corpus, on seeded generated networks and
+on seeded token-level mutations of the corpus files, so any change to
+exploration order, state numbering, witnesses, export formats or the
+parser's diagnostics shows up as a difference here.
 
 Regenerate them, only when an output change is intended, with
 
