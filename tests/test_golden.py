@@ -30,6 +30,10 @@ OBLS = sorted(p.name for p in CORPUS.iterdir() if p.name.endswith(".obl"))
 GEN_SEEDS = range(50)
 WIDE_SEEDS = range(50, 70)      # each with extra processes: larger spaces
 STATIC_SEEDS = range(1000, 1400)
+# networks whose policies test changing tuples, with obligations drawn
+# from their own actions and data: constraints and value sets of more
+# than one value
+STATIC_FAMILY_SEEDS = range(150)
 # the certifier's own output: JSON with the abstract policy values, and text
 STATIC_MODES = {
     "json": ["--mode", "static", "--json", "--explain-denied"],
@@ -134,6 +138,13 @@ def _static_inputs():
         net = gen.gen_small_net(rng)
         obl = gen.gen_obligation_for(rng, net)
         yield f"seed {seed}", render_net(net), render_obligation(obl)
+    for family in (gen.gen_guarded_net, gen.gen_ward_net):
+        for seed in STATIC_FAMILY_SEEDS:
+            rng = random.Random(seed)
+            net = family(rng)
+            obl = gen.gen_obligation_from_net(rng, net)
+            yield (f"{family.__name__} seed {seed}", render_net(net),
+                   render_obligation(obl))
 
 
 def _static_cases(inputs):
