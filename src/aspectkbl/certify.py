@@ -29,20 +29,24 @@ does the set of every policy and predicate.
 When an aspect's trap applies to every firing of the action, its
 condition definitely holds and its recommendation is a ground test
 atom combined into the policy purely by knowledge joins, then the
-action can only fire in states where that test succeeds.  Such atoms
-are collected as constraints and predicates that follow from them
-are certified by entailment.
+action can only fire in states where that test succeeds.  These sure
+atoms, reported as constraints, refine the domain in which the
+action's predicate is read: a `test` of one reads tt.  That is sound
+because policies and `test` read the state before the step, where a
+sure atom holds at every firing.  `test'` reads the state after it,
+which the action itself may change (an in may take the very tuple its
+guard tested), so `test'` is not refined.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
-from .belnap import GRANTS, grant, join_k, members
+from .belnap import GRANTS, LIFTED, members
 from .model import (Action, CAP_LETTER, Const, ETest, Net, Obligation, OUT, IN,
-                    PAnd, PEqual, POr, PTest, PTrue, ReplicationPresent,
-                    Substitution, canonicalize, has_replication, loc_set,
-                    take_actions)
+                    ReplicationPresent, Substitution, canonicalize,
+                    has_replication, loc_set, take_actions)
 from .semantics import (BOTH, FALSE, TRUE, data_index, ground_names,
                         interp_test, numeral, occurs_in, policies_by_location,
                         policy_values, pred_values, truth)
@@ -53,10 +57,28 @@ DENIED = "CertifiedDenied"
 ENTAILED = "CertifiedByEntailment"
 NOT_CERTIFIED = "NotCertified"
 
+ANY = None                   # a location or tuple position of unknown name
 
-def _may_equal(t, name: str) -> bool:
-    # could this template position hold the constant at some point
-    return not isinstance(t, Const) or t.name == name
+
+def _name(t):
+    return t.name if isinstance(t, Const) else ANY
+
+
+def _atom(a) -> tuple:
+    # the (location, tuple) template an action's target and arguments name
+    return _name(a.target), tuple(map(_name, a.args))
+
+
+def _meet(atom, other) -> bool:
+    # may two (location, tuple) templates name the same tuple
+    (at, args), (at2, args2) = atom, other
+    return (len(args) == len(args2) and (at is ANY or at2 is ANY or at == at2)
+            and all(a is ANY or b is ANY or a == b
+                    for a, b in zip(args, args2)))
+
+
+def _meets(atoms, others) -> bool:
+    return any(_meet(a, b) for a in atoms for b in others)
 
 
 class MutationInfo:
@@ -68,32 +90,35 @@ class MutationInfo:
     start and no input may remove it, ff when it is absent and no
     output may add it, and else both.  A term that is not a constant
     stands for a value not known before the run, so an atom over one
-    takes both values, and a refuted occurs-in stays refuted.
+    takes both values, and a refuted occurs-in stays refuted.  The
+    domain `refined` by the sure test atoms of an action reads tt for
+    a `test` of one of them, though not for a `test'`.
     """
 
     exact = False
 
     def __init__(self, net: Net):
         self.initial = data_index(net)      # the tuples present at the start
-        acts = [la.action for la in take_actions(net)]
-        self._outs = [a for a in acts if a.cap == OUT]
-        self._ins = [a for a in acts if a.cap == IN]
+        self.sure = frozenset()             # tuples present at every firing
+        self.actions = take_actions(net)
+        # the (location, tuple) templates the outs and the ins write
+        self._outs = {_atom(la.action) for la in self.actions
+                      if la.action.cap == OUT}
+        self._ins = {_atom(la.action) for la in self.actions
+                     if la.action.cap == IN}
 
-    def _may_touch(self, acts, at: str, values) -> bool:
-        for a in acts:
-            if len(a.args) != len(values):
-                continue
-            if not _may_equal(a.target, at):
-                continue
-            if all(_may_equal(t, v) for t, v in zip(a.args, values)):
-                return True
-        return False
+    def refined(self, atoms) -> "MutationInfo":
+        """The domain at the firings of an action where the test atoms,
+        as `might_grant` collects them, hold."""
+        known = copy.copy(self)
+        known.sure = frozenset((at, values) for _, at, values in atoms)
+        return known
 
     def may_add(self, at: str, values) -> bool:
-        return self._may_touch(self._outs, at, values)
+        return _meets(self._outs, ((at, values),))
 
     def may_remove(self, at: str, values) -> bool:
-        return self._may_touch(self._ins, at, values)
+        return _meets(self._ins, ((at, values),))
 
     def equal(self, left, right) -> int:
         if isinstance(left, Const) and isinstance(right, Const):
@@ -110,6 +135,8 @@ class MutationInfo:
         values = ground_names(args)
         if values is None or not isinstance(at, Const):
             return BOTH
+        if not post and interp_test(values, at.name, self.sure):
+            return TRUE
         if interp_test(values, at.name, self.initial):
             return BOTH if self.may_remove(at.name, values) else TRUE
         return BOTH if self.may_add(at.name, values) else FALSE
@@ -131,48 +158,20 @@ def _test_atom(args, at) -> Optional[tuple]:
 
 @dataclass(frozen=True)
 class MightGrant:
-    can_grant: bool
     constraints: tuple       # test atoms that must hold at any firing
-    values: frozenset        # every truth value this side may produce
+    values: int              # the set of every value this side may produce
 
 
-def might_grant(pol, act, net: Net, mut: Optional[MutationInfo] = None) -> MightGrant:
-    """Abstract verdict of one policy side for a located action:
-    whether it could ever let the action fire, which test atoms are
-    guaranteed at any firing, and the set of values it may take."""
-    if mut is None:
-        mut = MutationInfo(net)
+def might_grant(pol, act, mut: MutationInfo) -> MightGrant:
+    """Abstract verdict of one policy side for a located action: the
+    test atoms guaranteed at any firing, and the set of values it may
+    take."""
     sure: list = []
     values = policy_values(pol, act.source, act.action, act.continuation, mut,
                            sure)
     constraints = tuple(filter(None, (_test_atom(e.args, e.at) for e in sure
                                       if isinstance(e, ETest))))
-    return MightGrant(bool(values & GRANTS), constraints, members(values))
-
-
-# ---------------------------------------------------------------------------
-# static predicate truth
-
-def static_pred(pred, mut: MutationInfo, domain):
-    """Kleene pair (definitely true, possibly true) over every
-    reachable transition the enclosing action could produce; domain
-    holds the location constants of the network."""
-    values = pred_values(pred, mut, domain)
-    return not values & FALSE, bool(values & TRUE)
-
-
-def entailed(pred, atoms: set) -> bool:
-    """Does the predicate follow from the collected constraint atoms."""
-    if isinstance(pred, PTrue):
-        return True
-    if isinstance(pred, PAnd):
-        return entailed(pred.left, atoms) and entailed(pred.right, atoms)
-    if isinstance(pred, POr):
-        return entailed(pred.left, atoms) or entailed(pred.right, atoms)
-    if isinstance(pred, PEqual):
-        return (isinstance(pred.left, Const) and isinstance(pred.right, Const)
-                and pred.left.name == pred.right.name)
-    return isinstance(pred, PTest) and _test_atom(pred.args, pred.at) in atoms
+    return MightGrant(constraints, values)
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +193,10 @@ class StaticVerdict:
     actions: tuple
 
 
-def check_single_action(obl: Obligation, net: Net, act,
-                        pols: Optional[dict] = None,
-                        mut: Optional[MutationInfo] = None,
-                        domain: Optional[list] = None) -> ActionReport:
-    if pols is None:
-        pols = policies_by_location(net)
-    if mut is None:
-        mut = MutationInfo(net)
-    if domain is None:
-        domain = sorted(loc_set(net))
+def check_single_action(obl: Obligation, act, pols: dict, mut: MutationInfo,
+                        domain: list) -> ActionReport:
+    """Judge one located action; pols maps each location to its policy
+    and domain holds the location constants of the network."""
     if CAP_LETTER[act.action.cap] != obl.cut.cap:
         return ActionReport(act.source, act.action, IRRELEVANT)
     th0 = findsubs(extract(obl.cut), extract(act))
@@ -217,20 +210,17 @@ def check_single_action(obl: Obligation, net: Net, act,
         # entries are never created at fresh locations, so an action
         # aimed at a location without one can never fire
         return ActionReport(act.source, act.action, IRRELEVANT, th0)
-    src = might_grant(act.policy, act0, net, mut)
-    tgt_side = might_grant(pols[tgt.name], act0, net, mut)
-    combined = {join_k(a, b) for a in src.values for b in tgt_side.values}
+    src = might_grant(act.policy, act0, mut)
+    tgt_side = might_grant(pols[tgt.name], act0, mut)
     sides = (src.values, tgt_side.values)
-    if not any(grant(v) for v in combined):
+    if not LIFTED["oplus"][src.values][tgt_side.values] & GRANTS:
         return ActionReport(act.source, act.action, DENIED, th0,
                             side_values=sides)
-    pred0 = th0.apply_pred(obl.pred)
     constraints = src.constraints + tgt_side.constraints
-    if static_pred(pred0, mut, domain)[0] \
-            or entailed(pred0, set(constraints)):
-        return ActionReport(act.source, act.action, ENTAILED, th0,
-                            constraints=constraints, side_values=sides)
-    return ActionReport(act.source, act.action, NOT_CERTIFIED, th0,
+    values = pred_values(th0.apply_pred(obl.pred), mut.refined(constraints),
+                         domain)
+    return ActionReport(act.source, act.action,
+                        NOT_CERTIFIED if values & FALSE else ENTAILED, th0,
                         constraints=constraints, side_values=sides)
 
 
@@ -241,11 +231,10 @@ def check_network(net: Net, obl: Obligation) -> StaticVerdict:
         raise ReplicationPresent(
             "replication is outside the checkable fragment")
     net = canonicalize(net)
-    pols = policies_by_location(net)
     mut = MutationInfo(net)
-    domain = sorted(loc_set(net))
-    reports = tuple(check_single_action(obl, net, act, pols, mut, domain)
-                    for act in take_actions(net))
+    pols, domain = policies_by_location(net), sorted(loc_set(net))
+    reports = tuple(check_single_action(obl, act, pols, mut, domain)
+                    for act in mut.actions)
     certified = all(r.outcome != NOT_CERTIFIED for r in reports)
     return StaticVerdict(certified, reports)
 
@@ -269,7 +258,7 @@ def report_json(report: StaticVerdict, explain: bool = False) -> dict:
         entry["constraints"] = [constraint_text(c) for c in r.constraints]
         if explain and r.side_values:
             src, tgt = r.side_values
-            entry["source_values"] = sorted(v.text for v in src)
-            entry["target_values"] = sorted(v.text for v in tgt)
+            entry["source_values"] = sorted(v.text for v in members(src))
+            entry["target_values"] = sorted(v.text for v in members(tgt))
         actions.append(entry)
     return {"certified": report.certified, "actions": actions}

@@ -18,10 +18,11 @@ import random
 import sys
 from pathlib import Path
 
-from .certify import check_network, report_json
+from .belnap import members
+from .certify import check_network, constraint_text, report_json
 from .exhaustive import Verdict, sat_obl
 from .model import AkblError, Net, validate
-from .parser import (ParseError, parse_net, parse_obligation,
+from .parser import (ParseError, parse_net, parse_obligation, render_action,
                      render_obligation, render_pred)
 from .semantics import (Interner, build_lts, dot_export, json_export,
                         net_text, step_candidates)
@@ -64,18 +65,16 @@ def _verdict_json(v: Verdict) -> dict:
 
 def _print_static(report, explain: bool):
     for r in report.actions:
-        from .parser import render_action
         print(f"{r.outcome} {r.source}: {render_action(r.action)}")
         if r.theta0 is not None and r.theta0.pairs:
             print(f"  with {r.theta0!r}")
         if r.constraints:
-            from .certify import constraint_text
             atoms = ", ".join(constraint_text(c) for c in r.constraints)
             print(f"  constraints: {atoms}")
         if explain and r.side_values:
-            src, tgt = r.side_values
-            print(f"  source may evaluate to {{{', '.join(sorted(v.text for v in src))}}}"
-                  f", target to {{{', '.join(sorted(v.text for v in tgt))}}}")
+            src, tgt = (", ".join(sorted(v.text for v in members(s)))
+                        for s in r.side_values)
+            print(f"  source may evaluate to {{{src}}}, target to {{{tgt}}}")
     print(f"certified: {'yes' if report.certified else 'no'}")
 
 

@@ -23,24 +23,23 @@ visibility: a step is visible only if it instantiates an action that
 `check_network` reports NotCertified.  So a "holds" from `sat_obl` is
 only as sound as the certifier, and `check_lts` over the whole
 transition system, which trusts nothing of it, is the check to test
-the certifier against.  What each action reads and
-writes is worked out from the action templates and the policies that
-judge them.  The reduced graph keeps a violation whenever the whole
-one has one, but not the shortest path to it, so it answers only
-"holds"; for a violation the unreduced search runs and gives the
-witness.
+the certifier against.  What each action reads and writes is worked
+out from the action templates and the policies that judge them.  The
+reduced graph keeps a violation whenever the whole one has one, but
+not the shortest path to it, so it answers only "holds"; for a
+violation the unreduced search runs and gives the witness.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .certify import NOT_CERTIFIED, check_network
-from .model import (IN, NIL, OUT, READ, Const, EvaluationError, Label,
-                    LabelPattern, LimitExceeded, LocatedAction, Net, NetEntry,
-                    Obligation, PAnd, PExists, PForall, PNot, POr,
-                    Substitution, canonicalize, has_replication, loc_set,
-                    take_actions)
+from .certify import (ANY, NOT_CERTIFIED, _atom, _meet, _meets, _name,
+                      check_network)
+from .model import (IN, NIL, OUT, READ, EvaluationError, Label, LabelPattern,
+                    LimitExceeded, Net, NetEntry, Obligation, PAnd, PExists,
+                    PForall, PNot, POr, Substitution, has_replication,
+                    loc_set, take_actions)
 from .semantics import (BOTH, LTS, TRUE, StateDomain, build_lts, data_index,
                         policies_by_location, policy_values, pred_values)
 from .unification import extract, findsubs
@@ -157,10 +156,11 @@ def sat_obl(net: Net, obl: Obligation, max_states: int = 100000,
     discovers it, stopping at the first violation.
 
     When the obligation and the network allow it, a reduced search
-    runs first (see `Reduction`).  The reduced search answers only when the obligation holds.  When it
-    finds a violation, raises an EvaluationError or exceeds a limit,
-    the unreduced search runs and answers, with the witness a search of
-    the whole transition system finds first.
+    runs first (see `Reduction`).  The reduced search answers only
+    when the obligation holds.  When it finds a violation, raises an
+    EvaluationError or exceeds a limit, the unreduced search runs and
+    answers, with the witness a search of the whole transition system
+    finds first.
     """
     ample = Reduction.of(net, obl)
     if ample is not None:
@@ -175,30 +175,6 @@ def sat_obl(net: Net, obl: Obligation, max_states: int = 100000,
 
 # ---------------------------------------------------------------------------
 # partial-order reduction
-
-ANY = None                   # a location or tuple position of unknown name
-
-
-def _name(t):
-    return t.name if isinstance(t, Const) else ANY
-
-
-def _atom(a) -> tuple:
-    # the (location, tuple) template an action's target and arguments name
-    return _name(a.target), tuple(map(_name, a.args))
-
-
-def _meet(atom, other) -> bool:
-    # may two (location, tuple) templates name the same tuple
-    (at, args), (at2, args2) = atom, other
-    return (len(args) == len(args2) and (at is ANY or at2 is ANY or at == at2)
-            and all(a is ANY or b is ANY or a == b
-                    for a, b in zip(args, args2)))
-
-
-def _meets(atoms, others) -> bool:
-    return any(_meet(a, b) for a in atoms for b in others)
-
 
 class TestReads:
     """A value domain that gives every leaf both truth values and notes
@@ -300,7 +276,6 @@ class Reduction:
         policy when its first entry goes."""
         if has_replication(net) or _quantified(obl.pred):
             return None
-        net = canonicalize(net)
         pols = policies_by_location(net)
         if any(e.policy != pols[e.location] for e in net.entries):
             return None

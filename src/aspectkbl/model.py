@@ -85,7 +85,6 @@ def subst_key(t: Term) -> str:
 # actions and processes
 
 OUT, IN, READ = "out", "in", "read"
-CAPS = (OUT, IN, READ)
 CAP_LETTER = {OUT: "o", IN: "i", READ: "r"}
 LETTER_CAP = {v: k for k, v in CAP_LETTER.items()}
 
@@ -216,8 +215,6 @@ class AspectPol:
 
 
 Policy = Union[TruePol, FalsePol, NotPol, CombinePol, AspectPol]
-
-TRUE_POL = TruePol()
 
 
 # ---------------------------------------------------------------------------

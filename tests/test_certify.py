@@ -4,23 +4,22 @@ from collections import Counter
 
 import pytest
 
-from aspectkbl import (BOT, FF, TT, ReplicationPresent, build_lts,
+from aspectkbl import (BOT, TT, ReplicationPresent, build_lts,
                        canonicalize, check_network, check_single_action,
                        corpus_path, eval_policy, might_grant, parse_net,
                        parse_obligation, parse_policy, report_json, semantics,
                        take_actions)
+from aspectkbl.belnap import GRANTS, members
 from aspectkbl.certify import (DENIED, ENTAILED, IRRELEVANT, NOT_CERTIFIED,
-                               MutationInfo, static_pred)
-from aspectkbl.model import (BindVar, Const, LocatedAction, Net, NetEntry,
-                             Repl, Sum, TruePol, loc_set)
-from aspectkbl.semantics import policies_by_location
+                               MutationInfo)
+from aspectkbl.model import (BindVar, LocatedAction, Net, NetEntry, Repl, Sum,
+                             TruePol, loc_set)
+from aspectkbl.semantics import (BOTH, BOTTOM, FALSE, TRUE,
+                                 policies_by_location, pred_values)
 from aspectkbl.unification import extract, findsubs
 import corpusio
 import gen
 import oracles
-
-BOTH = frozenset((TT, FF))
-
 
 def located(net, source, cap):
     acts = [a for a in take_actions(net)
@@ -58,34 +57,35 @@ def one_action_net(policy_src):
 
 def test_might_grant_constants_and_missed_cuts():
     net = one_action_net("true")
-    act = located(net, "A", "out")
-    g = might_grant(parse_policy("true"), act, net)
-    assert (g.can_grant, g.constraints, g.values) == (True, (), frozenset((TT,)))
-    g = might_grant(parse_policy("false"), act, net)
-    assert (g.can_grant, g.values) == (False, frozenset((FF,)))
+    act, mut = located(net, "A", "out"), MutationInfo(net)
+    g = might_grant(parse_policy("true"), act, mut)
+    assert (g.constraints, g.values) == ((), TRUE)
+    assert g.values & GRANTS
+    g = might_grant(parse_policy("false"), act, mut)
+    assert g.values == FALSE and not g.values & GRANTS
     # a trap for reads says nothing about an out, and silence grants
     g = might_grant(parse_policy("[true if #u :: read(_)@B . X : true]"),
-                    act, net)
-    assert (g.can_grant, g.values) == (True, frozenset((BOT,)))
+                    act, mut)
+    assert g.values == BOTTOM and g.values & GRANTS
 
 
 def test_might_grant_conditions_gate_the_trap():
     net = one_action_net("true")
-    act = located(net, "A", "out")
+    act, mut = located(net, "A", "out"), MutationInfo(net)
     down = parse_policy("[false if #u :: out(_, _)@B . X : k = v]")
-    assert might_grant(down, act, net).values == frozenset((BOT,))
+    assert might_grant(down, act, mut).values == BOTTOM
     up = parse_policy("[false if #u :: out(_, _)@B . X : Bob = Bob]")
-    assert might_grant(up, act, net).values == frozenset((FF,))
+    assert might_grant(up, act, mut).values == FALSE
 
 
 def test_might_grant_collects_unconditional_ground_tests():
     net = one_action_net("true")
     act = located(net, "A", "out")
     pol = parse_policy("[test(Doctor, #u)@R if #u :: out(_, _)@B . X : true]")
-    g = might_grant(pol, act, net)
+    g = might_grant(pol, act, MutationInfo(net))
     assert g.constraints == (("test", "R", ("Doctor", "A")),)
     # the tuple is present and nothing can remove it
-    assert g.values == frozenset((TT,))
+    assert g.values == TRUE
 
 
 def test_might_grant_withholds_constraints_from_partial_traps():
@@ -95,9 +95,9 @@ def test_might_grant_withholds_constraints_from_partial_traps():
                     "|| B ::[true] <seed> || R ::[true] <Doctor, A>")
     out_act = [a for a in take_actions(net) if a.action.cap == "out"][0]
     pol = parse_policy("[test(Doctor, #u)@R if #u :: out(k)@B . X : true]")
-    g = might_grant(pol, out_act, net)
+    g = might_grant(pol, out_act, MutationInfo(net))
     assert g.constraints == ()
-    assert BOT in g.values and TT in g.values
+    assert BOT in members(g.values) and TT in members(g.values)
 
 
 def test_might_grant_conditions_must_hold_to_constrain():
@@ -109,27 +109,27 @@ def test_might_grant_conditions_must_hold_to_constrain():
     # not guaranteed and only widens the value set
     pol = parse_policy(
         "[test(Doctor, #u)@R if #u :: out(_)@B . X : test(flag)@B]")
-    g = might_grant(pol, act, net)
+    g = might_grant(pol, act, MutationInfo(net))
     assert g.constraints == ()
-    assert g.values == frozenset((TT, BOT))
+    assert g.values == TRUE | BOTTOM
 
 
 def test_might_grant_negation_discards_constraints():
     net = one_action_net("true")
-    act = located(net, "A", "out")
+    act, mut = located(net, "A", "out"), MutationInfo(net)
     pol = parse_policy("not [test(Doctor, #u)@R if #u :: out(_, _)@B . X : true]")
-    g = might_grant(pol, act, net)
+    g = might_grant(pol, act, mut)
     assert g.constraints == ()
-    assert g.values == frozenset((FF,))     # a sure tt flips under negation
+    assert g.values == FALSE                # a sure tt flips under negation
 
     # otimes is not a pure knowledge join, so constraints are dropped too
     pair = parse_policy(
         "[test(Doctor, #u)@R if #u :: out(_, _)@B . X : true] otimes true")
-    assert might_grant(pair, act, net).constraints == ()
+    assert might_grant(pair, act, mut).constraints == ()
     both = parse_policy(
         "[test(Doctor, #u)@R if #u :: out(_, _)@B . X : true] oplus "
         "[test(seed)@B if #u :: out(_, _)@B . X : true]")
-    g = might_grant(both, act, net)
+    g = might_grant(both, act, mut)
     assert g.constraints == (("test", "R", ("Doctor", "A")),
                              ("test", "B", ("seed",)))
 
@@ -137,13 +137,13 @@ def test_might_grant_negation_discards_constraints():
 def test_might_grant_occurs_in_refutation():
     net = parse_net("A ::[true] out(k)@B . in(stop)@A . 0\n"
                     "|| B ::[true] <seed>")
-    act = located(net, "A", "out")
+    act, mut = located(net, "A", "out"), MutationInfo(net)
     hit = parse_policy(
         "[in(stop)@A occurs-in X if #u :: out(_)@B . X : true]")
-    assert might_grant(hit, act, net).values == BOTH
+    assert might_grant(hit, act, mut).values == BOTH
     miss = parse_policy(
         "[in(go)@A occurs-in X if #u :: out(_)@B . X : true]")
-    assert might_grant(miss, act, net).values == frozenset((FF,))
+    assert might_grant(miss, act, mut).values == FALSE
 
 
 def test_static_pred_respects_future_removals():
@@ -151,13 +151,11 @@ def test_static_pred_respects_future_removals():
     mut = MutationInfo(net)
     dom = sorted(loc_set(net))
     pred = parse_obligation("AG [$u : r(_)@R] test(Doctor, H)@R").pred
-    must, may = static_pred(pred, mut, dom)
-    assert (must, may) == (False, True)
+    assert pred_values(pred, mut, dom) == BOTH
 
     frozen = parse_net("R ::[true] <Doctor, H>")
-    must, may = static_pred(pred, MutationInfo(frozen),
-                            sorted(loc_set(frozen)))
-    assert (must, may) == (True, True)
+    assert pred_values(pred, MutationInfo(frozen),
+                       sorted(loc_set(frozen))) == TRUE
 
 
 def test_single_action_outcomes_on_the_record_store():
@@ -182,14 +180,47 @@ def test_entailment_by_constraint_when_truth_may_change():
         "|| H ::[true] read(secret)@E . 0\n"
         "|| Z ::[true] in(!a, !b)@R . 0")
     obl = parse_obligation("AG [$u : r(_)@E] test(Doctor, $u)@R")
-    act = located(net, "H", "read")
-    report = check_single_action(obl, net, act)
+    act, mut = located(net, "H", "read"), MutationInfo(net)
+    domain = sorted(loc_set(net))
+    report = check_single_action(obl, act, policies_by_location(net), mut,
+                                 domain)
     assert report.outcome == ENTAILED
     assert report.constraints == (("test", "R", ("Doctor", "H")),)
-    # route A alone would not certify this
+    # the unrefined domain alone would not certify this
     pred0 = report.theta0.apply_pred(obl.pred)
-    mut = MutationInfo(net)
-    assert not static_pred(pred0, mut, sorted(loc_set(net)))[0]
+    assert pred_values(pred0, mut, domain) == BOTH
+    # one conjunct follows from the store's trap, the other from the
+    # tuple no action can take: only the refined domain reads both
+    net = parse_net(
+        "ROLES ::[true] <Doctor, Ann>\n"
+        "|| Admin ::[true] in(Doctor, Ann)@ROLES . 0\n"
+        "|| Ann ::[true] read(Notes, !c)@Store . 0\n"
+        "|| Store ::[[test(Doctor, #u)@ROLES if #u :: read(Notes, _)@Store"
+        " . X : true]] <Notes, n1>")
+    obl = parse_obligation("AG [$u : r(Notes, _)@Store] test(Doctor, $u)@ROLES"
+                           " and test'(Notes, n1)@Store")
+    verdict = check_network(net, obl)
+    assert [r.outcome for r in verdict.actions
+            if r.source == "Ann"] == [ENTAILED]
+    assert verdict.certified
+    assert oracles.check_whole(net, obl).holds
+
+
+def test_sure_atoms_refine_test_but_not_test_post():
+    # the store's trap makes the in fire only while <Doctor, H> is
+    # there, but the in itself takes that tuple
+    net = parse_net("R ::[[test(Doctor, H)@R if #u :: in(Doctor, H)@R . X"
+                    " : true]] <Doctor, H>\n"
+                    "|| Z ::[true] in(Doctor, H)@R . 0")
+    before = parse_obligation("AG [$u : i(Doctor, H)@R] test(Doctor, H)@R")
+    assert check_network(net, before).certified
+    assert oracles.check_whole(net, before).holds
+    after = parse_obligation("AG [$u : i(Doctor, H)@R] test'(Doctor, H)@R")
+    report, = [r for r in check_network(net, after).actions
+               if r.source == "Z"]
+    assert report.outcome == NOT_CERTIFIED
+    assert report.constraints == (("test", "R", ("Doctor", "H")),)
+    assert not oracles.check_whole(net, after).holds
 
 
 def test_uncertified_action_on_the_open_store():
@@ -320,12 +351,12 @@ def test_policy_values_are_sound_per_side():
     nets += [gen.gen_small_net(random.Random(seed)) for seed in range(300)]
     checked, unsound = 0, []
     for net in map(canonicalize, nets):
-        pols = policies_by_location(net)
+        pols, mut = policies_by_location(net), MutationInfo(net)
         for act in _branches(net, pols):
             for pol in (act.policy, pols[act.action.target.name]):
                 checked += 1
                 if eval_policy(pol, act, net) \
-                        not in might_grant(pol, act, net).values:
+                        not in members(might_grant(pol, act, mut).values):
                     unsound.append((net, act, pol))
     assert checked > 1000
     assert unsound == []
@@ -358,8 +389,8 @@ def test_policy_values_are_sound_in_every_reachable_state():
                     value = eval_policy(pol, act, state)
                     for origin in origins:
                         checked[family] += 1
-                        if value not in might_grant(pol, origin, net,
-                                                    mut).values:
+                        if value not in members(
+                                might_grant(pol, origin, mut).values):
                             unsound.append((net, state, act, pol))
     assert checked[gen.gen_guarded_net] > 10000
     assert checked[gen.gen_ward_net] > 20000
