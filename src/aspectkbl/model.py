@@ -8,6 +8,8 @@ they are always ground.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Union
 
 
@@ -315,6 +317,13 @@ class NetEntry:
     def is_data(self) -> bool:
         return isinstance(self.body, tuple)
 
+    @cached_property
+    def sort_key(self) -> tuple:
+        """The total syntactic order of canonical forms, rendered once
+        per entry object: (location, kind, body text, policy text)."""
+        kind = "data" if self.is_data() else "proc"
+        return (self.location, kind, repr(self.body), repr(self.policy))
+
 
 @dataclass(frozen=True)
 class Net:
@@ -504,12 +513,6 @@ def split_entry(loc: str, pol: Policy, body, out: list):
         out.append(NetEntry(loc, pol, body))
 
 
-def entry_sort_key(e: NetEntry):
-    """The total syntactic order of canonical forms."""
-    kind = "data" if e.is_data() else "proc"
-    return (e.location, kind, repr(e.body), repr(e.policy))
-
-
 def drop_nils(items: list, group, is_nil) -> list:
     """The nil rule: keep a nil item only while no other item of its
     group (location and policy) is kept, and then only its first."""
@@ -536,10 +539,13 @@ def canonicalize(net: Net) -> Net:
     """
     flat: list = []
     for e in net.entries:
-        split_entry(e.location, e.policy, e.body, flat)
-    kept = drop_nils(flat, lambda e: (e.location, repr(e.policy)),
+        if isinstance(e.body, Par):
+            split_entry(e.location, e.policy, e.body, flat)
+        else:
+            flat.append(e)      # the same object, so its key is rendered once
+    kept = drop_nils(flat, lambda e: (e.location, e.sort_key[3]),
                      lambda e: isinstance(e.body, Nil))
-    kept.sort(key=entry_sort_key)
+    kept.sort(key=attrgetter("sort_key"))
     return Net(tuple(kept))
 
 

@@ -9,6 +9,11 @@ files hold a single AG [label-pattern] predicate form.  $-variables
 belong to obligations, #-variables to aspects, !x binds in input and
 read templates and _ is the pattern wildcard.  // starts a comment.
 
+One regular expression, _TOKEN, lexes: it splits each line into
+(blanks, token or error) matches, so the lexer runs Python code per
+token, not per character.  Input is ASCII; any other character is a
+stray character.
+
 One precedence table, _PREC, orders the binary operators of policies,
 rec/cond expressions and obligation predicates.  The parser reads it
 in its one infix rule and the renderer in its one binary renderer, so
@@ -18,8 +23,10 @@ The full grammar is documented in docs/grammar.md.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+import string
 from functools import partial
+from typing import NamedTuple
 
 from .model import (Action, Aspect, AspectPol, BindVar, CombinePol, Const,
                     Cut, Diagnostic, EBin, EEqual, EFalse, ENot, EOccursIn,
@@ -45,9 +52,6 @@ KEYWORDS = {"out", "in", "read", "test", "AG", "forall", "exists", "true",
             "false", "not", "and", "or", "oplus", "otimes", "implies",
             "pref", "if"}
 
-_PUNCT2 = ("||", "::", ">=")
-_PUNCT1 = "|+*:.,()<>[]@!_='"
-
 # The binary operators of policies, expressions and predicates, from
 # loosest to tightest.  All associate to the left except implies.
 # Quantifiers (predicates only) bind looser than any of them, `not`
@@ -63,8 +67,7 @@ _PRED = {"not": PNot, "or": POr, "and": PAnd}
 _CAPS = ("out", "in", "read")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str                # ident, number, kw, dollar, hash, occursin,
                              # punctuation text, or eof
     text: str
@@ -72,100 +75,49 @@ class Token:
     col: int
 
 
+# The blanks before one token of a line, then either the token or text
+# that is no token: a comment, an underscore name or a stray character.
+# Input is ASCII, so \w is [A-Za-z0-9_].
+_TOKEN = re.compile(r"""([ \t\r]*)(?:
+    (occurs-in(?!\w) | [A-Za-z]\w* | [0-9]+ | [$\#][A-Za-z]\w*
+     | \|\| | :: | >= | [|+*:.,()<>\[\]@!='] | _(?!\w))
+  | (//.* | _\w+ | .))""", re.ASCII | re.VERBOSE)
+
+# A token's kind by its text, else by its first character.
+_KIND = {**dict.fromkeys(KEYWORDS, "kw"), "occurs-in": "occursin",
+         **{p: p for p in ("||", "::", ">=", *"|+*:.,()<>[]@!=_'")}}
+_KIND_BY_FIRST = {**dict.fromkeys(string.ascii_letters, "ident"),
+                  **dict.fromkeys(string.digits, "number"),
+                  "$": "dollar", "#": "hash"}
+
+
 def _lex(src: str, diags: list) -> list:
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def push(kind, text, l, c):
-        toks.append(Token(kind, text, l, c))
-
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start_l, start_c = line, col
-        if src.startswith("occurs-in", i):
-            after = i + len("occurs-in")
-            if after >= n or not (src[after].isalnum() or src[after] == "_"):
-                push("occursin", "occurs-in", start_l, start_c)
-                i = after
-                col += len("occurs-in")
-                continue
-        if ch.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            push("kw" if word in KEYWORDS else "ident", word, start_l, start_c)
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            push("number", src[i:j], start_l, start_c)
-            col += j - i
-            i = j
-            continue
-        if ch in "$#":
-            j = i + 1
-            if j < n and src[j].isalpha():
-                while j < n and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                kind = "dollar" if ch == "$" else "hash"
-                push(kind, src[i:j], start_l, start_c)
-                col += j - i
-                i = j
-                continue
-            diags.append(Diagnostic("error", f"expected a name after {ch}",
-                                    start_l, start_c))
-            i += 1
-            col += 1
-            continue
-        two = src[i:i + 2]
-        if two in _PUNCT2:
-            push(two, two, start_l, start_c)
-            i += 2
-            col += 2
-            continue
-        if ch == "_":
-            j = i + 1
-            if j < n and (src[j].isalnum() or src[j] == "_"):
-                diags.append(Diagnostic("error",
-                                        "names may not start with an underscore",
-                                        start_l, start_c))
-                while j < n and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                col += j - i
-                i = j
-                continue
-            push("_", "_", start_l, start_c)
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT1:
-            push(ch, ch, start_l, start_c)
-            i += 1
-            col += 1
-            continue
-        diags.append(Diagnostic("error", f"stray character {ch!r}",
-                                start_l, start_c))
-        i += 1
-        col += 1
-    toks.append(Token("eof", "", line, col))
+    push, kind_of = toks.append, _KIND.get
+    # tuple.__new__ builds a Token without the __new__ that NamedTuple
+    # writes in Python, at less than half the cost
+    new = tuple.__new__
+    for line_no, line in enumerate(src.split("\n"), 1):
+        col = 1
+        # with no trailing blanks, a match follows every run of blanks
+        for blank, text, bad in _TOKEN.findall(line.rstrip(" \t\r")):
+            col += len(blank)
+            if text:
+                kind = kind_of(text) or _KIND_BY_FIRST[text[0]]
+                push(new(Token, (kind, text, line_no, col)))
+            elif bad[0] == "_":
+                diags.append(Diagnostic(
+                    "error", "names may not start with an underscore",
+                    line_no, col))
+            elif not bad.startswith("//"):
+                msg = (f"expected a name after {bad}" if bad in "$#"
+                       else f"stray character {bad!r}")
+                diags.append(Diagnostic("error", msg, line_no, col))
+            col += len(text or bad)
+    # after a trailing comment, end of input sits where the comment starts
+    comment = line.find("//")
+    eof_col = comment + 1 if comment >= 0 else len(line) + 1
+    push(Token("eof", "", line_no, eof_col))
     return toks
 
 

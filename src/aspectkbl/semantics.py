@@ -82,7 +82,7 @@ from .model import (Action, AspectPol, BindVar, CAP_LETTER, CombinePol, Const,
                     NetEntry, Nil, NotPol, PAnd, PEqual, PExists, PFalse,
                     PForall, PGeq, PNot, POr, PTest, PTestPost, PTrue,
                     Process, ReplicationPresent, Substitution, Sum,
-                    TruePol, Wildcard, drop_nils, entry_consts, entry_sort_key,
+                    TruePol, Wildcard, drop_nils, entry_consts,
                     has_replication, process_actions, split_entry)
 from .unification import findsubs
 
@@ -148,7 +148,10 @@ def ground_names(terms) -> Optional[tuple]:
 
 
 def numeral(t) -> Optional[int]:
-    return int(t.name) if isinstance(t, Const) and t.name.isdigit() else None
+    """The value of a constant written in ASCII digits, else None."""
+    if isinstance(t, Const) and t.name.isascii() and t.name.isdigit():
+        return int(t.name)
+    return None
 
 
 def truth(b: bool) -> int:
@@ -389,7 +392,7 @@ class Interner:
         i = self._ids.get(e)
         if i is None:
             i = self._ids[e] = len(self.entries)
-            key = entry_sort_key(e)
+            key = e.sort_key
             self.entries.append(e)
             self.keys.append(key)
             self.locations.append(e.location)

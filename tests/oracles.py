@@ -7,6 +7,8 @@ compare the implementation tables against themselves.
 """
 from aspectkbl import (BOT, TT, FF, TOP, VALUES, build_lts, check_lts,
                        enabled_steps)
+from aspectkbl.model import Diagnostic
+from aspectkbl.parser import KEYWORDS, Token
 
 # knowledge order: bot below tt and ff, both below top
 _K_HASSE = {("bot", "tt"), ("bot", "ff"), ("tt", "top"), ("ff", "top")}
@@ -119,3 +121,106 @@ def check_whole(net, obl, **limits):
     static certifier's word on which steps are visible, so this, not
     `sat_obl`, is the oracle the certifier is tested against."""
     return check_lts(build_lts(net, **limits), obl)
+
+
+# The character-by-character lexer the one-pattern lexer replaced, kept
+# as the reference that `parser._lex` must agree with on ASCII input.
+_PUNCT2 = ("||", "::", ">=")
+_PUNCT1 = "|+*:.,()<>[]@!_='"
+
+
+def reference_lex(src: str, diags: list) -> list:
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+
+    def push(kind, text, l, c):
+        toks.append(Token(kind, text, l, c))
+
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("//", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        start_l, start_c = line, col
+        if src.startswith("occurs-in", i):
+            after = i + len("occurs-in")
+            if after >= n or not (src[after].isalnum() or src[after] == "_"):
+                push("occursin", "occurs-in", start_l, start_c)
+                i = after
+                col += len("occurs-in")
+                continue
+        if ch.isalpha():
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            word = src[i:j]
+            push("kw" if word in KEYWORDS else "ident", word, start_l, start_c)
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            push("number", src[i:j], start_l, start_c)
+            col += j - i
+            i = j
+            continue
+        if ch in "$#":
+            j = i + 1
+            if j < n and src[j].isalpha():
+                while j < n and (src[j].isalnum() or src[j] == "_"):
+                    j += 1
+                kind = "dollar" if ch == "$" else "hash"
+                push(kind, src[i:j], start_l, start_c)
+                col += j - i
+                i = j
+                continue
+            diags.append(Diagnostic("error", f"expected a name after {ch}",
+                                    start_l, start_c))
+            i += 1
+            col += 1
+            continue
+        two = src[i:i + 2]
+        if two in _PUNCT2:
+            push(two, two, start_l, start_c)
+            i += 2
+            col += 2
+            continue
+        if ch == "_":
+            j = i + 1
+            if j < n and (src[j].isalnum() or src[j] == "_"):
+                diags.append(Diagnostic("error",
+                                        "names may not start with an underscore",
+                                        start_l, start_c))
+                while j < n and (src[j].isalnum() or src[j] == "_"):
+                    j += 1
+                col += j - i
+                i = j
+                continue
+            push("_", "_", start_l, start_c)
+            i += 1
+            col += 1
+            continue
+        if ch in _PUNCT1:
+            push(ch, ch, start_l, start_c)
+            i += 1
+            col += 1
+            continue
+        diags.append(Diagnostic("error", f"stray character {ch!r}",
+                                start_l, start_c))
+        i += 1
+        col += 1
+    toks.append(Token("eof", "", line, col))
+    return toks

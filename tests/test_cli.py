@@ -233,6 +233,22 @@ def test_input_errors_exit_three(capsys, tmp_path):
     assert "location A carries inconsistent policies" in err
 
 
+
+def test_non_ascii_input_is_a_positioned_error(capsys, tmp_path):
+    # input is ASCII: a digit or letter beyond it is a stray character,
+    # never a number or a name, in every mode
+    obl = tmp_path / "geq.obl"
+    obl.write_text("AG [A : o(K, $v)@A] $v >= 1\n")
+    net = tmp_path / "net.akbl"
+    for char in ("\u00b2", "\u00e9"):
+        net.write_text(f"A ::[true] out(K, {char})@A . 0\n", encoding="utf-8")
+        for mode in ("static", "exhaustive", "auto"):
+            rc, out, err = run(capsys, "check", str(net), str(obl),
+                               "--mode", mode)
+            assert rc == 3 and out == "", (char, mode)
+            assert err.startswith(f"1:19: error: stray character '{char}'")
+            assert "internal error" not in err
+
 def test_usage_errors_exit_three_and_help_exits_zero(capsys):
     # exit 2 means "the static certifier could not decide", never a usage error
     for argv in (("check", WITH), ("check", WITH, EQ1, "--mode", "bogus"),

@@ -6,7 +6,7 @@ from aspectkbl.model import (Action, Const, BindVar, Net, NetEntry, NIL, Par,
                              TruePol, FalsePol, Var, WILDCARD, canonicalize,
                              has_replication, loc_set, subst_key,
                              take_actions, validate)
-from aspectkbl import parse_net, parse_policy
+from aspectkbl import corpus_path, parse_net, parse_policy
 import gen
 
 T = TruePol()
@@ -60,6 +60,23 @@ def test_canonicalize_is_idempotent_and_order_insensitive():
         shuffled = list(net.entries)
         rng.shuffle(shuffled)
         assert canonicalize(Net(tuple(shuffled))) == c
+
+
+def test_sort_key_is_the_rendered_entry_and_survives_canonicalize():
+    corpus = sorted(corpus_path("eq1.obl").parent.glob("*.akbl"))
+    nets = [parse_net(f.read_text()) for f in corpus]
+    for family in (gen.gen_small_net, gen.gen_guarded_net, gen.gen_ward_net):
+        nets += [family(random.Random(seed)) for seed in range(100)]
+    for net in nets:
+        canonical = canonicalize(net)
+        for e in net.entries + canonical.entries:
+            kind = "data" if e.is_data() else "proc"
+            assert e.sort_key == (e.location, kind, repr(e.body),
+                                  repr(e.policy))
+        # a canonical net keeps its entry objects, and so their keys
+        again = canonicalize(canonical).entries
+        assert len(again) == len(canonical.entries)
+        assert all(a is b for a, b in zip(again, canonical.entries))
 
 
 def test_data_entries_sort_before_processes():

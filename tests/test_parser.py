@@ -1,5 +1,7 @@
 """Parser, renderer, and the round trip between them."""
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,9 @@ from aspectkbl import (corpus_path, parse_net, parse_obligation, parse_policy,
                        render_net, render_obligation, render_policy,
                        ParseError)
 from aspectkbl.model import Const, Nil, WILDCARD
+from aspectkbl.parser import _lex
 import gen
+from oracles import reference_lex
 
 NET_FILES = sorted(f.name for f in corpus_path("eq1.obl").parent.iterdir()
                    if f.suffix == ".akbl")
@@ -139,3 +143,41 @@ def test_generated_policies_and_obligations_round_trip():
     for _ in range(75):
         obl = gen.gen_obligation(rng)
         assert parse_obligation(render_obligation(obl)) == obl
+
+
+# Pieces of text that the lexing rules treat specially when they meet:
+# a comment at end of input, occurs-in before a name character or -,
+# a sigil before a digit, _ or end of input, underscore names, blanks
+# that are not newlines, halves of the two-character operators, and
+# characters that are no token at all.
+LEX_PIECES = ("//", "// c", "occurs-in", "occurs", "-", "in", "$", "#", "x",
+              "1", "_", "_x", "__", "\r", "\t", " ", "\n", "|", ":", ">",
+              "=", "\0", "~", "/", "0", "12", "out", "A_1", "(", ")", ",",
+              "@", "!", "'", "[", "]", "<", "+", "*", ".")
+
+
+def _random_source(rng):
+    parts = [rng.choice(LEX_PIECES) if rng.random() < 0.9
+             else chr(rng.randrange(128)) for _ in range(rng.randrange(13))]
+    if rng.random() < 0.3:
+        parts.append(rng.choice(("//", "// c", "$", "#", "occurs-in")))
+    return "".join(parts)
+
+
+def _lexed(lex, text):
+    diags = []
+    toks = [(t.kind, t.text, t.line, t.col) for t in lex(text, diags)]
+    return toks, diags
+
+
+def test_lexer_agrees_with_the_reference():
+    golden = Path(__file__).resolve().parent / "golden" / "diagnostics.json"
+    texts = [f.read_text() for f in corpus_path("eq1.obl").parent.iterdir()
+             if f.suffix in (".akbl", ".obl")]
+    texts += [case.get("net", case.get("obligation"))
+              for case in json.loads(golden.read_text()).values()]
+    rng = random.Random(9)
+    texts += [_random_source(rng) for _ in range(20000)]
+    for text in texts:
+        assert _lexed(_lex, text) == _lexed(reference_lex, text), repr(text)
+

@@ -8,7 +8,7 @@ from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
                        enabled_steps, eval_policy, interp_test, json_export,
                        match, occurs_in, parse_net, parse_policy,
                        step_candidates, take_actions)
-from aspectkbl.semantics import net_text
+from aspectkbl.semantics import net_text, numeral
 from aspectkbl.model import (Action, BindVar, Const, Net, NetEntry, NIL, Par,
                              Repl, Sum, TruePol, Var, WILDCARD, canonicalize)
 import corpusio
@@ -24,6 +24,14 @@ def test_match_positionwise():
     assert match(tpl, ("k", "v")) is None
     # a plain variable is not a template former
     assert match((Var("x"),), ("k",)) is None
+
+
+def test_numerals_are_ascii_digit_constants():
+    assert numeral(Const("12")) == 12
+    # digits beyond ASCII are not numerals, although str.isdigit says so
+    assert numeral(Const("\u00b2")) is None
+    assert numeral(Const("\u0663")) is None
+    assert numeral(Var("12")) is None
 
 
 def test_occurs_in_scans_every_branch():
