@@ -123,8 +123,8 @@ def check_whole(net, obl, **limits):
     return check_lts(build_lts(net, **limits), obl)
 
 
-# The character-by-character lexer the one-pattern lexer replaced, kept
-# as the reference that `parser._lex` must agree with on ASCII input.
+# A lexer that reads one character at a time: the reference that
+# `parser._lex` must agree with on ASCII input.
 _PUNCT2 = ("||", "::", ">=")
 _PUNCT1 = "|+*:.,()<>[]@!_='"
 

@@ -233,7 +233,6 @@ def test_input_errors_exit_three(capsys, tmp_path):
     assert "location A carries inconsistent policies" in err
 
 
-
 def test_non_ascii_input_is_a_positioned_error(capsys, tmp_path):
     # input is ASCII: a digit or letter beyond it is a stray character,
     # never a number or a name, in every mode
@@ -248,6 +247,7 @@ def test_non_ascii_input_is_a_positioned_error(capsys, tmp_path):
             assert rc == 3 and out == "", (char, mode)
             assert err.startswith(f"1:19: error: stray character '{char}'")
             assert "internal error" not in err
+
 
 def test_usage_errors_exit_three_and_help_exits_zero(capsys):
     # exit 2 means "the static certifier could not decide", never a usage error
