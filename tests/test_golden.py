@@ -1,10 +1,11 @@
 """Byte-for-byte comparison of command line output with stored goldens.
 
 The goldens under tests/golden/ hold the exit code, stdout and stderr
-of `akbl` runs on the bundled corpus, on seeded generated networks and
-on seeded token-level mutations of the corpus files, so any change to
-exploration order, state numbering, witnesses, export formats or the
-parser's diagnostics shows up as a difference here.
+of `akbl` runs on the bundled corpus, on seeded generated networks, on
+seeded token-level mutations of the corpus files and on every kind of
+token in every term position, so any change to exploration order,
+state numbering, witnesses, export formats or the parser's diagnostics
+shows up as a difference here.
 
 Regenerate them, only when an output change is intended, with
 
@@ -48,6 +49,46 @@ DIAG_POOL = ("out", "in", "read", "test", "AG", "forall", "exists", "true",
              "pref", "if", "occurs-in", "||", "::", ">=", "|", "+", "*", ":",
              ".", ",", "(", ")", "<", ">", "[", "]", "@", "!", "_", "=", "'",
              "$x", "#x", "0")
+# every position a term can take, with {} where the term goes, each
+# filled with every kind of token, to pin what each position reads and
+# every message it gives.  Cuts bind #x and label patterns $u, so a #x
+# in an aspect is bound and a $x in a predicate is not, except under
+# the quantifier.
+TERM_NETS = {
+    "data field": "A ::[true] <{}>",
+    "second data field": "A ::[true] <k, {}>",
+    "out argument": "A ::[true] out({})@A . 0",
+    "second out argument": "A ::[true] out(k, {})@A . 0",
+    "in argument": "A ::[true] in({})@A . 0",
+    "out argument in the scope of !x": "A ::[true] read(!x)@A . out({})@A . 0",
+    "process target": "A ::[true] out(k)@{} . 0",
+    "cut subject": "A ::[[true if {} :: out(k)@A . X : true]] <k>",
+    "cut out argument": "A ::[[true if #x :: out({})@A . X : true]] <k>",
+    "cut in argument": "A ::[[true if #x :: in({})@A . X : true]] <k>",
+    "cut target": "A ::[[true if #x :: out(k)@{} . X : true]] <k>",
+    "comparison": "A ::[[{} = k if #x :: out(k)@A . X : true]] <k>",
+    "test argument": "A ::[[true if #x :: out(k)@A . X : test({})@A]] <k>",
+    "test target": "A ::[[true if #x :: out(k)@A . X : test(k)@{}]] <k>",
+    "occurs-in out argument":
+        "A ::[[out({})@A occurs-in X if #x :: out(k)@A . X : true]] <k>",
+    "occurs-in in argument":
+        "A ::[[in({})@A occurs-in X if #x :: out(k)@A . X : true]] <k>",
+    "occurs-in target":
+        "A ::[[out(k)@{} occurs-in X if #x :: out(k)@A . X : true]] <k>",
+}
+TERM_OBLS = {
+    "label subject": "AG [{} : o(k)@A] true",
+    "label argument": "AG [$u : o({})@A] true",
+    "label target": "AG [$u : o(k)@{}] true",
+    "predicate comparison": "AG [$u : o(k)@A] {} = k",
+    "predicate comparison under forall $x":
+        "AG [$u : o(k)@A] forall $x : {} >= 1",
+    "test' argument": "AG [$u : o(k)@A] test'({})@A",
+    "predicate test target": "AG [$u : o(k)@A] test(k)@{}",
+}
+TERM_TOKENS = {"name": "x", "number": "7", "keyword": "AG", "$x": "$x",
+               "#x": "#x", "_": "_", "!x": "!x", ")": ")",
+               "end of input": None}
 _TOKEN = re.compile(r"//[^\n]*|occurs-in|[$#]?\w+|\|\||::|>=|\S")
 
 
@@ -199,6 +240,15 @@ def _diagnostic_cases(inputs):
     return cases
 
 
+def _term_inputs():
+    for is_net, positions in ((True, TERM_NETS), (False, TERM_OBLS)):
+        for position, template in positions.items():
+            for kind, token in TERM_TOKENS.items():
+                text = (template.format(token) if token is not None
+                        else template[:template.index("{}")])
+                yield f"{position}: {kind}", is_net, text + "\n"
+
+
 KINDS = {
     "lts": _lts_cases,
     "dot": _dot_cases,
@@ -207,6 +257,7 @@ KINDS = {
     "generated": lambda: _generated_cases(_generated_inputs()),
     "static": lambda: _static_cases(_static_inputs()),
     "diagnostics": lambda: _diagnostic_cases(_diagnostic_inputs()),
+    "terms": lambda: _diagnostic_cases(_term_inputs()),
 }
 
 
@@ -259,6 +310,10 @@ def test_parser_diagnostics_match_golden():
               for name, case in want.items()]
     assert len(inputs) >= 200
     _assert_matches("diagnostics", _diagnostic_cases(inputs))
+
+
+def test_every_term_position_matches_golden():
+    _assert_matches("terms", _diagnostic_cases(_term_inputs()))
 
 
 if __name__ == "__main__":
