@@ -19,9 +19,9 @@ from .model import (Action, AkblError, Aspect, AspectPol, BindVar, CombinePol,
                     Nil, Obligation, Par, Repl, ReplicationPresent,
                     Substitution, Sum, TruePol, Var, Wildcard, canonicalize,
                     has_replication, loc_set, take_actions, validate)
-from .unification import extract, findsubs, unify, unifylist
+from .unification import extract, findsubs, unify
 from .parser import (ParseError, parse_net, parse_obligation, parse_policy,
-                     render, render_net, render_obligation, render_policy,
+                     render_net, render_obligation, render_policy,
                      render_process)
 from .semantics import (LTS, build_lts, data_index, dot_export, enabled_steps,
                         eval_policy, interp_test, json_export, match,

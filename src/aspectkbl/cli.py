@@ -16,6 +16,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .belnap import members
@@ -34,8 +35,26 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+@contextmanager
+def _file_errors(path: str):
+    """Report a file that cannot be read or written as bad input."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise AkblError(f"{path}: no such file") from None
+    except UnicodeDecodeError:
+        raise AkblError(f"{path}: not UTF-8 text") from None
+    except OSError as e:
+        raise AkblError(f"{path}: {e.strerror}") from None
+
+
+def _read(path: str) -> str:
+    with _file_errors(path):
+        return Path(path).read_text(encoding="utf-8")
+
+
 def _load_net(path: str) -> Net:
-    net = parse_net(Path(path).read_text())
+    net = parse_net(_read(path))
     errors = [d for d in validate(net) if d.severity == "error"]
     if errors:
         raise ParseError(errors)
@@ -96,7 +115,7 @@ def _print_verdict(v: Verdict):
 
 def cmd_check(args) -> int:
     net = _load_net(args.net)
-    obl = parse_obligation(Path(args.obligation).read_text())
+    obl = parse_obligation(_read(args.obligation))
     static_report = None
     if args.mode in ("static", "auto"):
         static_report = check_network(net, obl)
@@ -125,7 +144,8 @@ def cmd_lts(args) -> int:
     net = _load_net(args.net)
     lts = build_lts(net, max_states=args.max_states, max_depth=args.max_depth)
     if args.dot:
-        Path(args.dot).write_text(dot_export(lts) + "\n")
+        with _file_errors(args.dot):
+            Path(args.dot).write_text(dot_export(lts) + "\n")
     if args.json:
         print(_dump(json_export(lts)))
     else:
@@ -205,9 +225,6 @@ def main(argv=None) -> int:
     except ParseError as e:
         for d in e.diagnostics:
             print(d.format(), file=sys.stderr)
-        return BAD_INPUT
-    except FileNotFoundError as e:
-        print(f"error: {e.filename}: no such file", file=sys.stderr)
         return BAD_INPUT
     except AkblError as e:
         print(f"error: {e}", file=sys.stderr)

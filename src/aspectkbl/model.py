@@ -566,13 +566,10 @@ def has_replication(net: Net) -> bool:
     return any(not e.is_data() and _count_repl(e.body) for e in net.entries)
 
 
-def validate(net: Net, mode: str = "check") -> list:
-    """Report diagnostics for a network.
-
-    In "check" mode replication is an error (the checkers only handle
-    the replication-free fragment) in addition to the policy
-    consistency check performed in every mode.
-    """
+def validate(net: Net) -> list:
+    """Report diagnostics for a network: a location whose entries
+    carry different policies, and each replication, since the checkers
+    only handle the replication-free fragment."""
     diags = []
     by_loc: dict = {}
     for e in net.entries:
@@ -582,15 +579,14 @@ def validate(net: Net, mode: str = "check") -> list:
         if any(p != pols[0] for p in pols[1:]):
             diags.append(Diagnostic("error",
                                     f"location {loc} carries inconsistent policies"))
-    if mode == "check":
-        for e in net.entries:
-            if e.is_data():
-                continue
-            n = _count_repl(e.body)
-            for _ in range(n):
-                diags.append(Diagnostic(
-                    "error",
-                    f"replication at {e.location} is outside the checkable fragment"))
+    for e in net.entries:
+        if e.is_data():
+            continue
+        n = _count_repl(e.body)
+        for _ in range(n):
+            diags.append(Diagnostic(
+                "error",
+                f"replication at {e.location} is outside the checkable fragment"))
     return diags
 
 

@@ -34,7 +34,7 @@ from .model import (Action, Aspect, AspectPol, BindVar, CombinePol, Const,
                     LETTER_CAP, Net, NetEntry, Nil, NIL, NotPol, Obligation,
                     PAnd, PEqual, PExists, PFalse, PForall, PGeq, PNot, POr,
                     PTest, PTestPost, PTrue, Par, Repl, Sum, TruePol, Var,
-                    WILDCARD, Wildcard, canonicalize, render_term)
+                    WILDCARD, canonicalize, render_term)
 
 
 class ParseError(Exception):
@@ -65,6 +65,70 @@ _EXPR = {"not": ENot,
          **{op: partial(EBin, op) for op in _PREC if op != "pref"}}
 _PRED = {"not": PNot, "or": POr, "and": PAnd}
 _CAPS = ("out", "in", "read")
+_BINDING = ("in", "read")       # the capabilities whose templates bind !x
+
+
+class _Row(NamedTuple):
+    """How one term position reads each kind of token.
+
+    A name or number gives name(text), or a Var when a binder in scope
+    names it.  A token of kind sigil gives a Var, whose name joins the
+    set of names the caller passes or, in a bound row, must be in it.
+    _ is the wildcard where wild is set, and !x, under a capability in
+    bind, a binder whose name joins the set too.  Any other token is
+    rejected with the message rejects holds for its kind, else with
+    other; {} in a message stands for the token's text.
+    """
+    other: str
+    rejects: dict
+    name: type = Const
+    sigil: str = ""
+    bound: bool = False
+    wild: bool = False
+    bind: tuple = ()
+
+
+_IN_PROCESS = {
+    "_": "wildcards belong in policy and obligation patterns only",
+    **dict.fromkeys(("dollar", "hash"),
+                    "{} is a pattern variable and cannot occur in a process")}
+_IN_CUT = {"_": "wildcards are only allowed in argument positions here",
+           "!": "binders are only allowed in in and read templates",
+           "dollar": "{} is an obligation variable; aspect variables use #"}
+_IN_LABEL = {"_": _IN_CUT["_"],
+             "hash": "{} is an aspect variable; obligation variables use $"}
+
+# One row per term position; docs/grammar.md has the same table.
+_TERMS = {
+    "data field": _Row("data tuples hold constants only", {}, name=str),
+    "process argument": _Row("expected a term", {
+        **_IN_PROCESS, "!": "binders are not allowed in out arguments"},
+        bind=_BINDING),
+    "process target": _Row("expected a term", {
+        **_IN_PROCESS, "!": "binders are not allowed in a target position"}),
+    "cut subject or target": _Row("expected a pattern term", _IN_CUT,
+                                  sigil="hash"),
+    "cut argument": _Row("expected a pattern term", _IN_CUT, sigil="hash",
+                         wild=True, bind=_BINDING),
+    "expression term": _Row("expected a constant or an aspect variable", {
+        "_": "wildcards cannot occur in recommendations or conditions"},
+        sigil="hash"),
+    "occurs-in argument": _Row("expected a term in an action template", {},
+                               sigil="hash", wild=True, bind=_BINDING),
+    "occurs-in target": _Row("expected a term in an action template", {},
+                             sigil="hash"),
+    "label subject": _Row("expected a pattern term", _IN_LABEL,
+                          sigil="dollar"),
+    "label argument": _Row("expected a pattern term", _IN_LABEL,
+                           sigil="dollar", wild=True),
+    "label target": _Row("expected a location constant, found {!r}", {
+        **dict.fromkeys(("dollar", "_"),
+                        "the cut target must be a location constant"),
+        "kw": "{!r} is a reserved word"}),
+    "predicate term": _Row("expected a constant or an obligation variable", {
+        "dollar": "{} is not bound by the cut or a quantifier",
+        "hash": _IN_LABEL["hash"]}, sigil="dollar", bound=True),
+}
 
 
 class Token(NamedTuple):
@@ -184,19 +248,50 @@ class _Parser:
             return syntax["not"](self.parse_unary(syntax, atom))
         return atom()
 
-    def parse_args(self, arg, target):
-        """( arg, ... ) @ target, as in actions, cuts, tests and label
-        patterns; arg() and target() each parse one term."""
-        self.expect("(")
-        args = []
-        if not self.at(")"):
-            args.append(arg())
+    def parse_list(self, close, row, names=None, cap=None, scope=frozenset()):
+        """term, ... up to the token close, which may come at once, as
+        in data tuples and argument lists; parse_term reads each term
+        with the other arguments."""
+        terms = []
+        if not self.at(close):
+            terms.append(self.parse_term(row, names, cap, scope))
             while self.at(","):
                 self.advance()
-                args.append(arg())
-        self.expect(")")
+                terms.append(self.parse_term(row, names, cap, scope))
+        self.expect(close)
+        return tuple(terms)
+
+    def parse_args(self, arg, target, names=None, cap=None, scope=frozenset()):
+        """( arg, ... ) @ target, as in actions, cuts, tests and label
+        patterns; arg and target name the rows of _TERMS that read
+        their terms, and parse_term gets the other arguments too."""
+        self.expect("(")
+        args = self.parse_list(")", _TERMS[arg], names, cap, scope)
         self.expect("@")
-        return tuple(args), target()
+        return args, self.parse_term(_TERMS[target], names, cap, scope)
+
+    def parse_term(self, row, names=None, cap=None, scope=frozenset()):
+        """One term in the position row describes (see _Row): names is
+        the set its variables join, or must be in; cap is the
+        capability of the template it is in; scope holds the names that
+        enclosing binders bind."""
+        t = self.advance()
+        kind, text = t.kind, t.text
+        if kind == "ident" or kind == "number":
+            return Var(text) if text in scope else row.name(text)
+        if kind == row.sigil and (not row.bound or text in names):
+            if not row.bound and names is not None:
+                names.add(text)
+            return Var(text)
+        if kind == "_" and row.wild:
+            return WILDCARD
+        if kind == "!" and cap in row.bind:
+            name = self.expect_name("a binder name").text
+            if names is not None:
+                names.add(name)
+            return BindVar(name)
+        msg = row.rejects.get(kind, row.other)
+        self.error(msg.format(text or "end of input"), t)
 
     # -- networks -----------------------------------------------------------
 
@@ -216,20 +311,9 @@ class _Parser:
         self.expect("]")
         if self.at("<"):
             self.advance()
-            fields = []
-            if not self.at(">"):
-                fields.append(self.parse_data_field())
-                while self.at(","):
-                    self.advance()
-                    fields.append(self.parse_data_field())
-            self.expect(">")
-            return NetEntry(loc, pol, tuple(fields))
+            fields = self.parse_list(">", _TERMS["data field"])
+            return NetEntry(loc, pol, fields)
         return NetEntry(loc, pol, self.parse_process(frozenset()))
-
-    def parse_data_field(self) -> str:
-        if self.at("ident") or self.at("number"):
-            return self.advance().text
-        self.error("data tuples hold constants only")
 
     def parse_process(self, scope):
         left = self.parse_sum(scope)
@@ -276,33 +360,9 @@ class _Parser:
     def parse_proc_action(self, scope):
         cap = self.advance().text
         binders: set = set()
-        args, target = self.parse_args(
-            partial(self.parse_proc_term, scope, cap, binders),
-            partial(self.parse_proc_term, scope, cap, None))
+        args, target = self.parse_args("process argument", "process target",
+                                       binders, cap, scope)
         return Action(cap, args, target), frozenset(binders)
-
-    def parse_proc_term(self, scope, cap, binders):
-        t = self.peek()
-        if t.kind == "ident":
-            self.advance()
-            return Var(t.text) if t.text in scope else Const(t.text)
-        if t.kind == "number":
-            self.advance()
-            return Const(t.text)
-        if t.kind == "!":
-            if binders is None:
-                self.error("binders are not allowed in a target position")
-            if cap == "out":
-                self.error("binders are not allowed in out arguments")
-            self.advance()
-            name = self.expect_name("a binder name").text
-            binders.add(name)
-            return BindVar(name)
-        if t.kind == "_":
-            self.error("wildcards belong in policy and obligation patterns only")
-        if t.kind in ("dollar", "hash"):
-            self.error(f"{t.text} is a pattern variable and cannot occur in a process")
-        self.error("expected a term")
 
     # -- policies ------------------------------------------------------------
 
@@ -342,40 +402,16 @@ class _Parser:
 
     def parse_cut(self):
         cut_vars: set = set()
-        subject = self.parse_cut_term(cut_vars, wild_ok=False, bind_cap=None)
+        subject = self.parse_term(_TERMS["cut subject or target"], cut_vars)
         self.expect("::")
         if not self.at_cap():
             self.error("expected out, in or read in a cut")
         cap = self.advance().text
-        args, target = self.parse_args(
-            partial(self.parse_cut_term, cut_vars, wild_ok=True, bind_cap=cap),
-            partial(self.parse_cut_term, cut_vars, wild_ok=False, bind_cap=None))
+        args, target = self.parse_args("cut argument", "cut subject or target",
+                                       cut_vars, cap)
         self.expect(".")
         cont = self.expect_name("a continuation variable").text
         return Cut(subject, Action(cap, args, target), cont), cut_vars
-
-    def parse_cut_term(self, cut_vars, wild_ok, bind_cap):
-        t = self.peek()
-        if t.kind == "hash":
-            self.advance()
-            cut_vars.add(t.text)
-            return Var(t.text)
-        if t.kind in ("ident", "number"):
-            self.advance()
-            return Const(t.text)
-        if t.kind == "_":
-            if not wild_ok:
-                self.error("wildcards are only allowed in argument positions here")
-            self.advance()
-            return WILDCARD
-        if t.kind == "!":
-            if bind_cap in ("in", "read"):
-                self.advance()
-                return BindVar(self.expect_name("a binder name").text)
-            self.error("binders are only allowed in in and read templates")
-        if t.kind == "dollar":
-            self.error(f"{t.text} is an obligation variable; aspect variables use #")
-        self.error("expected a pattern term")
 
     # rec and cond expressions
 
@@ -398,47 +434,18 @@ class _Parser:
             self.advance()
             if self.at("'"):
                 self.error("test' belongs to obligation predicates")
-            return ETest(*self.parse_args(self.parse_expr_term,
-                                          self.parse_expr_term))
+            return ETest(*self.parse_args("expression term", "expression term"))
         if self.at_cap():
             cap = self.advance().text
             template = Action(cap, *self.parse_args(
-                partial(self.parse_occurs_term, cap),
-                partial(self.parse_occurs_term, None)))
+                "occurs-in argument", "occurs-in target", None, cap))
             self.expect("occursin", what="occurs-in")
             var = self.expect_name("a continuation variable").text
             return EOccursIn(template, var)
-        left = self.parse_expr_term()
+        term = _TERMS["expression term"]
+        left = self.parse_term(term)
         self.expect("=", what="= in a comparison")
-        return EEqual(left, self.parse_expr_term())
-
-    def parse_expr_term(self):
-        t = self.peek()
-        if t.kind == "hash":
-            self.advance()
-            return Var(t.text)
-        if t.kind in ("ident", "number"):
-            self.advance()
-            return Const(t.text)
-        if t.kind == "_":
-            self.error("wildcards cannot occur in recommendations or conditions")
-        self.error("expected a constant or an aspect variable")
-
-    def parse_occurs_term(self, bind_cap):
-        t = self.peek()
-        if t.kind == "hash":
-            self.advance()
-            return Var(t.text)
-        if t.kind in ("ident", "number"):
-            self.advance()
-            return Const(t.text)
-        if t.kind == "_" and bind_cap is not None:
-            self.advance()
-            return WILDCARD
-        if t.kind == "!" and bind_cap in ("in", "read"):
-            self.advance()
-            return BindVar(self.expect_name("a binder name").text)
-        self.error("expected a term in an action template")
+        return EEqual(left, self.parse_term(term))
 
     def _check_expr(self, e, what, cut_vars, cont_var, allowed_ops, tok):
         if isinstance(e, ENot):
@@ -478,44 +485,17 @@ class _Parser:
         self.expect("kw", "AG")
         self.expect("[")
         bound: set = set()
-        subject = self.parse_obl_cut_term(bound, wild_ok=False)
+        subject = self.parse_term(_TERMS["label subject"], bound)
         self.expect(":")
         cap_tok = self.expect("ident", what="a capability letter (o, i or r)")
         if cap_tok.text not in LETTER_CAP:
             self.error(f"unknown capability {cap_tok.text!r}, expected o, i or r",
                        cap_tok)
-        args, target = self.parse_args(
-            partial(self.parse_obl_cut_term, bound, wild_ok=True),
-            self.parse_obl_target)
+        args, target = self.parse_args("label argument", "label target", bound)
         self.expect("]")
         pred = self.parse_pred(frozenset(bound))
         self.expect("eof", what="end of input")
         return Obligation(LabelPattern(subject, cap_tok.text, args, target), pred)
-
-    def parse_obl_cut_term(self, bound, wild_ok):
-        t = self.peek()
-        if t.kind == "dollar":
-            self.advance()
-            bound.add(t.text)
-            return Var(t.text)
-        if t.kind in ("ident", "number"):
-            self.advance()
-            return Const(t.text)
-        if t.kind == "_":
-            if not wild_ok:
-                self.error("wildcards are only allowed in argument positions here")
-            self.advance()
-            return WILDCARD
-        if t.kind == "hash":
-            self.error(f"{t.text} is an aspect variable; obligation variables use $")
-        self.error("expected a pattern term")
-
-    def parse_obl_target(self):
-        if self.peek().kind in ("dollar", "_"):
-            self.error("the cut target must be a location constant")
-        if self.at("number"):
-            return Const(self.advance().text)
-        return Const(self.expect_name("a location constant").text)
 
     def parse_pred(self, bound):
         if self.at("kw", "forall") or self.at("kw", "exists"):
@@ -546,31 +526,17 @@ class _Parser:
             if self.at("'"):
                 self.advance()
                 post = True
-            term = partial(self.parse_pred_term, bound)
-            args, at = self.parse_args(term, term)
+            args, at = self.parse_args("predicate term", "predicate term", bound)
             return PTestPost(args, at) if post else PTest(args, at)
-        left = self.parse_pred_term(bound)
+        term = _TERMS["predicate term"]
+        left = self.parse_term(term, bound)
         if self.at("="):
             self.advance()
-            return PEqual(left, self.parse_pred_term(bound))
+            return PEqual(left, self.parse_term(term, bound))
         if self.at(">="):
             self.advance()
-            return PGeq(left, self.parse_pred_term(bound))
+            return PGeq(left, self.parse_term(term, bound))
         self.error("expected = or >= in a comparison")
-
-    def parse_pred_term(self, bound):
-        t = self.peek()
-        if t.kind == "dollar":
-            if t.text not in bound:
-                self.error(f"{t.text} is not bound by the cut or a quantifier")
-            self.advance()
-            return Var(t.text)
-        if t.kind in ("ident", "number"):
-            self.advance()
-            return Const(t.text)
-        if t.kind == "hash":
-            self.error(f"{t.text} is an aspect variable; obligation variables use $")
-        self.error("expected a constant or an obligation variable")
 
 
 def _run(parser: _Parser, entry):
@@ -742,27 +708,3 @@ def render_obligation(o: Obligation) -> str:
     pattern = (f"{render_term(cut.subject)} : {cut.cap}"
                + _render_args(cut.args, cut.target))
     return f"AG [{pattern}] {render_pred(o.pred)}"
-
-
-def render(obj) -> str:
-    """Render any syntax object back to source text."""
-    if isinstance(obj, Net):
-        return render_net(obj)
-    if isinstance(obj, NetEntry):
-        return render_entry(obj)
-    if isinstance(obj, Obligation):
-        return render_obligation(obj)
-    if isinstance(obj, (TruePol, FalsePol, NotPol, CombinePol, AspectPol)):
-        return render_policy(obj)
-    if isinstance(obj, (Nil, Sum, Par, Repl)):
-        return render_process(obj)
-    if isinstance(obj, Action):
-        return render_action(obj)
-    if isinstance(obj, (PTrue, PFalse, PNot, PAnd, POr, PForall, PExists,
-                        PEqual, PTest, PTestPost, PGeq)):
-        return render_pred(obj)
-    if isinstance(obj, (ETrue, EFalse, ENot, EBin, EEqual, ETest, EOccursIn)):
-        return render_expr(obj)
-    if isinstance(obj, (Const, Var, BindVar, Wildcard)):
-        return render_term(obj)
-    raise TypeError(f"cannot render {type(obj).__name__}")

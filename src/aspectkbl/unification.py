@@ -36,25 +36,6 @@ def unify(t1: Term, t2: Term) -> Optional[Substitution]:
     return None
 
 
-def unifylist(ts1, ts2) -> Optional[Substitution]:
-    """Unify two term lists left to right, threading each partial
-    substitution through both tails.  Fails on length mismatch."""
-    if len(ts1) != len(ts2):
-        return None
-    xs = list(ts1)
-    ys = list(ts2)
-    theta = Substitution()
-    for i in range(len(xs)):
-        step = unify(xs[i], ys[i])
-        if step is None:
-            return None
-        for j in range(i + 1, len(xs)):
-            xs[j] = step.apply_term(xs[j])
-            ys[j] = step.apply_term(ys[j])
-        theta = theta.then(step)
-    return theta
-
-
 def extract(obj):
     """Flatten a cut, label pattern, located action or ground label
     into the (subject, args, target) triple findsubs operates on."""
@@ -71,21 +52,19 @@ def extract(obj):
 
 
 def findsubs(pattern, action) -> Optional[Substitution]:
-    """Unify (subject, args, target) triples, subjects first, then the
-    argument lists, then the targets, threading substitutions in that
-    order.  Capabilities must be checked equal by the caller."""
+    """Unify (subject, args, target) triples term by term, left to
+    right: the subjects, each argument, then the targets, each pair
+    under the substitution built so far.  Fails when the argument
+    lists differ in length.  Capabilities must be checked equal by the
+    caller."""
     psub, pargs, ptgt = pattern
     asub, aargs, atgt = action
-    th1 = unify(psub, asub)
-    if th1 is None:
+    if len(pargs) != len(aargs):
         return None
-    th2 = unifylist([th1.apply_term(t) for t in pargs],
-                    [th1.apply_term(t) for t in aargs])
-    if th2 is None:
-        return None
-    tgt1 = th2.apply_term(th1.apply_term(ptgt))
-    tgt2 = th2.apply_term(th1.apply_term(atgt))
-    th3 = unify(tgt1, tgt2)
-    if th3 is None:
-        return None
-    return th1.then(th2).then(th3)
+    theta = Substitution()
+    for p, a in zip((psub, *pargs, ptgt), (asub, *aargs, atgt)):
+        step = unify(theta.apply_term(p), theta.apply_term(a))
+        if step is None:
+            return None
+        theta = theta.then(step)
+    return theta

@@ -249,6 +249,23 @@ def test_non_ascii_input_is_a_positioned_error(capsys, tmp_path):
             assert "internal error" not in err
 
 
+def test_unreadable_files_exit_three(capsys, tmp_path):
+    # a file that is no UTF-8 text, or a directory, is bad input named
+    # in one line, never an internal error
+    latin = tmp_path / "latin.akbl"
+    latin.write_bytes("A ::[true] <caf\u00e9>\n".encode("latin-1"))
+    obl = tmp_path / "latin.obl"
+    obl.write_bytes(b"AG [$u : o(\xff)@A] true\n")
+    for argv, path in ((("check", str(latin), EQ1), latin),
+                       (("check", WITH, str(obl)), obl),
+                       (("check", str(tmp_path), EQ1), tmp_path),
+                       (("trace", str(tmp_path)), tmp_path),
+                       (("lts", WITH, "--dot", str(tmp_path)), tmp_path)):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3 and out == "", argv
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_three_and_help_exits_zero(capsys):
     # exit 2 means "the static certifier could not decide", never a usage error
     for argv in (("check", WITH), ("check", WITH, EQ1, "--mode", "bogus"),

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from aspectkbl import Net, NetEntry, corpus_path, render_net, render_obligation
 from aspectkbl.cli import main
+from aspectkbl.parser import _TERMS
 import gen
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -314,6 +315,16 @@ def test_parser_diagnostics_match_golden():
 
 def test_every_term_position_matches_golden():
     _assert_matches("terms", _diagnostic_cases(_term_inputs()))
+
+
+def test_every_message_of_the_term_table_is_in_the_golden():
+    errors = "".join(case["stderr"] for case in _load("terms").values())
+    for row in _TERMS.values():
+        for message in {row.other, *row.rejects.values()}:
+            # {} stands for a token's text, {!r} for it quoted
+            pattern = (re.escape(message).replace(r"\{!r\}", "'[^']+'")
+                       .replace(r"\{\}", r"\S+"))
+            assert re.search(pattern, errors), message
 
 
 if __name__ == "__main__":

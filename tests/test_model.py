@@ -95,11 +95,10 @@ def test_validate_flags_inconsistent_policies():
     assert validate(ok) == []
 
 
-def test_validate_flags_replication_only_in_check_mode():
+def test_validate_flags_replication():
     net = Net((NetEntry("A", T, Repl(chain(OUT_K))),))
     assert has_replication(net)
     assert [d.severity for d in validate(net)] == ["error"]
-    assert validate(net, mode="parse_only") == []
 
 
 def test_loc_set_covers_data_processes_and_policies():

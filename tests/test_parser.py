@@ -9,7 +9,7 @@ from aspectkbl import (corpus_path, parse_net, parse_obligation, parse_policy,
                        render_net, render_obligation, render_policy,
                        ParseError)
 from aspectkbl.model import Const, Nil, WILDCARD
-from aspectkbl.parser import _lex
+from aspectkbl.parser import _TERMS, _lex
 import gen
 from oracles import reference_lex
 
@@ -181,3 +181,11 @@ def test_lexer_agrees_with_the_reference():
     for text in texts:
         assert _lexed(_lex, text) == _lexed(reference_lex, text), repr(text)
 
+
+def test_grammar_documents_every_term_position():
+    grammar = Path(__file__).resolve().parents[1] / "docs" / "grammar.md"
+    table = grammar.read_text().split("## Terms by position")[1]
+    table = table.split("\n## ")[0]
+    rows = [line.split("|")[1].strip() for line in table.splitlines()
+            if line.startswith("| ") and not line.startswith("| Position")]
+    assert rows == list(_TERMS)
