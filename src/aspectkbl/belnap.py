@@ -40,21 +40,9 @@ TOP = FourValue(3, "top")
 
 VALUES = (BOT, TT, FF, TOP)
 
-_BY_NAME = {v.name: v for v in VALUES}
-
-
-def from_name(name: str) -> FourValue:
-    return _BY_NAME[name]
-
-
 def leq_k(a: FourValue, b: FourValue) -> bool:
     """Knowledge order: BOT below everything, TOP above everything."""
     return a is b or a is BOT or b is TOP
-
-
-def leq_t(a: FourValue, b: FourValue) -> bool:
-    """Truth order: FF below everything, TT above everything."""
-    return a is b or a is FF or b is TT
 
 
 # lub in the knowledge order

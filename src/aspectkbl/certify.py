@@ -217,7 +217,7 @@ def check_single_action(obl: Obligation, act, pols: dict, mut: MutationInfo,
         return ActionReport(act.source, act.action, DENIED, th0,
                             side_values=sides)
     constraints = src.constraints + tgt_side.constraints
-    values = pred_values(th0.apply_pred(obl.pred), mut.refined(constraints),
+    values = pred_values(th0.apply_expr(obl.pred), mut.refined(constraints),
                          domain)
     return ActionReport(act.source, act.action,
                         NOT_CERTIFIED if values & FALSE else ENTAILED, th0,

@@ -8,12 +8,15 @@ Exit codes: 0 the obligation holds (or the run finished), 1 the
 obligation is violated, 2 the static certifier alone could not
 decide, 3 the input or the command line was rejected or a limit was
 hit, 4 an internal error (reported in one line on stderr, without a
-traceback).
+traceback), 141 the reader closed stdout before the output was
+written, as `| head` does (silently, with the code a shell reports
+for a writer killed by SIGPIPE, 128 + 13).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from contextlib import contextmanager
@@ -29,6 +32,7 @@ from .semantics import (Interner, build_lts, dot_export, json_export,
                         net_text, step_candidates)
 
 OK, VIOLATED, UNDECIDED, BAD_INPUT, INTERNAL_ERROR = 0, 1, 2, 3, 4
+CLOSED_STDOUT = 141
 
 
 def _dump(obj) -> str:
@@ -149,7 +153,7 @@ def cmd_lts(args) -> int:
     if args.json:
         print(_dump(json_export(lts)))
     else:
-        print(f"states: {len(lts.states)}")
+        print(f"states: {len(lts.ids)}")
         print(f"transitions: {len(lts.transitions)}")
     return OK
 
@@ -221,7 +225,14 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse has printed the help or a usage error
         return BAD_INPUT if e.code else OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()      # so that a closed reader is caught here
+        return code
+    except BrokenPipeError:
+        # nothing is left to say: stdout goes to devnull, so that the
+        # flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
     except ParseError as e:
         for d in e.diagnostics:
             print(d.format(), file=sys.stderr)

@@ -8,11 +8,11 @@ before the step and test' the state after it.  `TransitionCheck`
 checks one transition at a time, matching each distinct label against
 the pattern, and instantiating the predicate for it, once.
 
-`check_lts` runs it over a built transition system.  `sat_obl` runs it
-on the fly instead: the breadth first search of `build_lts` hands it
-each transition as it is discovered, in the order `check_lts` would
-check them, and stops at the first violation, so the witness is the
-same and a violation is found without building the states beyond it.
+`check_lts` runs it on the fly: the breadth first search of
+`build_lts` hands it each transition as it is discovered and stops at
+the first violation, so a violation is found without building the
+states beyond it, and its witness is the one a check of the whole
+built transition system, in discovery order, would give first.
 
 `sat_obl` first searches a reduced graph (`Reduction`): in a state
 where one entry's steps are invisible to the obligation and
@@ -21,13 +21,14 @@ entry's steps are expanded, so independent processes are interleaved
 in one order instead of all of them.  The static certifier decides
 visibility: a step is visible only if it instantiates an action that
 `check_network` reports NotCertified.  So a "holds" from `sat_obl` is
-only as sound as the certifier, and `check_lts` over the whole
-transition system, which trusts nothing of it, is the check to test
-the certifier against.  What each action reads and writes is worked
-out from the action templates and the policies that judge them.  The
-reduced graph keeps a violation whenever the whole one has one, but
-not the shortest path to it, so it answers only "holds"; for a
-violation the unreduced search runs and gives the witness.
+only as sound as the certifier, and an unreduced check of the whole
+built transition system (`tests/oracles.check_whole`), which trusts
+nothing of it, is the check to test the certifier against.  What each
+action reads and writes is worked out from the action templates and
+the policies that judge them.  The reduced graph keeps a violation
+whenever the whole one has one, but not the shortest path to it, so
+it answers only "holds"; for a violation the unreduced search runs
+and gives the witness.  Both searches are `check_lts` runs.
 """
 from __future__ import annotations
 
@@ -36,11 +37,11 @@ from typing import Optional
 
 from .certify import (ANY, NOT_CERTIFIED, _atom, _meet, _meets, _name,
                       check_network)
-from .model import (IN, NIL, OUT, READ, EvaluationError, Label, LabelPattern,
-                    LimitExceeded, Net, NetEntry, Obligation, PAnd, PExists,
-                    PForall, PNot, POr, Substitution, has_replication,
-                    loc_set, take_actions)
-from .semantics import (BOTH, LTS, TRUE, StateDomain, build_lts, data_index,
+from .model import (IN, NIL, OUT, READ, EBin, ENot, EvaluationError, Label,
+                    LabelPattern, LimitExceeded, Net, NetEntry, Obligation,
+                    PExists, PForall, Substitution, has_replication,
+                    take_actions)
+from .semantics import (BOTH, LTS, TRUE, StateDomain, build_lts,
                         policies_by_location, policy_values, pred_values)
 from .unification import extract, findsubs
 
@@ -49,15 +50,6 @@ def unify_label(pattern: LabelPattern, label: Label) -> Optional[Substitution]:
     if pattern.cap != label.cap:
         return None
     return findsubs(extract(pattern), extract(label))
-
-
-def sat_pred(pair, theta: Substitution, pred) -> bool:
-    """Satisfaction of a predicate on a transition's state pair, under
-    the substitution that matched the obligation's pattern."""
-    pre, post = pair
-    return pred_values(theta.apply_pred(pred),
-                       StateDomain(data_index(pre), data_index(post)),
-                       sorted(loc_set(pre) | loc_set(post))) == TRUE
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,7 @@ class TransitionCheck:
         if m is False:
             th = unify_label(self.obl.cut, t.label)
             m = self._matched[t.label] = None if th is None \
-                else (th, th.apply_pred(self.obl.pred))
+                else (th, th.apply_expr(self.obl.pred))
         if m is None:
             return False
         th, pred = m
@@ -133,17 +125,11 @@ class TransitionCheck:
                        len(lts.ids), self.checked)
 
 
-def check_lts(lts: LTS, obl: Obligation) -> Verdict:
-    """Check an obligation against a built transition system."""
-    check = TransitionCheck(obl)
-    for t in lts.transitions:
-        if check(lts, t):
-            break
-    return check.verdict(lts)
-
-
-def _search(net: Net, obl: Obligation, max_states: int, max_depth: int,
-            ample) -> Verdict:
+def check_lts(net: Net, obl: Obligation, max_states: int = 100000,
+              max_depth: int = 10000, ample=None) -> Verdict:
+    """Check the obligation on every transition of one breadth first
+    search as it is discovered, stopping at the first violation; with
+    `ample` (a `Reduction`) the search is the reduced one."""
     check = TransitionCheck(obl)
     lts = build_lts(net, max_states=max_states, max_depth=max_depth,
                     ample=ample, visit=check)
@@ -152,8 +138,7 @@ def _search(net: Net, obl: Obligation, max_states: int, max_depth: int,
 
 def sat_obl(net: Net, obl: Obligation, max_states: int = 100000,
             max_depth: int = 10000) -> Verdict:
-    """Check the obligation on the fly: every transition as the search
-    discovers it, stopping at the first violation.
+    """Check the obligation on the fly with `check_lts`.
 
     When the obligation and the network allow it, a reduced search
     runs first (see `Reduction`).  The reduced search answers only
@@ -165,12 +150,12 @@ def sat_obl(net: Net, obl: Obligation, max_states: int = 100000,
     ample = Reduction.of(net, obl)
     if ample is not None:
         try:
-            verdict = _search(net, obl, max_states, max_depth, ample)
+            verdict = check_lts(net, obl, max_states, max_depth, ample)
             if verdict.holds:
                 return verdict
         except (EvaluationError, LimitExceeded):
             pass
-    return _search(net, obl, max_states, max_depth, None)
+    return check_lts(net, obl, max_states, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +328,8 @@ class Reduction:
 def _quantified(pred) -> bool:
     if isinstance(pred, (PForall, PExists)):
         return True
-    if isinstance(pred, PNot):
+    if isinstance(pred, ENot):
         return _quantified(pred.body)
-    if isinstance(pred, (PAnd, POr)):
+    if isinstance(pred, EBin):
         return _quantified(pred.left) or _quantified(pred.right)
     return False

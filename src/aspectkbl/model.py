@@ -126,29 +126,7 @@ Process = Union[Nil, Sum, Par, Repl]
 
 
 # ---------------------------------------------------------------------------
-# policies
-
-@dataclass(frozen=True)
-class TruePol:
-    pass
-
-
-@dataclass(frozen=True)
-class FalsePol:
-    pass
-
-
-@dataclass(frozen=True)
-class NotPol:
-    body: "Policy"
-
-
-@dataclass(frozen=True)
-class CombinePol:
-    op: str                  # oplus otimes and or implies pref
-    left: "Policy"
-    right: "Policy"
-
+# policies, rec/cond expressions and predicates
 
 @dataclass(frozen=True)
 class Cut:
@@ -158,8 +136,11 @@ class Cut:
     cont_var: str
 
 
-# rec and cond expressions share one node set; the parser restricts the
-# connectives allowed in each position.
+# Policies, rec/cond expressions and obligation predicates share one
+# node per constant, connective, equality and test; the parser admits
+# in each syntax only its own operators.  AspectPol belongs to policies
+# alone, EOccursIn to expressions, and the quantifiers, test' and >=
+# (below) to predicates.
 
 @dataclass(frozen=True)
 class ETrue:
@@ -178,7 +159,7 @@ class ENot:
 
 @dataclass(frozen=True)
 class EBin:
-    op: str
+    op: str                  # oplus otimes and or implies pref
     left: "Expr"
     right: "Expr"
 
@@ -216,7 +197,7 @@ class AspectPol:
     aspect: Aspect
 
 
-Policy = Union[TruePol, FalsePol, NotPol, CombinePol, AspectPol]
+Policy = Union[ETrue, EFalse, ENot, EBin, AspectPol]
 
 
 # ---------------------------------------------------------------------------
@@ -232,33 +213,6 @@ class LabelPattern:
 
 
 @dataclass(frozen=True)
-class PTrue:
-    pass
-
-
-@dataclass(frozen=True)
-class PFalse:
-    pass
-
-
-@dataclass(frozen=True)
-class PNot:
-    body: "Pred"
-
-
-@dataclass(frozen=True)
-class PAnd:
-    left: "Pred"
-    right: "Pred"
-
-
-@dataclass(frozen=True)
-class POr:
-    left: "Pred"
-    right: "Pred"
-
-
-@dataclass(frozen=True)
 class PForall:
     var: str                 # sigiled, e.g. "$x"
     body: "Pred"
@@ -268,18 +222,6 @@ class PForall:
 class PExists:
     var: str
     body: "Pred"
-
-
-@dataclass(frozen=True)
-class PEqual:
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class PTest:
-    args: tuple
-    at: Term
 
 
 @dataclass(frozen=True)
@@ -295,8 +237,8 @@ class PGeq:
     right: Term
 
 
-Pred = Union[PTrue, PFalse, PNot, PAnd, POr, PForall, PExists,
-             PEqual, PTest, PTestPost, PGeq]
+Pred = Union[ETrue, EFalse, ENot, EBin, PForall, PExists, EEqual, ETest,
+             PTestPost, PGeq]
 
 
 @dataclass(frozen=True)
@@ -402,11 +344,6 @@ class Substitution:
             e = _subst_expr(e, key, val)
         return e
 
-    def apply_pred(self, p: Pred) -> Pred:
-        for key, val in self.pairs:
-            p = _subst_pred(p, key, val)
-        return p
-
     def apply_located(self, la: LocatedAction) -> LocatedAction:
         return LocatedAction(la.source, la.policy,
                              self.apply_action(la.action),
@@ -448,46 +385,26 @@ def _subst_process(p: Process, key: str, val: Term) -> Process:
     raise TypeError(f"not a process: {p!r}")
 
 
-def _subst_expr(e: Expr, key: str, val: Term) -> Expr:
+def _subst_expr(e, key: str, val: Term):
+    """Substitute in a rec/cond expression or a predicate."""
     if isinstance(e, (ETrue, EFalse)):
         return e
     if isinstance(e, ENot):
         return ENot(_subst_expr(e.body, key, val))
     if isinstance(e, EBin):
         return EBin(e.op, _subst_expr(e.left, key, val), _subst_expr(e.right, key, val))
-    if isinstance(e, EEqual):
-        return EEqual(_subst_term(e.left, key, val), _subst_term(e.right, key, val))
-    if isinstance(e, ETest):
-        return ETest(tuple(_subst_term(t, key, val) for t in e.args),
-                     _subst_term(e.at, key, val))
+    if isinstance(e, (EEqual, PGeq)):
+        return type(e)(_subst_term(e.left, key, val), _subst_term(e.right, key, val))
+    if isinstance(e, (ETest, PTestPost)):
+        return type(e)(tuple(_subst_term(t, key, val) for t in e.args),
+                       _subst_term(e.at, key, val))
     if isinstance(e, EOccursIn):
         return EOccursIn(_subst_action(e.action, key, val), e.var)
+    if isinstance(e, (PForall, PExists)):
+        if e.var == key:      # quantifier shadows
+            return e
+        return type(e)(e.var, _subst_expr(e.body, key, val))
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _subst_pred(p: Pred, key: str, val: Term) -> Pred:
-    if isinstance(p, (PTrue, PFalse)):
-        return p
-    if isinstance(p, PNot):
-        return PNot(_subst_pred(p.body, key, val))
-    if isinstance(p, PAnd):
-        return PAnd(_subst_pred(p.left, key, val), _subst_pred(p.right, key, val))
-    if isinstance(p, POr):
-        return POr(_subst_pred(p.left, key, val), _subst_pred(p.right, key, val))
-    if isinstance(p, (PForall, PExists)):
-        if p.var == key:      # quantifier shadows
-            return p
-        cls = PForall if isinstance(p, PForall) else PExists
-        return cls(p.var, _subst_pred(p.body, key, val))
-    if isinstance(p, PEqual):
-        return PEqual(_subst_term(p.left, key, val), _subst_term(p.right, key, val))
-    if isinstance(p, (PTest, PTestPost)):
-        cls = type(p)
-        return cls(tuple(_subst_term(t, key, val) for t in p.args),
-                   _subst_term(p.at, key, val))
-    if isinstance(p, PGeq):
-        return PGeq(_subst_term(p.left, key, val), _subst_term(p.right, key, val))
-    raise TypeError(f"not a predicate: {p!r}")
 
 
 def render_term(t) -> str:
@@ -616,12 +533,19 @@ def _process_consts(p: Process, acc: set):
         _process_consts(p.body, acc)
 
 
-def _expr_consts(e: Expr, acc: set):
+def _expr_consts(e, acc: set):
+    """Collect the constants of a policy or a rec/cond expression."""
     if isinstance(e, ENot):
         _expr_consts(e.body, acc)
     elif isinstance(e, EBin):
         _expr_consts(e.left, acc)
         _expr_consts(e.right, acc)
+    elif isinstance(e, AspectPol):
+        asp = e.aspect
+        _term_consts(asp.cut.subject, acc)
+        _action_consts(asp.cut.action, acc)
+        _expr_consts(asp.rec, acc)
+        _expr_consts(asp.cond, acc)
     elif isinstance(e, EEqual):
         _term_consts(e.left, acc)
         _term_consts(e.right, acc)
@@ -633,20 +557,6 @@ def _expr_consts(e: Expr, acc: set):
         _action_consts(e.action, acc)
 
 
-def _policy_consts(p: Policy, acc: set):
-    if isinstance(p, NotPol):
-        _policy_consts(p.body, acc)
-    elif isinstance(p, CombinePol):
-        _policy_consts(p.left, acc)
-        _policy_consts(p.right, acc)
-    elif isinstance(p, AspectPol):
-        asp = p.aspect
-        _term_consts(asp.cut.subject, acc)
-        _action_consts(asp.cut.action, acc)
-        _expr_consts(asp.rec, acc)
-        _expr_consts(asp.cond, acc)
-
-
 def entry_consts(e: NetEntry) -> frozenset:
     """All location constants occurring in one entry."""
     acc = {e.location}
@@ -654,7 +564,7 @@ def entry_consts(e: NetEntry) -> frozenset:
         acc.update(e.body)
     else:
         _process_consts(e.body, acc)
-    _policy_consts(e.policy, acc)
+    _expr_consts(e.policy, acc)
     return frozenset(acc)
 
 

@@ -17,7 +17,9 @@ stray character.
 One precedence table, _PREC, orders the binary operators of policies,
 rec/cond expressions and obligation predicates.  The parser reads it
 in its one infix rule and the renderer in its one binary renderer, so
-the two agree on where parentheses are needed.
+the two agree on where parentheses are needed.  The three syntaxes
+build one node per constant and connective, and one rule reads true,
+false, not and parentheses for all of them.
 
 The full grammar is documented in docs/grammar.md.
 """
@@ -28,13 +30,11 @@ import string
 from functools import partial
 from typing import NamedTuple
 
-from .model import (Action, Aspect, AspectPol, BindVar, CombinePol, Const,
-                    Cut, Diagnostic, EBin, EEqual, EFalse, ENot, EOccursIn,
-                    ETest, ETrue, FalsePol, LabelPattern,
-                    LETTER_CAP, Net, NetEntry, Nil, NIL, NotPol, Obligation,
-                    PAnd, PEqual, PExists, PFalse, PForall, PGeq, PNot, POr,
-                    PTest, PTestPost, PTrue, Par, Repl, Sum, TruePol, Var,
-                    WILDCARD, canonicalize, render_term)
+from .model import (Action, Aspect, AspectPol, BindVar, Const, Cut,
+                    Diagnostic, EBin, EEqual, EFalse, ENot, EOccursIn, ETest,
+                    ETrue, LabelPattern, LETTER_CAP, Net, NetEntry, Nil, NIL,
+                    Obligation, PExists, PForall, PGeq, PTestPost, Par, Repl,
+                    Sum, Var, WILDCARD, canonicalize, render_term)
 
 
 class ParseError(Exception):
@@ -59,11 +59,10 @@ KEYWORDS = {"out", "in", "read", "test", "AG", "forall", "exists", "true",
 _PREC = {"implies": 1, "or": 2, "and": 3, "oplus": 4, "otimes": 5, "pref": 6}
 _QUANT, _NOT, _ATOM = 0, 7, 8
 
-# Per syntax, the node that `not` and each binary operator it admits build.
-_POLICY = {"not": NotPol, **{op: partial(CombinePol, op) for op in _PREC}}
-_EXPR = {"not": ENot,
-         **{op: partial(EBin, op) for op in _PREC if op != "pref"}}
-_PRED = {"not": PNot, "or": POr, "and": PAnd}
+# The binary operators each syntax admits; every syntax admits `not`.
+_POLICY = frozenset(_PREC)
+_EXPR = _POLICY - {"pref"}
+_PRED = _POLICY & {"and", "or"}
 _CAPS = ("out", "in", "read")
 _BINDING = ("in", "read")       # the capabilities whose templates bind !x
 
@@ -203,7 +202,7 @@ class _Parser:
         return t
 
     def at(self, kind: str, text=None) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.kind == kind and (text is None or t.text == text)
 
     def error(self, msg: str, tok=None):
@@ -230,22 +229,34 @@ class _Parser:
 
     # -- the shared rules -----------------------------------------------------
 
-    def parse_infix(self, syntax, atom, level=1):
+    def parse_infix(self, syntax, group, atom, level=1):
         """Operands joined by those binary operators of syntax that bind
-        at least as tightly as level; atom() parses one atom."""
-        left = self.parse_unary(syntax, atom)
+        at least as tightly as level.  group() parses what parentheses
+        hold and atom() an atom that is not true, false or ( group )."""
+        left = self.parse_unary(group, atom)
         while True:
             op = self.peek().text
             if _PREC.get(op, 0) < level or op not in syntax:
                 return left
             self.advance()
             tighter = _PREC[op] + (op != "implies")
-            left = syntax[op](left, self.parse_infix(syntax, atom, tighter))
+            left = EBin(op, left, self.parse_infix(syntax, group, atom, tighter))
 
-    def parse_unary(self, syntax, atom):
+    def parse_unary(self, group, atom):
         if self.at("kw", "not"):
             self.advance()
-            return syntax["not"](self.parse_unary(syntax, atom))
+            return ENot(self.parse_unary(group, atom))
+        if self.at("kw", "true"):
+            self.advance()
+            return ETrue()
+        if self.at("kw", "false"):
+            self.advance()
+            return EFalse()
+        if self.at("("):
+            self.advance()
+            inner = group()
+            self.expect(")")
+            return inner
         return atom()
 
     def parse_list(self, close, row, names=None, cap=None, scope=frozenset()):
@@ -367,20 +378,9 @@ class _Parser:
     # -- policies ------------------------------------------------------------
 
     def parse_policy(self):
-        return self.parse_infix(_POLICY, self.parse_pol_atom)
+        return self.parse_infix(_POLICY, self.parse_policy, self.parse_pol_atom)
 
     def parse_pol_atom(self):
-        if self.at("kw", "true"):
-            self.advance()
-            return TruePol()
-        if self.at("kw", "false"):
-            self.advance()
-            return FalsePol()
-        if self.at("("):
-            self.advance()
-            p = self.parse_policy()
-            self.expect(")")
-            return p
         if self.at("["):
             return AspectPol(self.parse_aspect())
         self.error("expected a policy")
@@ -416,20 +416,9 @@ class _Parser:
     # rec and cond expressions
 
     def parse_expr(self):
-        return self.parse_infix(_EXPR, self.parse_e_atom)
+        return self.parse_infix(_EXPR, self.parse_expr, self.parse_e_atom)
 
     def parse_e_atom(self):
-        if self.at("kw", "true"):
-            self.advance()
-            return ETrue()
-        if self.at("kw", "false"):
-            self.advance()
-            return EFalse()
-        if self.at("("):
-            self.advance()
-            e = self.parse_expr()
-            self.expect(")")
-            return e
         if self.at("kw", "test"):
             self.advance()
             if self.at("'"):
@@ -506,20 +495,10 @@ class _Parser:
             self.advance()
             self.expect(":")
             return cls(var_tok.text, self.parse_pred(bound | {var_tok.text}))
-        return self.parse_infix(_PRED, partial(self.parse_p_atom, bound))
+        return self.parse_infix(_PRED, partial(self.parse_pred, bound),
+                                partial(self.parse_p_atom, bound))
 
     def parse_p_atom(self, bound):
-        if self.at("kw", "true"):
-            self.advance()
-            return PTrue()
-        if self.at("kw", "false"):
-            self.advance()
-            return PFalse()
-        if self.at("("):
-            self.advance()
-            p = self.parse_pred(bound)
-            self.expect(")")
-            return p
         if self.at("kw", "test"):
             self.advance()
             post = False
@@ -527,12 +506,12 @@ class _Parser:
                 self.advance()
                 post = True
             args, at = self.parse_args("predicate term", "predicate term", bound)
-            return PTestPost(args, at) if post else PTest(args, at)
+            return PTestPost(args, at) if post else ETest(args, at)
         term = _TERMS["predicate term"]
         left = self.parse_term(term, bound)
         if self.at("="):
             self.advance()
-            return PEqual(left, self.parse_term(term, bound))
+            return EEqual(left, self.parse_term(term, bound))
         if self.at(">="):
             self.advance()
             return PGeq(left, self.parse_term(term, bound))
@@ -582,12 +561,11 @@ def render_action(a: Action) -> str:
 
 
 # where each node that is not a binary operator sits in the table _PREC
-_LEVEL = {NotPol: _NOT, ENot: _NOT, PNot: _NOT, PForall: _QUANT,
-          PExists: _QUANT, POr: _PREC["or"], PAnd: _PREC["and"]}
+_LEVEL = {ENot: _NOT, PForall: _QUANT, PExists: _QUANT}
 
 
 def _level(node) -> int:
-    if isinstance(node, (CombinePol, EBin)):
+    if isinstance(node, EBin):
         return _PREC[node.op]
     return _LEVEL.get(type(node), _ATOM)
 
@@ -624,20 +602,6 @@ def render_process(p) -> str:
     raise TypeError(f"not a process: {p!r}")
 
 
-def render_policy(p) -> str:
-    if isinstance(p, TruePol):
-        return "true"
-    if isinstance(p, FalsePol):
-        return "false"
-    if isinstance(p, NotPol):
-        return f"not {_wrap(p.body, render_policy, _NOT)}"
-    if isinstance(p, CombinePol):
-        return _render_binary(p.op, p.left, p.right, render_policy)
-    if isinstance(p, AspectPol):
-        return render_aspect(p.aspect)
-    raise TypeError(f"not a policy: {p!r}")
-
-
 def render_cut(c: Cut) -> str:
     return (f"{render_term(c.subject)} :: {render_action(c.action)}"
             f" . {c.cont_var}")
@@ -648,6 +612,7 @@ def render_aspect(a: Aspect) -> str:
 
 
 def render_expr(e) -> str:
+    """The source text of a policy or a rec/cond expression."""
     if isinstance(e, ETrue):
         return "true"
     if isinstance(e, EFalse):
@@ -666,11 +631,13 @@ def render_expr(e) -> str:
         return "test" + _render_args(e.args, e.at)
     if isinstance(e, EOccursIn):
         return f"{render_action(e.action)} occurs-in {e.var}"
+    if isinstance(e, AspectPol):
+        return render_aspect(e.aspect)
     raise TypeError(f"not an expression: {e!r}")
 
 
 def render_entry(e: NetEntry) -> str:
-    pol = render_policy(e.policy)
+    pol = render_expr(e.policy)
     if e.is_data():
         return f"{e.location} ::[{pol}] <{', '.join(e.body)}>"
     return f"{e.location} ::[{pol}] {render_process(e.body)}"
@@ -681,26 +648,18 @@ def render_net(n: Net) -> str:
 
 
 def render_pred(p) -> str:
-    if isinstance(p, PTrue):
-        return "true"
-    if isinstance(p, PFalse):
-        return "false"
-    if isinstance(p, PNot):
+    if isinstance(p, ENot):
         return f"not {_wrap(p.body, render_pred, _ATOM)}"
-    if isinstance(p, (PAnd, POr)):
-        op = "and" if isinstance(p, PAnd) else "or"
-        return _render_binary(op, p.left, p.right, render_pred)
+    if isinstance(p, EBin):
+        return _render_binary(p.op, p.left, p.right, render_pred)
     if isinstance(p, (PForall, PExists)):
         word = "forall" if isinstance(p, PForall) else "exists"
         return f"{word} {p.var} : {render_pred(p.body)}"
-    if isinstance(p, PEqual):
-        return f"{render_term(p.left)} = {render_term(p.right)}"
     if isinstance(p, PGeq):
         return f"{render_term(p.left)} >= {render_term(p.right)}"
-    if isinstance(p, (PTest, PTestPost)):
-        mark = "'" if isinstance(p, PTestPost) else ""
-        return f"test{mark}" + _render_args(p.args, p.at)
-    raise TypeError(f"not a predicate: {p!r}")
+    if isinstance(p, PTestPost):
+        return "test'" + _render_args(p.args, p.at)
+    return render_expr(p)       # true, false, = and test
 
 
 def render_obligation(o: Obligation) -> str:

@@ -37,11 +37,11 @@ by those keys, so deduplicating a successor hashes a tuple of small
 integers once.  A step carries the ids of the entries it leaves alone
 over from its source state and interns only the entries it adds,
 which are remembered per acting entry and branch.  Policy test atoms
-are set lookups in the state's data index.  `LTS.states` still holds
-ordinary `Net` values, built from the shared interned entries, and the
-LTS keeps the id tuples and the interner for the obligation checker,
-along with the transition that first discovered each state, from which
-witnesses are read back.
+are set lookups in the state's data index.  The LTS keeps the id
+tuples and the interner, along with the transition that first
+discovered each state, from which witnesses are read back;
+`LTS.states` builds ordinary `Net` values from the shared interned
+entries on first access.
 
 The explorer also judges each step's policies once per exploration.
 A step's combined verdict depends on the acting entry, the branch and
@@ -72,18 +72,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .belnap import (BOT, FF, GRANTS, LIFTED, NEG_SETS, TT, FourValue, only,
-                     vset)
-from .model import (Action, AspectPol, BindVar, CAP_LETTER, CombinePol, Const,
-                    Cut, EBin, EEqual, EFalse, ENot, EOccursIn, ETest, ETrue,
-                    EvaluationError, FalsePol, Label, LimitExceeded, Net,
-                    NetEntry, Nil, NotPol, PAnd, PEqual, PExists, PFalse,
-                    PForall, PGeq, PNot, POr, PTest, PTestPost, PTrue,
-                    Process, ReplicationPresent, Substitution, Sum,
-                    TruePol, Wildcard, drop_nils, entry_consts,
-                    has_replication, process_actions, split_entry)
+from .belnap import BOT, FF, GRANTS, LIFTED, NEG_SETS, TT, only, vset
+from .model import (Action, AspectPol, BindVar, CAP_LETTER, Const, Cut, EBin,
+                    EEqual, EFalse, ENot, EOccursIn, ETest, ETrue,
+                    EvaluationError, Label, LimitExceeded, Net, NetEntry, Nil,
+                    PExists, PForall, PGeq, PTestPost, Process,
+                    ReplicationPresent, Substitution, Sum, Wildcard,
+                    drop_nils, entry_consts, has_replication, process_actions,
+                    split_entry)
 from .unification import findsubs
 
 # ---------------------------------------------------------------------------
@@ -269,14 +268,14 @@ def policy_values(pol, subject: str, action: Action, continuation: Process,
     recommendations of the other traps that reach the top through
     oplus alone are appended to `sure` when it is a list.
     """
-    if isinstance(pol, TruePol):
+    if isinstance(pol, ETrue):
         return TRUE
-    if isinstance(pol, FalsePol):
+    if isinstance(pol, EFalse):
         return FALSE
-    if isinstance(pol, NotPol):
+    if isinstance(pol, ENot):
         return NEG_SETS[policy_values(pol.body, subject, action,
                                       continuation, domain)]
-    if isinstance(pol, CombinePol):
+    if isinstance(pol, EBin):
         sure = sure if pol.op == "oplus" else None
         left = policy_values(pol.left, subject, action, continuation, domain,
                              sure)
@@ -304,36 +303,24 @@ def policy_values(pol, subject: str, action: Action, continuation: Process,
     raise TypeError(f"not a policy: {pol!r}")
 
 
-def eval_policy(pol, trapped, net: Net) -> FourValue:
-    """Judge an attempted action (a LocatedAction) under a policy.
-
-    The action is the template as written, with input binders still
-    unsubstituted; a trap pattern consequently learns nothing about
-    the data an input will bind.
-    """
-    return only(policy_values(pol, trapped.source, trapped.action,
-                              trapped.continuation,
-                              StateDomain(data_index(net))))
-
-
 def pred_values(pred, domain, locs) -> int:
     """The value set, within {tt, ff}, of an obligation's predicate on
     a step, with quantifiers ranging over the location constants locs.
     and, or and the quantifiers stop once their value is decided.  In
     an inexact domain the range at run time may be any subset of locs,
     so a quantifier may also take its value on the empty range."""
-    if isinstance(pred, PTrue):
+    if isinstance(pred, ETrue):
         return TRUE
-    if isinstance(pred, PFalse):
+    if isinstance(pred, EFalse):
         return FALSE
-    if isinstance(pred, PNot):
+    if isinstance(pred, ENot):
         return NEG_SETS[pred_values(pred.body, domain, locs)]
-    if isinstance(pred, (PAnd, POr, PForall, PExists)):
-        conj = isinstance(pred, (PAnd, PForall))
+    if isinstance(pred, (EBin, PForall, PExists)):
+        quantified = not isinstance(pred, EBin)
+        conj = isinstance(pred, PForall) if quantified else pred.op == "and"
         op = LIFTED["and" if conj else "or"]
         unit, decided = (TRUE, FALSE) if conj else (FALSE, TRUE)
-        quantified = isinstance(pred, (PForall, PExists))
-        parts = (Substitution(((pred.var, Const(loc)),)).apply_pred(pred.body)
+        parts = (Substitution(((pred.var, Const(loc)),)).apply_expr(pred.body)
                  for loc in locs) if quantified else (pred.left, pred.right)
         values = unit
         for part in parts:
@@ -341,11 +328,11 @@ def pred_values(pred, domain, locs) -> int:
             if values == decided:
                 break
         return values | unit if quantified and not domain.exact else values
-    if isinstance(pred, PEqual):
+    if isinstance(pred, EEqual):
         return domain.equal(pred.left, pred.right)
     if isinstance(pred, PGeq):
         return domain.geq(pred.left, pred.right)
-    if isinstance(pred, (PTest, PTestPost)):
+    if isinstance(pred, (ETest, PTestPost)):
         return domain.test(pred.args, pred.at, isinstance(pred, PTestPost))
     raise TypeError(f"not a predicate: {pred!r}")
 
@@ -586,10 +573,6 @@ def _steps(ids: tuple, space: Interner, ample=None):
     return steps, denied
 
 
-def enabled_steps(net: Net):
-    return step_candidates(net)[0]
-
-
 # ---------------------------------------------------------------------------
 # transition systems
 
@@ -602,12 +585,16 @@ class Transition:
 
 @dataclass
 class LTS:
-    states: list             # state id -> canonical Net
     transitions: list        # in discovery order
     discovered_by: list      # state id -> first Transition into it, or None
     ids: list                # state id -> its id tuple in `space`
     space: Interner          # the entries the states are built from
     initial: int = 0
+
+    @cached_property
+    def states(self) -> list:
+        """State id -> canonical Net, built on first access."""
+        return [self.space.net(s) for s in self.ids]
 
 
 def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000,
@@ -619,13 +606,13 @@ def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000,
     without it the LTS is the whole reachable state space.  `visit` is
     called as visit(lts, transition) on every transition as it is
     discovered, and the search stops after the first one for which it
-    returns true; `LTS.states` then holds the states discovered so far.
+    returns true; the LTS then holds the states discovered so far.
     """
     if has_replication(net):
         raise ReplicationPresent("replication is outside the checkable fragment")
     space = Interner()
     start = space.state(net)
-    lts = LTS([], [], [None], [start], space)
+    lts = LTS([], [None], [start], space)
     ids, discovered_by, transitions = lts.ids, lts.discovered_by, \
         lts.transitions
     index = {start: 0}
@@ -655,7 +642,6 @@ def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000,
             if visit is not None and visit(lts, t):
                 queue.clear()
                 break
-    lts.states = [space.net(s) for s in ids]
     return lts
 
 
@@ -690,7 +676,7 @@ def dot_export(lts: LTS) -> str:
         return s.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["digraph lts {", "  rankdir=LR;"]
-    for i in range(len(lts.states)):
+    for i in range(len(lts.ids)):
         shape = "doublecircle" if i == lts.initial else "circle"
         lines.append(f'  {i} [label="s{i}", shape={shape}];')
     for t in lts.transitions:

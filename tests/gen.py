@@ -6,12 +6,10 @@ reproduce from the seed printed by the failing test.
 import random
 
 from aspectkbl.model import (Action, Aspect, AspectPol, BindVar, CAP_LETTER,
-                             CombinePol, Const, Cut, EEqual, EFalse, ENot,
-                             EOccursIn, ETest, ETrue, EBin, FalsePol,
-                             LabelPattern, Net, NetEntry, NIL, NotPol,
-                             Obligation, PAnd, PEqual, PExists, PFalse,
-                             PForall, PNot, POr, PTest, PTestPost, PTrue, Par,
-                             Repl, Sum, TruePol, Var, WILDCARD, take_actions)
+                             Const, Cut, EBin, EEqual, EFalse, ENot, EOccursIn,
+                             ETest, ETrue, LabelPattern, Net, NetEntry, NIL,
+                             Obligation, PExists, PForall, PTestPost, Par,
+                             Repl, Sum, Var, WILDCARD, take_actions)
 from aspectkbl.parser import parse_net
 
 LOCS = ("A", "B", "C")
@@ -157,15 +155,14 @@ def gen_policy(rng, depth=2):
     if depth <= 0 or r < 0.4:
         pick = rng.randrange(4)
         if pick == 0:
-            return TruePol()
+            return ETrue()
         if pick == 1:
-            return FalsePol()
+            return EFalse()
         return AspectPol(gen_aspect(rng))
     if r < 0.55:
-        return NotPol(gen_policy(rng, depth - 1))
-    return CombinePol(rng.choice(POL_OPS),
-                      gen_policy(rng, depth - 1),
-                      gen_policy(rng, depth - 1))
+        return ENot(gen_policy(rng, depth - 1))
+    return EBin(rng.choice(POL_OPS), gen_policy(rng, depth - 1),
+                gen_policy(rng, depth - 1))
 
 
 def gen_net(rng):
@@ -188,20 +185,20 @@ def gen_pred(rng, bound, depth=2):
     if depth <= 0 or r < 0.35:
         pick = rng.randrange(5)
         if pick == 0:
-            return PTrue()
+            return ETrue()
         if pick == 1:
-            return PFalse()
+            return EFalse()
         if pick == 2:
-            return PEqual(_gen_eterm(rng, bound), _gen_eterm(rng, bound))
+            return EEqual(_gen_eterm(rng, bound), _gen_eterm(rng, bound))
         args = tuple(_gen_eterm(rng, bound)
                      for _ in range(rng.randint(1, 2)))
         at = Const(rng.choice(LOCS))
-        return (PTest if pick == 3 else PTestPost)(args, at)
+        return (ETest if pick == 3 else PTestPost)(args, at)
     if r < 0.5:
-        return PNot(gen_pred(rng, bound, depth - 1))
+        return ENot(gen_pred(rng, bound, depth - 1))
     if r < 0.8:
-        node = PAnd if rng.random() < 0.5 else POr
-        return node(gen_pred(rng, bound, depth - 1),
+        op = "and" if rng.random() < 0.5 else "or"
+        return EBin(op, gen_pred(rng, bound, depth - 1),
                     gen_pred(rng, bound, depth - 1))
     var = f"$q{depth}"
     node = PForall if rng.random() < 0.5 else PExists
@@ -285,12 +282,11 @@ def gen_small_aspect(rng, locs):
 def gen_small_policy(rng, locs):
     r = rng.random()
     if r < 0.4:
-        return TruePol()
+        return ETrue()
     if r < 0.8:
         return AspectPol(gen_small_aspect(rng, locs))
-    return CombinePol("oplus",
-                      AspectPol(gen_small_aspect(rng, locs)),
-                      AspectPol(gen_small_aspect(rng, locs)))
+    return EBin("oplus", AspectPol(gen_small_aspect(rng, locs)),
+                AspectPol(gen_small_aspect(rng, locs)))
 
 
 def gen_small_process(rng, locs):
@@ -358,24 +354,23 @@ def gen_obligation_for(rng, net):
     def atom(bound):
         pick = rng.randrange(4)
         if pick == 0:
-            return PTrue()
+            return ETrue()
         if pick == 1:
             l = Var(rng.choice(bound)) if bound and rng.random() < 0.6 \
                 else Const(rng.choice(CONSTS + tuple(locs)))
-            return PEqual(l, Const(rng.choice(CONSTS + tuple(locs))))
+            return EEqual(l, Const(rng.choice(CONSTS + tuple(locs))))
         args = tuple(Var(rng.choice(bound)) if bound and rng.random() < 0.4
                      else Const(rng.choice(CONSTS))
                      for _ in range(rng.randint(1, 2)))
         at = Const(rng.choice(locs))
-        return (PTest if pick == 2 else PTestPost)(args, at)
+        return (ETest if pick == 2 else PTestPost)(args, at)
 
     pred = atom(bound)
     r = rng.random()
     if r < 0.2:
-        pred = PNot(pred)
+        pred = ENot(pred)
     elif r < 0.4:
-        node = PAnd if rng.random() < 0.5 else POr
-        pred = node(pred, atom(bound))
+        pred = EBin("and" if rng.random() < 0.5 else "or", pred, atom(bound))
     elif r < 0.5:
         node = PForall if rng.random() < 0.5 else PExists
         pred = node("$q", atom(bound + ["$q"]))
@@ -433,23 +428,23 @@ def gen_obligation_from_net(rng, net):
     def atom():
         pick = rng.randrange(6)
         if pick == 0 or not tuples:
-            return rng.choice((PTrue(), PFalse()))
+            return rng.choice((ETrue(), EFalse()))
         if pick == 1:
             left = Var(rng.choice(bound)) if bound else Const(rng.choice(names))
-            return PEqual(left, Const(rng.choice(names)))
+            return EEqual(left, Const(rng.choice(names)))
         at, body = rng.choice(tuples)
         args = tuple(Var(rng.choice(bound)) if bound and rng.random() < 0.3
                      else Const(n) for n in body)
-        return (PTest if pick < 4 else PTestPost)(args, Const(at))
+        return (ETest if pick < 4 else PTestPost)(args, Const(at))
 
     pred = atom()
     r = rng.random()
     if r < 0.15:
-        pred = PNot(pred)
+        pred = ENot(pred)
     elif r < 0.45:
-        pred = (PAnd if rng.random() < 0.5 else POr)(pred, atom())
+        pred = EBin("and" if rng.random() < 0.5 else "or", pred, atom())
     elif r < 0.55:
-        pred = PNot((PAnd if rng.random() < 0.5 else POr)(pred, atom()))
+        pred = ENot(EBin("and" if rng.random() < 0.5 else "or", pred, atom()))
     return Obligation(pattern, pred)
 
 

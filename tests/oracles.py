@@ -1,14 +1,19 @@
-"""Independent re-derivations used as test oracles.
+"""Independent re-derivations used as test oracles, and the helpers
+the tests judge single steps, policies and predicates with.
 
 The four-valued operators are recomputed here from the two Hasse
 diagrams by brute force (reflexive-transitive closure, then minimal
 upper bound / maximal lower bound search) so the tests do not merely
 compare the implementation tables against themselves.
 """
-from aspectkbl import (BOT, TT, FF, TOP, VALUES, build_lts, check_lts,
-                       enabled_steps)
+from aspectkbl import (BOT, TT, FF, TOP, VALUES, build_lts, data_index,
+                       loc_set, step_candidates)
+from aspectkbl.belnap import only
+from aspectkbl.exhaustive import TransitionCheck
 from aspectkbl.model import Diagnostic
 from aspectkbl.parser import KEYWORDS, Token
+from aspectkbl.semantics import (TRUE, StateDomain, policy_values,
+                                 pred_values)
 
 # knowledge order: bot below tt and ff, both below top
 _K_HASSE = {("bot", "tt"), ("bot", "ff"), ("tt", "top"), ("ff", "top")}
@@ -88,6 +93,29 @@ def grant(a):
     return leq_k(a, TT)
 
 
+def enabled_steps(net):
+    """The (label, successor) pairs of the steps a network can take."""
+    return step_candidates(net)[0]
+
+
+def eval_policy(pol, trapped, net):
+    """Judge an attempted action (a LocatedAction) under a policy in
+    the network's state.  The action is the template as written, with
+    input binders still unsubstituted."""
+    return only(policy_values(pol, trapped.source, trapped.action,
+                              trapped.continuation,
+                              StateDomain(data_index(net))))
+
+
+def sat_pred(pair, theta, pred):
+    """Satisfaction of a predicate on a transition's state pair, under
+    the substitution that matched the obligation's pattern."""
+    pre, post = pair
+    return pred_values(theta.apply_expr(pred),
+                       StateDomain(data_index(pre), data_index(post)),
+                       sorted(loc_set(pre) | loc_set(post))) == TRUE
+
+
 def maximal_paths(lts):
     """All label sequences from the initial state to a stuck state."""
     succ = {}
@@ -119,8 +147,15 @@ def check_whole(net, obl, **limits):
     """Check the obligation over the whole transition system, with no
     reduction and no early stop.  `sat_obl`'s reduced search takes the
     static certifier's word on which steps are visible, so this, not
-    `sat_obl`, is the oracle the certifier is tested against."""
-    return check_lts(build_lts(net, **limits), obl)
+    `sat_obl`, is the oracle the certifier is tested against.  The
+    transitions are checked in discovery order up to the first that
+    violates."""
+    lts = build_lts(net, **limits)
+    check = TransitionCheck(obl)
+    for t in lts.transitions:
+        if check(lts, t):
+            break
+    return check.verdict(lts)
 
 
 # A lexer that reads one character at a time: the reference that

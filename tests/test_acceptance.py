@@ -10,10 +10,10 @@ import time
 import pytest
 
 from aspectkbl import (BOT, FF, TOP, TT, VALUES, build_lts, canonicalize,
-                       check_network, data_index, enabled_steps, grant,
+                       check_network, data_index, grant,
                        implies, interp_test, join_k, join_t, meet_k, meet_t,
                        neg, parse_net, parse_obligation, parse_policy,
-                       priority, render_net, render_obligation, render_policy,
+                       priority, render_expr, render_net, render_obligation,
                        sat_obl, semantics)
 import corpusio
 import gen
@@ -66,7 +66,7 @@ def test_criterion_2_record_store_state_spaces():
 
         guarded = build_lts(corpusio.net("tiny_with_policies.akbl"))
         assert (len(guarded.states), len(guarded.transitions)) == (2, 1)
-        assert enabled_steps(guarded.states[1]) == []
+        assert oracles.enabled_steps(guarded.states[1]) == []
 
 
 def test_criterion_3_role_obligations_on_the_record_store():
@@ -163,7 +163,7 @@ def test_criterion_8_round_trips():
             assert parse_net(render_net(net)) == canonicalize(net)
         for _ in range(250):
             pol = gen.gen_policy(rng, depth=3)
-            assert parse_policy(render_policy(pol)) == pol
+            assert parse_policy(render_expr(pol)) == pol
         for _ in range(250):
             obl = gen.gen_obligation(rng)
             assert parse_obligation(render_obligation(obl)) == obl

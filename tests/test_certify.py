@@ -6,14 +6,14 @@ import pytest
 
 from aspectkbl import (BOT, TT, ReplicationPresent, build_lts,
                        canonicalize, check_network, check_single_action,
-                       corpus_path, eval_policy, might_grant, parse_net,
+                       corpus_path, might_grant, parse_net,
                        parse_obligation, parse_policy, report_json, semantics,
                        take_actions)
 from aspectkbl.belnap import GRANTS, members
 from aspectkbl.certify import (DENIED, ENTAILED, IRRELEVANT, NOT_CERTIFIED,
                                MutationInfo)
-from aspectkbl.model import (BindVar, LocatedAction, Net, NetEntry, Repl, Sum,
-                             TruePol, loc_set)
+from aspectkbl.model import (BindVar, ETrue, LocatedAction, Net, NetEntry,
+                             Repl, Sum, loc_set)
 from aspectkbl.semantics import (BOTH, BOTTOM, FALSE, TRUE,
                                  policies_by_location, pred_values)
 from aspectkbl.unification import extract, findsubs
@@ -187,7 +187,7 @@ def test_entailment_by_constraint_when_truth_may_change():
     assert report.outcome == ENTAILED
     assert report.constraints == (("test", "R", ("Doctor", "H")),)
     # the unrefined domain alone would not certify this
-    pred0 = report.theta0.apply_pred(obl.pred)
+    pred0 = report.theta0.apply_expr(obl.pred)
     assert pred_values(pred0, mut, domain) == BOTH
     # one conjunct follows from the store's trap, the other from the
     # tuple no action can take: only the refined domain reads both
@@ -247,7 +247,7 @@ def test_replication_is_rejected_statically():
     net = corpusio.net("tiny_with_policies.akbl")
     body = next(e.body for e in net.entries
                 if e.location == "Hansen" and not e.is_data())
-    repl = Net(net.entries + (NetEntry("Hansen", TruePol(), Repl(body)),))
+    repl = Net(net.entries + (NetEntry("Hansen", ETrue(), Repl(body)),))
     with pytest.raises(ReplicationPresent):
         check_network(repl, corpusio.obl("eq1.obl"))
 
@@ -355,7 +355,7 @@ def test_policy_values_are_sound_per_side():
         for act in _branches(net, pols):
             for pol in (act.policy, pols[act.action.target.name]):
                 checked += 1
-                if eval_policy(pol, act, net) \
+                if oracles.eval_policy(pol, act, net) \
                         not in members(might_grant(pol, act, mut).values):
                     unsound.append((net, act, pol))
     assert checked > 1000
@@ -386,7 +386,7 @@ def test_policy_values_are_sound_in_every_reachable_state():
                            and _instance_of(act, a)]
                 assert origins, act
                 for pol in (act.policy, pols[act.action.target.name]):
-                    value = eval_policy(pol, act, state)
+                    value = oracles.eval_policy(pol, act, state)
                     for origin in origins:
                         checked[family] += 1
                         if value not in members(

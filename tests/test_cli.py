@@ -1,8 +1,13 @@
 """The akbl command line: exit codes, output contracts, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aspectkbl
 from aspectkbl.cli import main
 import corpusio
 
@@ -289,3 +294,27 @@ def test_deep_inputs_never_read_as_a_verdict(capsys, tmp_path):
         assert rc in (0, 3, 4), (argv, rc, err)
         assert "Traceback" not in err
         assert len(err.splitlines()) <= 1
+
+
+def test_a_closed_stdout_exits_141_in_silence(tmp_path):
+    # each output is several times a pipe's buffer, so the writer is
+    # still writing when the reader closes the pipe after one line
+    nine = tmp_path / "nine.akbl"
+    nine.write_text("\n|| ".join(f"A ::[true] out(k{i})@A . 0"
+                                  for i in range(9)))
+    many = tmp_path / "many.akbl"
+    many.write_text("\n|| ".join(f"A ::[true] out(k{i})@A . 0"
+                                  for i in range(2000)))
+    outs = tmp_path / "outs.obl"
+    outs.write_text("AG [$u : o(_)@A] true")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(aspectkbl.__file__).parents[1])}
+    for argv in (("lts", nine, "--json"), ("check", many, outs, "--json")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "aspectkbl.cli", *map(str, argv)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141, (argv, err)
+        assert err == b"", argv

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from aspectkbl import (EvaluationError, LimitExceeded, build_lts, check_lts,
-                       enabled_steps, extract, findsubs, parse_net,
-                       parse_obligation, sat_pred, sat_obl, unify_label)
-from aspectkbl.model import (Const, Label, LabelPattern, PEqual, PGeq, PTest,
+                       extract, findsubs, parse_net, parse_obligation, sat_obl,
+                       unify_label)
+from aspectkbl.model import (Const, EEqual, ETest, Label, LabelPattern, PGeq,
                              PTestPost, Substitution, Var, Wildcard, WILDCARD)
 import corpusio
 import gen
 import oracles
+from oracles import enabled_steps, sat_pred
 
 
 def lbl(subject, cap, args, target):
@@ -73,27 +74,27 @@ def pair_for(src_text, steps=1):
 def test_test_and_test_post_straddle_the_step():
     pre, post, _ = pair_for("A ::[true] out(k, v)@B . 0 || B ::[true] <seed>")
     th = Substitution()
-    before = PTest((Const("k"), Const("v")), Const("B"))
+    before = ETest((Const("k"), Const("v")), Const("B"))
     after = PTestPost((Const("k"), Const("v")), Const("B"))
     assert not sat_pred((pre, post), th, before)
     assert sat_pred((pre, post), th, after)
     # the seed tuple is present on both sides
-    assert sat_pred((pre, post), th, PTest((Const("seed"),), Const("B")))
+    assert sat_pred((pre, post), th, ETest((Const("seed"),), Const("B")))
 
 
 def test_unresolved_test_arguments_fail_soft():
     pre, post, _ = pair_for("A ::[true] out(k)@B . 0 || B ::[true] <seed>")
     th = Substitution()
-    assert not sat_pred((pre, post), th, PTest((Var("$u"),), Const("B")))
-    assert not sat_pred((pre, post), th, PTest((Const("seed"),), Var("$u")))
+    assert not sat_pred((pre, post), th, ETest((Var("$u"),), Const("B")))
+    assert not sat_pred((pre, post), th, ETest((Const("seed"),), Var("$u")))
 
 
 def test_equality_and_arithmetic_want_ground_terms():
     pre, post, _ = pair_for("A ::[true] out(k)@B . 0 || B ::[true] <seed>")
     th = Substitution()
-    assert sat_pred((pre, post), th, PEqual(Const("k"), Const("k")))
+    assert sat_pred((pre, post), th, EEqual(Const("k"), Const("k")))
     with pytest.raises(EvaluationError):
-        sat_pred((pre, post), th, PEqual(Var("$u"), Const("k")))
+        sat_pred((pre, post), th, EEqual(Var("$u"), Const("k")))
     assert sat_pred((pre, post), th, PGeq(Const("12"), Const("3")))
     assert not sat_pred((pre, post), th, PGeq(Const("3"), Const("12")))
     with pytest.raises(EvaluationError):
@@ -155,7 +156,7 @@ def test_instantiated_predicate_is_reported():
     v = sat_obl(open_net, corpusio.obl("eq1.obl"))
     assert v.witness.theta.apply_term(Var("$u")) == Const("Olsen")
     got = v.witness.pred
-    assert isinstance(got, PTest)
+    assert isinstance(got, ETest)
     assert got.args == (Const("Doctor"), Const("Olsen"))
 
 
@@ -166,8 +167,10 @@ def test_limits_propagate():
 
 
 def test_check_lts_counts_work():
-    lts = build_lts(corpusio.net("tiny_no_policies.akbl"))
-    v = check_lts(lts, parse_obligation("AG [$u : i(_)@EHDB] true"))
+    net = corpusio.net("tiny_no_policies.akbl")
+    obl = parse_obligation("AG [$u : i(_)@EHDB] true")
+    v = check_lts(net, obl)
+    assert v == oracles.check_whole(net, obl)
     assert v.holds
     assert v.transitions_checked == 7
     assert v.states_explored == 6
@@ -262,7 +265,7 @@ def test_reduction_keeps_the_violation_a_dependency_hides(case):
     net, obl = parse_net(case[0]), parse_obligation(case[1])
     v = sat_obl(net, obl)
     assert not v.holds
-    assert v.witness == check_lts(build_lts(net), obl).witness
+    assert v.witness == oracles.check_whole(net, obl).witness
 
 
 def test_reduction_skips_quantifiers_and_mixed_policies():
@@ -278,7 +281,7 @@ def test_reduction_skips_quantifiers_and_mixed_policies():
     net, obl = parse_net(QUANTIFIED[0]), parse_obligation(QUANTIFIED[1])
     v = sat_obl(net, obl)
     assert not v.holds and v.witness.path == ()
-    assert v.witness == check_lts(build_lts(net), obl).witness
+    assert v.witness == oracles.check_whole(net, obl).witness
     holds = parse_obligation("AG [$u : o(_)@S] exists $x : $x = S")
     v = sat_obl(parse_net(outs), holds)
     assert v.holds and v.states_explored == whole

@@ -1,16 +1,16 @@
 """Structure layer: canonical forms, substitution, validation."""
 import random
 
-from aspectkbl.model import (Action, Const, BindVar, Net, NetEntry, NIL, Par,
-                             PEqual, PForall, Repl, Substitution, Sum,
-                             TruePol, FalsePol, Var, WILDCARD, canonicalize,
+from aspectkbl.model import (Action, Const, BindVar, EEqual, EFalse, ETrue,
+                             Net, NetEntry, NIL, Par, PForall, Repl,
+                             Substitution, Sum, Var, WILDCARD, canonicalize,
                              has_replication, loc_set, subst_key,
                              take_actions, validate)
 from aspectkbl import corpus_path, parse_net, parse_policy
 import gen
 
-T = TruePol()
-F = FalsePol()
+T = ETrue()
+F = EFalse()
 
 
 def chain(*actions):
@@ -150,12 +150,12 @@ def test_substitution_stops_at_rebinding_action():
 
 
 def test_substitution_respects_quantifier_scope():
-    pred = PForall("$x", PEqual(Var("$x"), Const("k")))
+    pred = PForall("$x", EEqual(Var("$x"), Const("k")))
     th = Substitution((("$x", Const("v")),))
-    assert th.apply_pred(pred) == pred
+    assert th.apply_expr(pred) == pred
 
-    free = PForall("$y", PEqual(Var("$x"), Const("k")))
-    assert th.apply_pred(free) == PForall("$y", PEqual(Const("v"), Const("k")))
+    free = PForall("$y", EEqual(Var("$x"), Const("k")))
+    assert th.apply_expr(free) == PForall("$y", EEqual(Const("v"), Const("k")))
 
 
 def test_policy_equality_is_structural():

@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from aspectkbl import (corpus_path, parse_net, parse_obligation, parse_policy,
-                       render_net, render_obligation, render_policy,
+                       render_expr, render_net, render_obligation,
                        ParseError)
-from aspectkbl.model import Const, Nil, WILDCARD
+from aspectkbl.model import Const, EBin, EFalse, ENot, ETrue, Nil, WILDCARD
 from aspectkbl.parser import _TERMS, _lex
 import gen
 from oracles import reference_lex
@@ -109,12 +109,21 @@ def test_diagnostics_carry_position():
     assert [(d.severity, d.line, d.col) for d in diags] == [("error", 1, 16)]
 
 
+def test_policies_expressions_and_predicates_share_their_connectives():
+    want = EBin("and", ETrue(), ENot(EFalse()))
+    text = "true and not false"
+    assert parse_policy(text) == want
+    aspect = parse_policy(f"[{text} if A :: out(k)@B . X : {text}]").aspect
+    assert aspect.rec == aspect.cond == want
+    assert parse_obligation(f"AG [$u : o(k)@B] {text}").pred == want
+
+
 def test_rendering_keeps_association_explicit():
     flat = parse_policy("true oplus false oplus true")
     nested = parse_policy("true oplus (false oplus true)")
     assert flat != nested
-    assert parse_policy(render_policy(nested)) == nested
-    assert "(" in render_policy(nested)
+    assert parse_policy(render_expr(nested)) == nested
+    assert "(" in render_expr(nested)
 
     mixed = parse_obligation("AG [$u : r(_)@A] ($u = a or $u = b) and $u = c")
     again = parse_obligation(render_obligation(mixed))
@@ -123,7 +132,7 @@ def test_rendering_keeps_association_explicit():
 
     imp = parse_policy("true implies false implies true")
     assert imp == parse_policy("true implies (false implies true)")
-    assert parse_policy(render_policy(imp)) == imp
+    assert parse_policy(render_expr(imp)) == imp
 
 
 def test_generated_networks_round_trip():
@@ -139,7 +148,7 @@ def test_generated_policies_and_obligations_round_trip():
     rng = random.Random(42)
     for _ in range(75):
         pol = gen.gen_policy(rng, depth=3)
-        assert parse_policy(render_policy(pol)) == pol
+        assert parse_policy(render_expr(pol)) == pol
     for _ in range(75):
         obl = gen.gen_obligation(rng)
         assert parse_obligation(render_obligation(obl)) == obl

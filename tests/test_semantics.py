@@ -5,15 +5,16 @@ import pytest
 
 from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
                        ReplicationPresent, build_lts, data_index, dot_export,
-                       enabled_steps, eval_policy, interp_test, json_export,
+                       interp_test, json_export,
                        match, occurs_in, parse_net, parse_policy,
                        step_candidates, take_actions)
 from aspectkbl.semantics import net_text, numeral
-from aspectkbl.model import (Action, BindVar, Const, Net, NetEntry, NIL, Par,
-                             Repl, Sum, TruePol, Var, WILDCARD, canonicalize)
+from aspectkbl.model import (Action, BindVar, Const, ETrue, Net, NetEntry, NIL,
+                             Par, Repl, Sum, Var, WILDCARD, canonicalize)
 import corpusio
 import gen
 import oracles
+from oracles import enabled_steps, eval_policy
 
 
 def test_match_positionwise():
@@ -145,7 +146,7 @@ def test_identical_branches_give_one_step():
 def test_steps_of_a_network_are_those_of_its_canonical_form():
     # one entry whose body is a parallel composition steps as two
     out = lambda k: Sum(((Action("out", (Const(k),), Const("A")), NIL),))
-    net = Net((NetEntry("A", TruePol(), Par(out("k"), out("v"))),))
+    net = Net((NetEntry("A", ETrue(), Par(out("k"), out("v"))),))
     steps = enabled_steps(net)
     assert [label.text() for label, _ in steps] == ["A:o(k)@A", "A:o(v)@A"]
     assert steps == enabled_steps(canonicalize(net))
@@ -154,7 +155,7 @@ def test_steps_of_a_network_are_those_of_its_canonical_form():
 
 def test_unbound_target_is_an_evaluation_error():
     body = Sum(((Action("out", (Const("k"),), Var("x")), NIL),))
-    net = Net((NetEntry("A", TruePol(), body),))
+    net = Net((NetEntry("A", ETrue(), body),))
     with pytest.raises(EvaluationError):
         step_candidates(net)
 
@@ -193,7 +194,7 @@ def test_exploration_limits():
 
 
 def test_replication_is_rejected():
-    net = Net((NetEntry("A", TruePol(),
+    net = Net((NetEntry("A", ETrue(),
                         Repl(Sum(((Action("out", (Const("k"),), Const("A")),
                                    NIL),)))),))
     with pytest.raises(ReplicationPresent):
