@@ -6,11 +6,13 @@ akbl trace NET       print one maximal run, chosen by seed
 
 Exit codes: 0 the obligation holds (or the run finished), 1 the
 obligation is violated, 2 the static certifier alone could not
-decide, 3 the input or the command line was rejected or a limit was
-hit, 4 an internal error (reported in one line on stderr, without a
-traceback), 141 the reader closed stdout before the output was
-written, as `| head` does (silently, with the code a shell reports
-for a writer killed by SIGPIPE, 128 + 13).
+decide, 3 the input or the command line was rejected, a limit was
+hit or the input is nested too deeply for the recursive tree walkers
+(`error: input nested too deeply`), 4 an internal error (reported in
+one line on stderr, without a traceback), 141 the reader closed
+stdout before the output was written, as `| head` does (silently,
+with the code a shell reports for a writer killed by SIGPIPE,
+128 + 13).
 """
 from __future__ import annotations
 
@@ -239,6 +241,9 @@ def main(argv=None) -> int:
         return BAD_INPUT
     except AkblError as e:
         print(f"error: {e}", file=sys.stderr)
+        return BAD_INPUT
+    except RecursionError:  # deeper than the recursive tree walkers go
+        print("error: input nested too deeply", file=sys.stderr)
         return BAD_INPUT
     except Exception as e:  # a crash must never read as a verdict
         detail = " ".join(str(e).split())

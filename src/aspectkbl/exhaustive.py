@@ -11,11 +11,12 @@ the pattern, and instantiating the predicate for it, once.
 `check_lts` runs it on the fly: the breadth first search of
 `build_lts` hands it each transition as it is discovered and stops at
 the first violation, so a violation is found without building the
-states beyond it, and its witness is the one a check of the whole
-built transition system, in discovery order, would give first.
+states beyond it.  Without a reduction, its witness is the one a check
+of the whole built transition system, in discovery order, would give
+first.
 
-`sat_obl` first searches a reduced graph (`Reduction`): in a state
-where one entry's steps are invisible to the obligation and
+`sat_obl` searches a reduced graph (`Reduction`) where it can: in a
+state where one entry's steps are invisible to the obligation and
 independent of everything the other entries may still do, only that
 entry's steps are expanded, so independent processes are interleaved
 in one order instead of all of them.  The static certifier decides
@@ -25,24 +26,38 @@ only as sound as the certifier, and an unreduced check of the whole
 built transition system (`tests/oracles.check_whole`), which trusts
 nothing of it, is the check to test the certifier against.  What each
 action reads and writes is worked out from the action templates and
-the policies that judge them.  The reduced graph keeps a violation
-whenever the whole one has one, but not the shortest path to it, so
-it answers only "holds"; for a violation the unreduced search runs
-and gives the witness.  Both searches are `check_lts` runs.
+the policies that judge them.
+
+The reduced graph keeps a violation whenever the whole one has one,
+but its path to it interleaves steps the violation does not need.  So
+the reduced search answers violations too: its path is cut down to the
+causal past of the failing step (`Reduction.causal_past`), and the cut
+run is replayed once in the whole semantics, where every step out of
+every state it reaches is checked; the first violation met is the
+witness.  That is a run of the whole semantics, and on the generated
+pairs the tests sweep it is exactly as long as the shortest.  It can be
+longer where the reduced search meets another violation first.  The
+unreduced search answers only where there is no reduction, or the
+reduced search raises an EvaluationError, exceeds a limit or finds a
+violation whose cut does not replay.  Both searches are `check_lts`
+runs, and a verdict counts the states and transitions of the search
+that answered.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from .certify import (ANY, NOT_CERTIFIED, _atom, _meet, _meets, _name,
                       check_network)
-from .model import (IN, NIL, OUT, READ, EBin, ENot, EvaluationError, Label,
-                    LabelPattern, LimitExceeded, Net, NetEntry, Obligation,
-                    PExists, PForall, Substitution, has_replication,
-                    take_actions)
-from .semantics import (BOTH, LTS, TRUE, StateDomain, build_lts,
-                        policies_by_location, policy_values, pred_values)
+from .model import (CAP_LETTER, IN, NIL, OUT, READ, EBin, ENot,
+                    EvaluationError, Label, LabelPattern, LimitExceeded, Net,
+                    NetEntry, Obligation, PExists, PForall, Substitution, Sum,
+                    has_replication, take_actions)
+from .semantics import (BOTH, LTS, TRUE, RecordingDomain, StateDomain,
+                        build_lts, policies_by_location, policy_values,
+                        pred_values, step_candidates)
 from .unification import extract, findsubs
 
 
@@ -54,7 +69,7 @@ def unify_label(pattern: LabelPattern, label: Label) -> Optional[Substitution]:
 
 @dataclass(frozen=True)
 class Witness:
-    path: tuple              # labels of a shortest run to the failing step
+    path: tuple              # labels of a run to the failing step
     label: Label             # the failing step itself
     theta: Substitution
     pred: object             # the instantiated predicate that came out false
@@ -69,14 +84,14 @@ class Verdict:
     transitions_checked: int
 
 
-def _path_to(lts: LTS, sid: int):
+def _run_to(lts: LTS, sid: int) -> list:
     # breadth first search found every state first along a shortest path
-    labels = []
+    run = []
     while lts.discovered_by[sid] is not None:
         t = lts.discovered_by[sid]
-        labels.append(t.label)
+        run.append(t)
         sid = t.src
-    return tuple(reversed(labels))
+    return run[::-1]
 
 
 class TransitionCheck:
@@ -89,69 +104,113 @@ class TransitionCheck:
     def __init__(self, obl: Obligation):
         self.obl = obl
         self.checked = 0
+        self.failing = None        # the first violating Transition
         self.witness: Optional[Witness] = None
         self._matched: dict = {}   # label -> (theta, instantiated pred) or None
-        self._states: dict = {}    # state id -> (data index, location constants)
+        self._states: dict = {}    # state -> (data index, location constants)
 
-    def _state(self, lts: LTS, sid: int):
-        got = self._states.get(sid)
+    def _state(self, space, ids: tuple):
+        got = self._states.get(ids)
         if got is None:
-            ids = lts.ids[sid]
-            got = self._states[sid] = (lts.space.data_index(ids),
-                                       lts.space.constants(ids))
+            got = self._states[ids] = (space.data_index(ids),
+                                       space.constants(ids))
         return got
+
+    def violates(self, space, label: Label, pre: tuple, post: tuple) -> bool:
+        """Does the step with that label from state pre to state post,
+        id tuples of space, violate the obligation."""
+        m = self._matched.get(label, False)
+        if m is False:
+            th = unify_label(self.obl.cut, label)
+            m = self._matched[label] = None if th is None \
+                else (th, th.apply_expr(self.obl.pred))
+        if m is None:
+            return False
+        (pre, pre_locs), (post, post_locs) = self._state(space, pre), \
+            self._state(space, post)
+        return pred_values(m[1], StateDomain(pre, post),
+                           sorted(pre_locs | post_locs)) != TRUE
 
     def __call__(self, lts: LTS, t) -> bool:
         """Check one transition of lts; true when it violates."""
         self.checked += 1
-        m = self._matched.get(t.label, False)
-        if m is False:
-            th = unify_label(self.obl.cut, t.label)
-            m = self._matched[t.label] = None if th is None \
-                else (th, th.apply_expr(self.obl.pred))
-        if m is None:
+        if not self.violates(lts.space, t.label, lts.ids[t.src],
+                             lts.ids[t.dst]):
             return False
-        th, pred = m
-        (pre, pre_locs), (post, post_locs) = self._state(lts, t.src), \
-            self._state(lts, t.dst)
-        if pred_values(pred, StateDomain(pre, post),
-                       sorted(pre_locs | post_locs)) == TRUE:
-            return False
-        self.witness = Witness(_path_to(lts, t.src), t.label, th, pred)
+        self.failing = t
+        self.witness = self.witness_of(
+            tuple(s.label for s in _run_to(lts, t.src)), t.label)
         return True
 
+    def witness_of(self, path: tuple, label: Label) -> Witness:
+        """The witness of a run of labels path to a step with that
+        label, which `violates` found violating."""
+        return Witness(path, label, *self._matched[label])
+
     def verdict(self, lts: LTS) -> Verdict:
-        return Verdict(self.obl, self.witness is None, self.witness,
+        return Verdict(self.obl, self.failing is None, self.witness,
                        len(lts.ids), self.checked)
 
 
 def check_lts(net: Net, obl: Obligation, max_states: int = 100000,
               max_depth: int = 10000, ample=None) -> Verdict:
     """Check the obligation on every transition of one breadth first
-    search as it is discovered, stopping at the first violation; with
-    `ample` (a `Reduction`) the search is the reduced one."""
+    search as it is discovered, stopping at the first violation.
+
+    With `ample` (a `Reduction`) the search is the reduced one.  The
+    witness of a violation is then the first violation met when the
+    causal past of the failing step on the search's path to it
+    (`Reduction.causal_past`) is replayed in the whole semantics.  Where
+    the replay meets none, the verdict is a violation without a
+    witness."""
     check = TransitionCheck(obl)
     lts = build_lts(net, max_states=max_states, max_depth=max_depth,
                     ample=ample, visit=check)
+    if ample is not None and check.failing is not None:
+        check.witness = _replay(lts, ample.causal_past(
+            lts, check.failing, check.witness.pred), check)
     return check.verdict(lts)
+
+
+def _replay(lts: LTS, path: tuple, check: TransitionCheck):
+    """The first violation met on the run of labels path in the whole
+    semantics, from the initial state of lts, checking every step out
+    of every state the run reaches; None when the run does not replay
+    to one.  Entries of one location may make steps of the same label,
+    so every state the labels reach is followed."""
+    space = lts.space
+    states = [lts.ids[lts.initial]]
+    for n in range(len(path) + 1):
+        reached = []
+        for pre in states:
+            for label, post in step_candidates(pre, space)[0]:
+                if check.violates(space, label, pre, post):
+                    return check.witness_of(path[:n], label)
+                if n < len(path) and label == path[n]:
+                    reached.append(post)
+        states = list(dict.fromkeys(reached))
+    return None
 
 
 def sat_obl(net: Net, obl: Obligation, max_states: int = 100000,
             max_depth: int = 10000) -> Verdict:
     """Check the obligation on the fly with `check_lts`.
 
-    When the obligation and the network allow it, a reduced search
-    runs first (see `Reduction`).  The reduced search answers only
-    when the obligation holds.  When it finds a violation, raises an
-    EvaluationError or exceeds a limit, the unreduced search runs and
-    answers, with the witness a search of the whole transition system
-    finds first.
+    When the obligation and the network allow it (see `Reduction`), the
+    reduced search answers, and a violation's witness is a run that
+    replays in the whole semantics, cut down to what the failing step
+    depends on; its states and transitions counts are those of the
+    reduced search.  The unreduced search answers instead when there is
+    no reduction, and when the reduced search raises an
+    EvaluationError, exceeds a limit or finds a violation whose cut
+    does not replay; its witness is the one a search of the whole
+    transition system finds first.
     """
     ample = Reduction.of(net, obl)
     if ample is not None:
         try:
             verdict = check_lts(net, obl, max_states, max_depth, ample)
-            if verdict.holds:
+            if verdict.holds or verdict.witness is not None:
                 return verdict
         except (EvaluationError, LimitExceeded):
             pass
@@ -323,6 +382,69 @@ class Reduction:
         return not any(self._dependent(space, i, j)
                        for q, j in enumerate(ids)
                        if q != p and data[j] is None and not nils[j])
+
+    def _reads(self, space, ids: tuple, i: int, label: Label) -> set:
+        # what the step with that label that entry i makes in state ids
+        # reads: the tuple an in or read matches, and the test atoms its
+        # policies ask there, which decide their verdict as they do for
+        # `Interner.verdicts`
+        e, atom = space.entries[i], (label.target, label.args)
+        here = RecordingDomain(space.data_index(ids))
+        for a, cont in e.body.branches:
+            if CAP_LETTER[a.cap] == label.cap and _meet(_atom(a), atom):
+                for pol in (e.policy, self.pols[label.target]):
+                    policy_values(pol, e.location, a, cont, here)
+        return here.present | here.absent | (
+            {atom} if label.cap != "o" else set())
+
+    def causal_past(self, lts: LTS, t, pred) -> tuple:
+        """The labels of the steps on the search's path to transition t
+        that t, whose instantiated predicate is pred, depends on, in
+        their order on the path.
+
+        A step stays when a later step that stays, or t, is made by an
+        entry the step made (program order), or reads a tuple the step
+        adds or removes (its policies' test atoms, the tuple it
+        matches, and for t what pred reads); and an out stays when a
+        later step that stays takes from its target and another aims
+        there, because the out's tuple may be what keeps the location.
+        Dropping any other step leaves every tuple that the steps that
+        stay read as it was, and removes no location: its entry stays
+        where it is, and an in it makes only leaves a tuple more.  So
+        the steps that stay, then t, are a run of the whole semantics
+        to the same violation: the causal past of t in the Mazurkiewicz
+        trace of the path, for a dependence that asks only whether an
+        earlier step may change what a later one reads."""
+        space, ids = lts.space, lts.ids
+        run = _run_to(lts, t.src) + [t]
+        made: dict = {}     # entry id -> steps that made its live copies
+        for i in ids[lts.initial]:
+            made.setdefault(i, []).append(None)
+        acts = []           # per step: (acting entry, step that made it)
+        for k, s in enumerate(run):
+            pre, post = Counter(ids[s.src]), Counter(ids[s.dst])
+            i = next(j for j in pre - post
+                     if isinstance(space.entries[j].body, Sum))
+            acts.append((i, made[i].pop(0)))
+            for j, n in (post - pre).items():
+                made.setdefault(j, []).extend([k] * n)
+        asked = TestReads()
+        pred_values(pred, asked, ())
+        reads, takes, outs = asked.atoms, set(), set()
+        makers, past = set(), []
+        for k in range(len(run) - 1, -1, -1):
+            label, (i, maker) = run[k].label, acts[k]
+            atom = (label.target, label.args)
+            if not (run[k] is t or k in makers
+                    or label.cap != "r" and _meets((atom,), reads)
+                    or label.cap == "o" and label.target in takes & outs):
+                continue
+            reads |= self._reads(space, ids[run[k].src], i, label)
+            if label.cap != "r":
+                (takes if label.cap == "i" else outs).add(label.target)
+            makers.add(maker)
+            past.append(label)
+        return tuple(past[:0:-1])
 
 
 def _quantified(pred) -> bool:

@@ -135,12 +135,17 @@ def maximal_paths(lts):
 
 def replay(net, witness):
     """Drive the network along the witness path by label text and
-    confirm the failing step is enabled at its end."""
+    confirm that the failing step is enabled at its end and that its
+    predicate is not true on it.  Entries of one location may make
+    steps of the same label, so every network the labels reach is
+    followed."""
+    nets = [net]
     for want in witness.path:
-        steps = enabled_steps(net)
-        net = next(s for l, s in steps if l.text() == want.text())
+        nets = list(dict.fromkeys(s for n in nets for l, s in enabled_steps(n)
+                                  if l.text() == want.text()))
     return any(l.text() == witness.label.text()
-               for l, _ in enabled_steps(net))
+               and not sat_pred((n, s), witness.theta, witness.pred)
+               for n in nets for l, s in enabled_steps(n))
 
 
 def check_whole(net, obl, **limits):
