@@ -10,24 +10,22 @@ that never explores any state.
 
 from importlib import resources
 
-from .belnap import (BOT, FF, TT, TOP, FourValue, VALUES, grant, implies,
-                     join_k, join_t, leq_k, meet_k, meet_t, neg, priority)
+from .belnap import (BOT, FF, TT, TOP, VALUES, grant, implies, join_k, join_t,
+                     leq_k, meet_k, meet_t, neg, priority)
 from .model import (Action, AkblError, Aspect, AspectPol, BindVar, Const, Cut,
                     Diagnostic, EBin, ETrue, EvaluationError, Label,
                     LabelPattern, LimitExceeded, LocatedAction, Net, NetEntry,
                     Nil, Obligation, Par, Repl, ReplicationPresent,
                     Substitution, Sum, Var, Wildcard, canonicalize,
                     has_replication, loc_set, take_actions, validate)
-from .unification import extract, findsubs, unify
+from .unification import extract, findsubs
 from .parser import (ParseError, parse_net, parse_obligation, parse_policy,
-                     render_expr, render_net, render_obligation,
-                     render_process)
+                     render_expr, render_net, render_obligation)
 from .semantics import (LTS, build_lts, data_index, dot_export, interp_test,
                         json_export, match, occurs_in, step_candidates)
 from .exhaustive import Verdict, Witness, check_lts, sat_obl, unify_label
-from .certify import (ActionReport, MightGrant, MutationInfo, StaticVerdict,
-                      check_network, check_single_action, might_grant,
-                      report_json)
+from .certify import (ActionReport, MutationInfo, StaticVerdict, check_network,
+                      check_single_action, might_grant, report_json)
 
 __version__ = "0.1.0"
 

@@ -36,6 +36,12 @@ because policies and `test` read the state before the step, where a
 sure atom holds at every firing.  `test'` reads the state after it,
 which the action itself may change (an in may take the very tuple its
 guard tested), so `test'` is not refined.
+
+The domain notes every test atom it is asked, and `check_network`
+returns it with its verdict.  The partial-order reduction of
+exhaustive.py reads in it which tuples an action's policies and the
+obligation's predicate may read, so the certifier and the reduced
+search share this one abstract domain.
 """
 from __future__ import annotations
 
@@ -93,6 +99,11 @@ class MutationInfo:
     takes both values, and a refuted occurs-in stays refuted.  The
     domain `refined` by the sure test atoms of an action reads tt for
     a `test` of one of them, though not for a `test'`.
+
+    Every test atom the domain is asked is noted in `asked`, as a
+    (location, tuple) template with ANY for a name not known before
+    the run, so an evaluation in it names every atom the concrete
+    evaluation may read.  A refined domain notes into the same set.
     """
 
     exact = False
@@ -100,6 +111,7 @@ class MutationInfo:
     def __init__(self, net: Net):
         self.initial = data_index(net)      # the tuples present at the start
         self.sure = frozenset()             # tuples present at every firing
+        self.asked: set = set()             # the test atoms asked so far
         self.actions = take_actions(net)
         # the (location, tuple) templates the outs and the ins write
         self._outs = {_atom(la.action) for la in self.actions
@@ -132,6 +144,7 @@ class MutationInfo:
         return truth(l >= r)
 
     def test(self, args, at, post=None) -> int:
+        self.asked.add((_name(at), tuple(map(_name, args))))
         values = ground_names(args)
         if values is None or not isinstance(at, Const):
             return BOTH
@@ -141,9 +154,8 @@ class MutationInfo:
             return BOTH if self.may_remove(at.name, values) else TRUE
         return BOTH if self.may_add(at.name, values) else FALSE
 
-    def occurs(self, action, var: str, env: dict) -> int:
-        proc = env.get(var)
-        if proc is None or occurs_in(action, proc):
+    def occurs(self, action, continuation) -> int:
+        if occurs_in(action, continuation):
             return BOTH
         # grounding a template only removes matches, never adds one
         return FALSE
@@ -191,6 +203,7 @@ class ActionReport:
 class StaticVerdict:
     certified: bool
     actions: tuple
+    domain: MutationInfo     # the domain the actions were judged in
 
 
 def check_single_action(obl: Obligation, act, pols: dict, mut: MutationInfo,
@@ -236,7 +249,7 @@ def check_network(net: Net, obl: Obligation) -> StaticVerdict:
     reports = tuple(check_single_action(obl, act, pols, mut, domain)
                     for act in mut.actions)
     certified = all(r.outcome != NOT_CERTIFIED for r in reports)
-    return StaticVerdict(certified, reports)
+    return StaticVerdict(certified, reports, mut)
 
 
 def constraint_text(atom: tuple) -> str:

@@ -25,8 +25,11 @@ visibility: a step is visible only if it instantiates an action that
 only as sound as the certifier, and an unreduced check of the whole
 built transition system (`tests/oracles.check_whole`), which trusts
 nothing of it, is the check to test the certifier against.  What each
-action reads and writes is worked out from the action templates and
-the policies that judge them.
+action reads and writes is worked out from the action templates, and
+from the test atoms that the policies judging it, and the predicate,
+are asked in the certifier's domain, `MutationInfo`, which covers
+every reachable state.  What a step of a found path did read is what
+the concrete `StateDomain` of its state notes.
 
 The reduced graph keeps a violation whenever the whole one has one,
 but its path to it interleaves steps the violation does not need.  So
@@ -49,15 +52,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .certify import (ANY, NOT_CERTIFIED, _atom, _meet, _meets, _name,
-                      check_network)
-from .model import (CAP_LETTER, IN, NIL, OUT, READ, EBin, ENot,
-                    EvaluationError, Label, LabelPattern, LimitExceeded, Net,
-                    NetEntry, Obligation, PExists, PForall, Substitution, Sum,
-                    has_replication, take_actions)
-from .semantics import (BOTH, LTS, TRUE, RecordingDomain, StateDomain,
-                        build_lts, policies_by_location, policy_values,
-                        pred_values, step_candidates)
+from .certify import (ANY, NOT_CERTIFIED, MutationInfo, _atom, _meet, _meets,
+                      _name, check_network)
+from .model import (CAP_LETTER, IN, OUT, READ, EBin, ENot, EvaluationError,
+                    Label, LabelPattern, LimitExceeded, Net, NetEntry,
+                    Obligation, PExists, PForall, Substitution, Sum,
+                    take_actions)
+from .semantics import (LTS, TRUE, StateDomain, build_lts,
+                        policies_by_location, policy_values, pred_values,
+                        step_candidates)
 from .unification import extract, findsubs
 
 
@@ -220,31 +223,6 @@ def sat_obl(net: Net, obl: Obligation, max_states: int = 100000,
 # ---------------------------------------------------------------------------
 # partial-order reduction
 
-class TestReads:
-    """A value domain that gives every leaf both truth values and notes
-    the test atoms it is asked, as (location, tuple) templates in which
-    ANY stands for a name not known before the run.  Evaluating a
-    policy or predicate in it visits every leaf the concrete evaluation
-    may read."""
-
-    exact = False
-
-    def __init__(self):
-        self.atoms: set = set()
-
-    def equal(self, left, right) -> int:
-        return BOTH
-
-    geq = equal
-
-    def test(self, args, at, post=None) -> int:
-        self.atoms.add((_name(at), tuple(map(_name, args))))
-        return BOTH
-
-    def occurs(self, action, var: str, env: dict) -> int:
-        return BOTH
-
-
 @dataclass(frozen=True)
 class Footprint:
     """What a set of action templates of one entry may read and write.
@@ -302,9 +280,11 @@ class Reduction:
     in every state searched.
     """
 
-    def __init__(self, pols: dict, loud: list, pred_reads: set):
+    def __init__(self, pols: dict, loud: list, mut: MutationInfo,
+                 pred_reads: frozenset):
         self.pols = pols               # location -> policy
         self.loud = loud               # (location, cap, atom) of NotCertified
+        self.mut = mut                 # the certifier's domain
         self.pred_reads = pred_reads   # test atoms the predicate may read
         self._now: dict = {}           # entry id -> footprint of its branches
         self._quiet: dict = {}         # entry id -> may its steps be ample
@@ -318,23 +298,27 @@ class Reduction:
         over the location constants of the states, which most steps
         change, and a location whose entries differ in policy changes
         policy when its first entry goes."""
-        if has_replication(net) or _quantified(obl.pred):
+        if _quantified(obl.pred):
             return None
         pols = policies_by_location(net)
         if any(e.policy != pols[e.location] for e in net.entries):
             return None
+        static = check_network(net, obl)
         loud = [(r.source, r.action.cap, _atom(r.action))
-                for r in check_network(net, obl).actions
-                if r.outcome == NOT_CERTIFIED]
-        reads = TestReads()
+                for r in static.actions if r.outcome == NOT_CERTIFIED]
+        mut = static.domain
+        mut.asked.clear()
         if loud:
-            pred_values(obl.pred, reads, ())
-        return cls(pols, loud, reads.atoms)
+            pred_values(obl.pred, mut, ())
+        return cls(pols, loud, mut, frozenset(mut.asked))
 
-    def footprint(self, e: NetEntry, actions) -> Footprint:
+    def footprint(self, e: NetEntry, branches) -> Footprint:
+        """The footprint of the (action, continuation) branches of
+        entry e, its policy reads taken in the certifier's domain."""
         tuples, writes, aims, takes = set(), set(), set(), set()
-        policy_reads = TestReads()
-        for a in actions:
+        mut = self.mut
+        mut.asked.clear()
+        for a, cont in branches:
             at = _name(a.target)
             if at is not ANY and at not in self.pols:
                 continue            # entries never appear at fresh locations
@@ -347,20 +331,20 @@ class Reduction:
                 takes.add(at)
             targets = self.pols.values() if at is ANY else (self.pols[at],)
             for pol in (e.policy, *targets):
-                policy_values(pol, e.location, a, NIL, policy_reads)
-        return Footprint(e.location, frozenset(tuples | policy_reads.atoms),
+                policy_values(pol, e.location, a, cont, mut)
+        return Footprint(e.location, frozenset(tuples | mut.asked),
                          frozenset(writes), frozenset(aims), frozenset(takes))
 
     def _may_be_ample(self, space, i: int) -> bool:
         quiet = self._quiet.get(i)
         if quiet is None:
             e = space.entries[i]
-            actions = [a for a, _ in e.body.branches]
-            now = self._now[i] = self.footprint(e, actions)
+            now = self._now[i] = self.footprint(e, e.body.branches)
             quiet = self._quiet[i] = not _meets(now.writes, self.pred_reads) \
                 and not any(loc == e.location and cap == a.cap
                             and _meet(atom, _atom(a))
-                            for a in actions for loc, cap, atom in self.loud)
+                            for a, _ in e.body.branches
+                            for loc, cap, atom in self.loud)
         return quiet
 
     def _dependent(self, space, i: int, j: int) -> bool:
@@ -370,7 +354,8 @@ class Reduction:
             if ever is None:
                 e = space.entries[j]
                 ever = self._ever[j] = self.footprint(
-                    e, [la.action for la in take_actions(Net((e,)))])
+                    e, [(la.action, la.continuation)
+                        for la in take_actions(Net((e,)))])
             dep = self._deps[i, j] = dependent(self._now[i], ever)
         return dep
 
@@ -389,7 +374,7 @@ class Reduction:
         # policies ask there, which decide their verdict as they do for
         # `Interner.verdicts`
         e, atom = space.entries[i], (label.target, label.args)
-        here = RecordingDomain(space.data_index(ids))
+        here = StateDomain(space.data_index(ids))
         for a, cont in e.body.branches:
             if CAP_LETTER[a.cap] == label.cap and _meet(_atom(a), atom):
                 for pol in (e.policy, self.pols[label.target]):
@@ -428,9 +413,9 @@ class Reduction:
             acts.append((i, made[i].pop(0)))
             for j, n in (post - pre).items():
                 made.setdefault(j, []).extend([k] * n)
-        asked = TestReads()
-        pred_values(pred, asked, ())
-        reads, takes, outs = asked.atoms, set(), set()
+        self.mut.asked.clear()
+        pred_values(pred, self.mut, ())
+        reads, takes, outs = set(self.mut.asked), set(), set()
         makers, past = set(), []
         for k in range(len(run) - 1, -1, -1):
             label, (i, maker) = run[k].label, acts[k]

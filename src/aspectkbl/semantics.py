@@ -14,16 +14,22 @@ wildcards but learns nothing about the data that will be bound.
 Transition labels on the other hand are fully ground; for in and read
 they carry the matched tuple.
 
-Policies and obligation predicates have one evaluator each,
-`policy_values` and `pred_values`, over value sets: nonempty sets of
-the four values, with every operator lifted pointwise.  A value domain
-supplies the leaves (equality, test, >= and occurs-in) and says
-whether it is exact.  The explorer runs the evaluators in the
-concrete `StateDomain` of a state, where every set is a singleton.
-The static certifier (certify.py) runs them in an abstract domain
-whose leaves cover every reachable state, so its sets hold every
-value the explorer can meet: it is the explorer's evaluator run in
-the abstract domain.
+Policies, with the conditions and recommendations of their traps,
+and obligation predicates have one evaluator each, `policy_values`
+and `pred_values`, over value sets: nonempty sets of the four values,
+with every operator lifted pointwise.  A value domain supplies the
+leaves (equality, test, >= and occurs-in) and says whether it is
+exact.  There are two domains.  The explorer runs the evaluators in
+the concrete `StateDomain` of a state, where every set is a
+singleton.  The static certifier (certify.py) runs them in its
+abstract `MutationInfo`, whose leaves cover every reachable state, so
+its sets hold every value the explorer can meet: it is the explorer's
+evaluator run in the abstract domain.  Both domains note the test
+atoms they are asked, `StateDomain` only those of policies.  The
+explorer keys its reuse of policy verdicts on the atoms `StateDomain`
+notes (below).  The partial-order reduction of exhaustive.py takes
+what an action may read from the atoms `MutationInfo` notes, and what
+a step of a found path did read from those `StateDomain` notes.
 
 States are kept in canonical form, which makes the state space of a
 replication-free network finite and the construction below a plain
@@ -175,12 +181,15 @@ class StateDomain:
     the leaves read the data index of one state, or for a predicate
     those of the states before and after a step.  An unbound variable
     raises EvaluationError, except that a predicate's test on one
-    names no tuple and is false."""
+    names no tuple and is false.  The test atoms a policy asks are
+    noted as (location, tuple) pairs, split into those found present
+    and those found absent; a predicate's are not noted."""
 
     exact = True
 
     def __init__(self, pre: frozenset, post: frozenset = frozenset()):
         self.pre, self.post = pre, post
+        self.present, self.absent = set(), set()
 
     def equal(self, left, right) -> int:
         return truth(_ground_name(left, "equality")
@@ -192,75 +201,34 @@ class StateDomain:
     def test(self, args, at, post: Optional[bool] = None) -> int:
         # post is None in a policy, else the side of the step read
         if post is None:
-            vals = [_ground_name(t, "test") for t in args]
-            return truth(interp_test(vals, _ground_name(at, "test"),
-                                      self.pre))
+            vals = tuple(_ground_name(t, "test") for t in args)
+            atom = (_ground_name(at, "test"), vals)
+            found = atom in self.pre
+            (self.present if found else self.absent).add(atom)
+            return truth(found)
         vals = ground_names(args)
         return truth(vals is not None and isinstance(at, Const)
                       and interp_test(vals, at.name,
                                       self.post if post else self.pre))
 
-    def occurs(self, action: Action, var: str, env: dict) -> int:
-        if var not in env:
-            raise EvaluationError(f"occurs-in variable {var} is unbound")
-        return truth(occurs_in(action, env[var]))
+    def occurs(self, action: Action, continuation: Process) -> int:
+        return truth(occurs_in(action, continuation))
 
 
-class RecordingDomain(StateDomain):
-    """The concrete domain of one state for policies, noting the test
-    atoms it answers as (location, tuple) pairs, split into those found
-    present and those found absent."""
-
-    def __init__(self, pre: frozenset):
-        super().__init__(pre)
-        self.present, self.absent = set(), set()
-
-    def test(self, args, at, post: Optional[bool] = None) -> int:
-        value = super().test(args, at, post)
-        atom = (at.name, tuple(t.name for t in args))
-        (self.present if value == TRUE else self.absent).add(atom)
-        return value
-
-
-def expr_values(e, domain, env: dict) -> int:
-    """The value set of a recommendation or condition, where env binds
-    the trap's process variable to the continuation."""
-    if isinstance(e, ETrue):
-        return TRUE
-    if isinstance(e, EFalse):
-        return FALSE
-    if isinstance(e, ENot):
-        return NEG_SETS[expr_values(e.body, domain, env)]
-    if isinstance(e, EBin):
-        left = expr_values(e.left, domain, env)
-        return LIFTED[e.op][left][expr_values(e.right, domain, env)]
-    if isinstance(e, EEqual):
-        return domain.equal(e.left, e.right)
-    if isinstance(e, ETest):
-        return domain.test(e.args, e.at)
-    if isinstance(e, EOccursIn):
-        return domain.occurs(e.action, e.var, env)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def check_cut(cut: Cut, subject: str, action: Action, continuation: Process):
-    """Unify a trap pattern with an attempted action.
-
-    Returns the unifier together with the continuation binding for the
-    cut's process variable, or None when the pattern does not apply.
-    """
+def check_cut(cut: Cut, subject: str, action: Action):
+    """Unify a trap pattern with an attempted action: the unifier, or
+    None when the pattern does not apply."""
     if cut.action.cap != action.cap:
         return None
-    th = findsubs((cut.subject, cut.action.args, cut.action.target),
-                  (Const(subject), action.args, action.target))
-    if th is None:
-        return None
-    return th, {cut.cont_var: continuation}
+    return findsubs((cut.subject, cut.action.args, cut.action.target),
+                    (Const(subject), action.args, action.target))
 
 
 def policy_values(pol, subject: str, action: Action, continuation: Process,
                   domain, sure: Optional[list] = None) -> int:
-    """The value set of a policy judging an attempted action.
+    """The value set of a policy judging an attempted action, and of
+    the instantiated conditions and recommendations of its traps,
+    whose occurs-in reads the action's continuation.
 
     In an inexact domain a trap adds bot when it may let the action
     pass: its condition only may hold, or it binds a variable of the
@@ -283,15 +251,15 @@ def policy_values(pol, subject: str, action: Action, continuation: Process,
             pol.right, subject, action, continuation, domain, sure)]
     if isinstance(pol, AspectPol):
         asp = pol.aspect
-        res = check_cut(asp.cut, subject, action, continuation)
-        if res is None:
+        th = check_cut(asp.cut, subject, action)
+        if th is None:
             return BOTTOM
-        th, env = res
-        cond = expr_values(th.apply_expr(asp.cond), domain, env)
+        cond = policy_values(th.apply_expr(asp.cond), subject, action,
+                             continuation, domain)
         if not cond & TRUE:
             return BOTTOM
         rec = th.apply_expr(asp.rec)
-        values = expr_values(rec, domain, env)
+        values = policy_values(rec, subject, action, continuation, domain)
         if domain.exact:
             return values
         if cond != TRUE or any(not k.startswith(("$", "#", "!"))
@@ -300,6 +268,12 @@ def policy_values(pol, subject: str, action: Action, continuation: Process,
         if sure is not None:
             sure.append(rec)
         return values
+    if isinstance(pol, EEqual):
+        return domain.equal(pol.left, pol.right)
+    if isinstance(pol, ETest):
+        return domain.test(pol.args, pol.at)
+    if isinstance(pol, EOccursIn):
+        return domain.occurs(pol.action, continuation)
     raise TypeError(f"not a policy: {pol!r}")
 
 
@@ -506,7 +480,7 @@ def _steps(ids: tuple, space: Interner, ample=None):
                 if present <= data and data.isdisjoint(absent):
                     break
             else:
-                here = RecordingDomain(data)
+                here = StateDomain(data)
                 src = policy_values(e.policy, e.location, action, cont, here)
                 f = oplus[src][policy_values(tgt_pol, e.location, action,
                                              cont, here)]

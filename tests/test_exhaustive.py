@@ -6,9 +6,12 @@ import pytest
 from aspectkbl import (EvaluationError, LimitExceeded, build_lts, check_lts,
                        extract, findsubs, parse_net, parse_obligation, sat_obl,
                        unify_label)
+from aspectkbl.certify import _meet
 from aspectkbl.exhaustive import Reduction
 from aspectkbl.model import (Const, EEqual, ETest, Label, LabelPattern, PGeq,
-                             PTestPost, Substitution, Var, Wildcard, WILDCARD)
+                             PTestPost, Substitution, Sum, Var, Wildcard,
+                             WILDCARD)
+from aspectkbl.semantics import StateDomain, policy_values
 import corpusio
 import gen
 import oracles
@@ -278,6 +281,69 @@ def test_reduced_search_agrees_with_the_whole_transition_system():
     assert reduced >= 1000
     # violations answered from the reduced search, with no second search
     assert violated >= 300
+
+
+def test_footprints_cover_every_concrete_read():
+    # every test atom the policies of a step read in a reachable state
+    # is named by the footprint of the acting entry, which the reduction
+    # reads in the certifier's domain
+    nets = atoms = 0
+    misses = []
+    for family in (gen.gen_small_net, gen.gen_guarded_net, gen.gen_ward_net):
+        for seed in range(300):
+            rng = random.Random(seed)
+            net = family(rng)
+            obligation = gen.gen_obligation_from_net if seed % 2 \
+                else gen.gen_obligation_for
+            ample = Reduction.of(net, obligation(rng, net))
+            if ample is None:
+                continue
+            try:
+                lts = build_lts(net, max_states=400)
+            except (EvaluationError, LimitExceeded):
+                continue
+            nets += 1
+            space, reads = lts.space, {}
+            for ids in lts.ids:
+                data = space.data_index(ids)
+                for i in ids:
+                    e = space.entries[i]
+                    if not isinstance(e.body, Sum):
+                        continue
+                    if i not in reads:
+                        reads[i] = ample.footprint(e, e.body.branches).reads
+                    for action, cont in e.body.branches:
+                        target = ample.pols.get(action.target.name)
+                        if target is None:
+                            continue    # no entry there, so no step
+                        here = StateDomain(data)
+                        for pol in (e.policy, target):
+                            try:
+                                policy_values(pol, e.location, action, cont,
+                                              here)
+                            except EvaluationError:
+                                pass
+                        for atom in here.present | here.absent:
+                            atoms += 1
+                            if not any(_meet(atom, r) for r in reads[i]):
+                                misses.append((family.__name__, seed, atom))
+    assert not misses, (len(misses), misses[:5])
+    assert nets >= 800 and atoms >= 10000, (nets, atoms)
+
+
+def test_a_false_condition_leaves_its_recommendation_unread():
+    # S's trap recommends two tests at R for P's out, but only when its
+    # condition holds; a false constant equality leaves them unread
+    text = ("P ::[true] out(P)@S . out(P)@R . 0 || Q ::[true] in(!y)@R . 0\n"
+            "|| R ::[true] <b>\n"
+            "|| S ::[[not test(P)@R and not test(b)@R"
+            " if #u :: out(#a)@S . X : #a = {}]] <a>")
+    obl = parse_obligation("AG [$u : i(_)@R] true")
+    for cond, reads in (("a", set()), ("P", {("R", ("P",)), ("R", ("b",))})):
+        net = parse_net(text.format(cond))
+        p, = [e for e in net.entries if e.location == "P"]
+        ample = Reduction.of(net, obl)
+        assert ample.footprint(p, p.body.branches).reads == reads
 
 
 @pytest.mark.parametrize("case", [TAKES_THE_LAST_ENTRY,

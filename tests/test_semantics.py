@@ -6,8 +6,8 @@ import pytest
 from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
                        ReplicationPresent, build_lts, data_index, dot_export,
                        interp_test, json_export,
-                       match, occurs_in, parse_net, parse_policy,
-                       step_candidates, take_actions)
+                       match, occurs_in, parse_net, parse_obligation,
+                       parse_policy, sat_obl, step_candidates, take_actions)
 from aspectkbl.semantics import net_text, numeral
 from aspectkbl.model import (Action, BindVar, Const, ETrue, Net, NetEntry, NIL,
                              Par, Repl, Sum, Var, WILDCARD, canonicalize)
@@ -197,8 +197,10 @@ def test_replication_is_rejected():
     net = Net((NetEntry("A", ETrue(),
                         Repl(Sum(((Action("out", (Const("k"),), Const("A")),
                                    NIL),)))),))
-    with pytest.raises(ReplicationPresent):
-        build_lts(net)
+    obl = parse_obligation("AG [$u : o(k)@A] true")
+    for check in (build_lts, lambda net: sat_obl(net, obl)):
+        with pytest.raises(ReplicationPresent):
+            check(net)
 
 
 def test_exploration_counter():
