@@ -10,8 +10,7 @@ that never explores any state.
 
 from importlib import resources
 
-from .belnap import (BOT, FF, TT, TOP, VALUES, grant, implies, join_k, join_t,
-                     leq_k, meet_k, meet_t, neg, priority)
+from .belnap import BOT, FF, TT, TOP, VALUES
 from .model import (Action, AkblError, Aspect, AspectPol, BindVar, Const, Cut,
                     Diagnostic, EBin, ETrue, EvaluationError, Label,
                     LabelPattern, LimitExceeded, LocatedAction, Net, NetEntry,
@@ -21,8 +20,8 @@ from .model import (Action, AkblError, Aspect, AspectPol, BindVar, Const, Cut,
 from .unification import extract, findsubs
 from .parser import (ParseError, parse_net, parse_obligation, parse_policy,
                      render_expr, render_net, render_obligation)
-from .semantics import (LTS, build_lts, data_index, dot_export, interp_test,
-                        json_export, match, occurs_in, step_candidates)
+from .semantics import (LTS, build_lts, data_index, dot_export, json_export,
+                        match, occurs_in, step_candidates)
 from .exhaustive import Verdict, Witness, check_lts, sat_obl, unify_label
 from .certify import (ActionReport, MutationInfo, StaticVerdict, check_network,
                       check_single_action, might_grant, report_json)

@@ -1,49 +1,26 @@
-"""Four-valued logic with twin orderings.
+"""Four-valued logic with twin orderings, on value sets.
 
 The four values are BOT (no information), TT, FF and TOP (conflicting
 information).  Two partial orders structure them: the knowledge order
 (BOT least, TOP greatest, TT and FF incomparable) and the truth order
 (FF least, TT greatest, BOT and TOP incomparable).  The binary
-operators are lubs and glbs in one of the two orders and are stored as
-explicit 16-entry tables; the test suite re-derives every entry from
-the order relations.
+operators are lubs and glbs in one of the two orders, written as
+explicit 16-entry tables on single values; the test suite re-derives
+every entry from the order relations.
 
 A value set is a nonempty set of the four values, the values an
-expression may take.  It is coded as a 4-bit mask with bit `1 << tag`
-for each member, so a single value is a singleton, and every operator
-is lifted to value sets pointwise: s op t holds a op b for every a in
-s and b in t.
+expression may take, coded as a 4-bit mask.  BOT, TT, FF and TOP are
+the singleton masks 1, 2, 4 and 8, so a single value is its own
+singleton set.  Every operator is lifted to value sets pointwise: s op
+t holds a op b for every a in s and b in t.
 """
 from __future__ import annotations
 
-
-class FourValue:
-    __slots__ = ("tag", "name")
-
-    def __init__(self, tag: int, name: str):
-        self.tag = tag
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-    @property
-    def text(self) -> str:
-        """Surface spelling used by the CLI: tt, ff, bot, top."""
-        return self.name
-
-
-BOT = FourValue(0, "bot")
-TT = FourValue(1, "tt")
-FF = FourValue(2, "ff")
-TOP = FourValue(3, "top")
+BOT, TT, FF, TOP = 1, 2, 4, 8
 
 VALUES = (BOT, TT, FF, TOP)
 
-def leq_k(a: FourValue, b: FourValue) -> bool:
-    """Knowledge order: BOT below everything, TOP above everything."""
-    return a is b or a is BOT or b is TOP
-
+_NAMES = {BOT: "bot", TT: "tt", FF: "ff", TOP: "top"}
 
 # lub in the knowledge order
 _JOIN_K = {
@@ -79,72 +56,29 @@ _MEET_T = {
 
 _NEG = {BOT: BOT, TT: FF, FF: TT, TOP: TOP}
 
+# The values at most tt in knowledge: an access decision grants when
+# its value is one of them.
+GRANTS = BOT | TT
 
-def join_k(a: FourValue, b: FourValue) -> FourValue:
-    return _JOIN_K[(a, b)]
+# b when a is at most tt in knowledge, else tt
+_IMPLIES = {(a, b): b if a & GRANTS else TT for a in VALUES for b in VALUES}
 
-
-def meet_k(a: FourValue, b: FourValue) -> FourValue:
-    return _MEET_K[(a, b)]
-
-
-def join_t(a: FourValue, b: FourValue) -> FourValue:
-    return _JOIN_T[(a, b)]
+# the first operand unless it carries no information
+_PREF = {(a, b): b if a == BOT else a for a in VALUES for b in VALUES}
 
 
-def meet_t(a: FourValue, b: FourValue) -> FourValue:
-    return _MEET_T[(a, b)]
+def members(s: int) -> tuple:
+    """The single values of a value set."""
+    return tuple(v for v in VALUES if s & v)
 
 
-def neg(a: FourValue) -> FourValue:
-    """Swap TT and FF, fix BOT and TOP."""
-    return _NEG[a]
+def names(s: int) -> list:
+    """The sorted surface spellings of a value set's members: bot, ff,
+    top, tt."""
+    return sorted(_NAMES[v] for v in members(s))
 
 
-def implies(a: FourValue, b: FourValue) -> FourValue:
-    """Return b when a holds at most at level tt in knowledge, else TT."""
-    return b if leq_k(a, TT) else TT
-
-
-def priority(a: FourValue, b: FourValue) -> FourValue:
-    """First projection unless the first operand carries no information."""
-    return b if a is BOT else a
-
-
-def grant(a: FourValue) -> bool:
-    """An access decision grants when the value is below tt in knowledge."""
-    return leq_k(a, TT)
-
-
-# Spelled operator names as they appear in policy source text.
-BINARY_OPS = {
-    "oplus": join_k,
-    "otimes": meet_k,
-    "or": join_t,
-    "and": meet_t,
-    "implies": implies,
-    "pref": priority,
-}
-
-
-# ---------------------------------------------------------------------------
-# value sets
-
-def vset(*values: FourValue) -> int:
-    """The value set of the given values."""
-    return sum(1 << v.tag for v in set(values))
-
-
-def members(s: int) -> frozenset:
-    return frozenset(v for v in VALUES if s >> v.tag & 1)
-
-
-def only(s: int) -> FourValue:
-    """The member of a singleton value set."""
-    return VALUES[s.bit_length() - 1]
-
-
-def _lift(op) -> tuple:
+def _lift(op: dict) -> tuple:
     # a set past a singleton is its lowest member joined to the rest
     table = [[0] * 16]
     for s in range(1, 16):
@@ -155,12 +89,14 @@ def _lift(op) -> tuple:
             row = [0] * 16
             for t in range(1, 16):
                 low = t & -t
-                row[t] = row[t ^ low] | (row[low] if t != low else
-                                         1 << op(only(s), only(t)).tag)
+                row[t] = row[t ^ low] | (row[low] if t != low else op[s, t])
         table.append(row)
     return tuple(map(tuple, table))
 
 
-GRANTS = vset(*filter(grant, VALUES))   # the values that let an action fire
-NEG_SETS = tuple(vset(*map(neg, members(s))) for s in range(16))
-LIFTED = {name: _lift(op) for name, op in BINARY_OPS.items()}
+# negation is one-to-one, so the images of distinct members add up
+NEG_SETS = tuple(sum(_NEG[v] for v in members(s)) for s in range(16))
+# keyed by the operators' spelled names in policy source text
+LIFTED = {name: _lift(op) for name, op in (
+    ("oplus", _JOIN_K), ("otimes", _MEET_K), ("or", _JOIN_T),
+    ("and", _MEET_T), ("implies", _IMPLIES), ("pref", _PREF))}

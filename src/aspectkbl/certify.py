@@ -49,13 +49,13 @@ import copy
 from dataclasses import dataclass
 from typing import Optional
 
-from .belnap import GRANTS, LIFTED, members
+from .belnap import FF, GRANTS, LIFTED, TT, names
 from .model import (Action, CAP_LETTER, Const, ETest, Net, Obligation, OUT, IN,
                     ReplicationPresent, Substitution, canonicalize,
                     has_replication, loc_set, take_actions)
-from .semantics import (BOTH, FALSE, TRUE, data_index, ground_names,
-                        interp_test, numeral, occurs_in, policies_by_location,
-                        policy_values, pred_values, truth)
+from .semantics import (data_index, ground_atom, numeral, occurs_in,
+                        policies_by_location, policy_values, pred_values,
+                        truth)
 from .unification import extract, findsubs
 
 IRRELEVANT = "CertifiedIrrelevant"
@@ -123,7 +123,7 @@ class MutationInfo:
         """The domain at the firings of an action where the test atoms,
         as `might_grant` collects them, hold."""
         known = copy.copy(self)
-        known.sure = frozenset((at, values) for _, at, values in atoms)
+        known.sure = frozenset(atoms)
         return known
 
     def may_add(self, at: str, values) -> bool:
@@ -135,42 +135,35 @@ class MutationInfo:
     def equal(self, left, right) -> int:
         if isinstance(left, Const) and isinstance(right, Const):
             return truth(left.name == right.name)
-        return BOTH
+        return TT | FF
 
     def geq(self, left, right) -> int:
         l, r = numeral(left), numeral(right)
         if l is None or r is None:
-            return BOTH
+            return TT | FF
         return truth(l >= r)
 
     def test(self, args, at, post=None) -> int:
         self.asked.add((_name(at), tuple(map(_name, args))))
-        values = ground_names(args)
-        if values is None or not isinstance(at, Const):
-            return BOTH
-        if not post and interp_test(values, at.name, self.sure):
-            return TRUE
-        if interp_test(values, at.name, self.initial):
-            return BOTH if self.may_remove(at.name, values) else TRUE
-        return BOTH if self.may_add(at.name, values) else FALSE
+        atom = ground_atom(args, at)
+        if atom is None:
+            return TT | FF
+        if not post and atom in self.sure:
+            return TT
+        if atom in self.initial:
+            return TT | FF if self.may_remove(*atom) else TT
+        return TT | FF if self.may_add(*atom) else FF
 
     def occurs(self, action, continuation) -> int:
         if occurs_in(action, continuation):
-            return BOTH
+            return TT | FF
         # grounding a template only removes matches, never adds one
-        return FALSE
-
-
-def _test_atom(args, at) -> Optional[tuple]:
-    values = ground_names(args)
-    if values is None or not isinstance(at, Const):
-        return None
-    return ("test", at.name, values)
+        return FF
 
 
 @dataclass(frozen=True)
 class MightGrant:
-    constraints: tuple       # test atoms that must hold at any firing
+    constraints: tuple       # (location, tuple) atoms sure at any firing
     values: int              # the set of every value this side may produce
 
 
@@ -181,7 +174,7 @@ def might_grant(pol, act, mut: MutationInfo) -> MightGrant:
     sure: list = []
     values = policy_values(pol, act.source, act.action, act.continuation, mut,
                            sure)
-    constraints = tuple(filter(None, (_test_atom(e.args, e.at) for e in sure
+    constraints = tuple(filter(None, (ground_atom(e.args, e.at) for e in sure
                                       if isinstance(e, ETest))))
     return MightGrant(constraints, values)
 
@@ -233,7 +226,7 @@ def check_single_action(obl: Obligation, act, pols: dict, mut: MutationInfo,
     values = pred_values(th0.apply_expr(obl.pred), mut.refined(constraints),
                          domain)
     return ActionReport(act.source, act.action,
-                        NOT_CERTIFIED if values & FALSE else ENTAILED, th0,
+                        NOT_CERTIFIED if values & FF else ENTAILED, th0,
                         constraints=constraints, side_values=sides)
 
 
@@ -253,8 +246,8 @@ def check_network(net: Net, obl: Obligation) -> StaticVerdict:
 
 
 def constraint_text(atom: tuple) -> str:
-    kind, at, values = atom
-    return f"{kind}({', '.join(values)})@{at}"
+    at, values = atom
+    return f"test({', '.join(values)})@{at}"
 
 
 def report_json(report: StaticVerdict, explain: bool = False) -> dict:
@@ -271,7 +264,7 @@ def report_json(report: StaticVerdict, explain: bool = False) -> dict:
         entry["constraints"] = [constraint_text(c) for c in r.constraints]
         if explain and r.side_values:
             src, tgt = r.side_values
-            entry["source_values"] = sorted(v.text for v in members(src))
-            entry["target_values"] = sorted(v.text for v in members(tgt))
+            entry["source_values"] = names(src)
+            entry["target_values"] = names(tgt)
         actions.append(entry)
     return {"certified": report.certified, "actions": actions}

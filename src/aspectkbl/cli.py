@@ -24,7 +24,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .belnap import members
+from .belnap import names
 from .certify import check_network, constraint_text, report_json
 from .exhaustive import Verdict, sat_obl
 from .model import AkblError, Net, validate
@@ -97,8 +97,7 @@ def _print_static(report, explain: bool):
             atoms = ", ".join(constraint_text(c) for c in r.constraints)
             print(f"  constraints: {atoms}")
         if explain and r.side_values:
-            src, tgt = (", ".join(sorted(v.text for v in members(s)))
-                        for s in r.side_values)
+            src, tgt = (", ".join(names(s)) for s in r.side_values)
             print(f"  source may evaluate to {{{src}}}, target to {{{tgt}}}")
     print(f"certified: {'yes' if report.certified else 'no'}")
 
@@ -168,7 +167,7 @@ def cmd_trace(args) -> int:
         steps, denied = step_candidates(state, space)
         if args.explain_denied:
             for label, f in denied:
-                print(f"blocked: {label.text()} ({f.text})")
+                print(f"blocked: {label.text()} ({', '.join(names(f))})")
         if not steps:
             break
         label, state = steps[rng.randrange(len(steps))]

@@ -52,13 +52,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
+from .belnap import TT
 from .certify import (ANY, NOT_CERTIFIED, MutationInfo, _atom, _meet, _meets,
                       _name, check_network)
 from .model import (CAP_LETTER, IN, OUT, READ, EBin, ENot, EvaluationError,
                     Label, LabelPattern, LimitExceeded, Net, NetEntry,
                     Obligation, PExists, PForall, Substitution, Sum,
-                    take_actions)
-from .semantics import (LTS, TRUE, StateDomain, build_lts,
+                    process_actions)
+from .semantics import (LTS, StateDomain, build_lts,
                         policies_by_location, policy_values, pred_values,
                         step_candidates)
 from .unification import extract, findsubs
@@ -132,7 +133,7 @@ class TransitionCheck:
         (pre, pre_locs), (post, post_locs) = self._state(space, pre), \
             self._state(space, post)
         return pred_values(m[1], StateDomain(pre, post),
-                           sorted(pre_locs | post_locs)) != TRUE
+                           sorted(pre_locs | post_locs)) != TT
 
     def __call__(self, lts: LTS, t) -> bool:
         """Check one transition of lts; true when it violates."""
@@ -354,8 +355,7 @@ class Reduction:
             if ever is None:
                 e = space.entries[j]
                 ever = self._ever[j] = self.footprint(
-                    e, [(la.action, la.continuation)
-                        for la in take_actions(Net((e,)))])
+                    e, process_actions(e.body))
             dep = self._deps[i, j] = dependent(self._now[i], ever)
         return dep
 

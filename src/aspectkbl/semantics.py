@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .belnap import BOT, FF, GRANTS, LIFTED, NEG_SETS, TT, only, vset
+from .belnap import BOT, FF, GRANTS, LIFTED, NEG_SETS, TT
 from .model import (Action, AspectPol, BindVar, CAP_LETTER, Const, Cut, EBin,
                     EEqual, EFalse, ENot, EOccursIn, ETest, ETrue,
                     EvaluationError, Label, LimitExceeded, Net, NetEntry, Nil,
@@ -132,18 +132,9 @@ def occurs_in(template: Action, proc: Process) -> bool:
 # ---------------------------------------------------------------------------
 # evaluation over value sets
 
-TRUE, FALSE, BOTH, BOTTOM = vset(TT), vset(FF), vset(TT, FF), vset(BOT)
-
-
 def data_index(net: Net) -> frozenset:
     """The (location, tuple) pairs of the network's data entries."""
     return frozenset((e.location, e.body) for e in net.entries if e.is_data())
-
-
-def interp_test(args, at: str, data) -> bool:
-    """Is the ground tuple present as a data entry at the location.
-    `data` is a state's data index, as `data_index` returns it."""
-    return (at, tuple(args)) in data
 
 
 def ground_names(terms) -> Optional[tuple]:
@@ -159,8 +150,17 @@ def numeral(t) -> Optional[int]:
     return None
 
 
+def ground_atom(args, at) -> Optional[tuple]:
+    """The (location, tuple) atom a test names, as `data_index` holds
+    them, or None unless its location and arguments are constants."""
+    values = ground_names(args)
+    if values is None or not isinstance(at, Const):
+        return None
+    return at.name, values
+
+
 def truth(b: bool) -> int:
-    return TRUE if b else FALSE
+    return TT if b else FF
 
 
 def _ground_name(t, what: str) -> str:
@@ -200,16 +200,16 @@ class StateDomain:
 
     def test(self, args, at, post: Optional[bool] = None) -> int:
         # post is None in a policy, else the side of the step read
-        if post is None:
-            vals = tuple(_ground_name(t, "test") for t in args)
-            atom = (_ground_name(at, "test"), vals)
-            found = atom in self.pre
-            (self.present if found else self.absent).add(atom)
-            return truth(found)
-        vals = ground_names(args)
-        return truth(vals is not None and isinstance(at, Const)
-                      and interp_test(vals, at.name,
-                                      self.post if post else self.pre))
+        atom = ground_atom(args, at)
+        if post is not None:
+            return truth(atom is not None
+                         and atom in (self.post if post else self.pre))
+        if atom is None:
+            unbound = next(t for t in (*args, at) if not isinstance(t, Const))
+            raise EvaluationError(f"unbound variable in test: {unbound!r}")
+        found = atom in self.pre
+        (self.present if found else self.absent).add(atom)
+        return truth(found)
 
     def occurs(self, action: Action, continuation: Process) -> int:
         return truth(occurs_in(action, continuation))
@@ -237,9 +237,9 @@ def policy_values(pol, subject: str, action: Action, continuation: Process,
     oplus alone are appended to `sure` when it is a list.
     """
     if isinstance(pol, ETrue):
-        return TRUE
+        return TT
     if isinstance(pol, EFalse):
-        return FALSE
+        return FF
     if isinstance(pol, ENot):
         return NEG_SETS[policy_values(pol.body, subject, action,
                                       continuation, domain)]
@@ -253,18 +253,18 @@ def policy_values(pol, subject: str, action: Action, continuation: Process,
         asp = pol.aspect
         th = check_cut(asp.cut, subject, action)
         if th is None:
-            return BOTTOM
+            return BOT
         cond = policy_values(th.apply_expr(asp.cond), subject, action,
                              continuation, domain)
-        if not cond & TRUE:
-            return BOTTOM
+        if not cond & TT:
+            return BOT
         rec = th.apply_expr(asp.rec)
         values = policy_values(rec, subject, action, continuation, domain)
         if domain.exact:
             return values
-        if cond != TRUE or any(not k.startswith(("$", "#", "!"))
-                               for k, _ in th.pairs):
-            return values | BOTTOM
+        if cond != TT or any(not k.startswith(("$", "#", "!"))
+                             for k, _ in th.pairs):
+            return values | BOT
         if sure is not None:
             sure.append(rec)
         return values
@@ -284,16 +284,16 @@ def pred_values(pred, domain, locs) -> int:
     an inexact domain the range at run time may be any subset of locs,
     so a quantifier may also take its value on the empty range."""
     if isinstance(pred, ETrue):
-        return TRUE
+        return TT
     if isinstance(pred, EFalse):
-        return FALSE
+        return FF
     if isinstance(pred, ENot):
         return NEG_SETS[pred_values(pred.body, domain, locs)]
     if isinstance(pred, (EBin, PForall, PExists)):
         quantified = not isinstance(pred, EBin)
         conj = isinstance(pred, PForall) if quantified else pred.op == "and"
         op = LIFTED["and" if conj else "or"]
-        unit, decided = (TRUE, FALSE) if conj else (FALSE, TRUE)
+        unit, decided = (TT, FF) if conj else (FF, TT)
         parts = (Substitution(((pred.var, Const(loc)),)).apply_expr(pred.body)
                  for loc in locs) if quantified else (pred.left, pred.right)
         values = unit
@@ -452,14 +452,8 @@ def _steps(ids: tuple, space: Interner, ample=None):
     # (position of the acting entry, label, position in the rest of the
     # state of the data entry an in consumes or None, added ids)
     moves: list = []
-    denied: list = []
-    seen_denied: set = set()
+    denied: dict = {}           # (label, value) -> None, in order
     done: set = set()
-
-    def deny(label, f):
-        if (label, f) not in seen_denied:
-            seen_denied.add((label, f))
-            denied.append((label, only(f)))
 
     for p, i in enumerate(ids):
         e = entries[i]
@@ -496,7 +490,7 @@ def _steps(ids: tuple, space: Interner, ample=None):
                         tuple(_ground_name(t, "out argument")
                               for t in action.args), tgt.name)
                 if not granted:
-                    deny(label, f)
+                    denied[label, f] = None
                     continue
                 new = added.get(key)
                 if new is None:
@@ -520,7 +514,7 @@ def _steps(ids: tuple, space: Interner, ample=None):
                     continue
                 consumed.add(dd[1])
                 if not granted:
-                    deny(label, f)
+                    denied[label, f] = None
                     continue
                 new = added.get(key)
                 if new is None:
@@ -544,7 +538,7 @@ def _steps(ids: tuple, space: Interner, ample=None):
         if (p, label, succ) not in seen:
             seen.add((p, label, succ))
             steps.append((label, succ))
-    return steps, denied
+    return steps, list(denied)
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +614,8 @@ def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000,
 
 
 def net_text(net: Net) -> str:
-    from .parser import render_net
-    return render_net(net).replace("\n", " ")
+    from .parser import render_entry
+    return " || ".join(map(render_entry, net.entries))
 
 
 def json_export(lts: LTS) -> dict:
@@ -633,8 +627,7 @@ def json_export(lts: LTS) -> dict:
     def entry_text(i: int) -> str:
         text = texts.get(i)
         if text is None:
-            entry = lts.space.entries[i]
-            text = texts[i] = render_entry(entry).replace("\n", " ")
+            text = texts[i] = render_entry(lts.space.entries[i])
         return text
 
     return {

@@ -8,12 +8,12 @@ compare the implementation tables against themselves.
 """
 from aspectkbl import (BOT, TT, FF, TOP, VALUES, build_lts, data_index,
                        loc_set, step_candidates)
-from aspectkbl.belnap import only
 from aspectkbl.exhaustive import TransitionCheck
 from aspectkbl.model import Diagnostic
 from aspectkbl.parser import KEYWORDS, Token
-from aspectkbl.semantics import (TRUE, StateDomain, policy_values,
-                                 pred_values)
+from aspectkbl.semantics import StateDomain, policy_values, pred_values
+
+_TEXT = {BOT: "bot", TT: "tt", FF: "ff", TOP: "top"}
 
 # knowledge order: bot below tt and ff, both below top
 _K_HASSE = {("bot", "tt"), ("bot", "ff"), ("tt", "top"), ("ff", "top")}
@@ -22,7 +22,7 @@ _T_HASSE = {("ff", "bot"), ("ff", "top"), ("bot", "tt"), ("top", "tt")}
 
 
 def _closure(hasse):
-    rel = {(v.text, v.text) for v in VALUES} | set(hasse)
+    rel = {(t, t) for t in _TEXT.values()} | set(hasse)
     changed = True
     while changed:
         changed = False
@@ -39,11 +39,11 @@ _T = _closure(_T_HASSE)
 
 
 def leq_k(a, b):
-    return (a.text, b.text) in _K
+    return (_TEXT[a], _TEXT[b]) in _K
 
 
 def leq_t(a, b):
-    return (a.text, b.text) in _T
+    return (_TEXT[a], _TEXT[b]) in _T
 
 
 def _lub(a, b, leq):
@@ -86,7 +86,7 @@ def implies(a, b):
 
 
 def priority(a, b):
-    return b if a is BOT else a
+    return b if a == BOT else a
 
 
 def grant(a):
@@ -101,10 +101,9 @@ def enabled_steps(net):
 def eval_policy(pol, trapped, net):
     """Judge an attempted action (a LocatedAction) under a policy in
     the network's state.  The action is the template as written, with
-    input binders still unsubstituted."""
-    return only(policy_values(pol, trapped.source, trapped.action,
-                              trapped.continuation,
-                              StateDomain(data_index(net))))
+    input binders still unsubstituted.  The value is a singleton."""
+    return policy_values(pol, trapped.source, trapped.action,
+                         trapped.continuation, StateDomain(data_index(net)))
 
 
 def sat_pred(pair, theta, pred):
@@ -113,7 +112,7 @@ def sat_pred(pair, theta, pred):
     pre, post = pair
     return pred_values(theta.apply_expr(pred),
                        StateDomain(data_index(pre), data_index(post)),
-                       sorted(loc_set(pre) | loc_set(post))) == TRUE
+                       sorted(loc_set(pre) | loc_set(post))) == TT
 
 
 def maximal_paths(lts):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from aspectkbl import (BOT, TT, ReplicationPresent, build_lts,
+from aspectkbl import (BOT, FF, TT, ReplicationPresent, build_lts,
                        canonicalize, check_network, check_single_action,
                        corpus_path, might_grant, parse_net,
                        parse_obligation, parse_policy, report_json, semantics,
@@ -14,8 +14,7 @@ from aspectkbl.certify import (DENIED, ENTAILED, IRRELEVANT, NOT_CERTIFIED,
                                MutationInfo)
 from aspectkbl.model import (BindVar, ETrue, LocatedAction, Net, NetEntry,
                              Repl, Sum, loc_set)
-from aspectkbl.semantics import (BOTH, BOTTOM, FALSE, TRUE,
-                                 policies_by_location, pred_values)
+from aspectkbl.semantics import policies_by_location, pred_values
 from aspectkbl.unification import extract, findsubs
 import corpusio
 import gen
@@ -59,23 +58,23 @@ def test_might_grant_constants_and_missed_cuts():
     net = one_action_net("true")
     act, mut = located(net, "A", "out"), MutationInfo(net)
     g = might_grant(parse_policy("true"), act, mut)
-    assert (g.constraints, g.values) == ((), TRUE)
+    assert (g.constraints, g.values) == ((), TT)
     assert g.values & GRANTS
     g = might_grant(parse_policy("false"), act, mut)
-    assert g.values == FALSE and not g.values & GRANTS
+    assert g.values == FF and not g.values & GRANTS
     # a trap for reads says nothing about an out, and silence grants
     g = might_grant(parse_policy("[true if #u :: read(_)@B . X : true]"),
                     act, mut)
-    assert g.values == BOTTOM and g.values & GRANTS
+    assert g.values == BOT and g.values & GRANTS
 
 
 def test_might_grant_conditions_gate_the_trap():
     net = one_action_net("true")
     act, mut = located(net, "A", "out"), MutationInfo(net)
     down = parse_policy("[false if #u :: out(_, _)@B . X : k = v]")
-    assert might_grant(down, act, mut).values == BOTTOM
+    assert might_grant(down, act, mut).values == BOT
     up = parse_policy("[false if #u :: out(_, _)@B . X : Bob = Bob]")
-    assert might_grant(up, act, mut).values == FALSE
+    assert might_grant(up, act, mut).values == FF
 
 
 def test_might_grant_collects_unconditional_ground_tests():
@@ -83,9 +82,9 @@ def test_might_grant_collects_unconditional_ground_tests():
     act = located(net, "A", "out")
     pol = parse_policy("[test(Doctor, #u)@R if #u :: out(_, _)@B . X : true]")
     g = might_grant(pol, act, MutationInfo(net))
-    assert g.constraints == (("test", "R", ("Doctor", "A")),)
+    assert g.constraints == (("R", ("Doctor", "A")),)
     # the tuple is present and nothing can remove it
-    assert g.values == TRUE
+    assert g.values == TT
 
 
 def test_might_grant_withholds_constraints_from_partial_traps():
@@ -111,7 +110,7 @@ def test_might_grant_conditions_must_hold_to_constrain():
         "[test(Doctor, #u)@R if #u :: out(_)@B . X : test(flag)@B]")
     g = might_grant(pol, act, MutationInfo(net))
     assert g.constraints == ()
-    assert g.values == TRUE | BOTTOM
+    assert g.values == TT | BOT
 
 
 def test_might_grant_negation_discards_constraints():
@@ -120,7 +119,7 @@ def test_might_grant_negation_discards_constraints():
     pol = parse_policy("not [test(Doctor, #u)@R if #u :: out(_, _)@B . X : true]")
     g = might_grant(pol, act, mut)
     assert g.constraints == ()
-    assert g.values == FALSE                # a sure tt flips under negation
+    assert g.values == FF         # a sure tt flips under negation
 
     # otimes is not a pure knowledge join, so constraints are dropped too
     pair = parse_policy(
@@ -130,8 +129,7 @@ def test_might_grant_negation_discards_constraints():
         "[test(Doctor, #u)@R if #u :: out(_, _)@B . X : true] oplus "
         "[test(seed)@B if #u :: out(_, _)@B . X : true]")
     g = might_grant(both, act, mut)
-    assert g.constraints == (("test", "R", ("Doctor", "A")),
-                             ("test", "B", ("seed",)))
+    assert g.constraints == (("R", ("Doctor", "A")), ("B", ("seed",)))
 
 
 def test_might_grant_occurs_in_refutation():
@@ -140,10 +138,10 @@ def test_might_grant_occurs_in_refutation():
     act, mut = located(net, "A", "out"), MutationInfo(net)
     hit = parse_policy(
         "[in(stop)@A occurs-in X if #u :: out(_)@B . X : true]")
-    assert might_grant(hit, act, mut).values == BOTH
+    assert might_grant(hit, act, mut).values == TT | FF
     miss = parse_policy(
         "[in(go)@A occurs-in X if #u :: out(_)@B . X : true]")
-    assert might_grant(miss, act, mut).values == FALSE
+    assert might_grant(miss, act, mut).values == FF
 
 
 def test_static_pred_respects_future_removals():
@@ -151,11 +149,11 @@ def test_static_pred_respects_future_removals():
     mut = MutationInfo(net)
     dom = sorted(loc_set(net))
     pred = parse_obligation("AG [$u : r(_)@R] test(Doctor, H)@R").pred
-    assert pred_values(pred, mut, dom) == BOTH
+    assert pred_values(pred, mut, dom) == TT | FF
 
     frozen = parse_net("R ::[true] <Doctor, H>")
     assert pred_values(pred, MutationInfo(frozen),
-                       sorted(loc_set(frozen))) == TRUE
+                       sorted(loc_set(frozen))) == TT
 
 
 def test_single_action_outcomes_on_the_record_store():
@@ -185,10 +183,10 @@ def test_entailment_by_constraint_when_truth_may_change():
     report = check_single_action(obl, act, policies_by_location(net), mut,
                                  domain)
     assert report.outcome == ENTAILED
-    assert report.constraints == (("test", "R", ("Doctor", "H")),)
+    assert report.constraints == (("R", ("Doctor", "H")),)
     # the unrefined domain alone would not certify this
     pred0 = report.theta0.apply_expr(obl.pred)
-    assert pred_values(pred0, mut, domain) == BOTH
+    assert pred_values(pred0, mut, domain) == TT | FF
     # one conjunct follows from the store's trap, the other from the
     # tuple no action can take: only the refined domain reads both
     net = parse_net(
@@ -219,7 +217,7 @@ def test_sure_atoms_refine_test_but_not_test_post():
     report, = [r for r in check_network(net, after).actions
                if r.source == "Z"]
     assert report.outcome == NOT_CERTIFIED
-    assert report.constraints == (("test", "R", ("Doctor", "H")),)
+    assert report.constraints == (("R", ("Doctor", "H")),)
     assert not oracles.check_whole(net, after).holds
 
 

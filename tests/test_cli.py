@@ -312,11 +312,12 @@ def test_a_closed_stdout_exits_141_in_silence(tmp_path):
     env = {**os.environ,
            "PYTHONPATH": str(Path(aspectkbl.__file__).parents[1])}
     for argv in (("lts", nine, "--json"), ("check", many, outs, "--json")):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "aspectkbl.cli", *map(str, argv)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert proc.stdout.readline() == b"{\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141, (argv, err)
+        with subprocess.Popen(
+                [sys.executable, "-m", "aspectkbl.cli", *map(str, argv)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141, (argv, err)
         assert err == b"", argv

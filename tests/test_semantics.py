@@ -5,10 +5,10 @@ import pytest
 
 from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
                        ReplicationPresent, build_lts, data_index, dot_export,
-                       interp_test, json_export,
+                       json_export,
                        match, occurs_in, parse_net, parse_obligation,
                        parse_policy, sat_obl, step_candidates, take_actions)
-from aspectkbl.semantics import net_text, numeral
+from aspectkbl.semantics import ground_atom, net_text, numeral
 from aspectkbl.model import (Action, BindVar, Const, ETrue, Net, NetEntry, NIL,
                              Par, Repl, Sum, Var, WILDCARD, canonicalize)
 import corpusio
@@ -47,10 +47,14 @@ def test_occurs_in_scans_every_branch():
 def test_interp_test_wants_exact_data_entries():
     net = parse_net("R ::[true] <Doctor, Hansen> || R ::[true] out(k)@R . 0")
     data = data_index(net)
-    assert interp_test(("Doctor", "Hansen"), "R", data)
-    assert not interp_test(("Doctor",), "R", data)
-    assert not interp_test(("Doctor", "Hansen"), "S", data)
-    assert not interp_test(("k",), "R", data)
+    doctor, hansen, r = Const("Doctor"), Const("Hansen"), Const("R")
+    assert ground_atom((doctor, hansen), r) in data
+    assert ground_atom((doctor,), r) not in data
+    assert ground_atom((doctor, hansen), Const("S")) not in data
+    assert ground_atom((Const("k"),), r) not in data
+    # a test on an unbound term names no atom
+    assert ground_atom((doctor, Var("$u")), r) is None
+    assert ground_atom((doctor, hansen), Var("$u")) is None
 
 
 def locate(net, source, cap):
@@ -70,12 +74,12 @@ def test_policies_judge_the_unsubstituted_template():
     hansen_out = locate(net, "Hansen", "out")
 
     # the record store recommends by role lookup on the reader
-    assert eval_policy(ehdb_pol, hansen_read, net) is TT
-    assert eval_policy(ehdb_pol, olsen_read, net) is FF
+    assert eval_policy(ehdb_pol, hansen_read, net) == TT
+    assert eval_policy(ehdb_pol, olsen_read, net) == FF
     # an out never matches the read trap
-    assert eval_policy(ehdb_pol, hansen_out, net) is BOT
+    assert eval_policy(ehdb_pol, hansen_out, net) == BOT
     # the out trap fires even though the payload is still a variable
-    assert eval_policy(hansen_pol, hansen_out, net) is FF
+    assert eval_policy(hansen_pol, hansen_out, net) == FF
 
 
 def test_step_yields_and_denials_on_the_guarded_record_store():
@@ -89,9 +93,9 @@ def test_step_yields_and_denials_on_the_guarded_record_store():
     _, after = steps[0]
     steps2, denied2 = step_candidates(after)
     assert steps2 == []
-    assert sorted((lbl.text(), f.text) for lbl, f in denied2) == [
-        ("Hansen:o(Bob,PrivateNotes,bobtext)@Olsen", "top"),
-        ("Olsen:r(Bob,PrivateNotes,bobtext)@EHDB", "top"),
+    assert sorted((lbl.text(), f) for lbl, f in denied2) == [
+        ("Hansen:o(Bob,PrivateNotes,bobtext)@Olsen", TOP),
+        ("Olsen:r(Bob,PrivateNotes,bobtext)@EHDB", TOP),
     ]
 
 
@@ -239,7 +243,7 @@ def test_policies_judging_binders_raise_evaluation_errors():
         eval_policy(pol, act, net)
     # a condition that fails leaves the recommendation unevaluated
     pol = parse_policy("[test(#a)@B if #u :: in(#a)@B . X : false]")
-    assert eval_policy(pol, act, net) is BOT
+    assert eval_policy(pol, act, net) == BOT
 
 
 def test_policy_memo_matches_fresh_evaluation():
