@@ -152,7 +152,7 @@ def cmd_lts(args) -> int:
         with _file_errors(args.dot):
             Path(args.dot).write_text(dot_export(lts) + "\n")
     if args.json:
-        print(_dump(json_export(lts)))
+        print(json_export(lts))
     else:
         print(f"states: {len(lts.ids)}")
         print(f"transitions: {len(lts.transitions)}")
@@ -232,7 +232,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # nothing is left to say: stdout goes to devnull, so that the
         # flush at interpreter exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return CLOSED_STDOUT
     except ParseError as e:
         for d in e.diagnostics:

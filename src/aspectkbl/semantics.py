@@ -42,12 +42,35 @@ then and only then.  A state is the tuple of its entries' ids, sorted
 by those keys, so deduplicating a successor hashes a tuple of small
 integers once.  A step carries the ids of the entries it leaves alone
 over from its source state and interns only the entries it adds,
-which are remembered per acting entry and branch.  Policy test atoms
-are set lookups in the state's data index.  The LTS keeps the id
-tuples and the interner, along with the transition that first
-discovered each state, from which witnesses are read back;
-`LTS.states` builds ordinary `Net` values from the shared interned
-entries on first access.
+which are remembered per acting entry and branch.  The successor is
+the kept ids with each added id inserted at its place by bisection;
+only a step that touches the nil rule sorts again.  Policy test atoms
+are set lookups in the state's data index, built only in a state
+where a policy's verdict depends on it.  The LTS keeps the id tuples
+and the interner, along with the transition that first discovered
+each state, from which witnesses are read back; `LTS.states` builds
+ordinary `Net` values from the shared interned entries on first
+access.
+
+An in or read finds its partners without scanning the state.  The
+interner keeps the ids of the data entries at each location, in the
+order they were interned, and each in or read branch of an acting
+entry keeps a match table: how many of its target's data ids it has
+tried, and the label of each that matched.  A step first extends the
+table over the data ids interned since its last use.  Since a state
+is sorted by key, and a key starts with the location and then the
+kind, data before processes, the entries at a location form a run
+that the data lead, and the first of them guards the location: two
+bisections find the guard and the state's data at the target.  The
+step then takes the matches present there, in state order, walking
+whichever of the table and that run is the shorter, so its work is
+bounded by the smaller of the two and not by the size of the state.
+
+`json_export` writes the LTS's JSON text itself.  It renders and
+escapes each interned entry once; a state's text is the join of its
+entries' escaped texts, and the document is one join of its parts,
+byte for byte the text `json.dumps` gives for the same document with
+indent 2 and sorted keys.
 
 The explorer also judges each step's policies once per exploration.
 A step's combined verdict depends on the acting entry, the branch and
@@ -76,9 +99,11 @@ the whole reachable state space.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .belnap import BOT, FF, GRANTS, LIFTED, NEG_SETS, TT
@@ -322,14 +347,17 @@ class Interner:
     group (location and policy), its (location, tuple) pair when it is
     a data entry, and its location constants.  A state is the tuple of
     its entries' ids in canonical order, so comparing and hashing a
-    state touches only integers.  The entries a step adds are also
-    remembered per acting entry and branch, so each is interned once,
-    and so are the policy verdicts of a step, with the test atoms each
-    one read.
+    state touches only integers.  The ids of the data entries at each
+    location are listed as they are interned.  The entries a step adds
+    are remembered per acting entry and branch, so each is interned
+    once, and so are the policy verdicts of a step, with the test atoms
+    each one read, and for an in or read the match table of the data
+    ids it has tried.
     """
 
     def __init__(self):
         self.entries: list = []      # id -> NetEntry
+        self.branches: list = []     # id -> branches of a Sum body, or None
         self.keys: list = []         # id -> canonical sort key
         self.locations: list = []    # id -> location
         self.groups: list = []       # id -> nil group number
@@ -338,13 +366,15 @@ class Interner:
         self.consts: list = []       # id -> frozenset of location constants
         self._ids: dict = {}         # NetEntry -> id
         self._groups: dict = {}      # (location, policy text) -> group number
+        self.data_at: dict = {}      # location -> ids of its data entries
         # (acting entry, branch, target group for out or matched data
         # entry for in and read) -> ids of the entries the step adds
         self.added: dict = {}
-        # (acting entry, branch) for out, or (acting entry, branch,
-        # data entry) for in and read -> the step's label, or None
-        # when the data entry does not match
+        # (acting entry, branch) of an out -> the step's label
         self.labels: dict = {}
+        # (acting entry, branch) of an in or read -> [number of the
+        # target's data ids tried, {matching data id: the step's label}]
+        self.matches: dict = {}
         # (acting entry, branch, target group) -> list of (atoms found
         # present, atoms found absent, combined policy value)
         self.verdicts: dict = {}
@@ -355,12 +385,18 @@ class Interner:
             i = self._ids[e] = len(self.entries)
             key = e.sort_key
             self.entries.append(e)
+            self.branches.append(e.body.branches
+                                 if isinstance(e.body, Sum) else None)
             self.keys.append(key)
             self.locations.append(e.location)
             self.groups.append(self._groups.setdefault((key[0], key[3]),
                                                        len(self._groups)))
             self.nils.append(isinstance(e.body, Nil))
-            self.data.append((e.location, e.body) if e.is_data() else None)
+            if e.is_data():
+                self.data.append((e.location, e.body))
+                self.data_at.setdefault(e.location, []).append(i)
+            else:
+                self.data.append(None)
             self.consts.append(entry_consts(e))
         return i
 
@@ -377,14 +413,20 @@ class Interner:
         entries.  The nil rule then has work only in a group that an
         entry of new is nil in or joins as the group of a nil, and the
         groups of kept alone are canonical already."""
-        ids = list(kept + new)
-        nils, groups = self.nils, self.groups
+        nils, groups, key = self.nils, self.groups, self.keys.__getitem__
         touched = {groups[j] for j in new if nils[j] or groups[j] in nil_groups}
         if touched:
+            ids = kept + new
             ids = [j for j in ids if groups[j] not in touched] + drop_nils(
                 [j for j in ids if groups[j] in touched],
                 groups.__getitem__, nils.__getitem__)
-        ids.sort(key=self.keys.__getitem__)
+            ids.sort(key=key)
+            return tuple(ids)
+        # entries with equal keys are identical, so inserting each new
+        # id into the sorted kept gives the tuple a full sort would
+        ids = list(kept)
+        for j in new:
+            insort(ids, j, key=key)
         return tuple(ids)
 
     def state(self, net: Net) -> tuple:
@@ -444,10 +486,13 @@ def step_candidates(state, space: Optional[Interner] = None, ample=None):
 def _steps(ids: tuple, space: Interner, ample=None):
     entries, locations, data_of = space.entries, space.locations, space.data
     added, verdicts, labels = space.added, space.verdicts, space.labels
+    matches, data_at = space.matches, space.data_at
     oplus = LIFTED["oplus"]
-    # location -> id of its first entry, whose policy guards it
-    first = dict(zip(map(locations.__getitem__, ids[::-1]), ids[::-1]))
-    data = space.data_index(ids)
+    # a location's entries are a run of the sorted state, led by its
+    # data, and the first guards it; identical entries have equal keys,
+    # so a bisection for an entry's key finds its first position
+    key = space.keys.__getitem__
+    data = None                 # the state's data index, once a policy reads it
     nil_groups = {space.groups[j] for j in ids if space.nils[j]}
     # (position of the acting entry, label, position in the rest of the
     # state of the data entry an in consumes or None, added ids)
@@ -456,29 +501,36 @@ def _steps(ids: tuple, space: Interner, ample=None):
     done: set = set()
 
     for p, i in enumerate(ids):
-        e = entries[i]
-        if i in done or not isinstance(e.body, Sum):
+        branches = space.branches[i]
+        if branches is None or i in done:
             continue
         done.add(i)             # an identical entry makes identical steps
-        rest = ids[:p] + ids[p + 1:]
-        for k, (action, cont) in enumerate(e.body.branches):
+        e = entries[i]
+        for k, (action, cont) in enumerate(branches):
             tgt = action.target
             if not isinstance(tgt, Const):
                 raise EvaluationError(f"unbound target in {action!r}")
-            holder = first.get(tgt.name)
-            if holder is None:
+            lo = bisect_left(ids, (tgt.name,), key=key)
+            if lo == len(ids) or locations[ids[lo]] != tgt.name:
                 continue            # no entry to receive or hold the data
+            holder = ids[lo]
             tgt_pol = entries[holder].policy
-            key = (i, k, space.groups[holder])
-            for present, absent, f in verdicts.get(key, ()):
+            step = (i, k, space.groups[holder])
+            for present, absent, f in verdicts.get(step, ()):
+                if not (present or absent):
+                    break           # the verdict read nothing of the state
+                if data is None:
+                    data = space.data_index(ids)
                 if present <= data and data.isdisjoint(absent):
                     break
             else:
+                if data is None:
+                    data = space.data_index(ids)
                 here = StateDomain(data)
                 src = policy_values(e.policy, e.location, action, cont, here)
                 f = oplus[src][policy_values(tgt_pol, e.location, action,
                                              cont, here)]
-                verdicts.setdefault(key, []).append(
+                verdicts.setdefault(step, []).append(
                     (frozenset(here.present), frozenset(here.absent), f))
             granted = f & GRANTS
             letter = CAP_LETTER[action.cap]
@@ -492,37 +544,55 @@ def _steps(ids: tuple, space: Interner, ample=None):
                 if not granted:
                     denied[label, f] = None
                     continue
-                new = added.get(key)
+                new = added.get(step)
                 if new is None:
-                    new = added[key] = space.split(
+                    new = added[step] = space.split(
                         e.location, e.policy, cont) + (space.intern(
                             NetEntry(tgt.name, tgt_pol, label.args)),)
                 moves.append((p, label, None, new))
                 continue
+            table = matches.get((i, k))
+            if table is None:
+                table = matches[i, k] = [0, {}]
+            tried, found = table
+            held = data_at.get(tgt.name, ())
+            if tried < len(held):   # data ids interned since the last use
+                for d in held[tried:]:
+                    values = data_of[d][1]
+                    if match(action.args, values) is not None:
+                        found[d] = Label(e.location, letter, values, tgt.name)
+                table[0] = len(held)
+            # the matches among the state's data at the target, ids[lo:hi],
+            # by position, from whichever of the table and the run is
+            # the shorter
+            hi = bisect_left(ids, (tgt.name, "proc"), lo, key=key)
+            if len(found) < hi - lo:
+                hits = []
+                for d in found:
+                    r = bisect_left(ids, key(d), lo, hi, key=key)
+                    if r < hi and ids[r] == d:
+                        hits.append((r, d))
+                hits.sort()
+            else:
+                hits = [(r, d) for r, d in enumerate(ids[lo:hi], lo)
+                        if d in found]
             consumed = set()        # identical tuples make identical steps
-            for q, d in enumerate(rest):
-                dd = data_of[d]
-                if dd is None or dd[0] != tgt.name or dd[1] in consumed:
+            for r, d in hits:
+                label = found[d]
+                if label.args in consumed:
                     continue
-                key = (i, k, d)
-                label = labels.get(key, False)
-                if label is False:
-                    label = labels[key] = None \
-                        if match(action.args, dd[1]) is None \
-                        else Label(e.location, letter, dd[1], tgt.name)
-                if label is None:
-                    continue
-                consumed.add(dd[1])
+                consumed.add(label.args)
                 if not granted:
                     denied[label, f] = None
                     continue
-                new = added.get(key)
+                step = (i, k, d)
+                new = added.get(step)
                 if new is None:
-                    new = added[key] = space.split(
+                    new = added[step] = space.split(
                         e.location, e.policy,
-                        match(action.args, dd[1]).apply_process(cont))
-                moves.append((p, label, None if action.cap == "read" else q,
-                              new))
+                        match(action.args, label.args).apply_process(cont))
+                moves.append((p, label, None if action.cap == "read"
+                              else r - (r > p), new))
     if ample is not None:
         for p in dict.fromkeys(m[0] for m in moves):
             if ample(space, ids, p):
@@ -618,24 +688,39 @@ def net_text(net: Net) -> str:
     return " || ".join(map(render_entry, net.entries))
 
 
-def json_export(lts: LTS) -> dict:
+def json_export(lts: LTS) -> str:
+    """The LTS as the text `json.dumps(doc, indent=2, sort_keys=True)`
+    gives for the document {"states": [{"id", "net"}], "transitions":
+    [{"from", "label", "to"}]}, where a state's net is its `net_text`.
+    States share their interned entries, so each interned entry is
+    rendered and escaped once, a state's text joins the escaped texts,
+    and the document is one join of its parts."""
     from .parser import render_entry
-    # states share their interned entries, so each is rendered once;
-    # joined, the texts read as net_text of the state
-    texts: dict = {}
+    texts = [encode_basestring_ascii(render_entry(e))[1:-1]
+             for e in lts.space.entries].__getitem__
+    parts = ['{\n  "states": [']
+    for sid, ids in enumerate(lts.ids):
+        parts += (f',\n    {{\n      "id": {sid},\n      "net": "',
+                  " || ".join(map(texts, ids)), '"\n    }')
+    _end_list(parts, 1)
+    parts.append(',\n  "transitions": [')
+    start = len(parts)
+    parts += (f',\n    {{\n      "from": {t.src},\n      "label": '
+              f'{encode_basestring_ascii(t.label.text())},\n'
+              f'      "to": {t.dst}\n    }}' for t in lts.transitions)
+    _end_list(parts, start)
+    parts.append("\n}")
+    return "".join(parts)
 
-    def entry_text(i: int) -> str:
-        text = texts.get(i)
-        if text is None:
-            text = texts[i] = render_entry(lts.space.entries[i])
-        return text
 
-    return {
-        "states": [{"id": sid, "net": " || ".join(map(entry_text, ids))}
-                   for sid, ids in enumerate(lts.ids)],
-        "transitions": [{"from": t.src, "to": t.dst, "label": t.label.text()}
-                        for t in lts.transitions],
-    }
+def _end_list(parts: list, start: int):
+    """Close the JSON list whose items, each led by a comma, are
+    parts[start:], as `json.dumps` indents a list one level down."""
+    if len(parts) == start:
+        parts.append("]")
+    else:
+        parts[start] = parts[start][1:]
+        parts.append("\n  ]")
 
 
 def dot_export(lts: LTS) -> str:

@@ -11,7 +11,8 @@ from aspectkbl import (BOT, TT, FF, TOP, VALUES, build_lts, data_index,
 from aspectkbl.exhaustive import TransitionCheck
 from aspectkbl.model import Diagnostic
 from aspectkbl.parser import KEYWORDS, Token
-from aspectkbl.semantics import StateDomain, policy_values, pred_values
+from aspectkbl.semantics import (StateDomain, net_text, policy_values,
+                                 pred_values)
 
 _TEXT = {BOT: "bot", TT: "tt", FF: "ff", TOP: "top"}
 
@@ -145,6 +146,18 @@ def replay(net, witness):
     return any(l.text() == witness.label.text()
                and not sat_pred((n, s), witness.theta, witness.pred)
                for n in nets for l, s in enabled_steps(n))
+
+
+def lts_document(lts):
+    """The JSON document of an LTS as a dict, for `json.dumps`: the
+    states with their `net_text` and the transitions with their label
+    text, each in order.  `json_export` writes this document's text."""
+    return {
+        "states": [{"id": sid, "net": net_text(net)}
+                   for sid, net in enumerate(lts.states)],
+        "transitions": [{"from": t.src, "to": t.dst, "label": t.label.text()}
+                        for t in lts.transitions],
+    }
 
 
 def check_whole(net, obl, **limits):

@@ -321,3 +321,17 @@ def test_a_closed_stdout_exits_141_in_silence(tmp_path):
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141, (argv, err)
         assert err == b"", argv
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open descriptors")
+def test_a_closed_stdout_leaves_no_descriptor_open(monkeypatch):
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as out:
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", out)
+            before = len(os.listdir("/proc/self/fd"))
+            assert main(["lts", corpusio.path("tiny_no_policies.akbl"),
+                         "--json"]) == 141
+            assert len(os.listdir("/proc/self/fd")) == before

@@ -1,4 +1,5 @@
 """Operational layer: matching, policy evaluation, steps, state spaces."""
+import json
 import random
 
 import pytest
@@ -139,6 +140,12 @@ def test_identical_tuples_give_one_step():
     # one copy is consumed, the other stays
     _, succ = steps[0]
     assert [e.body for e in succ.entries if e.is_data()] == [("k",)]
+    # so too when the copies differ in policy, which `validate` rejects
+    # but the library steps: the first copy in canonical order is taken
+    net = parse_net("A ::[true] <k> || A ::[false or true] <k>\n"
+                    "|| B ::[true] in(!x)@A . 0")
+    (_, succ), = step_candidates(net)[0]
+    assert [e.policy for e in succ.entries if e.is_data()] == [ETrue()]
 
 
 def test_identical_branches_give_one_step():
@@ -214,7 +221,7 @@ def test_exploration_counter():
 
 def test_export_shapes():
     lts = build_lts(corpusio.net("tiny_no_policies.akbl"))
-    doc = json_export(lts)
+    doc = json.loads(json_export(lts))
     assert {s["id"] for s in doc["states"]} == set(range(6))
     assert all("\n" not in s["net"] for s in doc["states"])
     assert len(doc["transitions"]) == 7
@@ -227,6 +234,92 @@ def test_export_shapes():
 
     one_line = net_text(lts.states[0])
     assert "\n" not in one_line and "||" in one_line
+
+
+def _escaping_net():
+    # names with a quote, a backslash, a newline and non-ASCII letters
+    loc = 'Zo\u00eb"\\'
+    out = Sum(((Action("out", (Const('q"\\\u00e9\u2603'),), Const(loc)), NIL),))
+    return Net((NetEntry(loc, ETrue(), ('x"y', "\u00e9\n")),
+                NetEntry("B", ETrue(), out)))
+
+
+def _generated_nets(small, ward, guarded):
+    """Networks of the three generators, for the seeds in the ranges."""
+    for make, seeds in ((gen.gen_small_net, small), (gen.gen_ward_net, ward),
+                        (gen.gen_guarded_net, guarded)):
+        for seed in seeds:
+            yield make(random.Random(seed))
+
+
+def _corpus_nets():
+    return [corpusio.net(name) for name in corpusio.names(".akbl")]
+
+
+def test_json_export_writes_the_document_json_dumps_writes():
+    still = parse_net("A ::[true] <k> || B ::[true] in(j)@A . 0")
+    nets = [*_corpus_nets(), *_generated_nets(range(50), range(30),
+                                              range(50)),
+            still, _escaping_net()]
+    for n, net in enumerate(nets):
+        lts = build_lts(net)
+        assert json_export(lts) == json.dumps(oracles.lts_document(lts),
+                                              indent=2, sort_keys=True), n
+    assert not build_lts(still).transitions
+    assert '"transitions": []' in json_export(build_lts(still))
+    assert "\\u00e9" in json_export(build_lts(_escaping_net()))
+
+
+def _assert_steps_as_fresh(lts):
+    # the run's tables, warmed by the exploration, give the steps and
+    # denials of a fresh Interner, whose tables are empty
+    space = lts.space
+    for sid, ids in enumerate(lts.ids):
+        steps, denied = step_candidates(ids, space)
+        assert ([(label, space.net(succ)) for label, succ in steps],
+                denied) == step_candidates(space.net(ids)), sid
+
+
+def test_kernel_caches_never_change_a_step():
+    states = 0
+    # ward nets have the most states, some 45 each; the guarded nets of
+    # seeds below 300 are compared in the test of the policy memo
+    for n, net in enumerate([*_corpus_nets(), *_generated_nets(
+            range(300), range(60), range(300, 540))]):
+        lts = build_lts(net)
+        _assert_steps_as_fresh(lts)
+        states += len(lts.ids)
+    assert states >= 6500
+
+
+def test_match_tables_follow_the_state():
+    # C's read has matched k, which B's in then removed; the pairs at A
+    # outnumber C's matches, so its table is what is walked
+    gone = build_lts(parse_net(
+        "A ::[true] <k> || A ::[true] <a, b> || A ::[true] <c, d>\n"
+        "|| B ::[true] in(!x)@A . 0 || C ::[true] read(!y)@A . 0"))
+    _assert_steps_as_fresh(gone)
+    assert len(gone.ids) == 4
+    (found,) = [table[1] for (i, _), table in gone.space.matches.items()
+                if gone.space.entries[i].location == "C"]
+    assert any(set(found) - set(ids) for ids in gone.ids)
+    # an in consumes one of two identical tuples, and the next the other
+    twice = build_lts(parse_net(
+        "A ::[true] <k> || A ::[true] <k>\n"
+        "|| B ::[true] in(!x)@A . in(!y)@A . 0"))
+    _assert_steps_as_fresh(twice)
+    assert [sum(twice.space.data[j] is not None for j in ids)
+            for ids in twice.ids] == [2, 1, 0]
+    # R's read(_, _) has matched more tuples than any state holds entries
+    puts = " . ".join(f"out({n}, {n})@A . in(!a, !b)@A" for n in range(8))
+    reader = NetEntry("R", ETrue(), Sum(((
+        Action("read", (WILDCARD, WILDCARD), Const("A")), NIL),)))
+    many = build_lts(Net(parse_net(
+        f"A ::[true] <seed> || P ::[true] {puts} . 0").entries + (reader,)))
+    _assert_steps_as_fresh(many)
+    (found,) = [table[1] for (i, _), table in many.space.matches.items()
+                if many.space.entries[i].location == "R"]
+    assert len(found) == 8 > max(map(len, many.ids))
 
 
 def test_policies_judging_binders_raise_evaluation_errors():
