@@ -284,8 +284,8 @@ def test_kernel_caches_never_change_a_step():
     states = 0
     # ward nets have the most states, some 45 each; the guarded nets of
     # seeds below 300 are compared in the test of the policy memo
-    for n, net in enumerate([*_corpus_nets(), *_generated_nets(
-            range(300), range(60), range(300, 540))]):
+    for net in [*_corpus_nets(), *_generated_nets(
+            range(300), range(60), range(300, 540))]:
         lts = build_lts(net)
         _assert_steps_as_fresh(lts)
         states += len(lts.ids)
