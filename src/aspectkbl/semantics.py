@@ -564,7 +564,10 @@ def _steps(ids: tuple, space: Interner, ample=None):
                 table[0] = len(held)
             # the matches among the state's data at the target, ids[lo:hi],
             # by position, from whichever of the table and the run is
-            # the shorter
+            # the shorter: a branch that matches few of many tuples, as
+            # each in of `deep` matches one of some 44, bisects for its
+            # table's ids; one whose table outgrows the state, as a
+            # read(_, _) may, walks the run
             hi = bisect_left(ids, (tgt.name, "proc"), lo, key=key)
             if len(found) < hi - lo:
                 hits = []

@@ -7,9 +7,12 @@ upper bound / maximal lower bound search) so the tests do not merely
 compare the implementation tables against themselves.
 """
 from aspectkbl import (BOT, TT, FF, TOP, VALUES, build_lts, data_index,
-                       loc_set, step_candidates)
+                       loc_set, match)
+from aspectkbl.belnap import GRANTS, LIFTED
 from aspectkbl.exhaustive import TransitionCheck
-from aspectkbl.model import Diagnostic
+from aspectkbl.model import (CAP_LETTER, Const, Diagnostic, EvaluationError,
+                             Label, Net, NetEntry, Sum, canonicalize,
+                             split_entry)
 from aspectkbl.parser import KEYWORDS, Token
 from aspectkbl.semantics import (StateDomain, net_text, policy_values,
                                  pred_values)
@@ -94,9 +97,72 @@ def grant(a):
     return leq_k(a, TT)
 
 
+def reference_steps(net):
+    """`step_candidates` of a network, (steps, denied), found by plain
+    scans of the canonical state: the guard of a target is its first
+    entry, an in or read tries every data entry at its target in state
+    order, the policies are judged afresh and every successor is built
+    as a `Net` and canonicalised whole.  Nothing is interned or cached,
+    so this is the reference for the explorer's tables and bisections.
+    """
+    entries = canonicalize(net).entries
+    here = data_index(Net(entries))
+    steps: dict = {}            # (acting position, label, successor) -> None
+    denied: dict = {}           # (label, value) -> None
+    done = set()
+    for p, e in enumerate(entries):
+        if not isinstance(e.body, Sum) or e in done:
+            continue
+        done.add(e)
+        rest = entries[:p] + entries[p + 1:]
+        for action, cont in e.body.branches:
+            tgt = action.target
+            if not isinstance(tgt, Const):
+                raise EvaluationError(f"unbound target in {action!r}")
+            guard = next((g for g in entries if g.location == tgt.name), None)
+            if guard is None:
+                continue
+            f = LIFTED["oplus"][
+                policy_values(e.policy, e.location, action, cont,
+                              StateDomain(here))][
+                policy_values(guard.policy, e.location, action, cont,
+                              StateDomain(here))]
+            letter = CAP_LETTER[action.cap]
+            if action.cap == "out":
+                if not all(isinstance(t, Const) for t in action.args):
+                    raise EvaluationError(f"unbound out argument in {action!r}")
+                values = tuple(t.name for t in action.args)
+                moves = [(values, rest, cont,
+                          (NetEntry(tgt.name, guard.policy, values),))]
+            else:
+                moves = []
+                consumed = set()
+                for q, d in enumerate(rest):
+                    if d.location != tgt.name or not d.is_data() \
+                            or d.body in consumed:
+                        continue
+                    theta = match(action.args, d.body)
+                    if theta is None:
+                        continue
+                    consumed.add(d.body)
+                    kept = rest if action.cap == "read" \
+                        else rest[:q] + rest[q + 1:]
+                    moves.append((d.body, kept, theta.apply_process(cont), ()))
+            for values, kept, after, put in moves:
+                label = Label(e.location, letter, values, tgt.name)
+                if not f & GRANTS:
+                    denied[label, f] = None
+                    continue
+                flat: list = []
+                split_entry(e.location, e.policy, after, flat)
+                succ = canonicalize(Net(kept + tuple(flat) + put))
+                steps[p, label, succ] = None
+    return [(label, succ) for _, label, succ in steps], list(denied)
+
+
 def enabled_steps(net):
     """The (label, successor) pairs of the steps a network can take."""
-    return step_candidates(net)[0]
+    return reference_steps(net)[0]
 
 
 def eval_policy(pol, trapped, net):
