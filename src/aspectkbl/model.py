@@ -4,11 +4,40 @@ A network is a multiset of located entries; each entry carries a
 location name, a policy expression and either a process or a data
 tuple.  Data tuples are kept as plain tuples of constant names since
 they are always ground.
+
+Syntax nodes are immutable `__slots__` classes with hand-written
+methods; none has an instance `__dict__`.  A node with children
+memoises four things, each the first time it is asked and each built
+from what its children memoised, so that it costs O(1) per node and
+not the size of the subtree:
+
+- its text, `repr(node)`.  It is byte for byte the text a frozen
+  dataclass with the same fields prints, `Sum(branches=((Action(cap=
+  'out', args=(Const(name='k'),), target=Const(name='B')), Nil()),))`.
+  Canonical forms sort entries by these texts (`NetEntry.sort_key`),
+  so the order of states, their numbering and every golden output
+  depend on the text staying exactly this.  A plain tuple order of
+  the fields would not do: the text puts `<a, b>` before `<a>`,
+  because ", " sorts before ",)".
+- its hash, the hash of its text, which the str keeps.  Two nodes are
+  equal when they are the same object, or of the same class with
+  equal hashes and equal texts, so no comparison recurses.
+- its location constants (`consts`) and its free substitution keys
+  (`free`): the names of its variables, and "!name" for each binder,
+  less those a binder or quantifier above them binds.
+
+Terms are leaves that keep only their name; their text is one format
+away, and the action above them memoises it.  Nodes without fields
+(`NIL`, `WILDCARD`, `TRUE`, `FALSE`) have one instance each, which
+calling the class returns.
+
+Substitution returns a node itself when the key is not free in it, so
+a substituted tree shares every subtree the substitution leaves
+unchanged: after a `read` only the path down to the prefixes that
+mention the bound variable is rebuilt.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from typing import Union
 
@@ -32,12 +61,40 @@ class LimitExceeded(AkblError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str            # "error" or "warning"
-    message: str
-    line: int = 0
-    col: int = 0
+_EMPTY = frozenset()
+
+
+class _Record:
+    """Equality, hash and text over the slots in order, as a frozen
+    dataclass of the same fields has them; for the values that are
+    not syntax trees."""
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Diagnostic(_Record):
+    __slots__ = ("severity", "message", "line", "col")
+
+    def __init__(self, severity: str, message: str, line: int = 0,
+                 col: int = 0):
+        self.severity = severity     # "error" or "warning"
+        self.message = message
+        self.line = line
+        self.col = col
 
     def format(self) -> str:
         where = f"{self.line}:{self.col}: " if self.line else ""
@@ -45,31 +102,139 @@ class Diagnostic:
 
 
 # ---------------------------------------------------------------------------
+# node kinds
+
+class _Unit:
+    """A node without fields: its class has one instance, `ONE`, which
+    calling the class returns, so equality and hash are identity."""
+    __slots__ = ()
+    consts = free = _EMPTY
+
+    def __new__(cls):
+        return cls.ONE
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
+
+
+def _unit(cls):
+    cls.ONE = object.__new__(cls)
+    return cls.ONE
+
+
+class _Leaf:
+    """A term with a name."""
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(name={self.name!r})"
+
+
+class Node:
+    """A node with children.  Each class sets its fields and the three
+    memos to None in `__init__`, and writes `_render`, `_find_consts`
+    and `_find_free` over its children's memos."""
+    __slots__ = ("_text", "_consts", "_free")
+
+    def __repr__(self):
+        text = self._text
+        if text is None:
+            text = self._text = self._render()
+        return text
+
+    def __hash__(self):
+        text = self._text
+        if text is None:
+            text = self._text = self._render()
+        return hash(text)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = self.__repr__(), other.__repr__()
+        return hash(mine) == hash(theirs) and mine == theirs
+
+    @property
+    def consts(self) -> frozenset:
+        """The location constants occurring in the node."""
+        consts = self._consts
+        if consts is None:
+            consts = self._consts = self._find_consts()
+        return consts
+
+    @property
+    def free(self) -> frozenset:
+        """The substitution keys a substitution may replace in the node."""
+        free = self._free
+        if free is None:
+            free = self._free = self._find_free()
+        return free
+
+    def _find_free(self) -> frozenset:
+        raise TypeError(f"not an expression: {self!r}")
+
+
+def _seq(items) -> str:
+    """The text of a tuple of nodes, as repr prints a tuple."""
+    if len(items) == 1:
+        return f"({items[0]!r},)"
+    return f"({', '.join(map(repr, items))})"
+
+
+def _union(sets) -> frozenset:
+    """The union of frozensets, the largest of them itself when it
+    holds the others."""
+    acc = _EMPTY
+    for s in sets:
+        if not s <= acc:
+            acc = s if acc <= s else acc | s
+    return acc
+
+
+def _term_consts(terms) -> frozenset:
+    return frozenset([t.name for t in terms if isinstance(t, Const)]) or _EMPTY
+
+
+def _term_free(terms) -> frozenset:
+    return frozenset([subst_key(t) for t in terms
+                      if isinstance(t, (Var, BindVar))]) or _EMPTY
+
+
+# ---------------------------------------------------------------------------
 # terms
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Const(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Leaf):
     # name keeps its sigil: "$u" in obligations, "#u" in aspects,
     # bare "u" for a process variable bound by an earlier !u
-    name: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BindVar:
-    name: str                # written !name
+class BindVar(_Leaf):
+    __slots__ = ()           # name is written !name
 
 
-@dataclass(frozen=True)
-class Wildcard:
-    pass
+class Wildcard(_Unit):
+    __slots__ = ()
 
 
-WILDCARD = Wildcard()
+WILDCARD = _unit(Wildcard)
 
 Term = Union[Const, Var, BindVar, Wildcard]
 
@@ -91,35 +256,100 @@ CAP_LETTER = {OUT: "o", IN: "i", READ: "r"}
 LETTER_CAP = {v: k for k, v in CAP_LETTER.items()}
 
 
-@dataclass(frozen=True)
-class Action:
-    cap: str                 # out, in or read
-    args: tuple              # tuple of Term
-    target: Term
+class Action(Node):
+    __slots__ = ("cap", "args", "target")
+
+    def __init__(self, cap: str, args: tuple, target: Term):
+        self.cap = cap               # out, in or read
+        self.args = args             # tuple of Term
+        self.target = target
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return (f"Action(cap={self.cap!r}, args={_seq(self.args)}, "
+                f"target={self.target!r})")
+
+    def _find_consts(self):
+        return _term_consts((*self.args, self.target))
+
+    def _find_free(self):
+        return _term_free((*self.args, self.target))
 
 
-@dataclass(frozen=True)
-class Nil:
-    pass
+class Nil(_Unit):
+    __slots__ = ()
 
 
-NIL = Nil()
+NIL = _unit(Nil)
 
 
-@dataclass(frozen=True)
-class Sum:
-    branches: tuple          # nonempty tuple of (Action, Process)
+class Sum(Node):
+    __slots__ = ("branches",)
+
+    def __init__(self, branches: tuple):
+        self.branches = branches     # nonempty tuple of (Action, Process)
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        parts = []
+        for action, cont in self.branches:
+            parts.append(f"({action.__repr__()}, {cont.__repr__()})")
+        if len(parts) == 1:
+            return f"Sum(branches=({parts[0]},))"
+        return f"Sum(branches=({', '.join(parts)}))"
+
+    def _find_consts(self):
+        parts = []
+        for action, cont in self.branches:
+            parts += (action.consts, cont.consts)
+        return _union(parts)
+
+    def _find_free(self):
+        parts = []
+        for action, cont in self.branches:
+            free = cont.free
+            for t in action.args:
+                # a binder of the same name shadows the binding below it
+                if isinstance(t, BindVar) and t.name in free:
+                    free = free - {t.name}
+            parts += (action.free, free)
+        return _union(parts)
 
 
-@dataclass(frozen=True)
-class Par:
-    left: "Process"
-    right: "Process"
+class Par(Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Process", right: "Process"):
+        self.left = left
+        self.right = right
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return (f"Par(left={self.left.__repr__()}, "
+                f"right={self.right.__repr__()})")
+
+    def _find_consts(self):
+        return _union((self.left.consts, self.right.consts))
+
+    def _find_free(self):
+        return _union((self.left.free, self.right.free))
 
 
-@dataclass(frozen=True)
-class Repl:
-    body: "Process"
+class Repl(Node):
+    __slots__ = ("body",)
+
+    def __init__(self, body: "Process"):
+        self.body = body
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return f"Repl(body={self.body.__repr__()})"
+
+    def _find_consts(self):
+        return self.body.consts
+
+    def _find_free(self):
+        return self.body.free
 
 
 Process = Union[Nil, Sum, Par, Repl]
@@ -128,12 +358,22 @@ Process = Union[Nil, Sum, Par, Repl]
 # ---------------------------------------------------------------------------
 # policies, rec/cond expressions and predicates
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(Node):
     """Trap pattern of an aspect: subject :: action-template . X."""
-    subject: Term
-    action: Action
-    cont_var: str
+    __slots__ = ("subject", "action", "cont_var")
+
+    def __init__(self, subject: Term, action: Action, cont_var: str):
+        self.subject = subject
+        self.action = action
+        self.cont_var = cont_var
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return (f"Cut(subject={self.subject!r}, action={self.action!r}, "
+                f"cont_var={self.cont_var!r})")
+
+    def _find_consts(self):
+        return _union((_term_consts((self.subject,)), self.action.consts))
 
 
 # Policies, rec/cond expressions and obligation predicates share one
@@ -142,59 +382,152 @@ class Cut:
 # alone, EOccursIn to expressions, and the quantifiers, test' and >=
 # (below) to predicates.
 
-@dataclass(frozen=True)
-class ETrue:
-    pass
+class ETrue(_Unit):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EFalse:
-    pass
+class EFalse(_Unit):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ENot:
-    body: "Expr"
+TRUE = _unit(ETrue)
+FALSE = _unit(EFalse)
 
 
-@dataclass(frozen=True)
-class EBin:
-    op: str                  # oplus otimes and or implies pref
-    left: "Expr"
-    right: "Expr"
+class ENot(Node):
+    __slots__ = ("body",)
+
+    def __init__(self, body: "Expr"):
+        self.body = body
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return f"ENot(body={self.body.__repr__()})"
+
+    def _find_consts(self):
+        return self.body.consts
+
+    def _find_free(self):
+        return self.body.free
 
 
-@dataclass(frozen=True)
-class EEqual:
-    left: Term
-    right: Term
+class EBin(Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        self.op = op                 # oplus otimes and or implies pref
+        self.left = left
+        self.right = right
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return (f"EBin(op={self.op!r}, left={self.left.__repr__()}, "
+                f"right={self.right.__repr__()})")
+
+    def _find_consts(self):
+        return _union((self.left.consts, self.right.consts))
+
+    def _find_free(self):
+        return _union((self.left.free, self.right.free))
 
 
-@dataclass(frozen=True)
-class ETest:
-    args: tuple
-    at: Term
+class _Compare(Node):
+    """A comparison of two terms: EEqual, PGeq."""
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        self.left = left
+        self.right = right
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return (f"{type(self).__name__}(left={self.left!r}, "
+                f"right={self.right!r})")
+
+    def _find_consts(self):
+        return _term_consts((self.left, self.right))
+
+    def _find_free(self):
+        return _term_free((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class EOccursIn:
-    action: Action           # template matched against a continuation
-    var: str                 # the cut's continuation variable
+class _Atom(Node):
+    """A test of a tuple at a location: ETest, PTestPost."""
+    __slots__ = ("args", "at")
+
+    def __init__(self, args: tuple, at: Term):
+        self.args = args
+        self.at = at
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return f"{type(self).__name__}(args={_seq(self.args)}, at={self.at!r})"
+
+    def _find_consts(self):
+        return _term_consts((*self.args, self.at))
+
+    def _find_free(self):
+        return _term_free((*self.args, self.at))
+
+
+class EEqual(_Compare):
+    __slots__ = ()
+
+
+class ETest(_Atom):
+    __slots__ = ()
+
+
+class EOccursIn(Node):
+    __slots__ = ("action", "var")
+
+    def __init__(self, action: Action, var: str):
+        self.action = action         # template matched against a continuation
+        self.var = var               # the cut's continuation variable
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return f"EOccursIn(action={self.action!r}, var={self.var!r})"
+
+    def _find_consts(self):
+        return self.action.consts
+
+    def _find_free(self):
+        return self.action.free
 
 
 Expr = Union[ETrue, EFalse, ENot, EBin, EEqual, ETest, EOccursIn]
 
 
-@dataclass(frozen=True)
-class Aspect:
-    rec: Expr
-    cut: Cut
-    cond: Expr
+class Aspect(Node):
+    __slots__ = ("rec", "cut", "cond")
+
+    def __init__(self, rec: Expr, cut: Cut, cond: Expr):
+        self.rec = rec
+        self.cut = cut
+        self.cond = cond
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return (f"Aspect(rec={self.rec.__repr__()}, cut={self.cut!r}, "
+                f"cond={self.cond.__repr__()})")
+
+    def _find_consts(self):
+        return _union((self.cut.consts, self.rec.consts, self.cond.consts))
 
 
-@dataclass(frozen=True)
-class AspectPol:
-    aspect: Aspect
+class AspectPol(Node):
+    __slots__ = ("aspect",)
+
+    def __init__(self, aspect: Aspect):
+        self.aspect = aspect
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return f"AspectPol(aspect={self.aspect!r})"
+
+    def _find_consts(self):
+        return self.aspect.consts
 
 
 Policy = Union[ETrue, EFalse, ENot, EBin, AspectPol]
@@ -203,94 +536,150 @@ Policy = Union[ETrue, EFalse, ENot, EBin, AspectPol]
 # ---------------------------------------------------------------------------
 # obligations
 
-@dataclass(frozen=True)
-class LabelPattern:
+class LabelPattern(_Record):
     """Trap pattern of an obligation over transition labels."""
-    subject: Term
-    cap: str                 # letter form: o, i or r
-    args: tuple
-    target: Term             # a Const for well-formed obligations
+    __slots__ = ("subject", "cap", "args", "target")
+
+    def __init__(self, subject: Term, cap: str, args: tuple, target: Term):
+        self.subject = subject
+        self.cap = cap               # letter form: o, i or r
+        self.args = args
+        self.target = target         # a Const for well-formed obligations
 
 
-@dataclass(frozen=True)
-class PForall:
-    var: str                 # sigiled, e.g. "$x"
-    body: "Pred"
+class _Quantifier(Node):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: "Pred"):
+        self.var = var               # sigiled, e.g. "$x"
+        self.body = body
+        self._text = self._consts = self._free = None
+
+    def _render(self):
+        return (f"{type(self).__name__}(var={self.var!r}, "
+                f"body={self.body.__repr__()})")
+
+    def _find_consts(self):
+        return self.body.consts
+
+    def _find_free(self):
+        free = self.body.free
+        return free - {self.var} if self.var in free else free
 
 
-@dataclass(frozen=True)
-class PExists:
-    var: str
-    body: "Pred"
+class PForall(_Quantifier):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PTestPost:
+class PExists(_Quantifier):
+    __slots__ = ()
+
+
+class PTestPost(_Atom):
     """test' form, interpreted on the successor state of a transition."""
-    args: tuple
-    at: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PGeq:
-    left: Term
-    right: Term
+class PGeq(_Compare):
+    __slots__ = ()
 
 
 Pred = Union[ETrue, EFalse, ENot, EBin, PForall, PExists, EEqual, ETest,
              PTestPost, PGeq]
 
 
-@dataclass(frozen=True)
-class Obligation:
-    cut: LabelPattern
-    pred: Pred
+class Obligation(_Record):
+    __slots__ = ("cut", "pred")
+
+    def __init__(self, cut: LabelPattern, pred: Pred):
+        self.cut = cut
+        self.pred = pred
 
 
 # ---------------------------------------------------------------------------
 # networks
 
-@dataclass(frozen=True)
 class NetEntry:
-    location: str
-    policy: Policy
-    body: Union[Process, tuple]   # a tuple of constant names is a data entry
+    """One located entry.  Its sort key, the total syntactic order of
+    canonical forms, is made when the entry is: (location, kind, body
+    text, policy text), from the memoised texts of the body and the
+    policy.  The key determines the entry, so equality and hash are
+    those of the key."""
+    __slots__ = ("location", "policy", "body", "sort_key")
+
+    def __init__(self, location: str, policy: Policy,
+                 body: Union[Process, tuple]):
+        self.location = location
+        self.policy = policy
+        self.body = body             # a tuple of constant names is a data entry
+        self.sort_key = (location, "data" if isinstance(body, tuple)
+                         else "proc", repr(body), repr(policy))
 
     def is_data(self) -> bool:
         return isinstance(self.body, tuple)
 
-    @cached_property
-    def sort_key(self) -> tuple:
-        """The total syntactic order of canonical forms, rendered once
-        per entry object: (location, kind, body text, policy text)."""
-        kind = "data" if self.is_data() else "proc"
-        return (self.location, kind, repr(self.body), repr(self.policy))
+    def __eq__(self, other):
+        if other.__class__ is NetEntry:
+            return self is other or self.sort_key == other.sort_key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.sort_key)
+
+    def __repr__(self):
+        return (f"NetEntry(location={self.location!r}, "
+                f"policy={self.sort_key[3]}, body={self.sort_key[2]})")
 
 
-@dataclass(frozen=True)
-class Net:
-    entries: tuple           # tuple of NetEntry
+class Net(_Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        self.entries = entries       # tuple of NetEntry
 
 
-@dataclass(frozen=True)
 class Label:
-    """Transition label: subject performs cap(args) at target."""
-    subject: str
-    cap: str                 # letter form: o, i or r
-    args: tuple              # tuple of constant names
-    target: str
+    """Transition label: subject performs cap(args) at target.  Labels
+    are made once per step of an exploration and hashed for every
+    successor, so the hash is computed when the label is made."""
+    __slots__ = ("subject", "cap", "args", "target", "_hash")
+
+    def __init__(self, subject: str, cap: str, args: tuple, target: str):
+        self.subject = subject
+        self.cap = cap               # letter form: o, i or r
+        self.args = args             # tuple of constant names
+        self.target = target
+        self._hash = hash((subject, cap, args, target))
+
+    def __eq__(self, other):
+        if other.__class__ is Label:
+            return self is other or (
+                self._hash == other._hash and self.subject == other.subject
+                and self.cap == other.cap and self.args == other.args
+                and self.target == other.target)
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"Label(subject={self.subject!r}, cap={self.cap!r}, "
+                f"args={self.args!r}, target={self.target!r})")
 
     def text(self) -> str:
         return f"{self.subject}:{self.cap}({','.join(self.args)})@{self.target}"
 
 
-@dataclass(frozen=True)
-class LocatedAction:
+class LocatedAction(_Record):
     """An action as it occurs in a network entry."""
-    source: str
-    policy: Policy
-    action: Action
-    continuation: Process
+    __slots__ = ("source", "policy", "action", "continuation")
+
+    def __init__(self, source: str, policy: Policy, action: Action,
+                 continuation: Process):
+        self.source = source
+        self.policy = policy
+        self.action = action
+        self.continuation = continuation
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +690,7 @@ class Substitution:
 
     Keys are variable names with their sigil, binders keyed as "!name".
     Composition is concatenation, so (s1.then(s2)) applies s1 first.
+    A node in which no key is free comes back as itself.
     """
     __slots__ = ("pairs",)
 
@@ -331,8 +721,9 @@ class Substitution:
         return t
 
     def apply_action(self, a: Action) -> Action:
-        return Action(a.cap, tuple(self.apply_term(x) for x in a.args),
-                      self.apply_term(a.target))
+        for key, val in self.pairs:
+            a = _subst_action(a, key, val)
+        return a
 
     def apply_process(self, p: Process) -> Process:
         for key, val in self.pairs:
@@ -359,6 +750,8 @@ def _subst_term(t: Term, key: str, val: Term) -> Term:
 
 
 def _subst_action(a: Action, key: str, val: Term) -> Action:
+    if key not in a.free:
+        return a
     return Action(a.cap, tuple(_subst_term(x, key, val) for x in a.args),
                   _subst_term(a.target, key, val))
 
@@ -368,7 +761,7 @@ def _binds(a: Action, key: str) -> bool:
 
 
 def _subst_process(p: Process, key: str, val: Term) -> Process:
-    if isinstance(p, Nil):
+    if key not in p.free:
         return p
     if isinstance(p, Sum):
         branches = []
@@ -387,7 +780,7 @@ def _subst_process(p: Process, key: str, val: Term) -> Process:
 
 def _subst_expr(e, key: str, val: Term):
     """Substitute in a rec/cond expression or a predicate."""
-    if isinstance(e, (ETrue, EFalse)):
+    if key not in e.free:
         return e
     if isinstance(e, ENot):
         return ENot(_subst_expr(e.body, key, val))
@@ -401,8 +794,7 @@ def _subst_expr(e, key: str, val: Term):
     if isinstance(e, EOccursIn):
         return EOccursIn(_subst_action(e.action, key, val), e.var)
     if isinstance(e, (PForall, PExists)):
-        if e.var == key:      # quantifier shadows
-            return e
+        # a quantifier of the same name shadows: the key is not free then
         return type(e)(e.var, _subst_expr(e.body, key, val))
     raise TypeError(f"not an expression: {e!r}")
 
@@ -510,62 +902,12 @@ def validate(net: Net) -> list:
 # ---------------------------------------------------------------------------
 # location constants and action enumeration
 
-def _term_consts(t: Term, acc: set):
-    if isinstance(t, Const):
-        acc.add(t.name)
-
-
-def _action_consts(a: Action, acc: set):
-    for t in a.args:
-        _term_consts(t, acc)
-    _term_consts(a.target, acc)
-
-
-def _process_consts(p: Process, acc: set):
-    if isinstance(p, Sum):
-        for action, cont in p.branches:
-            _action_consts(action, acc)
-            _process_consts(cont, acc)
-    elif isinstance(p, Par):
-        _process_consts(p.left, acc)
-        _process_consts(p.right, acc)
-    elif isinstance(p, Repl):
-        _process_consts(p.body, acc)
-
-
-def _expr_consts(e, acc: set):
-    """Collect the constants of a policy or a rec/cond expression."""
-    if isinstance(e, ENot):
-        _expr_consts(e.body, acc)
-    elif isinstance(e, EBin):
-        _expr_consts(e.left, acc)
-        _expr_consts(e.right, acc)
-    elif isinstance(e, AspectPol):
-        asp = e.aspect
-        _term_consts(asp.cut.subject, acc)
-        _action_consts(asp.cut.action, acc)
-        _expr_consts(asp.rec, acc)
-        _expr_consts(asp.cond, acc)
-    elif isinstance(e, EEqual):
-        _term_consts(e.left, acc)
-        _term_consts(e.right, acc)
-    elif isinstance(e, ETest):
-        for t in e.args:
-            _term_consts(t, acc)
-        _term_consts(e.at, acc)
-    elif isinstance(e, EOccursIn):
-        _action_consts(e.action, acc)
-
-
 def entry_consts(e: NetEntry) -> frozenset:
-    """All location constants occurring in one entry."""
-    acc = {e.location}
-    if e.is_data():
-        acc.update(e.body)
-    else:
-        _process_consts(e.body, acc)
-    _expr_consts(e.policy, acc)
-    return frozenset(acc)
+    """All location constants occurring in one entry: a union of the
+    memoised constants of its body and its policy."""
+    body = frozenset(e.body) if e.is_data() else e.body.consts
+    consts = _union((body, e.policy.consts))
+    return consts if e.location in consts else consts | {e.location}
 
 
 def loc_set(net: Net) -> frozenset:

@@ -32,9 +32,10 @@ from typing import NamedTuple
 
 from .model import (Action, Aspect, AspectPol, BindVar, Const, Cut,
                     Diagnostic, EBin, EEqual, EFalse, ENot, EOccursIn, ETest,
-                    ETrue, LabelPattern, LETTER_CAP, Net, NetEntry, Nil, NIL,
-                    Obligation, PExists, PForall, PGeq, PTestPost, Par, Repl,
-                    Sum, Var, WILDCARD, canonicalize, render_term)
+                    ETrue, FALSE, LabelPattern, LETTER_CAP, Net, NetEntry,
+                    Nil, NIL, Obligation, PExists, PForall, PGeq, PTestPost,
+                    Par, Repl, Sum, TRUE, Var, WILDCARD, canonicalize,
+                    render_term)
 
 
 class ParseError(Exception):
@@ -248,10 +249,10 @@ class _Parser:
             return ENot(self.parse_unary(group, atom))
         if self.at("kw", "true"):
             self.advance()
-            return ETrue()
+            return TRUE
         if self.at("kw", "false"):
             self.advance()
-            return EFalse()
+            return FALSE
         if self.at("("):
             self.advance()
             inner = group()

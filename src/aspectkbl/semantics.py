@@ -44,7 +44,12 @@ integers once.  A step carries the ids of the entries it leaves alone
 over from its source state and interns only the entries it adds,
 which are remembered per acting entry and branch.  The successor is
 the kept ids with each added id inserted at its place by bisection;
-only a step that touches the nil rule sorts again.  Policy test atoms
+only a step that touches the nil rule sorts again.  A step touches it
+when an added entry is nil, or joins a group whose one nil entry the
+kept ids hold, which a bisection for that entry's key tells, so no
+state is scanned for its nils.  The acting entries of a state are
+found by `itertools.compress` over its ids, without a Python loop.
+Policy test atoms
 are set lookups in the state's data index, built only in a state
 where a policy's verdict depends on it.  The LTS keeps the id tuples
 and the interner, along with the transition that first discovered
@@ -103,6 +108,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -362,6 +368,7 @@ class Interner:
         self.locations: list = []    # id -> location
         self.groups: list = []       # id -> nil group number
         self.nils: list = []         # id -> is the body nil
+        self.nil_of: dict = {}       # nil group number -> id of its nil entry
         self.data: list = []         # id -> (location, tuple) or None
         self.consts: list = []       # id -> frozenset of location constants
         self._ids: dict = {}         # NetEntry -> id
@@ -389,9 +396,13 @@ class Interner:
                                  if isinstance(e.body, Sum) else None)
             self.keys.append(key)
             self.locations.append(e.location)
-            self.groups.append(self._groups.setdefault((key[0], key[3]),
-                                                       len(self._groups)))
-            self.nils.append(isinstance(e.body, Nil))
+            group = self._groups.setdefault((key[0], key[3]),
+                                            len(self._groups))
+            self.groups.append(group)
+            nil = isinstance(e.body, Nil)
+            self.nils.append(nil)
+            if nil:
+                self.nil_of[group] = i
             if e.is_data():
                 self.data.append((e.location, e.body))
                 self.data_at.setdefault(e.location, []).append(i)
@@ -406,15 +417,20 @@ class Interner:
         split_entry(loc, pol, body, flat)
         return tuple(self.intern(e) for e in flat)
 
-    def canonical(self, kept: tuple, new: tuple, nil_groups=()) -> tuple:
+    def canonical(self, kept: tuple, new: tuple) -> tuple:
         """The id form of `canonicalize`: the canonical state of kept +
         new, where new are split entries and kept is a canonical state
-        less some non-nil entries, with nil_groups the groups of its nil
-        entries.  The nil rule then has work only in a group that an
-        entry of new is nil in or joins as the group of a nil, and the
-        groups of kept alone are canonical already."""
+        less some non-nil entries.  The nil rule then has work only in a
+        group that an entry of new is nil in or joins as the group of a
+        nil of kept, and the groups of kept alone are canonical already.
+        A group has one nil entry, if any, so a bisection of kept for its
+        key tells whether kept holds it."""
         nils, groups, key = self.nils, self.groups, self.keys.__getitem__
-        touched = {groups[j] for j in new if nils[j] or groups[j] in nil_groups}
+        touched = set()
+        for j in new:
+            nil = self.nil_of.get(groups[j])
+            if nils[j] or nil is not None and _holds(kept, nil, key):
+                touched.add(groups[j])
         if touched:
             ids = kept + new
             ids = [j for j in ids if groups[j] not in touched] + drop_nils(
@@ -446,6 +462,12 @@ class Interner:
     def constants(self, ids) -> frozenset:
         """`loc_set` of a state."""
         return frozenset().union(*map(self.consts.__getitem__, ids))
+
+
+def _holds(ids: tuple, i: int, key) -> bool:
+    """Does the sorted state ids hold the entry i."""
+    r = bisect_left(ids, key(i), key=key)
+    return r < len(ids) and ids[r] == i
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +515,20 @@ def _steps(ids: tuple, space: Interner, ample=None):
     # so a bisection for an entry's key finds its first position
     key = space.keys.__getitem__
     data = None                 # the state's data index, once a policy reads it
-    nil_groups = {space.groups[j] for j in ids if space.nils[j]}
     # (position of the acting entry, label, position in the rest of the
     # state of the data entry an in consumes or None, added ids)
     moves: list = []
     denied: dict = {}           # (label, value) -> None, in order
-    done: set = set()
 
-    for p, i in enumerate(ids):
-        branches = space.branches[i]
-        if branches is None or i in done:
+    # the positions of the entries that act, found without a Python
+    # loop over the state: branches is None for the others
+    for p in compress(count(), map(space.branches.__getitem__, ids)):
+        i = ids[p]
+        if p and ids[p - 1] == i:
+            # an identical entry, next to it in the sorted state, makes
+            # identical steps
             continue
-        done.add(i)             # an identical entry makes identical steps
+        branches = space.branches[i]
         e = entries[i]
         for k, (action, cont) in enumerate(branches):
             tgt = action.target
@@ -607,7 +631,7 @@ def _steps(ids: tuple, space: Interner, ample=None):
     for p, label, q, new in moves:
         rest = ids[:p] + ids[p + 1:]
         kept = rest if q is None else rest[:q] + rest[q + 1:]
-        succ = space.canonical(kept, new, nil_groups)
+        succ = space.canonical(kept, new)
         if (p, label, succ) not in seen:
             seen.add((p, label, succ))
             steps.append((label, succ))

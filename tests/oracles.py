@@ -10,9 +10,12 @@ from aspectkbl import (BOT, TT, FF, TOP, VALUES, build_lts, data_index,
                        loc_set, match)
 from aspectkbl.belnap import GRANTS, LIFTED
 from aspectkbl.exhaustive import TransitionCheck
-from aspectkbl.model import (CAP_LETTER, Const, Diagnostic, EvaluationError,
-                             Label, Net, NetEntry, Sum, canonicalize,
-                             split_entry)
+from aspectkbl.model import (CAP_LETTER, Action, Aspect, AspectPol, BindVar,
+                             Const, Cut, Diagnostic, EBin, EEqual, EFalse,
+                             ENot, EOccursIn, ETest, ETrue, EvaluationError,
+                             Label, Net, NetEntry, Nil, Par, PExists, PForall,
+                             PGeq, PTestPost, Repl, Sum, Var, Wildcard,
+                             canonicalize, split_entry)
 from aspectkbl.parser import KEYWORDS, Token
 from aspectkbl.semantics import (StateDomain, net_text, policy_values,
                                  pred_values)
@@ -95,6 +98,90 @@ def priority(a, b):
 
 def grant(a):
     return leq_k(a, TT)
+
+
+# ---------------------------------------------------------------------------
+# syntax nodes
+
+# The fields of each syntax node in order, as the frozen dataclasses
+# that the nodes once were declared them.
+NODE_FIELDS = {
+    Const: ("name",), Var: ("name",), BindVar: ("name",), Wildcard: (),
+    Action: ("cap", "args", "target"), Nil: (), Sum: ("branches",),
+    Par: ("left", "right"), Repl: ("body",),
+    Cut: ("subject", "action", "cont_var"),
+    ETrue: (), EFalse: (), ENot: ("body",), EBin: ("op", "left", "right"),
+    EEqual: ("left", "right"), ETest: ("args", "at"),
+    EOccursIn: ("action", "var"), Aspect: ("rec", "cut", "cond"),
+    AspectPol: ("aspect",), PForall: ("var", "body"),
+    PExists: ("var", "body"), PTestPost: ("args", "at"),
+    PGeq: ("left", "right"),
+}
+
+
+def node_text(x) -> str:
+    """The text `repr` gives for a frozen dataclass with the node's
+    fields, by a walk over the fields: names and other strings as
+    their repr, tuples as Python prints them, nodes as Class(field=
+    text, ...).  The nodes' memoised texts must equal it, since
+    canonical order sorts by them."""
+    if isinstance(x, str):
+        return repr(x)
+    if isinstance(x, tuple):
+        items = [node_text(i) for i in x]
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+    fields = ", ".join(f"{f}={node_text(getattr(x, f))}"
+                       for f in NODE_FIELDS[type(x)])
+    return f"{type(x).__name__}({fields})"
+
+
+def entry_key(e) -> tuple:
+    """`NetEntry.sort_key` by the field walk."""
+    return (e.location, "data" if isinstance(e.body, tuple) else "proc",
+            node_text(e.body), node_text(e.policy))
+
+
+def subnodes(x):
+    """Every node in a tree, x first, then its fields' nodes in order."""
+    if isinstance(x, tuple):
+        for item in x:
+            yield from subnodes(item)
+    elif not isinstance(x, str):
+        yield x
+        for f in NODE_FIELDS[type(x)]:
+            yield from subnodes(getattr(x, f))
+
+
+def plain_consts(e) -> frozenset:
+    """`entry_consts` by a walk over every node of the entry."""
+    names = {e.location, *(e.body if e.is_data() else ())}
+    for tree in (e.policy, () if e.is_data() else e.body):
+        names.update(n.name for n in subnodes(tree) if isinstance(n, Const))
+    return frozenset(names)
+
+
+def plain_subst(x, key, val):
+    """Substitute val for the variable or binder keyed key, rebuilding
+    every node of x: the reference for the sharing substitution.  A
+    binder !key shadows key in its continuation, and a quantifier of
+    key its body."""
+    if isinstance(x, tuple):
+        return tuple(plain_subst(t, key, val) for t in x)
+    if isinstance(x, Var) and x.name == key \
+            or isinstance(x, BindVar) and "!" + x.name == key:
+        return val
+    if isinstance(x, (Const, Var, BindVar, Wildcard, Nil, ETrue, EFalse)):
+        return x
+    if isinstance(x, Sum):
+        return Sum(tuple(
+            (plain_subst(a, key, val),
+             c if BindVar(key) in a.args else plain_subst(c, key, val))
+            for a, c in x.branches))
+    if isinstance(x, (PForall, PExists)) and x.var == key:
+        return x
+    fields = (getattr(x, f) for f in NODE_FIELDS[type(x)])
+    return type(x)(*(f if isinstance(f, str) else plain_subst(f, key, val)
+                     for f in fields))
 
 
 def reference_steps(net):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import aspectkbl
+from aspectkbl import cli
 from aspectkbl.cli import main
 import corpusio
 
@@ -281,6 +282,59 @@ def test_usage_errors_exit_three_and_help_exits_zero(capsys):
 
     rc, out, err = run(capsys, "check", "--help")
     assert rc == 0 and out.startswith("usage: akbl check") and err == ""
+
+
+def test_one_arg_parser_serves_successive_calls(capsys, monkeypatch):
+    # main parses every call with the parser built at import; a fresh
+    # parser per call must give the same exit codes and output
+    calls = [("check", WITH, EQ1, "--mode", "static", "--json",
+              "--explain-denied"),
+             ("lts", WITH),
+             ("trace", WITHOUT, "--seed", "3", "--explain-denied"),
+             ("check", WITHOUT, EQ1, "--max-depth", "5"),
+             ("lts", WITH, "--json", "--max-states", "1"),
+             ("check", WITH, EQ1, "--mode", "bogus"),
+             ("lts", WITH, "--mode", "static"),
+             ("check", WITH, EQ1)]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "ARG_PARSER", cli.build_arg_parser())
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 1, 3, 3, 3, 0]
+    # no option of one subcommand reaches the next
+    args = vars(cli.ARG_PARSER.parse_args(["lts", WITH]))
+    assert args == {"command": "lts", "net": WITH, "json": False,
+                    "dot": None, "max_states": 100000, "max_depth": 10000,
+                    "fn": cli.cmd_lts}
+
+
+def test_a_200_prefix_chain_gets_a_verdict_on_the_default_stack(capsys,
+                                                                tmp_path):
+    chain = tmp_path / "chain.akbl"
+    prefixes = " . ".join(f"out(k{i})@A" for i in range(200))
+    chain.write_text(f"A ::[true] {prefixes} . 0\n")
+    holds = tmp_path / "holds.obl"
+    holds.write_text("AG [$u : o(_)@A] true")
+    fails = tmp_path / "fails.obl"
+    fails.write_text("AG [$u : o(k150)@A] false")
+    for mode, obl, key, want in (
+            ("static", holds, ("certified",), True),
+            ("exhaustive", holds, ("holds",), True),
+            ("auto", fails, ("exhaustive", "holds"), False),
+            ("exhaustive", fails, ("holds",), False)):
+        rc, out, err = run(capsys, "check", str(chain), str(obl), "--mode",
+                           mode, "--json")
+        assert (rc, err) == (0 if want else 1, ""), (mode, obl.name, err)
+        doc = json.loads(out)
+        for k in key:
+            doc = doc[k]
+        assert doc is want, (mode, obl.name)
+    rc, out, err = run(capsys, "lts", str(chain), "--json")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert (len(doc["states"]), len(doc["transitions"])) == (201, 200)
 
 
 def test_deep_inputs_never_read_as_a_verdict(capsys, tmp_path):

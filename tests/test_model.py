@@ -1,13 +1,22 @@
 """Structure layer: canonical forms, substitution, validation."""
+import dataclasses
+import json
 import random
+from pathlib import Path
 
-from aspectkbl.model import (Action, Const, BindVar, EEqual, EFalse, ETrue,
-                             Net, NetEntry, NIL, Par, PForall, Repl,
-                             Substitution, Sum, Var, WILDCARD, canonicalize,
-                             has_replication, loc_set, subst_key,
-                             take_actions, validate)
-from aspectkbl import corpus_path, parse_net, parse_policy
+from aspectkbl.model import (Action, AkblError, Aspect, Const, BindVar, EEqual,
+                             EFalse, ETrue, Net, NetEntry, NIL, Par, PForall,
+                             Repl, Substitution, Sum, Var, WILDCARD,
+                             canonicalize, entry_consts, has_replication,
+                             loc_set, subst_key, take_actions, validate)
+from aspectkbl import (build_lts, corpus_path, parse_net, parse_obligation,
+                       parse_policy)
+from aspectkbl.parser import ParseError
+from oracles import (NODE_FIELDS, entry_key, node_text, plain_consts,
+                     plain_subst, subnodes)
 import gen
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 T = ETrue()
 F = EFalse()
@@ -163,3 +172,164 @@ def test_policy_equality_is_structural():
     b = parse_policy("[true if #u :: out(_)@A . X : true] oplus false")
     assert a == b
     assert a != parse_policy("false oplus [true if #u :: out(_)@A . X : true]")
+
+
+# ---------------------------------------------------------------------------
+# syntax nodes against the oracles of tests/oracles.py
+
+def _golden_texts():
+    """The network and obligation texts the goldens hold as inputs."""
+    root = corpus_path("eq1.obl").parent
+    texts = [f.read_text() for f in sorted(root.iterdir())
+             if f.suffix in (".akbl", ".obl")]
+    for name in ("generated", "diagnostics", "terms"):
+        cases = json.loads((GOLDEN / f"{name}.json").read_text()).values()
+        texts += [c[k] for c in cases for k in ("net", "obligation") if k in c]
+    return texts
+
+
+def _trees():
+    """Networks and obligations: the corpus and every golden input that
+    parses, and every family of tests/gen.py.  Each call builds new
+    nodes, so two calls give equal trees of distinct objects."""
+    trees = []
+    for text in _golden_texts():
+        for parse in (parse_net, parse_obligation):
+            try:
+                trees.append(parse(text))
+            except ParseError:
+                pass
+    for seed in range(60):
+        rng = random.Random(seed)
+        nets = [gen.gen_net(rng), gen.gen_small_net(rng), gen.gen_ward_net(rng),
+                gen.gen_guarded_net(rng)]
+        nets.append(gen.congruent_variant(rng, nets[1]))
+        trees += nets
+        trees += [gen.gen_obligation(rng), gen.gen_obligation_for(rng, nets[1]),
+                  gen.gen_obligation_from_net(rng, nets[3])]
+    return trees
+
+
+def _entries(trees):
+    """The entries of the networks, canonical or not, and of the states
+    their explorations reach, where substitution made new nodes."""
+    entries = []
+    for net in trees:
+        if isinstance(net, Net):
+            entries += net.entries + canonicalize(net).entries
+            if len(entries) < 20000 and not has_replication(net):
+                try:
+                    entries += build_lts(net, max_states=300).space.entries
+                except AkblError:
+                    pass
+    return entries
+
+
+def _nodes(trees):
+    for tree in trees:
+        if isinstance(tree, Net):
+            for e in tree.entries:
+                yield from subnodes(e.policy)
+                if not e.is_data():
+                    yield from subnodes(e.body)
+        else:
+            yield from subnodes(tree.cut.subject)
+            yield from subnodes(tree.cut.args)
+            yield from subnodes(tree.pred)
+
+
+def test_node_text_is_the_dataclass_field_walk():
+    trees = _trees()
+    entries = _entries(trees)
+    assert len(entries) > 5000
+    for node in _nodes(trees):
+        assert repr(node) == node_text(node)
+    for e in entries:
+        assert e.sort_key == entry_key(e)
+        assert entry_consts(e) == plain_consts(e)
+        for node in (e.policy, e.body):
+            assert repr(node) == node_text(node)
+    for cls in NODE_FIELDS:
+        assert not dataclasses.is_dataclass(cls)
+        assert "__dict__" not in dir(cls), cls
+
+
+def test_node_equality_and_hash_follow_the_text():
+    trees, twin_trees = _trees(), _trees()   # equal nodes, other objects
+    pool, twins = list(_nodes(trees)), list(_nodes(twin_trees))
+    assert len(pool) == len(twins) > 20000
+    by_class: dict = {}
+    for node in pool + twins:
+        by_class.setdefault(type(node), []).append(node)
+    rng = random.Random(16)
+    pairs = rng.sample(list(zip(pool, twins)), 5000) + [
+        tuple(rng.sample(nodes, 2)) for nodes in by_class.values()
+        if len(nodes) > 1 for _ in range(300)]
+    pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(3000)]
+    equal = 0
+    for a, b in pairs:
+        same = node_text(a) == node_text(b)
+        assert (a == b) is same and (a != b) is not same, (a, b)
+        if same:
+            assert hash(a) == hash(b)
+            equal += 1
+    assert 5000 < equal < len(pairs)
+    entries = _entries(trees)
+    for e, twin in zip(entries, _entries(twin_trees)):
+        assert e == twin and hash(e) == hash(twin)
+    for _ in range(5000):
+        a, b = rng.choice(entries), rng.choice(entries)
+        assert (a == b) is (entry_key(a) == entry_key(b))
+
+
+def _keys(*trees) -> list:
+    """Every substitution key that may occur in the trees, sorted."""
+    keys = set()
+    for node in (n for t in trees for n in subnodes(t)):
+        if isinstance(node, Var):
+            keys.add(node.name)
+        elif isinstance(node, BindVar):
+            keys.update((node.name, "!" + node.name))
+    return sorted(keys)
+
+
+def _same(got, want, tree) -> bool:
+    """The sharing result equals the rebuilt one, and is the tree itself
+    where the substitution changed nothing."""
+    assert got == want and node_text(got) == node_text(want)
+    assert (got is tree) is (node_text(want) == node_text(tree))
+    return got is tree
+
+
+def test_sharing_substitution_matches_a_rebuilding_one():
+    trees = _trees()
+    val = Const("v0")
+    shared = changed = 0
+    for tree in trees:
+        if isinstance(tree, Net):
+            pairs = [(a.action, a.continuation) for a in take_actions(tree)]
+            exprs = [part for e in tree.entries for n in subnodes(e.policy)
+                     if isinstance(n, Aspect) for part in (n.rec, n.cond)]
+        else:
+            pairs, exprs = [], [tree.pred]
+        for action, cont in pairs:
+            keys = _keys(action, cont)
+            for key in keys:
+                theta = Substitution(((key, val),))
+                if _same(theta.apply_process(cont),
+                         plain_subst(cont, key, val), cont):
+                    shared += 1
+                else:
+                    changed += 1
+                _same(theta.apply_action(action),
+                      plain_subst(action, key, val), action)
+            # two keys, applied front to back
+            for k1, k2 in zip(keys, keys[1:]):
+                theta = Substitution(((k1, Var(k2)), (k2, val)))
+                _same(theta.apply_process(cont), plain_subst(
+                    plain_subst(cont, k1, Var(k2)), k2, val), cont)
+        for expr in exprs:
+            for key in _keys(expr):
+                _same(Substitution(((key, val),)).apply_expr(expr),
+                      plain_subst(expr, key, val), expr)
+    assert shared > 100 and changed > 100
