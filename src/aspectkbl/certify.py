@@ -53,6 +53,7 @@ from .belnap import FF, GRANTS, LIFTED, TT, names
 from .model import (Action, CAP_LETTER, Const, ETest, Net, Obligation, OUT, IN,
                     ReplicationPresent, Substitution, canonicalize,
                     has_replication, loc_set, take_actions)
+from .parser import render_action
 from .semantics import (data_index, ground_atom, numeral, occurs_in,
                         policies_by_location, policy_values, pred_values,
                         truth)
@@ -223,7 +224,7 @@ def check_single_action(obl: Obligation, act, pols: dict, mut: MutationInfo,
         return ActionReport(act.source, act.action, DENIED, th0,
                             side_values=sides)
     constraints = src.constraints + tgt_side.constraints
-    values = pred_values(th0.apply_expr(obl.pred), mut.refined(constraints),
+    values = pred_values(th0.apply(obl.pred), mut.refined(constraints),
                          domain)
     return ActionReport(act.source, act.action,
                         NOT_CERTIFIED if values & FF else ENTAILED, th0,
@@ -251,7 +252,6 @@ def constraint_text(atom: tuple) -> str:
 
 
 def report_json(report: StaticVerdict, explain: bool = False) -> dict:
-    from .parser import render_action
     actions = []
     for r in report.actions:
         entry = {

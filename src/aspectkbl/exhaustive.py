@@ -127,7 +127,7 @@ class TransitionCheck:
         if m is False:
             th = unify_label(self.obl.cut, label)
             m = self._matched[label] = None if th is None \
-                else (th, th.apply_expr(self.obl.pred))
+                else (th, th.apply(self.obl.pred))
         if m is None:
             return False
         (pre, pre_locs), (post, post_locs) = self._state(space, pre), \

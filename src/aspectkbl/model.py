@@ -6,19 +6,19 @@ tuple.  Data tuples are kept as plain tuples of constant names since
 they are always ground.
 
 Syntax nodes are immutable `__slots__` classes with hand-written
-methods; none has an instance `__dict__`.  A node with children
-memoises four things, each the first time it is asked and each built
-from what its children memoised, so that it costs O(1) per node and
-not the size of the subtree:
+constructors; none has an instance `__dict__`.  Each class declares
+its fields once, in its `__slots__`, and a node with children derives
+from them four memos, each the first time it is asked and each built
+from what its children memoised, so that it costs O(1) per node:
 
-- its text, `repr(node)`.  It is byte for byte the text a frozen
-  dataclass with the same fields prints, `Sum(branches=((Action(cap=
-  'out', args=(Const(name='k'),), target=Const(name='B')), Nil()),))`.
-  Canonical forms sort entries by these texts (`NetEntry.sort_key`),
-  so the order of states, their numbering and every golden output
-  depend on the text staying exactly this.  A plain tuple order of
-  the fields would not do: the text puts `<a, b>` before `<a>`,
-  because ", " sorts before ",)".
+- its text, `repr(node)`, `Class(field=repr, ...)`: byte for byte the
+  text a frozen dataclass with the same fields prints, `Sum(branches=
+  ((Action(cap='out', args=(Const(name='k'),), target=Const(name=
+  'B')), Nil()),))`.  Canonical forms sort entries by these texts
+  (`NetEntry.sort_key`), so the order of states, their numbering and
+  every golden output depend on the text staying exactly this.  A plain
+  tuple order of the fields would not do: the text puts `<a, b>` before
+  `<a>`, because ", " sorts before ",)".
 - its hash, the hash of its text, which the str keeps.  Two nodes are
   equal when they are the same object, or of the same class with
   equal hashes and equal texts, so no comparison recurses.
@@ -26,15 +26,20 @@ not the size of the subtree:
   (`free`): the names of its variables, and "!name" for each binder,
   less those a binder or quantifier above them binds.
 
+`Sum` writes its own text, constants and free keys, since its field
+is a tuple of (action, continuation) pairs and a binder shadows the
+keys below it; a quantifier writes its own free keys.
+
 Terms are leaves that keep only their name; their text is one format
 away, and the action above them memoises it.  Nodes without fields
 (`NIL`, `WILDCARD`, `TRUE`, `FALSE`) have one instance each, which
 calling the class returns.
 
-Substitution returns a node itself when the key is not free in it, so
-a substituted tree shares every subtree the substitution leaves
-unchanged: after a `read` only the path down to the prefixes that
-mention the bound variable is rebuilt.
+Substitution, one walker with a case per class, returns a node
+itself when the key is not free in it, so a substituted tree shares
+every subtree the substitution leaves unchanged: after a `read` only
+the path down to the prefixes that mention the bound variable is
+rebuilt.
 """
 from __future__ import annotations
 
@@ -64,26 +69,37 @@ class LimitExceeded(AkblError):
 _EMPTY = frozenset()
 
 
+def _declare_fields(cls):
+    """Take a class's fields from its `__slots__`, or its parent's if
+    those are empty; set `_format`, `Class(field=%r, ...)`, and
+    `_values`, which `x._values(x)` calls for the field values."""
+    fields = cls.__dict__.get("__slots__") or cls._fields
+    cls._fields = fields
+    cls._format = f"{cls.__name__}({', '.join(f + '=%r' for f in fields)})"
+    get = attrgetter(*fields)
+    cls._values = staticmethod(get if len(fields) > 1
+                               else lambda x: (get(x),))
+
+
 class _Record:
-    """Equality, hash and text over the slots in order, as a frozen
-    dataclass of the same fields has them; for the values that are
-    not syntax trees."""
+    """Equality, hash and text over the declared fields in order, as a
+    frozen dataclass of the same fields has them; for the values that
+    are not syntax trees."""
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
+    def __init_subclass__(cls):
+        _declare_fields(cls)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        return self._format % self._values(self)
 
 
 class Diagnostic(_Record):
@@ -110,16 +126,14 @@ class _Unit:
     __slots__ = ()
     consts = free = _EMPTY
 
+    def __init_subclass__(cls):
+        cls.ONE = object.__new__(cls)
+
     def __new__(cls):
         return cls.ONE
 
     def __repr__(self):
         return f"{type(self).__name__}()"
-
-
-def _unit(cls):
-    cls.ONE = object.__new__(cls)
-    return cls.ONE
 
 
 class _Leaf:
@@ -142,22 +156,22 @@ class _Leaf:
 
 
 class Node:
-    """A node with children.  Each class sets its fields and the three
-    memos to None in `__init__`, and writes `_render`, `_find_consts`
-    and `_find_free` over its children's memos."""
+    """A node with children.  Each class's `__init__` sets its fields,
+    each a string, a term, a tuple of terms or a node, and the three
+    memos to None, which are derived from the fields when asked."""
     __slots__ = ("_text", "_consts", "_free")
+
+    def __init_subclass__(cls):
+        _declare_fields(cls)
 
     def __repr__(self):
         text = self._text
         if text is None:
-            text = self._text = self._render()
+            text = self._text = self._format % self._values(self)
         return text
 
     def __hash__(self):
-        text = self._text
-        if text is None:
-            text = self._text = self._render()
-        return hash(text)
+        return hash(self.__repr__())
 
     def __eq__(self, other):
         if self is other:
@@ -183,34 +197,47 @@ class Node:
             free = self._free = self._find_free()
         return free
 
+    def _find_consts(self) -> frozenset:
+        names, sets = [], []
+        for value in self._values(self):
+            cls = value.__class__
+            if cls is tuple:
+                for t in value:
+                    if t.__class__ is Const:
+                        names.append(t.name)
+            elif cls is Const:
+                names.append(value.name)
+            elif cls is not str and isinstance(value, Node):
+                sets.append(value.consts)
+        return _union(sets, names)
+
     def _find_free(self) -> frozenset:
-        raise TypeError(f"not an expression: {self!r}")
+        keys, sets = [], []
+        for value in self._values(self):
+            cls = value.__class__
+            if cls is tuple:
+                for t in value:
+                    if t.__class__ is Var:
+                        keys.append(t.name)
+                    elif t.__class__ is BindVar:
+                        keys.append("!" + t.name)
+            elif cls is Var:
+                keys.append(value.name)
+            elif cls is BindVar:
+                keys.append("!" + value.name)
+            elif cls is not str and isinstance(value, Node):
+                sets.append(value.free)
+        return _union(sets, keys)
 
 
-def _seq(items) -> str:
-    """The text of a tuple of nodes, as repr prints a tuple."""
-    if len(items) == 1:
-        return f"({items[0]!r},)"
-    return f"({', '.join(map(repr, items))})"
-
-
-def _union(sets) -> frozenset:
-    """The union of frozensets, the largest of them itself when it
-    holds the others."""
-    acc = _EMPTY
+def _union(sets, names=()) -> frozenset:
+    """The union of frozensets and names, the largest set itself when
+    it holds the rest."""
+    acc = frozenset(names) if names else _EMPTY
     for s in sets:
         if not s <= acc:
             acc = s if acc <= s else acc | s
     return acc
-
-
-def _term_consts(terms) -> frozenset:
-    return frozenset([t.name for t in terms if isinstance(t, Const)]) or _EMPTY
-
-
-def _term_free(terms) -> frozenset:
-    return frozenset([subst_key(t) for t in terms
-                      if isinstance(t, (Var, BindVar))]) or _EMPTY
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +261,7 @@ class Wildcard(_Unit):
     __slots__ = ()
 
 
-WILDCARD = _unit(Wildcard)
+WILDCARD = Wildcard()
 
 Term = Union[Const, Var, BindVar, Wildcard]
 
@@ -265,22 +292,12 @@ class Action(Node):
         self.target = target
         self._text = self._consts = self._free = None
 
-    def _render(self):
-        return (f"Action(cap={self.cap!r}, args={_seq(self.args)}, "
-                f"target={self.target!r})")
-
-    def _find_consts(self):
-        return _term_consts((*self.args, self.target))
-
-    def _find_free(self):
-        return _term_free((*self.args, self.target))
-
 
 class Nil(_Unit):
     __slots__ = ()
 
 
-NIL = _unit(Nil)
+NIL = Nil()
 
 
 class Sum(Node):
@@ -290,13 +307,16 @@ class Sum(Node):
         self.branches = branches     # nonempty tuple of (Action, Process)
         self._text = self._consts = self._free = None
 
-    def _render(self):
-        parts = []
-        for action, cont in self.branches:
-            parts.append(f"({action.__repr__()}, {cont.__repr__()})")
-        if len(parts) == 1:
-            return f"Sum(branches=({parts[0]},))"
-        return f"Sum(branches=({', '.join(parts)}))"
+    def __repr__(self):
+        # one frame per prefix, so that long chains have a text
+        text = self._text
+        if text is None:
+            parts = []
+            for action, cont in self.branches:
+                parts.append(f"({action.__repr__()}, {cont.__repr__()})")
+            tail = "," if len(parts) == 1 else ""
+            text = self._text = f"Sum(branches=({', '.join(parts)}{tail}))"
+        return text
 
     def _find_consts(self):
         parts = []
@@ -324,16 +344,6 @@ class Par(Node):
         self.right = right
         self._text = self._consts = self._free = None
 
-    def _render(self):
-        return (f"Par(left={self.left.__repr__()}, "
-                f"right={self.right.__repr__()})")
-
-    def _find_consts(self):
-        return _union((self.left.consts, self.right.consts))
-
-    def _find_free(self):
-        return _union((self.left.free, self.right.free))
-
 
 class Repl(Node):
     __slots__ = ("body",)
@@ -341,15 +351,6 @@ class Repl(Node):
     def __init__(self, body: "Process"):
         self.body = body
         self._text = self._consts = self._free = None
-
-    def _render(self):
-        return f"Repl(body={self.body.__repr__()})"
-
-    def _find_consts(self):
-        return self.body.consts
-
-    def _find_free(self):
-        return self.body.free
 
 
 Process = Union[Nil, Sum, Par, Repl]
@@ -368,13 +369,6 @@ class Cut(Node):
         self.cont_var = cont_var
         self._text = self._consts = self._free = None
 
-    def _render(self):
-        return (f"Cut(subject={self.subject!r}, action={self.action!r}, "
-                f"cont_var={self.cont_var!r})")
-
-    def _find_consts(self):
-        return _union((_term_consts((self.subject,)), self.action.consts))
-
 
 # Policies, rec/cond expressions and obligation predicates share one
 # node per constant, connective, equality and test; the parser admits
@@ -390,8 +384,8 @@ class EFalse(_Unit):
     __slots__ = ()
 
 
-TRUE = _unit(ETrue)
-FALSE = _unit(EFalse)
+TRUE = ETrue()
+FALSE = EFalse()
 
 
 class ENot(Node):
@@ -400,15 +394,6 @@ class ENot(Node):
     def __init__(self, body: "Expr"):
         self.body = body
         self._text = self._consts = self._free = None
-
-    def _render(self):
-        return f"ENot(body={self.body.__repr__()})"
-
-    def _find_consts(self):
-        return self.body.consts
-
-    def _find_free(self):
-        return self.body.free
 
 
 class EBin(Node):
@@ -420,16 +405,6 @@ class EBin(Node):
         self.right = right
         self._text = self._consts = self._free = None
 
-    def _render(self):
-        return (f"EBin(op={self.op!r}, left={self.left.__repr__()}, "
-                f"right={self.right.__repr__()})")
-
-    def _find_consts(self):
-        return _union((self.left.consts, self.right.consts))
-
-    def _find_free(self):
-        return _union((self.left.free, self.right.free))
-
 
 class _Compare(Node):
     """A comparison of two terms: EEqual, PGeq."""
@@ -440,16 +415,6 @@ class _Compare(Node):
         self.right = right
         self._text = self._consts = self._free = None
 
-    def _render(self):
-        return (f"{type(self).__name__}(left={self.left!r}, "
-                f"right={self.right!r})")
-
-    def _find_consts(self):
-        return _term_consts((self.left, self.right))
-
-    def _find_free(self):
-        return _term_free((self.left, self.right))
-
 
 class _Atom(Node):
     """A test of a tuple at a location: ETest, PTestPost."""
@@ -459,15 +424,6 @@ class _Atom(Node):
         self.args = args
         self.at = at
         self._text = self._consts = self._free = None
-
-    def _render(self):
-        return f"{type(self).__name__}(args={_seq(self.args)}, at={self.at!r})"
-
-    def _find_consts(self):
-        return _term_consts((*self.args, self.at))
-
-    def _find_free(self):
-        return _term_free((*self.args, self.at))
 
 
 class EEqual(_Compare):
@@ -486,15 +442,6 @@ class EOccursIn(Node):
         self.var = var               # the cut's continuation variable
         self._text = self._consts = self._free = None
 
-    def _render(self):
-        return f"EOccursIn(action={self.action!r}, var={self.var!r})"
-
-    def _find_consts(self):
-        return self.action.consts
-
-    def _find_free(self):
-        return self.action.free
-
 
 Expr = Union[ETrue, EFalse, ENot, EBin, EEqual, ETest, EOccursIn]
 
@@ -508,13 +455,6 @@ class Aspect(Node):
         self.cond = cond
         self._text = self._consts = self._free = None
 
-    def _render(self):
-        return (f"Aspect(rec={self.rec.__repr__()}, cut={self.cut!r}, "
-                f"cond={self.cond.__repr__()})")
-
-    def _find_consts(self):
-        return _union((self.cut.consts, self.rec.consts, self.cond.consts))
-
 
 class AspectPol(Node):
     __slots__ = ("aspect",)
@@ -522,12 +462,6 @@ class AspectPol(Node):
     def __init__(self, aspect: Aspect):
         self.aspect = aspect
         self._text = self._consts = self._free = None
-
-    def _render(self):
-        return f"AspectPol(aspect={self.aspect!r})"
-
-    def _find_consts(self):
-        return self.aspect.consts
 
 
 Policy = Union[ETrue, EFalse, ENot, EBin, AspectPol]
@@ -555,12 +489,6 @@ class _Quantifier(Node):
         self.body = body
         self._text = self._consts = self._free = None
 
-    def _render(self):
-        return (f"{type(self).__name__}(var={self.var!r}, "
-                f"body={self.body.__repr__()})")
-
-    def _find_consts(self):
-        return self.body.consts
 
     def _find_free(self):
         free = self.body.free
@@ -685,7 +613,7 @@ class LocatedAction(_Record):
 # ---------------------------------------------------------------------------
 # substitutions
 
-class Substitution:
+class Substitution(_Record):
     """Ordered sequence of single bindings, applied front to back.
 
     Keys are variable names with their sigil, binders keyed as "!name".
@@ -696,12 +624,6 @@ class Substitution:
 
     def __init__(self, pairs=()):
         self.pairs = tuple(pairs)
-
-    def __eq__(self, other):
-        return isinstance(other, Substitution) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
 
     def __repr__(self):
         inner = ", ".join(f"{k}={render_term(v)}" for k, v in self.pairs)
@@ -720,25 +642,16 @@ class Substitution:
             t = _subst_term(t, key, val)
         return t
 
-    def apply_action(self, a: Action) -> Action:
+    def apply(self, node):
+        """A process, an action, a policy, a rec/cond expression or a
+        predicate with the bindings applied."""
         for key, val in self.pairs:
-            a = _subst_action(a, key, val)
-        return a
-
-    def apply_process(self, p: Process) -> Process:
-        for key, val in self.pairs:
-            p = _subst_process(p, key, val)
-        return p
-
-    def apply_expr(self, e: Expr) -> Expr:
-        for key, val in self.pairs:
-            e = _subst_expr(e, key, val)
-        return e
+            node = _subst(node, key, val)
+        return node
 
     def apply_located(self, la: LocatedAction) -> LocatedAction:
-        return LocatedAction(la.source, la.policy,
-                             self.apply_action(la.action),
-                             self.apply_process(la.continuation))
+        return LocatedAction(la.source, la.policy, self.apply(la.action),
+                             self.apply(la.continuation))
 
 
 def _subst_term(t: Term, key: str, val: Term) -> Term:
@@ -749,54 +662,42 @@ def _subst_term(t: Term, key: str, val: Term) -> Term:
     return t
 
 
-def _subst_action(a: Action, key: str, val: Term) -> Action:
-    if key not in a.free:
-        return a
-    return Action(a.cap, tuple(_subst_term(x, key, val) for x in a.args),
-                  _subst_term(a.target, key, val))
-
-
-def _binds(a: Action, key: str) -> bool:
-    return any(isinstance(x, BindVar) and x.name == key for x in a.args)
-
-
-def _subst_process(p: Process, key: str, val: Term) -> Process:
-    if key not in p.free:
-        return p
-    if isinstance(p, Sum):
+def _subst(x, key: str, val: Term):
+    """x with val for the variable or binder keyed key, x itself when
+    the key is not free in it."""
+    if key not in x.free:
+        return x
+    cls = x.__class__
+    if cls is Sum:
         branches = []
-        for action, cont in p.branches:
-            new_action = _subst_action(action, key, val)
+        for action, cont in x.branches:
             # a binder of the same name shadows the binding below it
-            new_cont = cont if _binds(action, key) else _subst_process(cont, key, val)
-            branches.append((new_action, new_cont))
+            if BindVar(key) not in action.args:
+                cont = _subst(cont, key, val)
+            branches.append((_subst(action, key, val), cont))
         return Sum(tuple(branches))
-    if isinstance(p, Par):
-        return Par(_subst_process(p.left, key, val), _subst_process(p.right, key, val))
-    if isinstance(p, Repl):
-        return Repl(_subst_process(p.body, key, val))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _subst_expr(e, key: str, val: Term):
-    """Substitute in a rec/cond expression or a predicate."""
-    if key not in e.free:
-        return e
-    if isinstance(e, ENot):
-        return ENot(_subst_expr(e.body, key, val))
-    if isinstance(e, EBin):
-        return EBin(e.op, _subst_expr(e.left, key, val), _subst_expr(e.right, key, val))
-    if isinstance(e, (EEqual, PGeq)):
-        return type(e)(_subst_term(e.left, key, val), _subst_term(e.right, key, val))
-    if isinstance(e, (ETest, PTestPost)):
-        return type(e)(tuple(_subst_term(t, key, val) for t in e.args),
-                       _subst_term(e.at, key, val))
-    if isinstance(e, EOccursIn):
-        return EOccursIn(_subst_action(e.action, key, val), e.var)
-    if isinstance(e, (PForall, PExists)):
+    if cls is Action:
+        return Action(x.cap, tuple(_subst_term(t, key, val) for t in x.args),
+                      _subst_term(x.target, key, val))
+    if cls is Par:
+        return Par(_subst(x.left, key, val), _subst(x.right, key, val))
+    if cls is Repl:
+        return Repl(_subst(x.body, key, val))
+    if cls is ENot:
+        return ENot(_subst(x.body, key, val))
+    if cls is EBin:
+        return EBin(x.op, _subst(x.left, key, val), _subst(x.right, key, val))
+    if cls is EEqual or cls is PGeq:
+        return cls(_subst_term(x.left, key, val), _subst_term(x.right, key, val))
+    if cls is ETest or cls is PTestPost:
+        return cls(tuple(_subst_term(t, key, val) for t in x.args),
+                   _subst_term(x.at, key, val))
+    if cls is EOccursIn:
+        return EOccursIn(_subst(x.action, key, val), x.var)
+    if cls is PForall or cls is PExists:
         # a quantifier of the same name shadows: the key is not free then
-        return type(e)(e.var, _subst_expr(e.body, key, val))
-    raise TypeError(f"not an expression: {e!r}")
+        return cls(x.var, _subst(x.body, key, val))
+    raise TypeError(f"cannot substitute in {x!r}")
 
 
 def render_term(t) -> str:
@@ -891,8 +792,7 @@ def validate(net: Net) -> list:
     for e in net.entries:
         if e.is_data():
             continue
-        n = _count_repl(e.body)
-        for _ in range(n):
+        for _ in range(_count_repl(e.body)):
             diags.append(Diagnostic(
                 "error",
                 f"replication at {e.location} is outside the checkable fragment"))

@@ -583,23 +583,23 @@ def _render_binary(op, left, right, render) -> str:
             f"{_wrap(right, render, _PREC[op] + (not right_assoc))}")
 
 
-def _render_term_proc(p) -> str:
-    if isinstance(p, (Par,)) or (isinstance(p, Sum) and len(p.branches) > 1):
-        return f"({render_process(p)})"
-    return render_process(p)
-
-
-def render_process(p) -> str:
+def render_process(p, term: bool = False) -> str:
+    """The source text of a process; a term, the continuation of a
+    prefix or the body of a replication, has a parallel or a choice in
+    parentheses.  One frame per prefix, so deep chains render."""
     if isinstance(p, Nil):
         return "0"
     if isinstance(p, Sum):
-        parts = [f"{render_action(a)} . {_render_term_proc(c)}"
-                 for a, c in p.branches]
-        return " + ".join(parts)
+        parts = []
+        for a, c in p.branches:
+            parts.append(f"{render_action(a)} . {render_process(c, True)}")
+        text = " + ".join(parts)
+        return f"({text})" if term and len(parts) > 1 else text
     if isinstance(p, Par):
-        return f"{render_process(p.left)} | {render_process(p.right)}"
+        text = f"{render_process(p.left)} | {render_process(p.right)}"
+        return f"({text})" if term else text
     if isinstance(p, Repl):
-        return f"* {_render_term_proc(p.body)}"
+        return f"* {render_process(p.body, True)}"
     raise TypeError(f"not a process: {p!r}")
 
 

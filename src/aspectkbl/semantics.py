@@ -67,9 +67,9 @@ is sorted by key, and a key starts with the location and then the
 kind, data before processes, the entries at a location form a run
 that the data lead, and the first of them guards the location: two
 bisections find the guard and the state's data at the target.  The
-step then takes the matches present there, in state order, walking
-whichever of the table and that run is the shorter, so its work is
-bounded by the smaller of the two and not by the size of the state.
+step then takes the matches present there, in state order, by a
+bisection for each id of the table, so its work is bounded by the
+size of the table and not by the size of the state.
 
 `json_export` writes the LTS's JSON text itself.  It renders and
 escapes each interned entry once; a state's text is the join of its
@@ -120,7 +120,8 @@ from .model import (Action, AspectPol, BindVar, CAP_LETTER, Const, Cut, EBin,
                     ReplicationPresent, Substitution, Sum, Wildcard,
                     drop_nils, entry_consts, has_replication, process_actions,
                     split_entry)
-from .unification import findsubs
+from .parser import render_entry
+from .unification import extract, findsubs
 
 # ---------------------------------------------------------------------------
 # template matching
@@ -251,8 +252,7 @@ def check_cut(cut: Cut, subject: str, action: Action):
     None when the pattern does not apply."""
     if cut.action.cap != action.cap:
         return None
-    return findsubs((cut.subject, cut.action.args, cut.action.target),
-                    (Const(subject), action.args, action.target))
+    return findsubs(extract(cut), (Const(subject), action.args, action.target))
 
 
 def policy_values(pol, subject: str, action: Action, continuation: Process,
@@ -285,11 +285,11 @@ def policy_values(pol, subject: str, action: Action, continuation: Process,
         th = check_cut(asp.cut, subject, action)
         if th is None:
             return BOT
-        cond = policy_values(th.apply_expr(asp.cond), subject, action,
+        cond = policy_values(th.apply(asp.cond), subject, action,
                              continuation, domain)
         if not cond & TT:
             return BOT
-        rec = th.apply_expr(asp.rec)
+        rec = th.apply(asp.rec)
         values = policy_values(rec, subject, action, continuation, domain)
         if domain.exact:
             return values
@@ -325,7 +325,7 @@ def pred_values(pred, domain, locs) -> int:
         conj = isinstance(pred, PForall) if quantified else pred.op == "and"
         op = LIFTED["and" if conj else "or"]
         unit, decided = (TT, FF) if conj else (FF, TT)
-        parts = (Substitution(((pred.var, Const(loc)),)).apply_expr(pred.body)
+        parts = (Substitution(((pred.var, Const(loc)),)).apply(pred.body)
                  for loc in locs) if quantified else (pred.left, pred.right)
         values = unit
         for part in parts:
@@ -587,22 +587,14 @@ def _steps(ids: tuple, space: Interner, ample=None):
                         found[d] = Label(e.location, letter, values, tgt.name)
                 table[0] = len(held)
             # the matches among the state's data at the target, ids[lo:hi],
-            # by position, from whichever of the table and the run is
-            # the shorter: a branch that matches few of many tuples, as
-            # each in of `deep` matches one of some 44, bisects for its
-            # table's ids; one whose table outgrows the state, as a
-            # read(_, _) may, walks the run
+            # by position: a bisection for each id of the table
             hi = bisect_left(ids, (tgt.name, "proc"), lo, key=key)
-            if len(found) < hi - lo:
-                hits = []
-                for d in found:
-                    r = bisect_left(ids, key(d), lo, hi, key=key)
-                    if r < hi and ids[r] == d:
-                        hits.append((r, d))
-                hits.sort()
-            else:
-                hits = [(r, d) for r, d in enumerate(ids[lo:hi], lo)
-                        if d in found]
+            hits = []
+            for d in found:
+                r = bisect_left(ids, key(d), lo, hi, key=key)
+                if r < hi and ids[r] == d:
+                    hits.append((r, d))
+            hits.sort()
             consumed = set()        # identical tuples make identical steps
             for r, d in hits:
                 label = found[d]
@@ -617,7 +609,7 @@ def _steps(ids: tuple, space: Interner, ample=None):
                 if new is None:
                     new = added[step] = space.split(
                         e.location, e.policy,
-                        match(action.args, label.args).apply_process(cont))
+                        match(action.args, label.args).apply(cont))
                 moves.append((p, label, None if action.cap == "read"
                               else r - (r > p), new))
     if ample is not None:
@@ -711,7 +703,6 @@ def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000,
 
 
 def net_text(net: Net) -> str:
-    from .parser import render_entry
     return " || ".join(map(render_entry, net.entries))
 
 
@@ -722,7 +713,6 @@ def json_export(lts: LTS) -> str:
     States share their interned entries, so each interned entry is
     rendered and escaped once, a state's text joins the escaped texts,
     and the document is one join of its parts."""
-    from .parser import render_entry
     texts = [encode_basestring_ascii(render_entry(e))[1:-1]
              for e in lts.space.entries].__getitem__
     parts = ['{\n  "states": [']

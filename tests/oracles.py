@@ -234,7 +234,7 @@ def reference_steps(net):
                     consumed.add(d.body)
                     kept = rest if action.cap == "read" \
                         else rest[:q] + rest[q + 1:]
-                    moves.append((d.body, kept, theta.apply_process(cont), ()))
+                    moves.append((d.body, kept, theta.apply(cont), ()))
             for values, kept, after, put in moves:
                 label = Label(e.location, letter, values, tgt.name)
                 if not f & GRANTS:
@@ -264,7 +264,7 @@ def sat_pred(pair, theta, pred):
     """Satisfaction of a predicate on a transition's state pair, under
     the substitution that matched the obligation's pattern."""
     pre, post = pair
-    return pred_values(theta.apply_expr(pred),
+    return pred_values(theta.apply(pred),
                        StateDomain(data_index(pre), data_index(post)),
                        sorted(loc_set(pre) | loc_set(post))) == TT
 

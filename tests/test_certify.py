@@ -185,7 +185,7 @@ def test_entailment_by_constraint_when_truth_may_change():
     assert report.outcome == ENTAILED
     assert report.constraints == (("R", ("Doctor", "H")),)
     # the unrefined domain alone would not certify this
-    pred0 = report.theta0.apply_expr(obl.pred)
+    pred0 = report.theta0.apply(obl.pred)
     assert pred_values(pred0, mut, domain) == TT | FF
     # one conjunct follows from the store's trap, the other from the
     # tuple no action can take: only the refined domain reads both

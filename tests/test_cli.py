@@ -337,6 +337,24 @@ def test_a_200_prefix_chain_gets_a_verdict_on_the_default_stack(capsys,
     assert (len(doc["states"]), len(doc["transitions"])) == (201, 200)
 
 
+def test_a_400_prefix_chain_gets_a_verdict_and_its_lts(capsys, tmp_path):
+    # rendering a process takes one frame per prefix, so `lts --json`
+    # goes as deep as `check` on the default stack
+    chain = tmp_path / "chain.akbl"
+    prefixes = " . ".join(f"out(k{i})@A" for i in range(400))
+    chain.write_text(f"A ::[true] {prefixes} . 0\n")
+    holds = tmp_path / "holds.obl"
+    holds.write_text("AG [$u : o(_)@A] true")
+    rc, out, err = run(capsys, "check", str(chain), str(holds), "--json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["certified"] is True
+    rc, out, err = run(capsys, "lts", str(chain), "--json")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert (len(doc["states"]), len(doc["transitions"])) == (401, 400)
+    assert doc["states"][0]["net"] == chain.read_text().strip()
+
+
 def test_deep_inputs_never_read_as_a_verdict(capsys, tmp_path):
     # a 300-prefix chain is deeper than the recursive tree walkers go;
     # it gets a verdict or is rejected as bad input, in one line and

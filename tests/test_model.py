@@ -147,24 +147,24 @@ def test_substitution_application_and_composition():
 def test_substitution_stops_at_rebinding_action():
     proc = parse_net("A ::[true] in(!x)@B . out(x)@B . 0").entries[0].body
     th = Substitution((("x", Const("k")),))
-    got = th.apply_process(proc)
+    got = th.apply(proc)
     # the binder shadows the outer x, so the continuation is untouched
     assert got == proc
 
     # inside the continuation x is a free variable, so it is replaced there
     _, cont = proc.branches[0]
     assert cont.branches[0][0].args == (Var("x"),)
-    got = th.apply_process(cont)
+    got = th.apply(cont)
     assert got.branches[0][0].args == (Const("k"),)
 
 
 def test_substitution_respects_quantifier_scope():
     pred = PForall("$x", EEqual(Var("$x"), Const("k")))
     th = Substitution((("$x", Const("v")),))
-    assert th.apply_expr(pred) == pred
+    assert th.apply(pred) == pred
 
     free = PForall("$y", EEqual(Var("$x"), Const("k")))
-    assert th.apply_expr(free) == PForall("$y", EEqual(Const("v"), Const("k")))
+    assert th.apply(free) == PForall("$y", EEqual(Const("v"), Const("k")))
 
 
 def test_policy_equality_is_structural():
@@ -242,8 +242,12 @@ def test_node_text_is_the_dataclass_field_walk():
     trees = _trees()
     entries = _entries(trees)
     assert len(entries) > 5000
+    seen = set()
     for node in _nodes(trees):
         assert repr(node) == node_text(node)
+        seen.add(type(node))
+    # one derived text serves most classes; each is checked here
+    assert seen == set(NODE_FIELDS)
     for e in entries:
         assert e.sort_key == entry_key(e)
         assert entry_consts(e) == plain_consts(e)
@@ -316,20 +320,20 @@ def test_sharing_substitution_matches_a_rebuilding_one():
             keys = _keys(action, cont)
             for key in keys:
                 theta = Substitution(((key, val),))
-                if _same(theta.apply_process(cont),
+                if _same(theta.apply(cont),
                          plain_subst(cont, key, val), cont):
                     shared += 1
                 else:
                     changed += 1
-                _same(theta.apply_action(action),
+                _same(theta.apply(action),
                       plain_subst(action, key, val), action)
             # two keys, applied front to back
             for k1, k2 in zip(keys, keys[1:]):
                 theta = Substitution(((k1, Var(k2)), (k2, val)))
-                _same(theta.apply_process(cont), plain_subst(
+                _same(theta.apply(cont), plain_subst(
                     plain_subst(cont, k1, Var(k2)), k2, val), cont)
         for expr in exprs:
             for key in _keys(expr):
-                _same(Substitution(((key, val),)).apply_expr(expr),
+                _same(Substitution(((key, val),)).apply(expr),
                       plain_subst(expr, key, val), expr)
     assert shared > 100 and changed > 100

@@ -310,7 +310,8 @@ def test_match_tables_follow_the_state():
     _assert_steps_as_reference(twice)
     assert [sum(twice.space.data[j] is not None for j in ids)
             for ids in twice.ids] == [2, 1, 0]
-    # R's read(_, _) has matched more tuples than any state holds entries
+    # R's read(_, _) has matched more tuples than any state holds
+    # entries, so most ids of its table are not in the state
     puts = " . ".join(f"out({n}, {n})@A . in(!a, !b)@A" for n in range(8))
     reader = NetEntry("R", ETrue(), Sum(((
         Action("read", (WILDCARD, WILDCARD), Const("A")), NIL),)))
