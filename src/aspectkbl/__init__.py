@@ -17,7 +17,7 @@ from .model import (Action, AkblError, Aspect, AspectPol, BindVar, Const, Cut,
                     Nil, Obligation, Par, Repl, ReplicationPresent,
                     Substitution, Sum, Var, Wildcard, canonicalize,
                     has_replication, loc_set, take_actions, validate)
-from .unification import extract, findsubs
+from .unification import findsubs
 from .parser import (ParseError, parse_net, parse_obligation, parse_policy,
                      render_expr, render_net, render_obligation)
 from .semantics import (LTS, build_lts, data_index, dot_export, json_export,

@@ -57,7 +57,7 @@ from .parser import render_action
 from .semantics import (data_index, ground_atom, numeral, occurs_in,
                         policies_by_location, policy_values, pred_values,
                         truth)
-from .unification import extract, findsubs
+from .unification import findsubs
 
 IRRELEVANT = "CertifiedIrrelevant"
 DENIED = "CertifiedDenied"
@@ -206,7 +206,8 @@ def check_single_action(obl: Obligation, act, pols: dict, mut: MutationInfo,
     and domain holds the location constants of the network."""
     if CAP_LETTER[act.action.cap] != obl.cut.cap:
         return ActionReport(act.source, act.action, IRRELEVANT)
-    th0 = findsubs(extract(obl.cut), extract(act))
+    th0 = findsubs((obl.cut.subject, *obl.cut.args, obl.cut.target),
+                   (Const(act.source), *act.action.args, act.action.target))
     if th0 is None:
         return ActionReport(act.source, act.action, IRRELEVANT)
     act0 = th0.apply_located(act)

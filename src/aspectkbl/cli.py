@@ -136,7 +136,7 @@ def cmd_check(args) -> int:
         out = _verdict_json(verdict)
         if static_report is not None:
             out = {"static": report_json(static_report, args.explain_denied),
-                   "exhaustive": _verdict_json(verdict)}
+                   "exhaustive": out}
         print(_dump(out))
     else:
         if static_report is not None:

@@ -55,20 +55,22 @@ from typing import Optional
 from .belnap import TT
 from .certify import (ANY, NOT_CERTIFIED, MutationInfo, _atom, _meet, _meets,
                       _name, check_network)
-from .model import (CAP_LETTER, IN, OUT, READ, EBin, ENot, EvaluationError,
-                    Label, LabelPattern, LimitExceeded, Net, NetEntry,
-                    Obligation, PExists, PForall, Substitution, Sum,
+from .model import (CAP_LETTER, IN, OUT, READ, Const, EBin, ENot,
+                    EvaluationError, Label, LabelPattern, LimitExceeded, Net,
+                    NetEntry, Obligation, PExists, PForall, Substitution, Sum,
                     process_actions)
 from .semantics import (LTS, StateDomain, build_lts,
                         policies_by_location, policy_values, pred_values,
                         step_candidates)
-from .unification import extract, findsubs
+from .unification import findsubs
 
 
 def unify_label(pattern: LabelPattern, label: Label) -> Optional[Substitution]:
     if pattern.cap != label.cap:
         return None
-    return findsubs(extract(pattern), extract(label))
+    return findsubs((pattern.subject, *pattern.args, pattern.target),
+                    (Const(label.subject), *map(Const, label.args),
+                     Const(label.target)))
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ def _replay(lts: LTS, path: tuple, check: TransitionCheck):
     to one.  Entries of one location may make steps of the same label,
     so every state the labels reach is followed."""
     space = lts.space
-    states = [lts.ids[lts.initial]]
+    states = [lts.ids[0]]
     for n in range(len(path) + 1):
         reached = []
         for pre in states:
@@ -403,7 +405,7 @@ class Reduction:
         space, ids = lts.space, lts.ids
         run = _run_to(lts, t.src) + [t]
         made: dict = {}     # entry id -> steps that made its live copies
-        for i in ids[lts.initial]:
+        for i in ids[0]:
             made.setdefault(i, []).append(None)
         acts = []           # per step: (acting entry, step that made it)
         for k, s in enumerate(run):

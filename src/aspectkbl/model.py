@@ -124,7 +124,7 @@ class _Unit:
     """A node without fields: its class has one instance, `ONE`, which
     calling the class returns, so equality and hash are identity."""
     __slots__ = ()
-    consts = free = _EMPTY
+    consts = free = _consts = _free = _EMPTY
 
     def __init_subclass__(cls):
         cls.ONE = object.__new__(cls)
@@ -158,7 +158,9 @@ class _Leaf:
 class Node:
     """A node with children.  Each class's `__init__` sets its fields,
     each a string, a term, a tuple of terms or a node, and the three
-    memos to None, which are derived from the fields when asked."""
+    memos to None, which are derived from the fields when asked.  The
+    `_find_*` walkers fill a child's memo by calling its walker, not
+    its property, so that a chain costs one frame per node."""
     __slots__ = ("_text", "_consts", "_free")
 
     def __init_subclass__(cls):
@@ -208,7 +210,10 @@ class Node:
             elif cls is Const:
                 names.append(value.name)
             elif cls is not str and isinstance(value, Node):
-                sets.append(value.consts)
+                consts = value._consts
+                if consts is None:
+                    consts = value._consts = value._find_consts()
+                sets.append(consts)
         return _union(sets, names)
 
     def _find_free(self) -> frozenset:
@@ -226,7 +231,10 @@ class Node:
             elif cls is BindVar:
                 keys.append("!" + value.name)
             elif cls is not str and isinstance(value, Node):
-                sets.append(value.free)
+                free = value._free
+                if free is None:
+                    free = value._free = value._find_free()
+                sets.append(free)
         return _union(sets, keys)
 
 
@@ -321,13 +329,18 @@ class Sum(Node):
     def _find_consts(self):
         parts = []
         for action, cont in self.branches:
-            parts += (action.consts, cont.consts)
+            consts = cont._consts
+            if consts is None:
+                consts = cont._consts = cont._find_consts()
+            parts += (action.consts, consts)
         return _union(parts)
 
     def _find_free(self):
         parts = []
         for action, cont in self.branches:
-            free = cont.free
+            free = cont._free
+            if free is None:
+                free = cont._free = cont._find_free()
             for t in action.args:
                 # a binder of the same name shadows the binding below it
                 if isinstance(t, BindVar) and t.name in free:
@@ -617,7 +630,6 @@ class Substitution(_Record):
     """Ordered sequence of single bindings, applied front to back.
 
     Keys are variable names with their sigil, binders keyed as "!name".
-    Composition is concatenation, so (s1.then(s2)) applies s1 first.
     A node in which no key is free comes back as itself.
     """
     __slots__ = ("pairs",)
@@ -629,17 +641,11 @@ class Substitution(_Record):
         inner = ", ".join(f"{k}={render_term(v)}" for k, v in self.pairs)
         return f"[{inner}]"
 
-    def __bool__(self):
-        return bool(self.pairs)
-
-    def then(self, other: "Substitution") -> "Substitution":
-        return Substitution(self.pairs + other.pairs)
-
     # -- application ------------------------------------------------------
 
     def apply_term(self, t: Term) -> Term:
         for key, val in self.pairs:
-            t = _subst_term(t, key, val)
+            t = subst_term(t, key, val)
         return t
 
     def apply(self, node):
@@ -654,7 +660,8 @@ class Substitution(_Record):
                              self.apply(la.continuation))
 
 
-def _subst_term(t: Term, key: str, val: Term) -> Term:
+def subst_term(t: Term, key: str, val: Term) -> Term:
+    """val if t is the variable or binder keyed key, else t."""
     if isinstance(t, Var) and t.name == key:
         return val
     if isinstance(t, BindVar) and "!" + t.name == key:
@@ -677,8 +684,8 @@ def _subst(x, key: str, val: Term):
             branches.append((_subst(action, key, val), cont))
         return Sum(tuple(branches))
     if cls is Action:
-        return Action(x.cap, tuple(_subst_term(t, key, val) for t in x.args),
-                      _subst_term(x.target, key, val))
+        return Action(x.cap, tuple(subst_term(t, key, val) for t in x.args),
+                      subst_term(x.target, key, val))
     if cls is Par:
         return Par(_subst(x.left, key, val), _subst(x.right, key, val))
     if cls is Repl:
@@ -688,10 +695,10 @@ def _subst(x, key: str, val: Term):
     if cls is EBin:
         return EBin(x.op, _subst(x.left, key, val), _subst(x.right, key, val))
     if cls is EEqual or cls is PGeq:
-        return cls(_subst_term(x.left, key, val), _subst_term(x.right, key, val))
+        return cls(subst_term(x.left, key, val), subst_term(x.right, key, val))
     if cls is ETest or cls is PTestPost:
-        return cls(tuple(_subst_term(t, key, val) for t in x.args),
-                   _subst_term(x.at, key, val))
+        return cls(tuple(subst_term(t, key, val) for t in x.args),
+                   subst_term(x.at, key, val))
     if cls is EOccursIn:
         return EOccursIn(_subst(x.action, key, val), x.var)
     if cls is PForall or cls is PExists:
@@ -763,13 +770,17 @@ def canonicalize(net: Net) -> Net:
 # validation
 
 def _count_repl(p: Process) -> int:
-    if isinstance(p, Repl):
-        return 1 + _count_repl(p.body)
-    if isinstance(p, Par):
-        return _count_repl(p.left) + _count_repl(p.right)
-    if isinstance(p, Sum):
-        return sum(_count_repl(c) for _, c in p.branches)
-    return 0
+    count, todo = 0, [p]
+    while todo:
+        p = todo.pop()
+        if isinstance(p, Repl):
+            count += 1
+            todo.append(p.body)
+        elif isinstance(p, Par):
+            todo += (p.left, p.right)
+        elif isinstance(p, Sum):
+            todo += (c for _, c in p.branches)
+    return count
 
 
 def has_replication(net: Net) -> bool:

@@ -571,16 +571,18 @@ def _level(node) -> int:
     return _LEVEL.get(type(node), _ATOM)
 
 
-def _wrap(node, render, level) -> str:
-    """Render node, in parentheses if it binds more loosely than level."""
-    text = render(node)
+def _wrap(node, text, level) -> str:
+    """text, in parentheses if node binds more loosely than level."""
     return f"({text})" if _level(node) < level else text
 
 
-def _render_binary(op, left, right, render) -> str:
-    right_assoc = op == "implies"
-    return (f"{_wrap(left, render, _PREC[op] + right_assoc)} {op} "
-            f"{_wrap(right, render, _PREC[op] + (not right_assoc))}")
+def _binary(e, render) -> str:
+    """The text of a binary operator node.  Its operands are rendered
+    here, so that a chain of operators costs two frames per operator."""
+    prec, right_assoc = _PREC[e.op], e.op == "implies"
+    left, right = render(e.left), render(e.right)
+    return (f"{_wrap(e.left, left, prec + right_assoc)} {e.op} "
+            f"{_wrap(e.right, right, prec + (not right_assoc))}")
 
 
 def render_process(p, term: bool = False) -> str:
@@ -623,9 +625,9 @@ def render_expr(e) -> str:
         # only: the parser reads `not a = b` as not (a = b) either way
         if isinstance(e.body, (EEqual, EOccursIn)):
             return f"not ({render_expr(e.body)})"
-        return f"not {_wrap(e.body, render_expr, _NOT)}"
+        return f"not {_wrap(e.body, render_expr(e.body), _NOT)}"
     if isinstance(e, EBin):
-        return _render_binary(e.op, e.left, e.right, render_expr)
+        return _binary(e, render_expr)
     if isinstance(e, EEqual):
         return f"{render_term(e.left)} = {render_term(e.right)}"
     if isinstance(e, ETest):
@@ -650,9 +652,9 @@ def render_net(n: Net) -> str:
 
 def render_pred(p) -> str:
     if isinstance(p, ENot):
-        return f"not {_wrap(p.body, render_pred, _ATOM)}"
+        return f"not {_wrap(p.body, render_pred(p.body), _ATOM)}"
     if isinstance(p, EBin):
-        return _render_binary(p.op, p.left, p.right, render_pred)
+        return _binary(p, render_pred)
     if isinstance(p, (PForall, PExists)):
         word = "forall" if isinstance(p, PForall) else "exists"
         return f"{word} {p.var} : {render_pred(p.body)}"

@@ -121,7 +121,7 @@ from .model import (Action, AspectPol, BindVar, CAP_LETTER, Const, Cut, EBin,
                     drop_nils, entry_consts, has_replication, process_actions,
                     split_entry)
 from .parser import render_entry
-from .unification import extract, findsubs
+from .unification import findsubs
 
 # ---------------------------------------------------------------------------
 # template matching
@@ -152,13 +152,10 @@ def match(templates, values):
 
 def occurs_in(template: Action, proc: Process) -> bool:
     """May an action matching the template occur in the process."""
-    for action, _ in process_actions(proc):
-        if action.cap != template.cap:
-            continue
-        if findsubs((Const("_s"), template.args, template.target),
-                    (Const("_s"), action.args, action.target)) is not None:
-            return True
-    return False
+    pattern = (*template.args, template.target)
+    return any(action.cap == template.cap
+               and findsubs(pattern, (*action.args, action.target)) is not None
+               for action, _ in process_actions(proc))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +249,8 @@ def check_cut(cut: Cut, subject: str, action: Action):
     None when the pattern does not apply."""
     if cut.action.cap != action.cap:
         return None
-    return findsubs(extract(cut), (Const(subject), action.args, action.target))
+    return findsubs((cut.subject, *cut.action.args, cut.action.target),
+                    (Const(subject), *action.args, action.target))
 
 
 def policy_values(pol, subject: str, action: Action, continuation: Process,
@@ -642,11 +640,11 @@ class Transition:
 
 @dataclass
 class LTS:
+    """A transition system whose state 0 is the initial network."""
     transitions: list        # in discovery order
     discovered_by: list      # state id -> first Transition into it, or None
     ids: list                # state id -> its id tuple in `space`
     space: Interner          # the entries the states are built from
-    initial: int = 0
 
     @cached_property
     def states(self) -> list:
@@ -746,7 +744,7 @@ def dot_export(lts: LTS) -> str:
 
     lines = ["digraph lts {", "  rankdir=LR;"]
     for i in range(len(lts.ids)):
-        shape = "doublecircle" if i == lts.initial else "circle"
+        shape = "doublecircle" if i == 0 else "circle"
         lines.append(f'  {i} [label="s{i}", shape={shape}];')
     for t in lts.transitions:
         lines.append(f'  {t.src} -> {t.dst} [label="{esc(t.label.text())}"];')

@@ -14,8 +14,8 @@ from aspectkbl.model import (CAP_LETTER, Action, Aspect, AspectPol, BindVar,
                              Const, Cut, Diagnostic, EBin, EEqual, EFalse,
                              ENot, EOccursIn, ETest, ETrue, EvaluationError,
                              Label, Net, NetEntry, Nil, Par, PExists, PForall,
-                             PGeq, PTestPost, Repl, Sum, Var, Wildcard,
-                             canonicalize, split_entry)
+                             PGeq, PTestPost, Repl, Substitution, Sum, Var,
+                             Wildcard, canonicalize, split_entry, subst_key)
 from aspectkbl.parser import KEYWORDS, Token
 from aspectkbl.semantics import (StateDomain, net_text, policy_values,
                                  pred_values)
@@ -252,6 +252,37 @@ def enabled_steps(net):
     return reference_steps(net)[0]
 
 
+def _unify_pair(p, a):
+    """The substitution unifying one pattern term with one action term,
+    None on a mismatch."""
+    if isinstance(p, Wildcard):
+        return Substitution()
+    if isinstance(p, Const):
+        if isinstance(a, Const):
+            return Substitution() if p.name == a.name else None
+        if isinstance(a, (Var, BindVar)):
+            return Substitution(((subst_key(a), p),))
+        return None
+    if isinstance(a, (Const, Var, BindVar)):
+        return Substitution(((subst_key(p), a),))
+    return None
+
+
+def findsubs_stepwise(pattern, action):
+    """`findsubs` as first written: each pair of terms, under the
+    substitution built so far, is unified into a substitution of its
+    own, which is then appended to it."""
+    if len(pattern) != len(action):
+        return None
+    theta = Substitution()
+    for p, a in zip(pattern, action):
+        step = _unify_pair(theta.apply_term(p), theta.apply_term(a))
+        if step is None:
+            return None
+        theta = Substitution(theta.pairs + step.pairs)
+    return theta
+
+
 def eval_policy(pol, trapped, net):
     """Judge an attempted action (a LocatedAction) under a policy in
     the network's state.  The action is the template as written, with
@@ -270,12 +301,13 @@ def sat_pred(pair, theta, pred):
 
 
 def maximal_paths(lts):
-    """All label sequences from the initial state to a stuck state."""
+    """All label sequences from the initial state, state 0, to a stuck
+    state."""
     succ = {}
     for t in lts.transitions:
         succ.setdefault(t.src, []).append(t)
     done = []
-    stack = [(lts.initial, ())]
+    stack = [(0, ())]
     while stack:
         sid, path = stack.pop()
         if sid not in succ:

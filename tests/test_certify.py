@@ -12,10 +12,10 @@ from aspectkbl import (BOT, FF, TT, ReplicationPresent, build_lts,
 from aspectkbl.belnap import GRANTS, members
 from aspectkbl.certify import (DENIED, ENTAILED, IRRELEVANT, NOT_CERTIFIED,
                                MutationInfo)
-from aspectkbl.model import (BindVar, ETrue, LocatedAction, Net, NetEntry,
-                             Repl, Sum, loc_set)
+from aspectkbl.model import (BindVar, Const, ETrue, LocatedAction, Net,
+                             NetEntry, Repl, Sum, loc_set)
 from aspectkbl.semantics import policies_by_location, pred_values
-from aspectkbl.unification import extract, findsubs
+from aspectkbl.unification import findsubs
 import corpusio
 import gen
 import oracles
@@ -360,9 +360,13 @@ def test_policy_values_are_sound_per_side():
     assert unsound == []
 
 
+def _terms(la) -> tuple:
+    return (Const(la.source), *la.action.args, la.action.target)
+
+
 def _instance_of(act, template) -> bool:
     # binders are not instantiated, they stay binders
-    th = findsubs(extract(template), extract(act))
+    th = findsubs(_terms(template), _terms(act))
     return th is not None and th.apply_located(template) == act \
         and all(v == BindVar(k[1:]) for k, v in th.pairs if k[0] == "!")
 

@@ -355,6 +355,54 @@ def test_a_400_prefix_chain_gets_a_verdict_and_its_lts(capsys, tmp_path):
     assert doc["states"][0]["net"] == chain.read_text().strip()
 
 
+def cli_env() -> dict:
+    """The environment in which `python -m aspectkbl.cli` imports this
+    package."""
+    return {**os.environ,
+            "PYTHONPATH": str(Path(aspectkbl.__file__).parents[1])}
+
+
+def run_akbl(*argv):
+    """Run akbl in a fresh interpreter, whose stack holds none of the
+    test runner's frames."""
+    proc = subprocess.run([sys.executable, "-m", "aspectkbl.cli",
+                           *map(str, argv)], capture_output=True, text=True,
+                          env=cli_env(), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_900_prefix_chain_gets_a_verdict_and_its_lts(tmp_path):
+    # counting replications and filling the constant and free-key memos
+    # take at most one frame per prefix
+    chain = tmp_path / "chain.akbl"
+    prefixes = " . ".join(f"out(k{i})@A" for i in range(900))
+    chain.write_text(f"A ::[true] {prefixes} . 0\n")
+    holds = tmp_path / "holds.obl"
+    holds.write_text("AG [$u : o(_)@A] true")
+    rc, out, err = run_akbl("check", chain, holds, "--json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["certified"] is True
+    rc, out, err = run_akbl("lts", chain, "--json")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert (len(doc["states"]), len(doc["transitions"])) == (901, 900)
+    assert doc["states"][0]["net"] == chain.read_text().strip()
+
+
+def test_a_480_operand_policy_gets_a_verdict_and_its_lts(tmp_path):
+    # rendering a binary operator takes two frames, as parsing and
+    # judging one do
+    net = tmp_path / "wide.akbl"
+    net.write_text(f"A ::[{' oplus '.join(['true'] * 480)}] out(k)@A . 0\n")
+    holds = tmp_path / "holds.obl"
+    holds.write_text("AG [$u : o(_)@A] true")
+    rc, out, err = run_akbl("check", net, holds, "--json")
+    assert (rc, err) == (0, "")
+    rc, out, err = run_akbl("lts", net, "--json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["states"][0]["net"] == net.read_text().strip()
+
+
 def test_deep_inputs_never_read_as_a_verdict(capsys, tmp_path):
     # a 300-prefix chain is deeper than the recursive tree walkers go;
     # it gets a verdict or is rejected as bad input, in one line and
@@ -381,13 +429,11 @@ def test_a_closed_stdout_exits_141_in_silence(tmp_path):
                                   for i in range(2000)))
     outs = tmp_path / "outs.obl"
     outs.write_text("AG [$u : o(_)@A] true")
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(aspectkbl.__file__).parents[1])}
     for argv in (("lts", nine, "--json"), ("check", many, outs, "--json")):
         with subprocess.Popen(
                 [sys.executable, "-m", "aspectkbl.cli", *map(str, argv)],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                env=env) as proc:
+                env=cli_env()) as proc:
             assert proc.stdout.readline() == b"{\n"
             proc.stdout.close()
             err = proc.stderr.read()

@@ -4,8 +4,7 @@ import random
 import pytest
 
 from aspectkbl import (EvaluationError, LimitExceeded, build_lts, check_lts,
-                       extract, findsubs, parse_net, parse_obligation, sat_obl,
-                       unify_label)
+                       parse_net, parse_obligation, sat_obl, unify_label)
 from aspectkbl.certify import _meet
 from aspectkbl.exhaustive import Reduction
 from aspectkbl.model import (Const, EEqual, ETest, Label, LabelPattern, PGeq,
@@ -58,9 +57,8 @@ def test_findsubs_grounds_the_pattern_up_to_wildcards():
         if th is None:
             continue
         tried += 1
-        psub, pargs, ptgt = extract(pat)
-        gsub, gargs, gtgt = extract(ground)
-        for p, g in zip((psub,) + pargs + (ptgt,), (gsub,) + gargs + (gtgt,)):
+        for p, g in zip((pat.subject, *pat.args, pat.target),
+                        map(Const, (subject, *args, target))):
             if isinstance(p, Wildcard):
                 continue
             assert th.apply_term(p) == g

@@ -138,10 +138,12 @@ def test_substitution_application_and_composition():
     assert th.apply_term(Var("x")) == Const("k")
     assert th.apply_term(Const("x")) == Const("x")
     assert th.apply_term(WILDCARD) == WILDCARD
-    # composition applies left pairs first, then right pairs
-    chained = Substitution((("x", Var("y")),)).then(
-        Substitution((("y", Const("z")),)))
+    # the first pair's value is read by the second pair, not the reverse
+    chained = Substitution((("x", Var("y")), ("y", Const("z"))))
     assert chained.apply_term(Var("x")) == Const("z")
+    assert chained.apply_term(Var("y")) == Const("z")
+    backwards = Substitution((("y", Const("z")), ("x", Var("y"))))
+    assert backwards.apply_term(Var("x")) == Var("y")
 
 
 def test_substitution_stops_at_rebinding_action():

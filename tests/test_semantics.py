@@ -172,10 +172,13 @@ def test_unbound_target_is_an_evaluation_error():
 
 
 def test_state_space_of_the_unguarded_record_store():
-    lts = build_lts(corpusio.net("tiny_no_policies.akbl"))
+    net = corpusio.net("tiny_no_policies.akbl")
+    lts = build_lts(net)
     assert len(lts.states) == 6
     assert len(lts.transitions) == 7
-    assert lts.initial == 0
+    # state 0 is the initial network, which no transition discovers
+    assert lts.states[0] == canonicalize(net)
+    assert lts.discovered_by[0] is None
     assert set(oracles.maximal_paths(lts)) == {
         ("Hansen:r(Bob,PrivateNotes,bobtext)@EHDB",
          "Hansen:o(Bob,PrivateNotes,bobtext)@Olsen",
