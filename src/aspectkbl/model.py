@@ -770,16 +770,18 @@ def canonicalize(net: Net) -> Net:
 # validation
 
 def _count_repl(p: Process) -> int:
+    """The number of replications in p, counted by a loop at any depth."""
     count, todo = 0, [p]
     while todo:
         p = todo.pop()
-        if isinstance(p, Repl):
+        if p.__class__ is Sum:
+            for _, c in p.branches:
+                todo.append(c)
+        elif p.__class__ is Par:
+            todo += (p.left, p.right)
+        elif p.__class__ is Repl:
             count += 1
             todo.append(p.body)
-        elif isinstance(p, Par):
-            todo += (p.left, p.right)
-        elif isinstance(p, Sum):
-            todo += (c for _, c in p.branches)
     return count
 
 

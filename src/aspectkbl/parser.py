@@ -580,9 +580,8 @@ def _binary(e, render) -> str:
     """The text of a binary operator node.  Its operands are rendered
     here, so that a chain of operators costs two frames per operator."""
     prec, right_assoc = _PREC[e.op], e.op == "implies"
-    left, right = render(e.left), render(e.right)
-    return (f"{_wrap(e.left, left, prec + right_assoc)} {e.op} "
-            f"{_wrap(e.right, right, prec + (not right_assoc))}")
+    return (f"{_wrap(e.left, render(e.left), prec + right_assoc)} {e.op} "
+            f"{_wrap(e.right, render(e.right), prec + (not right_assoc))}")
 
 
 def render_process(p, term: bool = False) -> str:
