@@ -37,11 +37,12 @@ sure atom holds at every firing.  `test'` reads the state after it,
 which the action itself may change (an in may take the very tuple its
 guard tested), so `test'` is not refined.
 
-The domain notes every test atom it is asked, and `check_network`
-returns it with its verdict.  The partial-order reduction of
-exhaustive.py reads in it which tuples an action's policies and the
+The domain notes every test atom it is asked, as a `semantics.template`,
+and `check_network` returns it with its verdict.  The partial-order
+reduction of exhaustive.py, given that verdict, clears and refills the
+domain's `asked` to learn which tuples an action's policies and the
 obligation's predicate may read, so the certifier and the reduced
-search share this one abstract domain.
+search share this one abstract domain, and a check certifies once.
 """
 from __future__ import annotations
 
@@ -54,38 +55,15 @@ from .model import (Action, CAP_LETTER, Const, ETest, Net, Obligation, OUT, IN,
                     ReplicationPresent, Substitution, canonicalize,
                     has_replication, loc_set, take_actions)
 from .parser import render_action
-from .semantics import (data_index, ground_atom, numeral, occurs_in,
-                        policies_by_location, policy_values, pred_values,
-                        truth)
+from .semantics import (ANY, data_index, ground_atom, meets, numeral,
+                        occurs_in, policies_by_location, policy_values,
+                        pred_values, template, truth)
 from .unification import findsubs
 
 IRRELEVANT = "CertifiedIrrelevant"
 DENIED = "CertifiedDenied"
 ENTAILED = "CertifiedByEntailment"
 NOT_CERTIFIED = "NotCertified"
-
-ANY = None                   # a location or tuple position of unknown name
-
-
-def _name(t):
-    return t.name if isinstance(t, Const) else ANY
-
-
-def _atom(a) -> tuple:
-    # the (location, tuple) template an action's target and arguments name
-    return _name(a.target), tuple(map(_name, a.args))
-
-
-def _meet(atom, other) -> bool:
-    # may two (location, tuple) templates name the same tuple
-    (at, args), (at2, args2) = atom, other
-    return (len(args) == len(args2) and (at is ANY or at2 is ANY or at == at2)
-            and all(a is ANY or b is ANY or a == b
-                    for a, b in zip(args, args2)))
-
-
-def _meets(atoms, others) -> bool:
-    return any(_meet(a, b) for a in atoms for b in others)
 
 
 class MutationInfo:
@@ -101,9 +79,8 @@ class MutationInfo:
     domain `refined` by the sure test atoms of an action reads tt for
     a `test` of one of them, though not for a `test'`.
 
-    Every test atom the domain is asked is noted in `asked`, as a
-    (location, tuple) template with ANY for a name not known before
-    the run, so an evaluation in it names every atom the concrete
+    Every test atom the domain is asked is noted in `asked`, as its
+    `template`, so an evaluation in it names every atom the concrete
     evaluation may read.  A refined domain notes into the same set.
     """
 
@@ -115,10 +92,10 @@ class MutationInfo:
         self.asked: set = set()             # the test atoms asked so far
         self.actions = take_actions(net)
         # the (location, tuple) templates the outs and the ins write
-        self._outs = {_atom(la.action) for la in self.actions
-                      if la.action.cap == OUT}
-        self._ins = {_atom(la.action) for la in self.actions
-                     if la.action.cap == IN}
+        self._outs = {template(la.action.args, la.action.target)
+                      for la in self.actions if la.action.cap == OUT}
+        self._ins = {template(la.action.args, la.action.target)
+                     for la in self.actions if la.action.cap == IN}
 
     def refined(self, atoms) -> "MutationInfo":
         """The domain at the firings of an action where the test atoms,
@@ -128,10 +105,10 @@ class MutationInfo:
         return known
 
     def may_add(self, at: str, values) -> bool:
-        return _meets(self._outs, ((at, values),))
+        return meets(self._outs, ((at, values),))
 
     def may_remove(self, at: str, values) -> bool:
-        return _meets(self._ins, ((at, values),))
+        return meets(self._ins, ((at, values),))
 
     def equal(self, left, right) -> int:
         if isinstance(left, Const) and isinstance(right, Const):
@@ -145,9 +122,9 @@ class MutationInfo:
         return truth(l >= r)
 
     def test(self, args, at, post=None) -> int:
-        self.asked.add((_name(at), tuple(map(_name, args))))
-        atom = ground_atom(args, at)
-        if atom is None:
+        atom = template(args, at)
+        self.asked.add(atom)
+        if atom[0] is ANY or ANY in atom[1]:
             return TT | FF
         if not post and atom in self.sure:
             return TT

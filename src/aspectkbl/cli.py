@@ -61,7 +61,7 @@ def _read(path: str) -> str:
 
 def _load_net(path: str) -> Net:
     net = parse_net(_read(path))
-    errors = [d for d in validate(net) if d.severity == "error"]
+    errors = validate(net)
     if errors:
         raise ParseError(errors)
     return net
@@ -131,7 +131,7 @@ def cmd_check(args) -> int:
                 _print_static(static_report, args.explain_denied)
             return OK if static_report.certified else UNDECIDED
     verdict = sat_obl(net, obl, max_states=args.max_states,
-                      max_depth=args.max_depth)
+                      max_depth=args.max_depth, static=static_report)
     if args.json:
         out = _verdict_json(verdict)
         if static_report is not None:

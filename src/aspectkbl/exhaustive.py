@@ -21,7 +21,9 @@ independent of everything the other entries may still do, only that
 entry's steps are expanded, so independent processes are interleaved
 in one order instead of all of them.  The static certifier decides
 visibility: a step is visible only if it instantiates an action that
-`check_network` reports NotCertified.  So a "holds" from `sat_obl` is
+`check_network` reports NotCertified, in the verdict `sat_obl` is
+given (`akbl check --mode auto` passes the one it reports) or else
+makes, so a check certifies once.  So a "holds" from `sat_obl` is
 only as sound as the certifier, and an unreduced check of the whole
 built transition system (`tests/oracles.check_whole`), which trusts
 nothing of it, is the check to test the certifier against.  What each
@@ -53,15 +55,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .belnap import TT
-from .certify import (ANY, NOT_CERTIFIED, MutationInfo, _atom, _meet, _meets,
-                      _name, check_network)
+from .certify import (NOT_CERTIFIED, MutationInfo, StaticVerdict,
+                      check_network)
 from .model import (CAP_LETTER, IN, OUT, READ, Const, EBin, ENot,
                     EvaluationError, Label, LabelPattern, LimitExceeded, Net,
                     NetEntry, Obligation, PExists, PForall, Substitution, Sum,
                     process_actions)
-from .semantics import (LTS, StateDomain, build_lts,
+from .semantics import (ANY, LTS, StateDomain, build_lts, meet, meets,
                         policies_by_location, policy_values, pred_values,
-                        step_candidates)
+                        step_candidates, template)
 from .unification import findsubs
 
 
@@ -199,7 +201,8 @@ def _replay(lts: LTS, path: tuple, check: TransitionCheck):
 
 
 def sat_obl(net: Net, obl: Obligation, max_states: int = 100000,
-            max_depth: int = 10000) -> Verdict:
+            max_depth: int = 10000,
+            static: Optional[StaticVerdict] = None) -> Verdict:
     """Check the obligation on the fly with `check_lts`.
 
     When the obligation and the network allow it (see `Reduction`), the
@@ -210,9 +213,10 @@ def sat_obl(net: Net, obl: Obligation, max_states: int = 100000,
     no reduction, and when the reduced search raises an
     EvaluationError, exceeds a limit or finds a violation whose cut
     does not replay; its witness is the one a search of the whole
-    transition system finds first.
+    transition system finds first.  `static` is `check_network`'s
+    verdict on the same pair, when the caller has one.
     """
-    ample = Reduction.of(net, obl)
+    ample = Reduction.of(net, obl, static)
     if ample is not None:
         try:
             verdict = check_lts(net, obl, max_states, max_depth, ample)
@@ -253,7 +257,7 @@ def dependent(f: Footprint, g: Footprint) -> bool:
     """May an action of f and one of g fail to commute: one writes a
     tuple the other reads, or an in of one takes a location the other
     acts at or aims at."""
-    return (_meets(f.writes, g.reads) or _meets(g.writes, f.reads)
+    return (meets(f.writes, g.reads) or meets(g.writes, f.reads)
             or _takes_from(f.takes, g) or _takes_from(g.takes, f))
 
 
@@ -295,19 +299,24 @@ class Reduction:
         self._deps: dict = {}          # (entry id, entry id) -> dependent
 
     @classmethod
-    def of(cls, net: Net, obl: Obligation) -> Optional["Reduction"]:
-        """The reduction for the network and obligation, or None where
-        the argument does not hold: a predicate's quantifiers range
-        over the location constants of the states, which most steps
-        change, and a location whose entries differ in policy changes
-        policy when its first entry goes."""
+    def of(cls, net: Net, obl: Obligation,
+           static: Optional[StaticVerdict]) -> Optional["Reduction"]:
+        """The reduction for the network and obligation, built from
+        `static`, the certifier's verdict on them (when None, one made
+        here), or None where the argument does not hold: a predicate's
+        quantifiers range over the location constants of the states,
+        which most steps change, and a location whose entries differ in
+        policy changes policy when its first entry goes.  The reduction
+        keeps the verdict's domain, and refills its `asked`."""
         if _quantified(obl.pred):
             return None
         pols = policies_by_location(net)
         if any(e.policy != pols[e.location] for e in net.entries):
             return None
-        static = check_network(net, obl)
-        loud = [(r.source, r.action.cap, _atom(r.action))
+        if static is None:
+            static = check_network(net, obl)
+        loud = [(r.source, r.action.cap,
+                 template(r.action.args, r.action.target))
                 for r in static.actions if r.outcome == NOT_CERTIFIED]
         mut = static.domain
         mut.asked.clear()
@@ -322,14 +331,15 @@ class Reduction:
         mut = self.mut
         mut.asked.clear()
         for a, cont in branches:
-            at = _name(a.target)
+            atom = template(a.args, a.target)
+            at = atom[0]
             if at is not ANY and at not in self.pols:
                 continue            # entries never appear at fresh locations
             aims.add(at)
             if a.cap != OUT:
-                tuples.add(_atom(a))
+                tuples.add(atom)
             if a.cap != READ:
-                writes.add(_atom(a))
+                writes.add(atom)
             if a.cap == IN:
                 takes.add(at)
             targets = self.pols.values() if at is ANY else (self.pols[at],)
@@ -343,9 +353,9 @@ class Reduction:
         if quiet is None:
             e = space.entries[i]
             now = self._now[i] = self.footprint(e, e.body.branches)
-            quiet = self._quiet[i] = not _meets(now.writes, self.pred_reads) \
+            quiet = self._quiet[i] = not meets(now.writes, self.pred_reads) \
                 and not any(loc == e.location and cap == a.cap
-                            and _meet(atom, _atom(a))
+                            and meet(atom, template(a.args, a.target))
                             for a, _ in e.body.branches
                             for loc, cap, atom in self.loud)
         return quiet
@@ -378,7 +388,8 @@ class Reduction:
         e, atom = space.entries[i], (label.target, label.args)
         here = StateDomain(space.data_index(ids))
         for a, cont in e.body.branches:
-            if CAP_LETTER[a.cap] == label.cap and _meet(_atom(a), atom):
+            if CAP_LETTER[a.cap] == label.cap \
+                    and meet(template(a.args, a.target), atom):
                 for pol in (e.policy, self.pols[label.target]):
                     policy_values(pol, e.location, a, cont, here)
         return here.present | here.absent | (
@@ -423,7 +434,7 @@ class Reduction:
             label, (i, maker) = run[k].label, acts[k]
             atom = (label.target, label.args)
             if not (run[k] is t or k in makers
-                    or label.cap != "r" and _meets((atom,), reads)
+                    or label.cap != "r" and meets((atom,), reads)
                     or label.cap == "o" and label.target in takes & outs):
                 continue
             reads |= self._reads(space, ids[run[k].src], i, label)

@@ -71,11 +71,12 @@ _EMPTY = frozenset()
 
 def _declare_fields(cls):
     """Take a class's fields from its `__slots__`, or its parent's if
-    those are empty; set `_format`, `Class(field=%r, ...)`, and
-    `_values`, which `x._values(x)` calls for the field values."""
+    those are empty; set `_format`, `Class(field=%s, ...)`, which takes
+    the field texts, and `_values`, which `x._values(x)` calls for the
+    field values."""
     fields = cls.__dict__.get("__slots__") or cls._fields
     cls._fields = fields
-    cls._format = f"{cls.__name__}({', '.join(f + '=%r' for f in fields)})"
+    cls._format = f"{cls.__name__}({', '.join(f + '=%s' for f in fields)})"
     get = attrgetter(*fields)
     cls._values = staticmethod(get if len(fields) > 1
                                else lambda x: (get(x),))
@@ -99,22 +100,20 @@ class _Record:
         return hash(self._values(self))
 
     def __repr__(self):
-        return self._format % self._values(self)
+        return self._format % tuple(map(repr, self._values(self)))
 
 
 class Diagnostic(_Record):
-    __slots__ = ("severity", "message", "line", "col")
+    __slots__ = ("message", "line", "col")
 
-    def __init__(self, severity: str, message: str, line: int = 0,
-                 col: int = 0):
-        self.severity = severity     # "error" or "warning"
+    def __init__(self, message: str, line: int = 0, col: int = 0):
         self.message = message
         self.line = line
         self.col = col
 
     def format(self) -> str:
         where = f"{self.line}:{self.col}: " if self.line else ""
-        return f"{where}{self.severity}: {self.message}"
+        return f"{where}error: {self.message}"
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +158,9 @@ class Node:
     """A node with children.  Each class's `__init__` sets its fields,
     each a string, a term, a tuple of terms or a node, and the three
     memos to None, which are derived from the fields when asked.  The
-    `_find_*` walkers fill a child's memo by calling its walker, not
-    its property, so that a chain costs one frame per node."""
+    text calls a child's `__repr__` and the `_find_*` walkers fill a
+    child's memo by calling its walker, not `repr` or its property, so
+    that a chain costs one frame per node."""
     __slots__ = ("_text", "_consts", "_free")
 
     def __init_subclass__(cls):
@@ -169,7 +169,10 @@ class Node:
     def __repr__(self):
         text = self._text
         if text is None:
-            text = self._text = self._format % self._values(self)
+            parts = []
+            for value in self._values(self):
+                parts.append(value.__repr__())
+            text = self._text = self._format % tuple(parts)
         return text
 
     def __hash__(self):
@@ -800,14 +803,13 @@ def validate(net: Net) -> list:
     for loc in sorted(by_loc):
         pols = by_loc[loc]
         if any(p != pols[0] for p in pols[1:]):
-            diags.append(Diagnostic("error",
-                                    f"location {loc} carries inconsistent policies"))
+            diags.append(Diagnostic(
+                f"location {loc} carries inconsistent policies"))
     for e in net.entries:
         if e.is_data():
             continue
         for _ in range(_count_repl(e.body)):
             diags.append(Diagnostic(
-                "error",
                 f"replication at {e.location} is outside the checkable fragment"))
     return diags
 

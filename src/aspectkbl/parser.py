@@ -171,12 +171,11 @@ def _lex(src: str, diags: list) -> list:
                 push(new(Token, (kind, text, line_no, col)))
             elif bad[0] == "_":
                 diags.append(Diagnostic(
-                    "error", "names may not start with an underscore",
-                    line_no, col))
+                    "names may not start with an underscore", line_no, col))
             elif not bad.startswith("//"):
                 msg = (f"expected a name after {bad}" if bad in "$#"
                        else f"stray character {bad!r}")
-                diags.append(Diagnostic("error", msg, line_no, col))
+                diags.append(Diagnostic(msg, line_no, col))
             col += len(text or bad)
     # after a trailing comment, end of input sits where the comment starts
     comment = line.find("//")
@@ -208,7 +207,7 @@ class _Parser:
 
     def error(self, msg: str, tok=None):
         tok = tok or self.peek()
-        self.diags.append(Diagnostic("error", msg, tok.line, tok.col))
+        self.diags.append(Diagnostic(msg, tok.line, tok.col))
         raise _Stop()
 
     def expect(self, kind: str, text=None, what=None) -> Token:
@@ -218,7 +217,7 @@ class _Parser:
         got = self.peek().text or "end of input"
         self.error(f"expected {shown}, found {got!r}")
 
-    def expect_name(self, what="a name") -> Token:
+    def expect_name(self, what: str) -> Token:
         if self.at("ident"):
             return self.advance()
         if self.at("kw"):
@@ -442,32 +441,24 @@ class _Parser:
             self._check_expr(e.body, what, cut_vars, cont_var, allowed_ops, tok)
         elif isinstance(e, EBin):
             if e.op not in allowed_ops:
-                self.diags.append(Diagnostic(
-                    "error", f"operator {e.op} is not allowed in a {what}",
-                    tok.line, tok.col))
-                raise _Stop()
+                self.error(f"operator {e.op} is not allowed in a {what}", tok)
             self._check_expr(e.left, what, cut_vars, cont_var, allowed_ops, tok)
             self._check_expr(e.right, what, cut_vars, cont_var, allowed_ops, tok)
         elif isinstance(e, EEqual):
-            self._check_terms((e.left, e.right), what, cut_vars, tok)
+            self._check_terms((e.left, e.right), cut_vars, tok)
         elif isinstance(e, ETest):
-            self._check_terms(e.args + (e.at,), what, cut_vars, tok)
+            self._check_terms(e.args + (e.at,), cut_vars, tok)
         elif isinstance(e, EOccursIn):
             if e.var != cont_var:
-                self.diags.append(Diagnostic(
-                    "error",
-                    f"occurs-in refers to {e.var}, but the cut binds {cont_var}",
-                    tok.line, tok.col))
-                raise _Stop()
-            self._check_terms(e.action.args + (e.action.target,), what,
+                self.error(f"occurs-in refers to {e.var}, but the cut binds "
+                           f"{cont_var}", tok)
+            self._check_terms(e.action.args + (e.action.target,),
                               cut_vars, tok)
 
-    def _check_terms(self, terms, what, cut_vars, tok):
+    def _check_terms(self, terms, cut_vars, tok):
         for t in terms:
             if isinstance(t, Var) and t.name not in cut_vars:
-                self.diags.append(Diagnostic(
-                    "error", f"{t.name} is not bound by the cut", tok.line, tok.col))
-                raise _Stop()
+                self.error(f"{t.name} is not bound by the cut", tok)
 
     # -- obligations ----------------------------------------------------------
 
@@ -524,7 +515,7 @@ def _run(parser: _Parser, entry):
         result = entry()
     except _Stop:
         raise ParseError(parser.diags) from None
-    if any(d.severity == "error" for d in parser.diags):
+    if parser.diags:
         raise ParseError(parser.diags)
     return result
 

@@ -29,7 +29,9 @@ atoms they are asked, `StateDomain` only those of policies.  The
 explorer keys its reuse of policy verdicts on the atoms `StateDomain`
 notes (below).  The partial-order reduction of exhaustive.py takes
 what an action may read from the atoms `MutationInfo` notes, and what
-a step of a found path did read from those `StateDomain` notes.
+a step of a found path did read from those `StateDomain` notes.  The
+certifier and the reduction name the tuples a test or an action may
+touch by the templates defined here, `template` and `meet`.
 
 States are kept in canonical form, which makes the state space of a
 replication-free network finite and the construction below a plain
@@ -166,12 +168,6 @@ def data_index(net: Net) -> frozenset:
     return frozenset((e.location, e.body) for e in net.entries if e.is_data())
 
 
-def ground_names(terms) -> Optional[tuple]:
-    """The names of the terms, or None unless every one is a constant."""
-    names = tuple(t.name for t in terms if isinstance(t, Const))
-    return names if len(names) == len(terms) else None
-
-
 def numeral(t) -> Optional[int]:
     """The value of a constant written in ASCII digits, else None."""
     if isinstance(t, Const) and t.name.isascii() and t.name.isdigit():
@@ -182,10 +178,33 @@ def numeral(t) -> Optional[int]:
 def ground_atom(args, at) -> Optional[tuple]:
     """The (location, tuple) atom a test names, as `data_index` holds
     them, or None unless its location and arguments are constants."""
-    values = ground_names(args)
-    if values is None or not isinstance(at, Const):
+    values = tuple(t.name for t in args if isinstance(t, Const))
+    if len(values) != len(args) or not isinstance(at, Const):
         return None
     return at.name, values
+
+
+ANY = None                   # a location or tuple position of unknown name
+
+
+def template(args, at) -> tuple:
+    """The (location, tuple) template a test or an action names before
+    the run: its `ground_atom`, with ANY for each term not a constant."""
+    return (at.name if isinstance(at, Const) else ANY,
+            tuple([t.name if isinstance(t, Const) else ANY for t in args]))
+
+
+def meet(atom, other) -> bool:
+    """May two (location, tuple) templates name the same tuple."""
+    (at, args), (at2, args2) = atom, other
+    return (len(args) == len(args2) and (at is ANY or at2 is ANY or at == at2)
+            and all(a is ANY or b is ANY or a == b
+                    for a, b in zip(args, args2)))
+
+
+def meets(atoms, others) -> bool:
+    """May a template of atoms name the same tuple as one of others."""
+    return any(meet(a, b) for a in atoms for b in others)
 
 
 def truth(b: bool) -> int:

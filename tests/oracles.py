@@ -424,7 +424,7 @@ def reference_lex(src: str, diags: list) -> list:
                 col += j - i
                 i = j
                 continue
-            diags.append(Diagnostic("error", f"expected a name after {ch}",
+            diags.append(Diagnostic(f"expected a name after {ch}",
                                     start_l, start_c))
             i += 1
             col += 1
@@ -438,9 +438,9 @@ def reference_lex(src: str, diags: list) -> list:
         if ch == "_":
             j = i + 1
             if j < n and (src[j].isalnum() or src[j] == "_"):
-                diags.append(Diagnostic("error",
-                                        "names may not start with an underscore",
-                                        start_l, start_c))
+                diags.append(Diagnostic(
+                    "names may not start with an underscore",
+                    start_l, start_c))
                 while j < n and (src[j].isalnum() or src[j] == "_"):
                     j += 1
                 col += j - i
@@ -455,8 +455,7 @@ def reference_lex(src: str, diags: list) -> list:
             i += 1
             col += 1
             continue
-        diags.append(Diagnostic("error", f"stray character {ch!r}",
-                                start_l, start_c))
+        diags.append(Diagnostic(f"stray character {ch!r}", start_l, start_c))
         i += 1
         col += 1
     toks.append(Token("eof", "", line, col))

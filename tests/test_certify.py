@@ -156,6 +156,15 @@ def test_static_pred_respects_future_removals():
                        sorted(loc_set(frozen))) == TT
 
 
+def test_comparisons_are_decided_on_numerals_only():
+    net = parse_net("A ::[true] out(K, 5)@A . out(K, x)@A . 0")
+    for bound, five in (("3", ENTAILED), ("7", NOT_CERTIFIED)):
+        obl = parse_obligation(f"AG [A : o(K, $v)@A] $v >= {bound}")
+        outcomes = [r.outcome for r in check_network(net, obl).actions]
+        # x is no numeral, so its comparison may take either value
+        assert outcomes == [five, NOT_CERTIFIED], bound
+
+
 def test_single_action_outcomes_on_the_record_store():
     net = corpusio.net("tiny_with_policies.akbl")
     eq1 = corpusio.obl("eq1.obl")

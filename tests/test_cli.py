@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import aspectkbl
-from aspectkbl import cli
+from aspectkbl import check_network, cli, exhaustive
 from aspectkbl.cli import main
 import corpusio
 
@@ -57,6 +57,41 @@ def test_check_auto_falls_back_to_exploration(capsys):
     assert rc == 0
     assert "certified: yes" in out
     assert "holds:" not in out          # no exploration was needed
+
+
+def test_check_certifies_once(capsys, monkeypatch):
+    # auto mode hands its verdict to the reduced search; exhaustive mode
+    # has none, and the reduction certifies
+    calls = []
+
+    def counted(net, obl):
+        calls.append(obl)
+        return check_network(net, obl)
+
+    monkeypatch.setattr(cli, "check_network", counted)
+    monkeypatch.setattr(exhaustive, "check_network", counted)
+    for mode in ("auto", "exhaustive"):
+        calls.clear()
+        rc, out, _ = run(capsys, "check", WITHOUT, EQ1, "--mode", mode)
+        assert rc == 1 and "holds: no" in out
+        assert len(calls) == 1, mode
+
+
+def test_a_counterexample_numbers_its_steps(capsys, tmp_path):
+    net = tmp_path / "net.akbl"
+    net.write_text("P ::[true] out(a)@R . out(c)@R . out(b)@R . 0"
+                   " || R ::[true] <x>\n")
+    obl = tmp_path / "obl.obl"
+    obl.write_text("AG [$u : o(b)@R] test(d)@R\n")
+    rc, out, _ = run(capsys, "check", str(net), str(obl))
+    assert rc == 1
+    assert out.split("holds: no\n")[1] == (
+        "counterexample:\n"
+        "  1. P:o(a)@R\n"
+        "  2. P:o(c)@R\n"
+        "failing step: P:o(b)@R\n"
+        "with [$u=P]\n"
+        "unsatisfied: test(d)@R\n")
 
 
 def test_check_static_explanations(capsys):
@@ -239,6 +274,20 @@ def test_input_errors_exit_three(capsys, tmp_path):
     assert "location A carries inconsistent policies" in err
 
 
+@pytest.mark.parametrize("text, err", [
+    ("A ::[[test(k)@#v if #u :: out(k)@A . X : true]] out(k)@A . 0",
+     "1:6: error: #v is not bound by the cut"),
+    ("A ::[[true if #u :: out(k)@A . X : true oplus true]] out(k)@A . 0",
+     "1:6: error: operator oplus is not allowed in a condition"),
+    # the lexer's diagnostic, after a net that otherwise parses
+    ("A ::[true] out(k)@A . 0 ~", "1:25: error: stray character '~'"),
+])
+def test_rejected_nets_name_the_position(capsys, tmp_path, text, err):
+    net = tmp_path / "net.akbl"
+    net.write_text(text + "\n")
+    assert run(capsys, "check", str(net), EQ1) == (3, "", err + "\n")
+
+
 def test_non_ascii_input_is_a_positioned_error(capsys, tmp_path):
     # input is ASCII: a digit or letter beyond it is a stray character,
     # never a number or a name, in every mode
@@ -401,6 +450,18 @@ def test_a_480_operand_policy_gets_a_verdict_and_its_lts(tmp_path):
     rc, out, err = run_akbl("lts", net, "--json")
     assert (rc, err) == (0, "")
     assert json.loads(out)["states"][0]["net"] == net.read_text().strip()
+
+
+def test_a_600_operand_policy_gets_a_verdict(tmp_path):
+    # the entry's sort key renders a node at one frame, a child's
+    # __repr__ called directly
+    net = tmp_path / "wide.akbl"
+    net.write_text(f"A ::[{' oplus '.join(['true'] * 600)}] out(k)@A . 0\n")
+    holds = tmp_path / "holds.obl"
+    holds.write_text("AG [$u : o(k)@A] true")
+    for mode in ("auto", "exhaustive"):
+        rc, out, err = run_akbl("check", net, holds, "--mode", mode)
+        assert (rc, err) == (0, ""), mode
 
 
 def test_deep_inputs_never_read_as_a_verdict(capsys, tmp_path):

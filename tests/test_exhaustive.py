@@ -4,13 +4,13 @@ import random
 import pytest
 
 from aspectkbl import (EvaluationError, LimitExceeded, build_lts, check_lts,
-                       parse_net, parse_obligation, sat_obl, unify_label)
-from aspectkbl.certify import _meet
+                       check_network, parse_net, parse_obligation, sat_obl,
+                       unify_label)
 from aspectkbl.exhaustive import Reduction
 from aspectkbl.model import (Const, EEqual, ETest, Label, LabelPattern, PGeq,
                              PTestPost, Substitution, Sum, Var, Wildcard,
                              WILDCARD)
-from aspectkbl.semantics import StateDomain, policy_values
+from aspectkbl.semantics import StateDomain, meet, policy_values
 import corpusio
 import gen
 import oracles
@@ -217,7 +217,7 @@ def _agree(net, obl):
 def _answered_reduced(net, obl, got) -> bool:
     """Did sat_obl answer a violation from the reduced search, without
     the unreduced one."""
-    ample = Reduction.of(net, obl)
+    ample = Reduction.of(net, obl, None)
     if ample is None:
         return False
     try:
@@ -281,6 +281,32 @@ def test_reduced_search_agrees_with_the_whole_transition_system():
     assert violated >= 300
 
 
+def test_a_given_certifier_verdict_changes_no_check():
+    pairs = [(corpusio.net(n), corpusio.obl(o))
+             for n in corpusio.names(".akbl") for o in corpusio.names(".obl")]
+    for seed in range(150):
+        for family in (gen.gen_small_net, gen.gen_guarded_net,
+                       gen.gen_ward_net):
+            rng = random.Random(seed)
+            net = family(rng)
+            obligation = gen.gen_obligation_from_net if seed % 2 \
+                else gen.gen_obligation_for
+            pairs.append((net, obligation(rng, net)))
+    def checked(net, obl, static=None):
+        try:
+            return sat_obl(net, obl, 3000, 300, static)
+        except (EvaluationError, LimitExceeded) as e:
+            return type(e), str(e)
+
+    reduced = 0
+    for net, obl in pairs:
+        static = check_network(net, obl)
+        assert checked(net, obl, static) == checked(net, obl), (net, obl)
+        reduced += not static.certified \
+            and Reduction.of(net, obl, static) is not None
+    assert reduced >= 100
+
+
 def test_footprints_cover_every_concrete_read():
     # every test atom the policies of a step read in a reachable state
     # is named by the footprint of the acting entry, which the reduction
@@ -293,7 +319,7 @@ def test_footprints_cover_every_concrete_read():
             net = family(rng)
             obligation = gen.gen_obligation_from_net if seed % 2 \
                 else gen.gen_obligation_for
-            ample = Reduction.of(net, obligation(rng, net))
+            ample = Reduction.of(net, obligation(rng, net), None)
             if ample is None:
                 continue
             try:
@@ -323,7 +349,7 @@ def test_footprints_cover_every_concrete_read():
                                 pass
                         for atom in here.present | here.absent:
                             atoms += 1
-                            if not any(_meet(atom, r) for r in reads[i]):
+                            if not any(meet(atom, r) for r in reads[i]):
                                 misses.append((family.__name__, seed, atom))
     assert not misses, (len(misses), misses[:5])
     assert nets >= 800 and atoms >= 10000, (nets, atoms)
@@ -340,7 +366,7 @@ def test_a_false_condition_leaves_its_recommendation_unread():
     for cond, reads in (("a", set()), ("P", {("R", ("P",)), ("R", ("b",))})):
         net = parse_net(text.format(cond))
         p, = [e for e in net.entries if e.location == "P"]
-        ample = Reduction.of(net, obl)
+        ample = Reduction.of(net, obl, None)
         assert ample.footprint(p, p.body.branches).reads == reads
 
 

@@ -106,7 +106,8 @@ def test_diagnostics_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_net("A ::[true] out(!x)@B . 0\n|| B ::[true] <y>")
     diags = exc.value.diagnostics
-    assert [(d.severity, d.line, d.col) for d in diags] == [("error", 1, 16)]
+    assert [d.format() for d in diags] == [
+        "1:16: error: binders are not allowed in out arguments"]
 
 
 def test_policies_expressions_and_predicates_share_their_connectives():
