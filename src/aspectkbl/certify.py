@@ -39,10 +39,11 @@ guard tested), so `test'` is not refined.
 
 The domain notes every test atom it is asked, as a `semantics.template`,
 and `check_network` returns it with its verdict.  The partial-order
-reduction of exhaustive.py, given that verdict, clears and refills the
-domain's `asked` to learn which tuples an action's policies and the
-obligation's predicate may read, so the certifier and the reduced
-search share this one abstract domain, and a check certifies once.
+reduction of exhaustive.py, given that verdict, notes in a copy of the
+domain with an `asked` of its own which tuples an action's policies
+and the obligation's predicate may read, so the certifier and the
+reduced search share this one abstract domain, and a check certifies
+once.
 """
 from __future__ import annotations
 

@@ -50,6 +50,7 @@ that answered.
 """
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -307,7 +308,8 @@ class Reduction:
         quantifiers range over the location constants of the states,
         which most steps change, and a location whose entries differ in
         policy changes policy when its first entry goes.  The reduction
-        keeps the verdict's domain, and refills its `asked`."""
+        works in a copy of the verdict's domain with its own `asked`,
+        so the verdict is left as it was."""
         if _quantified(obl.pred):
             return None
         pols = policies_by_location(net)
@@ -318,8 +320,8 @@ class Reduction:
         loud = [(r.source, r.action.cap,
                  template(r.action.args, r.action.target))
                 for r in static.actions if r.outcome == NOT_CERTIFIED]
-        mut = static.domain
-        mut.asked.clear()
+        mut = copy.copy(static.domain)
+        mut.asked = set()
         if loud:
             pred_values(obl.pred, mut, ())
         return cls(pols, loud, mut, frozenset(mut.asked))

@@ -9,10 +9,13 @@ files hold a single AG [label-pattern] predicate form.  $-variables
 belong to obligations, #-variables to aspects, !x binds in input and
 read templates and _ is the pattern wildcard.  // starts a comment.
 
-One regular expression, _TOKEN, lexes: it splits each line into
-(blanks, token or error) matches, so the lexer runs Python code per
-token, not per character.  Input is ASCII; any other character is a
-stray character.
+One regular expression, _TOKEN, lexes: a single findall over the whole
+source gives the text of every token, comment and text that is no
+token, and one dict lookup per distinct text gives its kind.  The
+parser reads two parallel lists, kinds and texts, and names a token by
+its index.  Lines and columns are worked out only for diagnostics, by
+_positions, which runs the same expression with finditer.  Input is
+ASCII; any other character is a stray character.
 
 One precedence table, _PREC, orders the binary operators of policies,
 rec/cond expressions and obligation predicates.  The parser reads it
@@ -131,101 +134,138 @@ _TERMS = {
 }
 
 
-class Token(NamedTuple):
-    kind: str                # ident, number, kw, dollar, hash, occursin,
-                             # punctuation text, or eof
-    text: str
-    line: int
-    col: int
+# One match per token, comment or text that is no token (an underscore
+# name or a stray character); blanks and newlines match nothing.  Input
+# is ASCII, so \w is [A-Za-z0-9_].
+_TOKEN = re.compile(r"""
+    occurs-in(?!\w) | [A-Za-z]\w* | [0-9]+ | [$\#][A-Za-z]\w*
+  | \|\| | :: | >= | [|+*:.,()<>\[\]@!='] | _(?!\w)
+  | //.* | _\w+ | [^ \t\r\n]""", re.ASCII | re.VERBOSE)
 
-
-# The blanks before one token of a line, then either the token or text
-# that is no token: a comment, an underscore name or a stray character.
-# Input is ASCII, so \w is [A-Za-z0-9_].
-_TOKEN = re.compile(r"""([ \t\r]*)(?:
-    (occurs-in(?!\w) | [A-Za-z]\w* | [0-9]+ | [$\#][A-Za-z]\w*
-     | \|\| | :: | >= | [|+*:.,()<>\[\]@!='] | _(?!\w))
-  | (//.* | _\w+ | .))""", re.ASCII | re.VERBOSE)
-
-# A token's kind by its text, else by its first character.
+# A match's kind by its text, else by its first character; None for a
+# comment and for text that is no token, a sigil with no name among it.
+# The end of input is the text "".
 _KIND = {**dict.fromkeys(KEYWORDS, "kw"), "occurs-in": "occursin",
-         **{p: p for p in ("||", "::", ">=", *"|+*:.,()<>[]@!=_'")}}
+         **{p: p for p in ("||", "::", ">=", *"|+*:.,()<>[]@!=_'")},
+         "$": None, "#": None, "": "eof"}
 _KIND_BY_FIRST = {**dict.fromkeys(string.ascii_letters, "ident"),
                   **dict.fromkeys(string.digits, "number"),
                   "$": "dollar", "#": "hash"}
 
 
-def _lex(src: str, diags: list) -> list:
-    toks = []
-    push, kind_of = toks.append, _KIND.get
-    # tuple.__new__ builds a Token without the __new__ that NamedTuple
-    # writes in Python, at less than half the cost
-    new = tuple.__new__
-    for line_no, line in enumerate(src.split("\n"), 1):
-        col = 1
-        # with no trailing blanks, a match follows every run of blanks
-        for blank, text, bad in _TOKEN.findall(line.rstrip(" \t\r")):
-            col += len(blank)
-            if text:
-                kind = kind_of(text) or _KIND_BY_FIRST[text[0]]
-                push(new(Token, (kind, text, line_no, col)))
-            elif bad[0] == "_":
-                diags.append(Diagnostic(
-                    "names may not start with an underscore", line_no, col))
-            elif not bad.startswith("//"):
-                msg = (f"expected a name after {bad}" if bad in "$#"
-                       else f"stray character {bad!r}")
-                diags.append(Diagnostic(msg, line_no, col))
-            col += len(text or bad)
-    # after a trailing comment, end of input sits where the comment starts
-    comment = line.find("//")
-    eof_col = comment + 1 if comment >= 0 else len(line) + 1
-    push(Token("eof", "", line_no, eof_col))
-    return toks
+def _kind(text: str):
+    return _KIND[text] if text in _KIND else _KIND_BY_FIRST.get(text[0])
+
+
+def _lex(src: str, diags: list) -> tuple:
+    """The kinds and the texts of the tokens of src, each list ending
+    with the end of input.  Positions are left to _positions."""
+    texts = _TOKEN.findall(src)
+    texts.append("")
+    kind_of = {text: _kind(text) for text in set(texts)}
+    if None in kind_of.values():        # a comment or text that is no token
+        if any(kind is None and not text.startswith("//")
+               for text, kind in kind_of.items()):
+            _positions(src, diags)
+        texts = [text for text in texts if kind_of[text]]
+    return list(map(kind_of.__getitem__, texts)), texts
+
+
+def _positions(src: str, diags=None) -> list:
+    """The (line, column) of each token of src, then of the end of
+    input; with diags, also a diagnostic for each text that is no
+    token.  Only diagnostics read positions, so they are worked out
+    here, from the same matches as _lex, and only when needed."""
+    spots = []
+    line, line_start, last = 1, 0, 0
+    m = None
+    for m in _TOKEN.finditer(src):
+        at = m.start()
+        breaks = src.count("\n", last, at)
+        if breaks:
+            line += breaks
+            line_start = src.rfind("\n", last, at) + 1
+        last = at
+        text = m.group()
+        if _kind(text):
+            spots.append((line, at - line_start + 1))
+        elif diags is not None and not text.startswith("//"):
+            msg = ("names may not start with an underscore" if text[0] == "_"
+                   else f"expected a name after {text}" if text in "$#"
+                   else f"stray character {text!r}")
+            diags.append(Diagnostic(msg, line, at - line_start + 1))
+    if m is not None and m.end() == len(src) and m.group().startswith("//"):
+        # after a trailing comment, end of input sits where it starts
+        spots.append((line, last - line_start + 1))
+    else:
+        spots.append((line + src.count("\n", last),
+                      len(src) - src.rfind("\n")))
+    return spots
 
 
 class _Parser:
+    """Recursive descent over the parallel lists kinds and texts; a
+    token is named by its index in them."""
+
     def __init__(self, src: str):
+        self.src = src
         self.diags: list = []
-        self.toks = _lex(src, self.diags)
+        self.kinds, self.texts = _lex(src, self.diags)
+        self.end = len(self.texts) - 1      # the index of the end of input
         self.i = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def advance(self) -> int:
+        """The index of the current token, which is then passed unless
+        it is the end of input."""
+        i = self.i
+        if i < self.end:
+            self.i = i + 1
+        return i
 
-    def advance(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
+    def at(self, text: str) -> bool:
+        return self.texts[self.i] == text
+
+    def accept(self, text: str) -> bool:
+        """Whether the current token has this text, which is not that
+        of the end of input; if so, it is passed."""
+        if self.texts[self.i] == text:
             self.i += 1
-        return t
+            return True
+        return False
 
-    def at(self, kind: str, text=None) -> bool:
-        t = self.toks[self.i]
-        return t.kind == kind and (text is None or t.text == text)
-
-    def error(self, msg: str, tok=None):
-        tok = tok or self.peek()
-        self.diags.append(Diagnostic(msg, tok.line, tok.col))
+    def error(self, msg: str, at=None):
+        """Stop with msg at the token with index at, else the current one."""
+        line, col = _positions(self.src)[self.i if at is None else at]
+        self.diags.append(Diagnostic(msg, line, col))
         raise _Stop()
 
-    def expect(self, kind: str, text=None, what=None) -> Token:
-        if self.at(kind, text):
-            return self.advance()
-        shown = what or text or kind
-        got = self.peek().text or "end of input"
-        self.error(f"expected {shown}, found {got!r}")
+    def fail(self, what: str):
+        got = self.texts[self.i] or "end of input"
+        self.error(f"expected {what}, found {got!r}")
 
-    def expect_name(self, what: str) -> Token:
-        if self.at("ident"):
-            return self.advance()
-        if self.at("kw"):
-            self.error(f"{self.peek().text!r} is a reserved word")
-        self.error(f"expected {what}, found {self.peek().text or 'end of input'!r}")
+    def expect(self, text: str, what=None) -> int:
+        """The index of the current token, which must have this text
+        ("" for the end of input), else fail expecting what or text."""
+        i = self.i
+        if self.texts[i] != text:
+            self.fail(what or text)
+        if i < self.end:
+            self.i = i + 1
+        return i
+
+    def expect_name(self, what: str) -> str:
+        i = self.i
+        if self.kinds[i] == "ident":
+            self.i = i + 1
+            return self.texts[i]
+        if self.kinds[i] == "kw":
+            self.error(f"{self.texts[i]!r} is a reserved word")
+        self.fail(what)
 
     def at_cap(self) -> bool:
-        return self.at("kw") and self.peek().text in _CAPS
+        return self.texts[self.i] in _CAPS
 
     # -- the shared rules -----------------------------------------------------
 
@@ -235,7 +275,7 @@ class _Parser:
         hold and atom() an atom that is not true, false or ( group )."""
         left = self.parse_unary(group, atom)
         while True:
-            op = self.peek().text
+            op = self.texts[self.i]
             if _PREC.get(op, 0) < level or op not in syntax:
                 return left
             self.advance()
@@ -243,17 +283,13 @@ class _Parser:
             left = EBin(op, left, self.parse_infix(syntax, group, atom, tighter))
 
     def parse_unary(self, group, atom):
-        if self.at("kw", "not"):
-            self.advance()
+        if self.accept("not"):
             return ENot(self.parse_unary(group, atom))
-        if self.at("kw", "true"):
-            self.advance()
+        if self.accept("true"):
             return TRUE
-        if self.at("kw", "false"):
-            self.advance()
+        if self.accept("false"):
             return FALSE
-        if self.at("("):
-            self.advance()
+        if self.accept("("):
             inner = group()
             self.expect(")")
             return inner
@@ -266,8 +302,7 @@ class _Parser:
         terms = []
         if not self.at(close):
             terms.append(self.parse_term(row, names, cap, scope))
-            while self.at(","):
-                self.advance()
+            while self.accept(","):
                 terms.append(self.parse_term(row, names, cap, scope))
         self.expect(close)
         return tuple(terms)
@@ -286,8 +321,9 @@ class _Parser:
         the set its variables join, or must be in; cap is the
         capability of the template it is in; scope holds the names that
         enclosing binders bind."""
-        t = self.advance()
-        kind, text = t.kind, t.text
+        i = self.i
+        self.i = i + 1          # the end of input is rejected below
+        kind, text = self.kinds[i], self.texts[i]
         if kind == "ident" or kind == "number":
             return Var(text) if text in scope else row.name(text)
         if kind == row.sigil and (not row.bound or text in names):
@@ -297,39 +333,36 @@ class _Parser:
         if kind == "_" and row.wild:
             return WILDCARD
         if kind == "!" and cap in row.bind:
-            name = self.expect_name("a binder name").text
+            name = self.expect_name("a binder name")
             if names is not None:
                 names.add(name)
             return BindVar(name)
         msg = row.rejects.get(kind, row.other)
-        self.error(msg.format(text or "end of input"), t)
+        self.error(msg.format(text or "end of input"), i)
 
     # -- networks -----------------------------------------------------------
 
     def parse_net(self) -> Net:
         entries = [self.parse_entry()]
-        while self.at("||"):
-            self.advance()
+        while self.accept("||"):
             entries.append(self.parse_entry())
-        self.expect("eof", what="|| or end of input")
+        self.expect("", "|| or end of input")
         return Net(tuple(entries))
 
     def parse_entry(self) -> NetEntry:
-        loc = self.expect_name("a location name").text
+        loc = self.expect_name("a location name")
         self.expect("::")
         self.expect("[")
         pol = self.parse_policy()
         self.expect("]")
-        if self.at("<"):
-            self.advance()
+        if self.accept("<"):
             fields = self.parse_list(">", _TERMS["data field"])
             return NetEntry(loc, pol, fields)
         return NetEntry(loc, pol, self.parse_process(frozenset()))
 
     def parse_process(self, scope):
         left = self.parse_sum(scope)
-        while self.at("|"):
-            self.advance()
+        while self.accept("|"):
             left = Par(left, self.parse_sum(scope))
         return left
 
@@ -338,8 +371,7 @@ class _Parser:
         if not self.at("+"):
             return first
         branches = [self.as_branch(first)]
-        while self.at("+"):
-            self.advance()
+        while self.accept("+"):
             branches.append(self.as_branch(self.parse_term_proc(scope)))
         return Sum(tuple(branches))
 
@@ -349,14 +381,11 @@ class _Parser:
         self.error("summands must be action-prefixed")
 
     def parse_term_proc(self, scope):
-        if self.at("number", "0"):
-            self.advance()
+        if self.accept("0"):
             return NIL
-        if self.at("*"):
-            self.advance()
+        if self.accept("*"):
             return Repl(self.parse_term_proc(scope))
-        if self.at("("):
-            self.advance()
+        if self.accept("("):
             p = self.parse_process(scope)
             self.expect(")")
             return p
@@ -369,7 +398,7 @@ class _Parser:
         self.error("expected a process")
 
     def parse_proc_action(self, scope):
-        cap = self.advance().text
+        cap = self.texts[self.advance()]
         binders: set = set()
         args, target = self.parse_args("process argument", "process target",
                                        binders, cap, scope)
@@ -386,18 +415,18 @@ class _Parser:
         self.error("expected a policy")
 
     def parse_aspect(self) -> Aspect:
-        open_tok = self.expect("[")
+        opened = self.expect("[")
         rec = self.parse_expr()
-        self.expect("kw", "if")
+        self.expect("if")
         cut, cut_vars = self.parse_cut()
         self.expect(":")
         cond = self.parse_expr()
         self.expect("]")
         self._check_expr(rec, "recommendation", cut_vars, cut.cont_var,
                          allowed_ops=("oplus", "otimes", "and", "or", "implies"),
-                         tok=open_tok)
+                         at=opened)
         self._check_expr(cond, "condition", cut_vars, cut.cont_var,
-                         allowed_ops=("and", "or"), tok=open_tok)
+                         allowed_ops=("and", "or"), at=opened)
         return Aspect(rec, cut, cond)
 
     def parse_cut(self):
@@ -406,11 +435,11 @@ class _Parser:
         self.expect("::")
         if not self.at_cap():
             self.error("expected out, in or read in a cut")
-        cap = self.advance().text
+        cap = self.texts[self.advance()]
         args, target = self.parse_args("cut argument", "cut subject or target",
                                        cut_vars, cap)
         self.expect(".")
-        cont = self.expect_name("a continuation variable").text
+        cont = self.expect_name("a continuation variable")
         return Cut(subject, Action(cap, args, target), cont), cut_vars
 
     # rec and cond expressions
@@ -419,93 +448,87 @@ class _Parser:
         return self.parse_infix(_EXPR, self.parse_expr, self.parse_e_atom)
 
     def parse_e_atom(self):
-        if self.at("kw", "test"):
-            self.advance()
+        if self.accept("test"):
             if self.at("'"):
                 self.error("test' belongs to obligation predicates")
             return ETest(*self.parse_args("expression term", "expression term"))
         if self.at_cap():
-            cap = self.advance().text
+            cap = self.texts[self.advance()]
             template = Action(cap, *self.parse_args(
                 "occurs-in argument", "occurs-in target", None, cap))
-            self.expect("occursin", what="occurs-in")
-            var = self.expect_name("a continuation variable").text
+            self.expect("occurs-in")
+            var = self.expect_name("a continuation variable")
             return EOccursIn(template, var)
         term = _TERMS["expression term"]
         left = self.parse_term(term)
-        self.expect("=", what="= in a comparison")
+        self.expect("=", "= in a comparison")
         return EEqual(left, self.parse_term(term))
 
-    def _check_expr(self, e, what, cut_vars, cont_var, allowed_ops, tok):
+    def _check_expr(self, e, what, cut_vars, cont_var, allowed_ops, at):
         if isinstance(e, ENot):
-            self._check_expr(e.body, what, cut_vars, cont_var, allowed_ops, tok)
+            self._check_expr(e.body, what, cut_vars, cont_var, allowed_ops, at)
         elif isinstance(e, EBin):
             if e.op not in allowed_ops:
-                self.error(f"operator {e.op} is not allowed in a {what}", tok)
-            self._check_expr(e.left, what, cut_vars, cont_var, allowed_ops, tok)
-            self._check_expr(e.right, what, cut_vars, cont_var, allowed_ops, tok)
+                self.error(f"operator {e.op} is not allowed in a {what}", at)
+            self._check_expr(e.left, what, cut_vars, cont_var, allowed_ops, at)
+            self._check_expr(e.right, what, cut_vars, cont_var, allowed_ops, at)
         elif isinstance(e, EEqual):
-            self._check_terms((e.left, e.right), cut_vars, tok)
+            self._check_terms((e.left, e.right), cut_vars, at)
         elif isinstance(e, ETest):
-            self._check_terms(e.args + (e.at,), cut_vars, tok)
+            self._check_terms(e.args + (e.at,), cut_vars, at)
         elif isinstance(e, EOccursIn):
             if e.var != cont_var:
                 self.error(f"occurs-in refers to {e.var}, but the cut binds "
-                           f"{cont_var}", tok)
+                           f"{cont_var}", at)
             self._check_terms(e.action.args + (e.action.target,),
-                              cut_vars, tok)
+                              cut_vars, at)
 
-    def _check_terms(self, terms, cut_vars, tok):
+    def _check_terms(self, terms, cut_vars, at):
         for t in terms:
             if isinstance(t, Var) and t.name not in cut_vars:
-                self.error(f"{t.name} is not bound by the cut", tok)
+                self.error(f"{t.name} is not bound by the cut", at)
 
     # -- obligations ----------------------------------------------------------
 
     def parse_obligation(self) -> Obligation:
-        self.expect("kw", "AG")
+        self.expect("AG")
         self.expect("[")
         bound: set = set()
         subject = self.parse_term(_TERMS["label subject"], bound)
         self.expect(":")
-        cap_tok = self.expect("ident", what="a capability letter (o, i or r)")
-        if cap_tok.text not in LETTER_CAP:
-            self.error(f"unknown capability {cap_tok.text!r}, expected o, i or r",
-                       cap_tok)
+        if self.kinds[self.i] != "ident":
+            self.fail("a capability letter (o, i or r)")
+        at = self.advance()
+        letter = self.texts[at]
+        if letter not in LETTER_CAP:
+            self.error(f"unknown capability {letter!r}, expected o, i or r", at)
         args, target = self.parse_args("label argument", "label target", bound)
         self.expect("]")
         pred = self.parse_pred(frozenset(bound))
-        self.expect("eof", what="end of input")
-        return Obligation(LabelPattern(subject, cap_tok.text, args, target), pred)
+        self.expect("", "end of input")
+        return Obligation(LabelPattern(subject, letter, args, target), pred)
 
     def parse_pred(self, bound):
-        if self.at("kw", "forall") or self.at("kw", "exists"):
-            cls = PForall if self.advance().text == "forall" else PExists
-            var_tok = self.peek()
-            if var_tok.kind != "dollar":
+        if self.texts[self.i] in ("forall", "exists"):
+            cls = PForall if self.texts[self.advance()] == "forall" else PExists
+            if self.kinds[self.i] != "dollar":
                 self.error("quantified variables carry a $ sigil")
-            self.advance()
+            var = self.texts[self.advance()]
             self.expect(":")
-            return cls(var_tok.text, self.parse_pred(bound | {var_tok.text}))
+            return cls(var, self.parse_pred(bound | {var}))
         return self.parse_infix(_PRED, partial(self.parse_pred, bound),
                                 partial(self.parse_p_atom, bound))
 
     def parse_p_atom(self, bound):
-        if self.at("kw", "test"):
-            self.advance()
-            post = False
-            if self.at("'"):
-                self.advance()
-                post = True
+        if self.accept("test"):
+            post = self.accept("'")
             args, at = self.parse_args("predicate term", "predicate term", bound)
             return PTestPost(args, at) if post else ETest(args, at)
         term = _TERMS["predicate term"]
         left = self.parse_term(term, bound)
-        if self.at("="):
-            self.advance()
+        if self.accept("="):
             return EEqual(left, self.parse_term(term, bound))
-        if self.at(">="):
-            self.advance()
+        if self.accept(">="):
             return PGeq(left, self.parse_term(term, bound))
         self.error("expected = or >= in a comparison")
 
@@ -531,7 +554,7 @@ def parse_policy(src: str):
 
     def entry():
         pol = p.parse_policy()
-        p.expect("eof", what="end of input")
+        p.expect("", "end of input")
         return pol
     return _run(p, entry)
 
@@ -568,11 +591,22 @@ def _wrap(node, text, level) -> str:
 
 
 def _binary(e, render) -> str:
-    """The text of a binary operator node.  Its operands are rendered
-    here, so that a chain of operators costs two frames per operator."""
-    prec, right_assoc = _PREC[e.op], e.op == "implies"
-    return (f"{_wrap(e.left, render(e.left), prec + right_assoc)} {e.op} "
-            f"{_wrap(e.right, render(e.right), prec + (not right_assoc))}")
+    """The text of a binary operator node.  A run of one left-associative
+    operator is read down its left spine in a loop, so such a chain
+    costs no frame per operator."""
+    op = e.op
+    prec = _PREC[op]
+    if op == "implies":
+        return (f"{_wrap(e.left, render(e.left), prec + 1)} implies "
+                f"{_wrap(e.right, render(e.right), prec)}")
+    rights = []
+    while isinstance(e, EBin) and e.op == op:
+        rights.append(e.right)
+        e = e.left
+    parts = [_wrap(e, render(e), prec)]
+    for right in reversed(rights):
+        parts.append(_wrap(right, render(right), prec + 1))
+    return f" {op} ".join(parts)
 
 
 def render_process(p, term: bool = False) -> str:

@@ -6,6 +6,8 @@ diagrams by brute force (reflexive-transitive closure, then minimal
 upper bound / maximal lower bound search) so the tests do not merely
 compare the implementation tables against themselves.
 """
+from typing import NamedTuple
+
 from aspectkbl import (BOT, TT, FF, TOP, VALUES, build_lts, data_index,
                        loc_set, match)
 from aspectkbl.belnap import GRANTS, LIFTED
@@ -16,7 +18,7 @@ from aspectkbl.model import (CAP_LETTER, Action, Aspect, AspectPol, BindVar,
                              Label, Net, NetEntry, Nil, Par, PExists, PForall,
                              PGeq, PTestPost, Repl, Substitution, Sum, Var,
                              Wildcard, canonicalize, split_entry, subst_key)
-from aspectkbl.parser import KEYWORDS, Token
+from aspectkbl.parser import KEYWORDS
 from aspectkbl.semantics import (StateDomain, net_text, policy_values,
                                  pred_values)
 
@@ -361,7 +363,16 @@ def check_whole(net, obl, **limits):
 
 
 # A lexer that reads one character at a time: the reference that
-# `parser._lex` must agree with on ASCII input.
+# `parser._lex`, with the positions of `parser._positions`, must agree
+# with on ASCII input.
+class Token(NamedTuple):
+    kind: str                # ident, number, kw, dollar, hash, occursin,
+                             # punctuation text, or eof
+    text: str
+    line: int
+    col: int
+
+
 _PUNCT2 = ("||", "::", ">=")
 _PUNCT1 = "|+*:.,()<>[]@!_='"
 

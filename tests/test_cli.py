@@ -439,8 +439,6 @@ def test_a_900_prefix_chain_gets_a_verdict_and_its_lts(tmp_path):
 
 
 def test_a_480_operand_policy_gets_a_verdict_and_its_lts(tmp_path):
-    # rendering a binary operator takes two frames, as parsing and
-    # judging one do
     net = tmp_path / "wide.akbl"
     net.write_text(f"A ::[{' oplus '.join(['true'] * 480)}] out(k)@A . 0\n")
     holds = tmp_path / "holds.obl"
@@ -462,6 +460,16 @@ def test_a_600_operand_policy_gets_a_verdict(tmp_path):
     for mode in ("auto", "exhaustive"):
         rc, out, err = run_akbl("check", net, holds, "--mode", mode)
         assert (rc, err) == (0, ""), mode
+
+
+def test_a_600_operand_policy_gets_its_lts(tmp_path):
+    # the renderer reads a run of one left-associative operator in a
+    # loop, so the LTS's text costs no frame per operator
+    net = tmp_path / "wide.akbl"
+    net.write_text(f"A ::[{' oplus '.join(['true'] * 600)}] out(k)@A . 0\n")
+    rc, out, err = run_akbl("lts", net, "--json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["states"][0]["net"] == net.read_text().strip()
 
 
 def test_deep_inputs_never_read_as_a_verdict(capsys, tmp_path):

@@ -307,6 +307,34 @@ def test_a_given_certifier_verdict_changes_no_check():
     assert reduced >= 100
 
 
+def test_sat_obl_leaves_the_given_verdict_as_it_was():
+    # the reduction notes the atoms it asks in a domain of its own, so
+    # the certification's notes survive the verdict being passed on
+    def kept(v):
+        return v.certified, v.actions, set(v.domain.asked), v.domain.sure
+
+    reduced = 0
+    for n in corpusio.names(".akbl"):
+        for o in corpusio.names(".obl"):
+            net, obl = corpusio.net(n), corpusio.obl(o)
+            static = check_network(net, obl)
+            before = kept(static)
+            try:
+                sat_obl(net, obl, 3000, 300, static)
+            except (EvaluationError, LimitExceeded):
+                pass
+            assert kept(static) == before, (n, o)
+            assert kept(static) == kept(check_network(net, obl)), (n, o)
+            reduced += Reduction.of(net, obl, static) is not None
+    assert reduced >= 1
+    static = check_network(corpusio.net("tiny_with_policies.akbl"),
+                           corpusio.obl("eq1.obl"))
+    assert len(static.domain.asked) == 2
+    sat_obl(corpusio.net("tiny_with_policies.akbl"), corpusio.obl("eq1.obl"),
+            static=static)
+    assert len(static.domain.asked) == 2
+
+
 def test_footprints_cover_every_concrete_read():
     # every test atom the policies of a step read in a reachable state
     # is named by the footprint of the acting entry, which the reduction

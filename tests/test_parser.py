@@ -9,7 +9,7 @@ from aspectkbl import (corpus_path, parse_net, parse_obligation, parse_policy,
                        render_expr, render_net, render_obligation,
                        ParseError)
 from aspectkbl.model import Const, EBin, EFalse, ENot, ETrue, Nil, WILDCARD
-from aspectkbl.parser import _TERMS, _lex
+from aspectkbl.parser import _TERMS, _lex, _positions
 import gen
 from oracles import reference_lex
 
@@ -174,10 +174,36 @@ def _random_source(rng):
     return "".join(parts)
 
 
-def _lexed(lex, text):
+def _staff_net(size, last="out(Bob, Copy, c)@Archive . 0"):
+    entries = [f"S{k} ::[true] read(Bob, Notes, !c)@EHDB . "
+               "out(Bob, Copy, c)@Archive . 0" for k in range(size - 1)]
+    entries.append(f"S{size - 1} ::[true] read(Bob, Notes, !c)@EHDB . {last}")
+    return "\r\n|| ".join(entries)
+
+
+# Sources the random pieces do not reach: \r\n line ends, form feeds and
+# vertical tabs (stray characters), a trailing comment with no final
+# newline, blanks at the end of the last line, and long networks.
+LEX_EDGES = ("A ::[true] <a, b>\r\n|| B ::[true] 0\r\n",
+             "A ::[true]\f<a>\v|| B\f::[true] 0",
+             "A ::[true] <a> // one\n|| B ::[true] 0 // no final newline",
+             "A ::[true] <a>\n|| B ::[true] 0 \t \r",
+             "A ::[true] <a>\r\n  // last\r\n  \t",
+             "//\r\n\r\n  // c\r", "\r\n", " \t\r\n\f",
+             _staff_net(200), _staff_net(200, "out(Bob, Copy, c)@ . 0 // x"))
+
+
+def _lexed(text):
     diags = []
-    toks = [(t.kind, t.text, t.line, t.col) for t in lex(text, diags)]
-    return toks, diags
+    kinds, texts = _lex(text, diags)
+    spots = _positions(text)
+    assert len(spots) == len(kinds) == len(texts), repr(text)
+    return [(k, t, *at) for k, t, at in zip(kinds, texts, spots)], diags
+
+
+def _reference_lexed(text):
+    diags = []
+    return reference_lex(text, diags), diags
 
 
 def test_lexer_agrees_with_the_reference():
@@ -188,8 +214,26 @@ def test_lexer_agrees_with_the_reference():
               for case in json.loads(golden.read_text()).values()]
     rng = random.Random(9)
     texts += [_random_source(rng) for _ in range(20000)]
+    texts += LEX_EDGES
     for text in texts:
-        assert _lexed(_lex, text) == _lexed(reference_lex, text), repr(text)
+        assert _lexed(text) == _reference_lexed(text), repr(text)
+
+
+def test_a_parse_error_in_the_last_of_200_entries_is_placed_by_the_reference():
+    src = _staff_net(200, "out(Bob, Copy, c)@ . 0 // x")
+    with pytest.raises(ParseError) as err:
+        parse_net(src)
+    [d] = err.value.diagnostics
+    dot = reference_lex(src, [])[-3]        # @ . 0 end of input
+    assert (d.message, d.line, d.col) == ("expected a term", 200, dot.col)
+    assert dot.text == "." and dot.line == 200
+
+
+def test_a_chain_of_one_operator_renders_in_a_loop():
+    ops = " oplus ".join(["true"] * 3000)
+    assert render_expr(parse_policy(ops)) == ops
+    obl = "AG [$u : o(_)@A] " + " and ".join(["test(a)@A"] * 3000)
+    assert render_obligation(parse_obligation(obl)) == obl
 
 
 def test_grammar_documents_every_term_position():
