@@ -48,8 +48,7 @@ once.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .belnap import FF, GRANTS, LIFTED, TT, names
 from .model import (Action, CAP_LETTER, Const, ETest, Net, Obligation, OUT, IN,
@@ -140,8 +139,7 @@ class MutationInfo:
         return FF
 
 
-@dataclass(frozen=True)
-class MightGrant:
+class MightGrant(NamedTuple):
     constraints: tuple       # (location, tuple) atoms sure at any firing
     values: int              # the set of every value this side may produce
 
@@ -161,8 +159,7 @@ def might_grant(pol, act, mut: MutationInfo) -> MightGrant:
 # ---------------------------------------------------------------------------
 # the per-action pipeline
 
-@dataclass(frozen=True)
-class ActionReport:
+class ActionReport(NamedTuple):
     source: str
     action: Action
     outcome: str
@@ -171,8 +168,7 @@ class ActionReport:
     side_values: tuple = ()       # (source set, target set) when computed
 
 
-@dataclass(frozen=True)
-class StaticVerdict:
+class StaticVerdict(NamedTuple):
     certified: bool
     actions: tuple
     domain: MutationInfo     # the domain the actions were judged in

@@ -52,8 +52,7 @@ from __future__ import annotations
 
 import copy
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .belnap import TT
 from .certify import (NOT_CERTIFIED, MutationInfo, StaticVerdict,
@@ -76,16 +75,14 @@ def unify_label(pattern: LabelPattern, label: Label) -> Optional[Substitution]:
                      Const(label.target)))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     path: tuple              # labels of a run to the failing step
     label: Label             # the failing step itself
     theta: Substitution
     pred: object             # the instantiated predicate that came out false
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     obligation: Obligation
     holds: bool
     witness: Optional[Witness]
@@ -231,8 +228,7 @@ def sat_obl(net: Net, obl: Obligation, max_states: int = 100000,
 # ---------------------------------------------------------------------------
 # partial-order reduction
 
-@dataclass(frozen=True)
-class Footprint:
+class Footprint(NamedTuple):
     """What a set of action templates of one entry may read and write.
     `reads` holds the tuples an in or read may match and the test atoms
     of the policies judging the actions, `writes` the tuples an out may

@@ -5,14 +5,22 @@ location name, a policy expression and either a process or a data
 tuple.  Data tuples are kept as plain tuples of constant names since
 they are always ground.
 
-Syntax nodes are immutable `__slots__` classes with hand-written
-constructors; none has an instance `__dict__`.  Each class declares
-its fields once, in its `__slots__`, and a node with children derives
-from them four memos, each the first time it is asked and each built
-from what its children memoised, so that it costs O(1) per node:
+The values that are not syntax trees, such as a network, a label, a
+substitution or an obligation, are records: `typing.NamedTuple`s,
+immutable, equal and hashed field by field, and printed as
+`Class(field=repr, ...)`.  Their fields are read by name, never by
+index or unpacking.  A network entry keeps its own class, as its sort
+key is computed when it is made (below).
+
+Syntax nodes are not records, since they memoise and compare by class.
+They are immutable `__slots__` classes with hand-written constructors;
+none has an instance `__dict__`.  Each class declares its fields once,
+in its `__slots__`, and a node with children derives from them four
+memos, each the first time it is asked and each built from what its
+children memoised, so that it costs O(1) per node:
 
 - its text, `repr(node)`, `Class(field=repr, ...)`: byte for byte the
-  text a frozen dataclass with the same fields prints, `Sum(branches=
+  text a record with the same fields prints, `Sum(branches=
   ((Action(cap='out', args=(Const(name='k'),), target=Const(name=
   'B')), Nil()),))`.  Canonical forms sort entries by these texts
   (`NetEntry.sort_key`), so the order of states, their numbering and
@@ -44,7 +52,7 @@ rebuilt.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class AkblError(Exception):
@@ -69,47 +77,10 @@ class LimitExceeded(AkblError):
 _EMPTY = frozenset()
 
 
-def _declare_fields(cls):
-    """Take a class's fields from its `__slots__`, or its parent's if
-    those are empty; set `_format`, `Class(field=%s, ...)`, which takes
-    the field texts, and `_values`, which `x._values(x)` calls for the
-    field values."""
-    fields = cls.__dict__.get("__slots__") or cls._fields
-    cls._fields = fields
-    cls._format = f"{cls.__name__}({', '.join(f + '=%s' for f in fields)})"
-    get = attrgetter(*fields)
-    cls._values = staticmethod(get if len(fields) > 1
-                               else lambda x: (get(x),))
-
-
-class _Record:
-    """Equality, hash and text over the declared fields in order, as a
-    frozen dataclass of the same fields has them; for the values that
-    are not syntax trees."""
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        _declare_fields(cls)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values(self))
-
-    def __repr__(self):
-        return self._format % tuple(map(repr, self._values(self)))
-
-
-class Diagnostic(_Record):
-    __slots__ = ("message", "line", "col")
-
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        self.message = message
-        self.line = line
-        self.col = col
+class Diagnostic(NamedTuple):
+    message: str
+    line: int = 0
+    col: int = 0
 
     def format(self) -> str:
         where = f"{self.line}:{self.col}: " if self.line else ""
@@ -164,7 +135,15 @@ class Node:
     __slots__ = ("_text", "_consts", "_free")
 
     def __init_subclass__(cls):
-        _declare_fields(cls)
+        # the fields are the class's own slots, or its parent's if it
+        # declares none; `_format` is `Class(field=%s, ...)`, which
+        # takes the field texts, and `x._values(x)` the field values
+        fields = cls.__dict__.get("__slots__") or cls._fields
+        cls._fields = fields
+        cls._format = f"{cls.__name__}({', '.join(f + '=%s' for f in fields)})"
+        get = attrgetter(*fields)
+        cls._values = staticmethod(get if len(fields) > 1
+                                   else lambda x: (get(x),))
 
     def __repr__(self):
         text = self._text
@@ -486,15 +465,12 @@ Policy = Union[ETrue, EFalse, ENot, EBin, AspectPol]
 # ---------------------------------------------------------------------------
 # obligations
 
-class LabelPattern(_Record):
+class LabelPattern(NamedTuple):
     """Trap pattern of an obligation over transition labels."""
-    __slots__ = ("subject", "cap", "args", "target")
-
-    def __init__(self, subject: Term, cap: str, args: tuple, target: Term):
-        self.subject = subject
-        self.cap = cap               # letter form: o, i or r
-        self.args = args
-        self.target = target         # a Const for well-formed obligations
+    subject: Term
+    cap: str                         # letter form: o, i or r
+    args: tuple
+    target: Term                     # a Const for well-formed obligations
 
 
 class _Quantifier(Node):
@@ -532,12 +508,9 @@ Pred = Union[ETrue, EFalse, ENot, EBin, PForall, PExists, EEqual, ETest,
              PTestPost, PGeq]
 
 
-class Obligation(_Record):
-    __slots__ = ("cut", "pred")
-
-    def __init__(self, cut: LabelPattern, pred: Pred):
-        self.cut = cut
-        self.pred = pred
+class Obligation(NamedTuple):
+    cut: LabelPattern
+    pred: Pred
 
 
 # ---------------------------------------------------------------------------
@@ -575,70 +548,39 @@ class NetEntry:
                 f"policy={self.sort_key[3]}, body={self.sort_key[2]})")
 
 
-class Net(_Record):
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple):
-        self.entries = entries       # tuple of NetEntry
+class Net(NamedTuple):
+    entries: tuple                   # tuple of NetEntry
 
 
-class Label:
-    """Transition label: subject performs cap(args) at target.  Labels
-    are made once per step of an exploration and hashed for every
-    successor, so the hash is computed when the label is made."""
-    __slots__ = ("subject", "cap", "args", "target", "_hash")
-
-    def __init__(self, subject: str, cap: str, args: tuple, target: str):
-        self.subject = subject
-        self.cap = cap               # letter form: o, i or r
-        self.args = args             # tuple of constant names
-        self.target = target
-        self._hash = hash((subject, cap, args, target))
-
-    def __eq__(self, other):
-        if other.__class__ is Label:
-            return self is other or (
-                self._hash == other._hash and self.subject == other.subject
-                and self.cap == other.cap and self.args == other.args
-                and self.target == other.target)
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return (f"Label(subject={self.subject!r}, cap={self.cap!r}, "
-                f"args={self.args!r}, target={self.target!r})")
+class Label(NamedTuple):
+    """Transition label: subject performs cap(args) at target."""
+    subject: str
+    cap: str                         # letter form: o, i or r
+    args: tuple                      # tuple of constant names
+    target: str
 
     def text(self) -> str:
         return f"{self.subject}:{self.cap}({','.join(self.args)})@{self.target}"
 
 
-class LocatedAction(_Record):
+class LocatedAction(NamedTuple):
     """An action as it occurs in a network entry."""
-    __slots__ = ("source", "policy", "action", "continuation")
-
-    def __init__(self, source: str, policy: Policy, action: Action,
-                 continuation: Process):
-        self.source = source
-        self.policy = policy
-        self.action = action
-        self.continuation = continuation
+    source: str
+    policy: Policy
+    action: Action
+    continuation: Process
 
 
 # ---------------------------------------------------------------------------
 # substitutions
 
-class Substitution(_Record):
+class Substitution(NamedTuple):
     """Ordered sequence of single bindings, applied front to back.
 
     Keys are variable names with their sigil, binders keyed as "!name".
     A node in which no key is free comes back as itself.
     """
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs=()):
-        self.pairs = tuple(pairs)
+    pairs: tuple = ()                # tuple of (key, term)
 
     def __repr__(self):
         inner = ", ".join(f"{k}={render_term(v)}" for k, v in self.pairs)

@@ -591,22 +591,20 @@ def _wrap(node, text, level) -> str:
 
 
 def _binary(e, render) -> str:
-    """The text of a binary operator node.  A run of one left-associative
-    operator is read down its left spine in a loop, so such a chain
-    costs no frame per operator."""
+    """The text of a binary operator node.  A run of one operator is
+    read down its spine in a loop, the right spine of right-associative
+    `implies` and the left one of the others, so such a chain costs no
+    frame per operator."""
     op = e.op
     prec = _PREC[op]
-    if op == "implies":
-        return (f"{_wrap(e.left, render(e.left), prec + 1)} implies "
-                f"{_wrap(e.right, render(e.right), prec)}")
-    rights = []
+    right = op == "implies"
+    operands = []
     while isinstance(e, EBin) and e.op == op:
-        rights.append(e.right)
-        e = e.left
-    parts = [_wrap(e, render(e), prec)]
-    for right in reversed(rights):
-        parts.append(_wrap(right, render(right), prec + 1))
-    return f" {op} ".join(parts)
+        operands.append(e.left if right else e.right)
+        e = e.right if right else e.left
+    parts = [_wrap(x, render(x), prec + 1) for x in operands]
+    end = _wrap(e, render(e), prec)
+    return f" {op} ".join(parts + [end] if right else [end] + parts[::-1])
 
 
 def render_process(p, term: bool = False) -> str:

@@ -56,8 +56,8 @@ are set lookups in the state's data index, built only in a state
 where a policy's verdict depends on it.  The LTS keeps the id tuples
 and the interner, along with the transition that first discovered
 each state, from which witnesses are read back; `LTS.states` builds
-ordinary `Net` values from the shared interned entries on first
-access.
+ordinary `Net` values from the shared interned entries each time it
+is read.
 
 An in or read finds its partners without scanning the state.  The
 interner keeps the ids of the data entries at each location, in the
@@ -108,11 +108,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, count
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .belnap import BOT, FF, GRANTS, LIFTED, NEG_SETS, TT
 from .model import (Action, AspectPol, BindVar, CAP_LETTER, Const, Cut, EBin,
@@ -650,24 +648,22 @@ def _steps(ids: tuple, space: Interner, ample=None):
 # ---------------------------------------------------------------------------
 # transition systems
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     src: int
     dst: int
     label: Label
 
 
-@dataclass
-class LTS:
+class LTS(NamedTuple):
     """A transition system whose state 0 is the initial network."""
     transitions: list        # in discovery order
     discovered_by: list      # state id -> first Transition into it, or None
     ids: list                # state id -> its id tuple in `space`
     space: Interner          # the entries the states are built from
 
-    @cached_property
+    @property
     def states(self) -> list:
-        """State id -> canonical Net, built on first access."""
+        """State id -> canonical Net, built anew on each access."""
         return [self.space.net(s) for s in self.ids]
 
 

@@ -37,4 +37,4 @@ def findsubs(pattern: tuple, action: tuple) -> Optional[Substitution]:
             pairs.append((subst_key(a), p))
         elif p.name != a.name:
             return None
-    return Substitution(pairs)
+    return Substitution(tuple(pairs))

@@ -462,11 +462,12 @@ def test_a_600_operand_policy_gets_a_verdict(tmp_path):
         assert (rc, err) == (0, ""), mode
 
 
-def test_a_600_operand_policy_gets_its_lts(tmp_path):
-    # the renderer reads a run of one left-associative operator in a
-    # loop, so the LTS's text costs no frame per operator
+@pytest.mark.parametrize("op", ["oplus", "implies"])
+def test_a_600_operand_policy_gets_its_lts(tmp_path, op):
+    # the renderer reads a run of one operator in a loop, down its left
+    # or its right spine, so the LTS's text costs no frame per operator
     net = tmp_path / "wide.akbl"
-    net.write_text(f"A ::[{' oplus '.join(['true'] * 600)}] out(k)@A . 0\n")
+    net.write_text(f"A ::[{f' {op} '.join(['true'] * 600)}] out(k)@A . 0\n")
     rc, out, err = run_akbl("lts", net, "--json")
     assert (rc, err) == (0, "")
     assert json.loads(out)["states"][0]["net"] == net.read_text().strip()

@@ -4,11 +4,18 @@ import json
 import random
 from pathlib import Path
 
-from aspectkbl.model import (Action, AkblError, Aspect, Const, BindVar, EEqual,
-                             EFalse, ETrue, Net, NetEntry, NIL, Par, PForall,
-                             Repl, Substitution, Sum, Var, WILDCARD,
-                             canonicalize, entry_consts, has_replication,
-                             loc_set, subst_key, take_actions, validate)
+import pytest
+
+from aspectkbl.certify import ActionReport, MightGrant, StaticVerdict
+from aspectkbl.exhaustive import Footprint, Verdict, Witness
+from aspectkbl.model import (Action, AkblError, Aspect, Const, BindVar,
+                             Diagnostic, EEqual, EFalse, ETrue, Label,
+                             LabelPattern, LocatedAction, Net, NetEntry, NIL,
+                             Obligation, Par, PForall, Repl, Substitution, Sum,
+                             Var, WILDCARD, canonicalize, entry_consts,
+                             has_replication, loc_set, subst_key, take_actions,
+                             validate)
+from aspectkbl.semantics import LTS, Transition
 from aspectkbl import (build_lts, corpus_path, parse_net, parse_obligation,
                        parse_policy)
 from aspectkbl.parser import ParseError
@@ -168,6 +175,28 @@ def test_substitution_respects_quantifier_scope():
 
     free = PForall("$y", EEqual(Var("$x"), Const("k")))
     assert th.apply(free) == PForall("$y", EEqual(Const("v"), Const("k")))
+
+
+def test_assigning_a_field_of_a_record_raises():
+    # records are hashed and shared between states and steps, so a
+    # field set after the fact would leave a stale hash behind
+    theta = Substitution((("x", Const("k")),))
+    label = Label("A", "o", ("k",), "B")
+    cut = LabelPattern(Var("$u"), "o", (WILDCARD,), Const("B"))
+    obl = Obligation(cut, T)
+    net = Net((NetEntry("A", T, chain(OUT_K)),))
+    none = frozenset()
+    records = [
+        Diagnostic("m", 1, 2), cut, obl, net, take_actions(net)[0], theta,
+        label, Transition(0, 1, label), build_lts(net), MightGrant((), 1),
+        ActionReport("A", OUT_K, "NotCertified", theta),
+        StaticVerdict(False, (), None), Witness((), label, theta, F),
+        Verdict(obl, False, None, 2, 1),
+        Footprint("A", none, none, none, none)]
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
 
 
 def test_policy_equality_is_structural():

@@ -349,10 +349,10 @@ def test_policy_memo_matches_fresh_evaluation():
     states = repeated = read_apart = 0
     for seed in range(300):
         lts = build_lts(gen.gen_guarded_net(random.Random(seed)))
-        space = lts.space
+        space, nets = lts.space, lts.states
         for sid, ids in enumerate(lts.ids):
             steps, denied = step_candidates(ids, space)
-            fresh = step_candidates(lts.states[sid])
+            fresh = step_candidates(nets[sid])
             assert ([(label, space.net(succ)) for label, succ in steps],
                     denied) == fresh, (seed, sid)
             # the interner's nil rule, run over the groups a step
