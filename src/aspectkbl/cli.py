@@ -17,7 +17,6 @@ with the code a shell reports for a writer killed by SIGPIPE,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -31,14 +30,10 @@ from .model import AkblError, Net, validate
 from .parser import (ParseError, parse_net, parse_obligation, render_action,
                      render_obligation, render_pred)
 from .semantics import (Interner, build_lts, dot_export, json_export,
-                        net_text, step_candidates)
+                        json_text, net_text, step_candidates)
 
 OK, VIOLATED, UNDECIDED, BAD_INPUT, INTERNAL_ERROR = 0, 1, 2, 3, 4
 CLOSED_STDOUT = 141
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 @contextmanager
@@ -126,7 +121,7 @@ def cmd_check(args) -> int:
         static_report = check_network(net, obl)
         if args.mode == "static" or static_report.certified:
             if args.json:
-                print(_dump(report_json(static_report, args.explain_denied)))
+                print(json_text(report_json(static_report, args.explain_denied)))
             else:
                 _print_static(static_report, args.explain_denied)
             return OK if static_report.certified else UNDECIDED
@@ -137,7 +132,7 @@ def cmd_check(args) -> int:
         if static_report is not None:
             out = {"static": report_json(static_report, args.explain_denied),
                    "exhaustive": out}
-        print(_dump(out))
+        print(json_text(out))
     else:
         if static_report is not None:
             _print_static(static_report, args.explain_denied)

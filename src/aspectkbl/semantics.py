@@ -77,7 +77,10 @@ size of the table and not by the size of the state.
 escapes each interned entry once; a state's text is the join of its
 entries' escaped texts, and the document is one join of its parts,
 byte for byte the text `json.dumps` gives for the same document with
-indent 2 and sorted keys.
+indent 2 and sorted keys.  `json_text` writes those bytes for any
+other document, such as a `check --json` report, with one recursive
+walk that appends to one list, where the stdlib's indented encoder
+runs in pure Python.
 
 The explorer also judges each step's policies once per exploration.
 A step's combined verdict depends on the acting entry, the branch and
@@ -751,6 +754,44 @@ def _end_list(parts: list, start: int):
     else:
         parts[start] = parts[start][1:]
         parts.append("\n  ]")
+
+
+def json_text(doc) -> str:
+    """The text `json.dumps(doc, indent=2, sort_keys=True)` gives for a
+    document of dicts with string keys, lists, tuples, strings, ints,
+    bools and None, written into one list of parts."""
+    parts: list = []
+    _json_parts(doc, parts, "\n")
+    return "".join(parts)
+
+
+def _json_parts(value, parts: list, newline: str):
+    """Append the text of value, whose lines after the first begin with
+    newline, the line break and indent of the enclosing level."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True or value is False:
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            parts += (sep, inner, encode_basestring_ascii(key), ": ")
+            _json_parts(value[key], parts, inner)
+            sep = ","
+        parts += (newline, "}") if value else ("{}",)
+    elif isinstance(value, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for item in value:
+            parts += (sep, inner)
+            _json_parts(item, parts, inner)
+            sep = ","
+        parts += (newline, "]") if value else ("[]",)
+    else:
+        raise TypeError(f"not a JSON document value: {value!r}")
 
 
 def dot_export(lts: LTS) -> str:

@@ -1,15 +1,17 @@
 """Parser, renderer, and the round trip between them."""
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
-from aspectkbl import (corpus_path, parse_net, parse_obligation, parse_policy,
-                       render_expr, render_net, render_obligation,
-                       ParseError)
-from aspectkbl.model import Const, EBin, EFalse, ENot, ETrue, Nil, WILDCARD
-from aspectkbl.parser import _TERMS, _lex, _positions
+from aspectkbl import (canonicalize, corpus_path, corpus_text, parse_net,
+                       parse_obligation, parse_policy, render_expr,
+                       render_net, render_obligation, ParseError)
+from aspectkbl.model import (Const, EBin, EFalse, ENot, ETrue, Net, Nil,
+                             WILDCARD, validate)
+from aspectkbl.parser import _TERMS, _lex, _positions, render_entry
 import gen
 from oracles import reference_lex
 
@@ -21,14 +23,12 @@ OBL_FILES = sorted(f.name for f in corpus_path("eq1.obl").parent.iterdir()
 
 @pytest.mark.parametrize("name", NET_FILES)
 def test_bundled_networks_parse_and_round_trip(name):
-    from aspectkbl import corpus_text
     net = parse_net(corpus_text(name))
     assert parse_net(render_net(net)) == net
 
 
 @pytest.mark.parametrize("name", OBL_FILES)
 def test_bundled_obligations_parse_and_round_trip(name):
-    from aspectkbl import corpus_text
     obl = parse_obligation(corpus_text(name))
     assert parse_obligation(render_obligation(obl)) == obl
 
@@ -137,7 +137,6 @@ def test_rendering_keeps_association_explicit():
 
 
 def test_generated_networks_round_trip():
-    from aspectkbl import canonicalize
     rng = random.Random(41)
     for _ in range(150):
         net = gen.gen_net(rng)
@@ -227,6 +226,104 @@ def test_a_parse_error_in_the_last_of_200_entries_is_placed_by_the_reference():
     dot = reference_lex(src, [])[-3]        # @ . 0 end of input
     assert (d.message, d.line, d.col) == ("expected a term", 200, dot.col)
     assert dot.text == "." and dot.line == 200
+
+
+# The guard of example1_policies' EHDB store.
+STORE_ASPECT = ("[test(Doctor, #u)@ROLES if #u :: read(_, #type, _, _, _)@EHDB"
+                " . X : #type = PrivateNotes]")
+
+
+def _store_net(records, policy=STORE_ASPECT,
+               body="read(Bob, Notes, !c)@EHDB . out(Bob, Copy, c)@Archive . 0"):
+    """records look-alike entries at EHDB: a guarded record each, and
+    then a process; the last process has the policy and body given."""
+    entries = [f"EHDB ::[{STORE_ASPECT}] <R{k}, PrivateNotes, O{k}, Recent, t>"
+               for k in range(records - 1)]
+    entries.append(f"EHDB ::[{policy}] {body}")
+    return "\n|| ".join(entries)
+
+
+def _one_at_a_time(parts):
+    """The canonical net of the entries of parts, each parsed alone, so
+    that no policy or body is shared between them."""
+    return canonicalize(Net(tuple(e for part in parts
+                                  for e in parse_net(part).entries)))
+
+
+def _sharing_cases():
+    """Entry texts: each corpus net, as written, and 300 seeds of each
+    generator, as rendered; each as it is, with every entry written
+    twice, and with its process entries copied to fresh locations."""
+    sources = [re.sub("//.*", "", corpus_text(name)).split("||")
+               for name in NET_FILES]
+    for family in (gen.gen_net, gen.gen_small_net, gen.gen_ward_net,
+                   gen.gen_guarded_net):
+        for seed in range(300):
+            net = family(random.Random(seed))
+            sources.append([render_entry(e) for e in net.entries])
+    for parts in sources:
+        yield parts
+        yield [part for part in parts for _ in (0, 1)]
+        copies = [re.sub(r"^\s*\w+", f"Copy{k}", part, count=1)
+                  for k, part in enumerate(parts)
+                  if not parse_net(part).entries[0].is_data()]
+        yield parts + copies
+
+
+def test_shared_policies_and_bodies_give_the_net_of_separate_parses():
+    cases = 0
+    for parts in _sharing_cases():
+        net = parse_net("\n|| ".join(parts))
+        alone = _one_at_a_time(parts)
+        assert net == alone, parts
+        assert render_net(net) == render_net(alone), parts
+        cases += 1
+    assert cases == 3 * (len(NET_FILES) + 4 * 300)
+
+
+def test_repeated_bodies_and_policies_are_one_node():
+    net = parse_net(_staff_net(50))
+    assert len(net.entries) == 50
+    assert len({id(e.body) for e in net.entries}) == 1
+    store = parse_net(_store_net(20))
+    assert len(store.entries) == 20
+    assert len({id(e.policy) for e in store.entries}) == 1
+    assert store.entries[0].policy == parse_policy(STORE_ASPECT)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("true", "true oplus false"),
+    ("true oplus false", "true"),
+    (STORE_ASPECT, f"{STORE_ASPECT} oplus {STORE_ASPECT}"),
+    (f"{STORE_ASPECT} oplus {STORE_ASPECT}", STORE_ASPECT)],
+    ids=["true", "true-first", "aspect", "aspect-first"])
+def test_a_policy_that_extends_the_first_at_its_location_is_parsed(first,
+                                                                    second):
+    net = parse_net(f"A ::[{first}] <a> || A ::[{second}] <b>")
+    assert [e.policy for e in net.entries] == [parse_policy(first),
+                                              parse_policy(second)]
+    assert [d.message for d in validate(net)] == [
+        "location A carries inconsistent policies"]
+
+
+@pytest.mark.parametrize("policy, body, after, message", [
+    (f"{STORE_ASPECT} oplus", None, "oplus", "expected a policy"),
+    (STORE_ASPECT[:-1], None, "]", "expected ], found 'read'"),
+    (STORE_ASPECT, "read(Bob, Notes, !c)@EHDB . out(Bob, Copy, c)@ . 0", "@",
+     "expected a term")], ids=["policy-operand", "policy-bracket", "body"])
+def test_a_parse_error_in_the_last_of_200_look_alike_entries_is_placed(
+        policy, body, after, message):
+    """The error is at the token after the last `after`, as the
+    reference lexer places it."""
+    src = (_store_net(200, policy) if body is None
+           else _store_net(200, policy, body))
+    with pytest.raises(ParseError) as err:
+        parse_net(src)
+    [d] = err.value.diagnostics
+    toks = reference_lex(src, [])
+    at = toks[max(i for i, t in enumerate(toks) if t.text == after) + 1]
+    assert (d.message, d.line, d.col) == (message, at.line, at.col)
+    assert at.line == 200
 
 
 def test_a_chain_of_one_operator_renders_in_a_loop():

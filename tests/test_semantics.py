@@ -9,7 +9,7 @@ from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
                        json_export,
                        match, occurs_in, parse_net, parse_obligation,
                        parse_policy, sat_obl, step_candidates, take_actions)
-from aspectkbl.semantics import ground_atom, net_text, numeral
+from aspectkbl.semantics import ground_atom, json_text, net_text, numeral
 from aspectkbl.model import (Action, BindVar, Const, ETrue, Net, NetEntry, NIL,
                              Par, Repl, Sum, Var, WILDCARD, canonicalize)
 import corpusio
@@ -271,6 +271,43 @@ def test_json_export_writes_the_document_json_dumps_writes():
     assert not build_lts(still).transitions
     assert '"transitions": []' in json_export(build_lts(still))
     assert "\\u00e9" in json_export(build_lts(_escaping_net()))
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII text of one
+# and two UTF-16 units, and plain text
+JSON_PIECES = ('"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
+               "\u20ac", "\U0001f600", "/", " ", "a", "Doctor")
+
+
+def _json_string(rng):
+    return "".join(rng.choice(JSON_PIECES) for _ in range(rng.randrange(5)))
+
+
+def _json_document(rng, depth=0):
+    """A random document of nested dicts, lists and tuples holding the
+    scalars a JSON report can: text, ints, bools and None."""
+    pick = rng.randrange(8 if depth < 4 else 4)
+    if pick == 0:
+        return _json_string(rng)
+    if pick == 1:
+        return rng.choice((0, 7, -1, 10 ** 20, -(10 ** 30)))
+    if pick == 2:
+        return rng.choice((True, False, None))
+    if pick == 3:
+        return rng.choice(({}, [], ()))
+    items = [_json_document(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if pick < 6:
+        return {_json_string(rng): item for item in items}
+    return items if pick == 6 else tuple(items)
+
+
+def test_json_text_writes_what_json_dumps_writes():
+    rng = random.Random(11)
+    for _ in range(5000):
+        doc = _json_document(rng)
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+    with pytest.raises(TypeError):
+        json_text({"a": 1.5})
 
 
 def _assert_steps_as_reference(lts):
