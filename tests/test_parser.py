@@ -233,12 +233,16 @@ STORE_ASPECT = ("[test(Doctor, #u)@ROLES if #u :: read(_, #type, _, _, _)@EHDB"
                 " . X : #type = PrivateNotes]")
 
 
-def _store_net(records, policy=STORE_ASPECT,
-               body="read(Bob, Notes, !c)@EHDB . out(Bob, Copy, c)@Archive . 0"):
-    """records look-alike entries at EHDB: a guarded record each, and
-    then a process; the last process has the policy and body given."""
-    entries = [f"EHDB ::[{STORE_ASPECT}] <R{k}, PrivateNotes, O{k}, Recent, t>"
-               for k in range(records - 1)]
+STAFF_BODY = "read(Bob, Notes, !c)@EHDB . out(Bob, Copy, c)@Archive . 0"
+
+
+def _store_net(size, policy=STORE_ASPECT, body=STAFF_BODY):
+    """size look-alike entries at EHDB under the store's aspect, records
+    and a staff process in turn, then a process with the policy and
+    body given."""
+    entries = [f"EHDB ::[{STORE_ASPECT}] " + (
+        STAFF_BODY if k % 2 else f"<R{k}, PrivateNotes, O{k}, Recent, t>")
+        for k in range(size - 1)]
     entries.append(f"EHDB ::[{policy}] {body}")
     return "\n|| ".join(entries)
 
@@ -289,6 +293,7 @@ def test_repeated_bodies_and_policies_are_one_node():
     assert len(store.entries) == 20
     assert len({id(e.policy) for e in store.entries}) == 1
     assert store.entries[0].policy == parse_policy(STORE_ASPECT)
+    assert len({id(e.body) for e in store.entries if not e.is_data()}) == 1
 
 
 @pytest.mark.parametrize("first, second", [
@@ -307,16 +312,15 @@ def test_a_policy_that_extends_the_first_at_its_location_is_parsed(first,
 
 
 @pytest.mark.parametrize("policy, body, after, message", [
-    (f"{STORE_ASPECT} oplus", None, "oplus", "expected a policy"),
-    (STORE_ASPECT[:-1], None, "]", "expected ], found 'read'"),
-    (STORE_ASPECT, "read(Bob, Notes, !c)@EHDB . out(Bob, Copy, c)@ . 0", "@",
+    (f"{STORE_ASPECT} oplus", STAFF_BODY, "oplus", "expected a policy"),
+    (STORE_ASPECT[:-1], STAFF_BODY, "]", "expected ], found 'read'"),
+    (STORE_ASPECT, STAFF_BODY.replace("@Archive", "@"), "@",
      "expected a term")], ids=["policy-operand", "policy-bracket", "body"])
 def test_a_parse_error_in_the_last_of_200_look_alike_entries_is_placed(
         policy, body, after, message):
     """The error is at the token after the last `after`, as the
     reference lexer places it."""
-    src = (_store_net(200, policy) if body is None
-           else _store_net(200, policy, body))
+    src = _store_net(200, policy, body)
     with pytest.raises(ParseError) as err:
         parse_net(src)
     [d] = err.value.diagnostics
