@@ -24,29 +24,24 @@ the two agree on where parentheses are needed.  The three syntaxes
 build one node per constant and connective, and one rule reads true,
 false, not and parentheses for all of them.
 
-A network repeats itself: every entry at a location writes out the
-location's policy again, and role-based nets run one process at many
-locations.  So a parse reads each location's policy and each distinct
-entry body once, and later copies are the same node (hash-consing at
-the parser, where the repetition shows in the tokens).  _Parser keeps
-two tables for this.  policies holds a location's first policy, as its
-token texts up to and including the closing ], and its node; bodies
-holds each body that parsed, by its token texts up to the next || or
-the end of input.  A later policy at the location whose tokens from
-its start are the recorded ones, ] included, is the recorded node; a
-body whose whole slice up to the next || is a recorded one is that
-body.  Anything else is parsed by the rules below, and a body is
-recorded only when its parse ended exactly at the ||.  This is sound
-because the parser is deterministic in the tokens it reads and its one
-lookahead token, the ] ends a policy and the || or end of input a body
-before any rule looks beyond them, and an entry's body starts with no
-binder in scope.  A recorded slice parsed without error, so a hit hides
-no diagnostic, and the lexer's diagnostics are raised whatever the
-tables hold.  Nodes are immutable and their memos are only ever filled,
-so sharing shows only to `is`, and a shared node brings its memoised
-text, hash, constants and free keys along: sort keys, canonical forms,
-location sets, action lists and the certifier's substitutions work
-once per distinct body, not once per entry.
+A network repeats itself: role-based nets run one process at many
+locations.  So a parse reads each distinct entry body once, and later
+copies are the same node (hash-consing at the parser, where the
+repetition shows in the tokens).  _Parser.bodies maps the token texts
+of each body that parsed, up to the next || or the end of input, to
+its node; a body whose whole slice is a recorded one is that node, and
+anything else is parsed by the rules below.  A body is recorded only
+when its parse ended exactly at the ||.  This is sound because the
+parser is deterministic in the tokens it reads and its one lookahead
+token, the || or end of input ends a body before any rule looks
+beyond it, and a body starts with no binder in scope.  A recorded
+slice parsed without error, so a hit hides no diagnostic, and the
+lexer's diagnostics are raised whatever the table holds.  Nodes are
+immutable and their memos are only ever filled, so sharing shows only
+to `is`, and a shared node brings its memoised text, hash, constants
+and free keys along: sort keys, canonical forms, location sets, action
+lists and the certifier's substitutions work once per distinct body,
+not once per entry.
 
 The full grammar is documented in docs/grammar.md.
 """
@@ -237,10 +232,6 @@ class _Parser:
         self.kinds, self.texts = _lex(src, self.diags)
         self.end = len(self.texts) - 1      # the index of the end of input
         self.i = 0
-        # what parse_entry has read: a location's first policy, as its
-        # token texts up to and including the closing ] and its node,
-        # and each entry body by its token texts up to the next ||
-        self.policies: dict = {}
         self.bodies: dict = {}
 
     # -- token plumbing ----------------------------------------------------
@@ -379,30 +370,18 @@ class _Parser:
         return Net(tuple(entries))
 
     def parse_entry(self) -> NetEntry:
-        """One entry.  A policy whose tokens, ] included, are those of
-        the location's first policy, and a body whose tokens up to the
-        next || are those of an earlier body, are that earlier node:
-        the parse reads nothing else, so it would build an equal one."""
-        texts = self.texts
+        """One entry; a body already read is that body's node."""
         loc = self.expect_name("a location name")
         self.expect("::")
         self.expect("[")
-        start = self.i
-        seen = self.policies.get(loc)
-        if seen and texts[start:start + len(seen[0])] == seen[0]:
-            self.i = start + len(seen[0])
-            pol = seen[1]
-        else:
-            pol = self.parse_policy()
-            self.expect("]")
-            if not seen:
-                self.policies[loc] = (texts[start:self.i], pol)
+        pol = self.parse_policy()
+        self.expect("]")
         start = self.i
         try:
-            stop = texts.index("||", start)
+            stop = self.texts.index("||", start)
         except ValueError:
             stop = self.end
-        key = tuple(texts[start:stop])
+        key = tuple(self.texts[start:stop])
         body = self.bodies.get(key)
         if body is not None:
             self.i = stop
