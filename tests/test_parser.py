@@ -316,7 +316,9 @@ def test_a_policy_that_extends_the_first_at_its_location_is_parsed(first,
     (f"{STORE_ASPECT} oplus", STAFF_BODY, "oplus", "expected a policy"),
     (STORE_ASPECT[:-1], STAFF_BODY, "]", "expected ], found 'read'"),
     (STORE_ASPECT, STAFF_BODY.replace("@Archive", "@"), "@",
-     "expected a term")], ids=["policy-operand", "policy-bracket", "body"])
+     "expected a term"),
+    (STORE_ASPECT, STAFF_BODY[:-1] + "*", "*", "expected a process")],
+    ids=["policy-operand", "policy-bracket", "body", "body-end"])
 def test_a_parse_error_in_the_last_of_200_look_alike_entries_is_placed(
         policy, body, after, message):
     """The error is at the token after the last `after`, as the
