@@ -730,8 +730,22 @@ def _count_repl(p: Process) -> int:
     return count
 
 
+def _replications(net: Net) -> list:
+    """(entry, number of replications in its body) for each process
+    entry, in order; entries that share a body walk it once."""
+    counts: dict = {}            # id of a body -> its replications
+    found = []
+    for e in net.entries:
+        if not e.is_data():
+            n = counts.get(id(e.body))
+            if n is None:
+                n = counts[id(e.body)] = _count_repl(e.body)
+            found.append((e, n))
+    return found
+
+
 def has_replication(net: Net) -> bool:
-    return any(not e.is_data() and _count_repl(e.body) for e in net.entries)
+    return any(n for _, n in _replications(net))
 
 
 def validate(net: Net) -> list:
@@ -747,12 +761,9 @@ def validate(net: Net) -> list:
         if any(p != pols[0] for p in pols[1:]):
             diags.append(Diagnostic(
                 f"location {loc} carries inconsistent policies"))
-    for e in net.entries:
-        if e.is_data():
-            continue
-        for _ in range(_count_repl(e.body)):
-            diags.append(Diagnostic(
-                f"replication at {e.location} is outside the checkable fragment"))
+    for e, n in _replications(net):
+        diags += [Diagnostic(f"replication at {e.location} is outside the "
+                             "checkable fragment")] * n
     return diags
 
 

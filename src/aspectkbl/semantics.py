@@ -42,18 +42,26 @@ distinct entry an integer id the first time it is seen, and computes
 its canonical sort key, nil group, data pair and location constants
 then and only then.  A state is the tuple of its entries' ids, sorted
 by those keys, so deduplicating a successor hashes a tuple of small
-integers once.  A step carries the ids of the entries it leaves alone
-over from its source state and interns only the entries it adds,
-which are remembered per acting entry and branch.  The successor is
-the kept ids with each added id inserted at its place by bisection;
-only a step that touches the nil rule sorts again.  A step touches it
-when an added entry is nil, or joins a group whose one nil entry the
-kept ids hold, which a bisection for that entry's key tells, so no
-state is scanned for its nils.  The acting entries of a state are
-found by `itertools.compress` over its ids, without a Python loop.
-Policy test atoms
-are set lookups in the state's data index, built only in a state
-where a policy's verdict depends on it.  The LTS keeps the id tuples
+integers once.  A step's label and the ids of the entries it adds,
+the continuation's first, make its move, kept per acting entry,
+branch and target group for an out and in the match table (below) for
+an in or read, so each added entry is interned once.  The successor is
+built in one pass over one copy of the state's ids: the data an in
+consumes are deleted, the continuation takes the acting entry's slot
+when its key lies between its neighbours' keys and is inserted by
+bisection otherwise, and so is every other added id.  Only a step that
+touches the nil rule sorts again.  A step touches it when an added
+entry is nil, or when it is an out whose target's guard is nil: a
+continuation joins the group of the entry that acted, which holds no
+nil in a canonical state beside that entry, and the data an out adds
+join the guard's group, whose nil, when the state holds it, is the
+group's only entry and so the guard.  No state is scanned for its
+nils.  The acting entries of a state are found by `itertools.compress`
+over its ids, without a Python loop.  A step is checked against the
+other steps of its entry only when the entry has several branches,
+since steps of distinct entries differ.  Policy test atoms are set
+lookups in the state's data index, built only in a state where a
+policy's verdict depends on it.  The LTS keeps the id tuples
 and the interner, along with the transition that first discovered
 each state, from which witnesses are read back; `LTS.states` builds
 ordinary `Net` values from the shared interned entries each time it
@@ -63,21 +71,23 @@ An in or read finds its partners without scanning the state.  The
 interner keeps the ids of the data entries at each location, in the
 order they were interned, and each in or read branch of an acting
 entry keeps a match table: how many of its target's data ids it has
-tried, and the label of each that matched.  A step first extends the
+tried, and the move of each that matched.  A step first extends the
 table over the data ids interned since its last use.  Since a state
 is sorted by key, and a key starts with the location and then the
 kind, data before processes, the entries at a location form a run
-that the data lead, and the first of them guards the location: two
-bisections find the guard and the state's data at the target.  The
-step then takes the matches present there, in state order, by a
-bisection for each id of the table, so its work is bounded by the
-size of the table and not by the size of the state.
+that the data lead, and the first of them guards the location: one
+bisection per target location and state finds the guard, and with it
+where the state's data at the target start.  The step then takes the
+matches present there, in state order, by a bisection from the guard
+for each id of the table, so its work is bounded by the size of the
+table and not by the size of the state.
 
 `json_export` writes the LTS's JSON text itself.  It renders and
-escapes each interned entry once; a state's text is the join of its
-entries' escaped texts, and the document is one join of its parts,
-byte for byte the text `json.dumps` gives for the same document with
-indent 2 and sorted keys.  `json_text` writes those bytes for any
+escapes each interned entry and encodes each distinct label once; a
+state's text is the join of its entries' escaped texts, and the
+document is one join of its parts, byte for byte the text
+`json.dumps` gives for the same document with indent 2 and sorted
+keys.  `json_text` writes those bytes for any
 other document, such as a `check --json` report, with one recursive
 walk that appends to one list, where the stdlib's indented encoder
 runs in pure Python.
@@ -372,11 +382,11 @@ class Interner:
     a data entry, and its location constants.  A state is the tuple of
     its entries' ids in canonical order, so comparing and hashing a
     state touches only integers.  The ids of the data entries at each
-    location are listed as they are interned.  The entries a step adds
-    are remembered per acting entry and branch, so each is interned
-    once, and so are the policy verdicts of a step, with the test atoms
-    each one read, and for an in or read the match table of the data
-    ids it has tried.
+    location are listed as they are interned.  A step's move, its label
+    and the entries it adds, is remembered per acting entry and branch,
+    so each entry is interned once, and so are the policy verdicts of a
+    step, with the test atoms each one read, and for an in or read the
+    match table of the data ids it has tried.
     """
 
     def __init__(self):
@@ -386,19 +396,18 @@ class Interner:
         self.locations: list = []    # id -> location
         self.groups: list = []       # id -> nil group number
         self.nils: list = []         # id -> is the body nil
-        self.nil_of: dict = {}       # nil group number -> id of its nil entry
         self.data: list = []         # id -> (location, tuple) or None
         self.consts: list = []       # id -> frozenset of location constants
         self._ids: dict = {}         # NetEntry -> id
         self._groups: dict = {}      # (location, policy text) -> group number
         self.data_at: dict = {}      # location -> ids of its data entries
-        # (acting entry, branch, target group for out or matched data
-        # entry for in and read) -> ids of the entries the step adds
-        self.added: dict = {}
-        # (acting entry, branch) of an out -> the step's label
-        self.labels: dict = {}
+        # a move is [the step's label, ids of the entries it adds, the
+        # continuation's first, and the nil groups of those that are nil,
+        # both None until the step first fires]; (acting entry, branch,
+        # target group) of an out -> its move
+        self.outs: dict = {}
         # (acting entry, branch) of an in or read -> [number of the
-        # target's data ids tried, {matching data id: the step's label}]
+        # target's data ids tried, {matching data id: the step's move}]
         self.matches: dict = {}
         # (acting entry, branch, target group) -> list of (atoms found
         # present, atoms found absent, combined policy value)
@@ -414,13 +423,9 @@ class Interner:
                                  if isinstance(e.body, Sum) else None)
             self.keys.append(key)
             self.locations.append(e.location)
-            group = self._groups.setdefault((key[0], key[3]),
-                                            len(self._groups))
-            self.groups.append(group)
-            nil = isinstance(e.body, Nil)
-            self.nils.append(nil)
-            if nil:
-                self.nil_of[group] = i
+            self.groups.append(self._groups.setdefault((key[0], key[3]),
+                                                       len(self._groups)))
+            self.nils.append(isinstance(e.body, Nil))
             if e.is_data():
                 self.data.append((e.location, e.body))
                 self.data_at.setdefault(e.location, []).append(i)
@@ -435,40 +440,58 @@ class Interner:
         split_entry(loc, pol, body, flat)
         return tuple(self.intern(e) for e in flat)
 
-    def canonical(self, kept: tuple, new: tuple) -> tuple:
-        """The id form of `canonicalize`: the canonical state of kept +
-        new, where new are split entries and kept is a canonical state
-        less some non-nil entries.  The nil rule then has work only in a
-        group that an entry of new is nil in or joins as the group of a
-        nil of kept, and the groups of kept alone are canonical already.
-        A group has one nil entry, if any, so a bisection of kept for its
-        key tells whether kept holds it."""
-        nils, groups, key = self.nils, self.groups, self.keys.__getitem__
-        touched = set()
-        for j in new:
-            nil = self.nil_of.get(groups[j])
-            if nils[j] or nil is not None and _holds(kept, nil, key):
-                touched.add(groups[j])
+    def nil_groups(self, ids) -> frozenset:
+        """The nil groups of the nil entries among ids."""
+        return frozenset(self.groups[j] for j in ids if self.nils[j])
+
+    def canonical(self, ids: list, touched) -> tuple:
+        """The id form of `canonicalize` for a list of split entries
+        whose nil groups other than touched obey the nil rule already."""
+        groups = self.groups
         if touched:
-            ids = kept + new
             ids = [j for j in ids if groups[j] not in touched] + drop_nils(
                 [j for j in ids if groups[j] in touched],
-                groups.__getitem__, nils.__getitem__)
-            ids.sort(key=key)
-            return tuple(ids)
-        # entries with equal keys are identical, so inserting each new
-        # id into the sorted kept gives the tuple a full sort would
-        ids = list(kept)
-        for j in new:
-            insort(ids, j, key=key)
+                groups.__getitem__, self.nils.__getitem__)
+        ids.sort(key=self.keys.__getitem__)
         return tuple(ids)
+
+    def successor(self, ids: tuple, p: int, q: Optional[int], new: tuple,
+                  touched) -> tuple:
+        """The canonical state after the entry at position p of the
+        state ids acts: it leaves, and so does the data entry at
+        position q unless q is None, and the split entries new, the
+        continuation's first, come, which touch the nil rule in the
+        nil groups touched.  One copy of ids is made.  The continuation
+        takes the acting entry's slot when its key lies between its
+        neighbours' keys, and every other new id is inserted by
+        bisection; entries with equal keys are identical, so that is
+        the tuple a full sort gives.  Only a step that touches the nil
+        rule sorts."""
+        succ = list(ids)
+        if q is not None:
+            del succ[q]
+            p -= q < p          # the slot moves up past consumed data
+        if touched:
+            del succ[p]
+            return self.canonical(succ + list(new), touched)
+        key = self.keys.__getitem__
+        first = key(new[0])
+        if (p == 0 or key(succ[p - 1]) <= first) and (
+                p + 1 == len(succ) or first <= key(succ[p + 1])):
+            succ[p] = new[0]
+        else:
+            del succ[p]
+            insort(succ, new[0], key=key)
+        for j in new[1:]:
+            insort(succ, j, key=key)
+        return tuple(succ)
 
     def state(self, net: Net) -> tuple:
         """The canonical state of a network."""
         new: tuple = ()
         for e in net.entries:
             new += self.split(e.location, e.policy, e.body)
-        return self.canonical((), new)
+        return self.canonical(list(new), self.nil_groups(new))
 
     def net(self, ids) -> Net:
         return Net(tuple(map(self.entries.__getitem__, ids)))
@@ -480,12 +503,6 @@ class Interner:
     def constants(self, ids) -> frozenset:
         """`loc_set` of a state."""
         return frozenset().union(*map(self.consts.__getitem__, ids))
-
-
-def _holds(ids: tuple, i: int, key) -> bool:
-    """Does the sorted state ids hold the entry i."""
-    r = bisect_left(ids, key(i), key=key)
-    return r < len(ids) and ids[r] == i
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +542,19 @@ def step_candidates(state, space: Optional[Interner] = None, ample=None):
 
 def _steps(ids: tuple, space: Interner, ample=None):
     entries, locations, data_of = space.entries, space.locations, space.data
-    added, verdicts, labels = space.added, space.verdicts, space.labels
-    matches, data_at = space.matches, space.data_at
+    nils = space.nils
+    outs, verdicts, matches = space.outs, space.verdicts, space.matches
+    data_at, n = space.data_at, len(ids)
     oplus = LIFTED["oplus"]
     # a location's entries are a run of the sorted state, led by its
     # data, and the first guards it; identical entries have equal keys,
     # so a bisection for an entry's key finds its first position
     key = space.keys.__getitem__
+    firsts: dict = {}           # target location -> its first position
     data = None                 # the state's data index, once a policy reads it
-    # (position of the acting entry, label, position in the rest of the
-    # state of the data entry an in consumes or None, added ids)
+    # (position of the acting entry, its move, position of the data
+    # entry an in consumes or None, nil groups the step touches, does
+    # the entry have other branches)
     moves: list = []
     denied: dict = {}           # (label, value) -> None, in order
 
@@ -547,16 +567,18 @@ def _steps(ids: tuple, space: Interner, ample=None):
             # identical steps
             continue
         branches = space.branches[i]
+        several = len(branches) > 1
         e = entries[i]
         for k, (action, cont) in enumerate(branches):
             tgt = action.target
             if not isinstance(tgt, Const):
                 raise EvaluationError(f"unbound target in {action!r}")
-            lo = bisect_left(ids, (tgt.name,), key=key)
-            if lo == len(ids) or locations[ids[lo]] != tgt.name:
+            lo = firsts.get(tgt.name)
+            if lo is None:
+                lo = firsts[tgt.name] = bisect_left(ids, (tgt.name,), key=key)
+            if lo == n or locations[ids[lo]] != tgt.name:
                 continue            # no entry to receive or hold the data
             holder = ids[lo]
-            tgt_pol = entries[holder].policy
             step = (i, k, space.groups[holder])
             for present, absent, f in verdicts.get(step, ()):
                 if not (present or absent):
@@ -570,28 +592,30 @@ def _steps(ids: tuple, space: Interner, ample=None):
                     data = space.data_index(ids)
                 here = StateDomain(data)
                 src = policy_values(e.policy, e.location, action, cont, here)
-                f = oplus[src][policy_values(tgt_pol, e.location, action,
-                                             cont, here)]
+                f = oplus[src][policy_values(entries[holder].policy,
+                                             e.location, action, cont, here)]
                 verdicts.setdefault(step, []).append(
                     (frozenset(here.present), frozenset(here.absent), f))
             granted = f & GRANTS
-            letter = CAP_LETTER[action.cap]
             if action.cap == "out":
-                label = labels.get((i, k))
-                if label is None:
-                    label = labels[i, k] = Label(
-                        e.location, letter,
+                move = outs.get(step)
+                if move is None:
+                    move = outs[step] = [Label(
+                        e.location, CAP_LETTER["out"],
                         tuple(_ground_name(t, "out argument")
-                              for t in action.args), tgt.name)
+                              for t in action.args), tgt.name), None, None]
                 if not granted:
-                    denied[label, f] = None
+                    denied[move[0], f] = None
                     continue
-                new = added.get(step)
-                if new is None:
-                    new = added[step] = space.split(
-                        e.location, e.policy, cont) + (space.intern(
-                            NetEntry(tgt.name, tgt_pol, label.args)),)
-                moves.append((p, label, None, new))
+                if move[1] is None:
+                    new = space.split(e.location, e.policy, cont)
+                    move[2] = space.nil_groups(new)
+                    move[1] = new + (space.intern(NetEntry(
+                        tgt.name, entries[holder].policy, move[0].args)),)
+                # a nil guard is the only entry of its group, which the
+                # data join
+                moves.append((p, move, None, move[2] | {step[2]}
+                              if nils[holder] else move[2], several))
                 continue
             table = matches.get((i, k))
             if table is None:
@@ -599,37 +623,38 @@ def _steps(ids: tuple, space: Interner, ample=None):
             tried, found = table
             held = data_at.get(tgt.name, ())
             if tried < len(held):   # data ids interned since the last use
+                letter = CAP_LETTER[action.cap]
                 for d in held[tried:]:
                     values = data_of[d][1]
                     if match(action.args, values) is not None:
-                        found[d] = Label(e.location, letter, values, tgt.name)
+                        found[d] = [Label(e.location, letter, values,
+                                          tgt.name), None, None]
                 table[0] = len(held)
-            # the matches among the state's data at the target, ids[lo:hi],
-            # by position: a bisection for each id of the table
-            hi = bisect_left(ids, (tgt.name, "proc"), lo, key=key)
+            # the matches among the state's data at the target, by
+            # position: a bisection from lo for each id of the table
             hits = []
             for d in found:
-                r = bisect_left(ids, key(d), lo, hi, key=key)
-                if r < hi and ids[r] == d:
+                r = bisect_left(ids, key(d), lo, key=key)
+                if r < n and ids[r] == d:
                     hits.append((r, d))
             hits.sort()
             consumed = set()        # identical tuples make identical steps
             for r, d in hits:
-                label = found[d]
+                move = found[d]
+                label = move[0]
                 if label.args in consumed:
                     continue
                 consumed.add(label.args)
                 if not granted:
                     denied[label, f] = None
                     continue
-                step = (i, k, d)
-                new = added.get(step)
-                if new is None:
-                    new = added[step] = space.split(
+                if move[1] is None:
+                    move[1] = space.split(
                         e.location, e.policy,
                         match(action.args, label.args).apply(cont))
-                moves.append((p, label, None if action.cap == "read"
-                              else r - (r > p), new))
+                    move[2] = space.nil_groups(move[1])
+                moves.append((p, move, None if action.cap == "read" else r,
+                              move[2], several))
     if ample is not None:
         for p in dict.fromkeys(m[0] for m in moves):
             if ample(space, ids, p):
@@ -638,13 +663,13 @@ def _steps(ids: tuple, space: Interner, ample=None):
     steps: list = []
     # distinct entries never make the same step; branches of one can
     seen: set = set()
-    for p, label, q, new in moves:
-        rest = ids[:p] + ids[p + 1:]
-        kept = rest if q is None else rest[:q] + rest[q + 1:]
-        succ = space.canonical(kept, new)
-        if (p, label, succ) not in seen:
+    for p, (label, new, _), q, touched, several in moves:
+        succ = space.successor(ids, p, q, new, touched)
+        if several:
+            if (p, label, succ) in seen:
+                continue
             seen.add((p, label, succ))
-            steps.append((label, succ))
+        steps.append((label, succ))
     return steps, list(denied)
 
 
@@ -695,15 +720,13 @@ def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000,
         sid = queue.popleft()
         steps, _ = step_candidates(ids[sid], space, ample)
         for label, succ in steps:
-            nid = index.get(succ)
-            if nid is None:
-                if len(ids) >= max_states:
+            nid = index.setdefault(succ, len(ids))
+            if nid == len(ids):     # a new state
+                if nid >= max_states:
                     raise LimitExceeded("states", max_states)
                 d = depth[sid] + 1
                 if d > max_depth:
                     raise LimitExceeded("depth", max_depth)
-                nid = len(ids)
-                index[succ] = nid
                 ids.append(succ)
                 depth.append(d)
                 queue.append(nid)
@@ -728,7 +751,8 @@ def json_export(lts: LTS) -> str:
     [{"from", "label", "to"}]}, where a state's net is its `net_text`.
     States share their interned entries, so each interned entry is
     rendered and escaped once, a state's text joins the escaped texts,
-    and the document is one join of its parts."""
+    each distinct label is encoded once, and the document is one join
+    of its parts."""
     texts = [encode_basestring_ascii(render_entry(e))[1:-1]
              for e in lts.space.entries].__getitem__
     parts = ['{\n  "states": [']
@@ -738,12 +762,21 @@ def json_export(lts: LTS) -> str:
     _end_list(parts, 1)
     parts.append(',\n  "transitions": [')
     start = len(parts)
+    label = _label_texts(lts.transitions, encode_basestring_ascii)
     parts += (f',\n    {{\n      "from": {t.src},\n      "label": '
-              f'{encode_basestring_ascii(t.label.text())},\n'
-              f'      "to": {t.dst}\n    }}' for t in lts.transitions)
+              f'{label[t.label]},\n      "to": {t.dst}\n    }}'
+              for t in lts.transitions)
     _end_list(parts, start)
     parts.append("\n}")
     return "".join(parts)
+
+
+def _label_texts(transitions: list, encode) -> dict:
+    """Each distinct label of the transitions -> encode(its text)."""
+    texts = dict.fromkeys(t.label for t in transitions)
+    for label in texts:
+        texts[label] = encode(label.text())
+    return texts
 
 
 def _end_list(parts: list, start: int):
@@ -802,7 +835,8 @@ def dot_export(lts: LTS) -> str:
     for i in range(len(lts.ids)):
         shape = "doublecircle" if i == 0 else "circle"
         lines.append(f'  {i} [label="s{i}", shape={shape}];')
+    label = _label_texts(lts.transitions, esc)
     for t in lts.transitions:
-        lines.append(f'  {t.src} -> {t.dst} [label="{esc(t.label.text())}"];')
+        lines.append(f'  {t.src} -> {t.dst} [label="{label[t.label]}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -16,6 +16,7 @@ from aspectkbl.model import (Action, AkblError, Aspect, Const, BindVar,
                              has_replication, loc_set, subst_key, take_actions,
                              validate)
 from aspectkbl.semantics import LTS, Transition
+from aspectkbl import model
 from aspectkbl import (build_lts, corpus_path, parse_net, parse_obligation,
                        parse_policy)
 from aspectkbl.parser import ParseError
@@ -116,6 +117,25 @@ def test_validate_flags_replication():
     assert has_replication(net)
     assert [d.format() for d in validate(net)] == [
         "error: replication at A is outside the checkable fragment"]
+
+
+def test_entries_sharing_a_replicated_body_walk_it_once(monkeypatch):
+    # one diagnostic per replication per entry, in entry order, from
+    # one walk of the shared body per call
+    body = Repl(Par(Repl(chain(OUT_K)), NIL))
+    net = Net((NetEntry("A", T, body), NetEntry("B", T, ("k",)),
+               NetEntry("C", T, body), NetEntry("D", T, chain(OUT_K))))
+    walked = []
+    count = model._count_repl
+    monkeypatch.setattr(model, "_count_repl",
+                        lambda p: walked.append(p) or count(p))
+    assert [d.format() for d in validate(net)] == [
+        f"error: replication at {loc} is outside the checkable fragment"
+        for loc in "AACC"]
+    assert walked == [body, chain(OUT_K)]
+    walked.clear()
+    assert has_replication(net)
+    assert walked == [body, chain(OUT_K)]
 
 
 def test_loc_set_covers_data_processes_and_policies():

@@ -9,7 +9,8 @@ from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
                        json_export,
                        match, occurs_in, parse_net, parse_obligation,
                        parse_policy, sat_obl, step_candidates, take_actions)
-from aspectkbl.semantics import ground_atom, json_text, net_text, numeral
+from aspectkbl.semantics import (Interner, ground_atom, json_text, net_text,
+                                 numeral)
 from aspectkbl.model import (Action, BindVar, Const, ETrue, Net, NetEntry, NIL,
                              Par, Repl, Sum, Var, WILDCARD, canonicalize)
 import corpusio
@@ -361,6 +362,114 @@ def test_match_tables_follow_the_state():
     (found,) = [table[1] for (i, _), table in many.space.matches.items()
                 if many.space.entries[i].location == "R"]
     assert len(found) == 8 > max(map(len, many.ids))
+
+
+def _successors(source):
+    """The interner, the initial state and {label text: successor} of
+    a network, whose steps from every state, the initial one with a
+    fresh interner, are those of the reference."""
+    net = parse_net(source)
+    space = Interner()
+    ids = space.state(net)
+    steps, denied = step_candidates(ids, space)
+    assert ([(label, space.net(succ)) for label, succ in steps],
+            denied) == oracles.reference_steps(net)
+    _assert_steps_as_reference(build_lts(net))
+    return space, ids, {label.text(): succ for label, succ in steps}
+
+
+def _ranks(space, ids, succ):
+    """The rank of the entry that acted among the entries the step
+    kept, and that of its continuation, for a step with one of each."""
+    kept = set(ids) & set(succ)
+    (p,) = [p for p, j in enumerate(ids)
+            if j not in kept and space.data[j] is None]
+    (c,) = [c for c, j in enumerate(succ)
+            if j not in kept and space.data[j] is None]
+    return sum(j in kept for j in ids[:p]), sum(j in kept for j in succ[:c])
+
+
+def test_a_continuation_stays_in_its_slot_or_moves():
+    space, ids, succ = _successors(
+        "A ::[true] out(k)@B . in(j)@B . 0 || B ::[true] <v>\n"
+        "|| C ::[true] out(b)@C . 0 || C ::[true] out(c)@C . in(a)@C . 0")
+    # the only entry at A stays between B's data and C's entries
+    rank, after = _ranks(space, ids, succ["A:o(k)@B"])
+    assert rank == after == 0
+    # in(a) sorts before out(b), the earlier process at C, and read(b)
+    # after out(c), the later one
+    assert _ranks(space, ids, succ["C:o(c)@C"]) == (3, 2)
+    space, ids, succ = _successors(
+        "C ::[true] out(b)@C . read(b)@C . 0 || C ::[true] out(c)@C . 0")
+    assert _ranks(space, ids, succ["C:o(b)@C"]) == (0, 1)
+
+
+@pytest.mark.parametrize("source, ranks", [
+    # the tuple before the acting entry, the continuation in its slot
+    # and then moved past B's out
+    ("A ::[true] <k> || B ::[true] in(!x)@A . out(x)@A . 0", (0, 0)),
+    ("A ::[true] <k> || B ::[true] in(!x)@A . read(x)@A . 0\n"
+     "|| B ::[true] out(m)@A . 0", (0, 1)),
+    # the tuple after it, the same two ways
+    ("B ::[true] in(!x)@C . out(x)@C . 0 || C ::[true] <k>", (0, 0)),
+    ("B ::[true] in(!x)@C . read(x)@C . 0 || B ::[true] out(m)@C . 0\n"
+     "|| C ::[true] <k>", (0, 1)),
+])
+def test_an_in_consumes_the_tuple_before_or_after_it(source, ranks):
+    space, ids, succ = _successors(source)
+    step = next(text for text in succ if ":i(" in text)
+    assert _ranks(space, ids, succ[step]) == ranks
+    assert sum(space.data[j] is not None for j in succ[step]) == 0
+
+
+def _nils(space, ids):
+    return [space.entries[j].location for j in ids if space.nils[j]]
+
+
+def test_nil_continuations_and_groups_whose_nil_the_state_holds():
+    # a nil continuation goes while its group keeps another entry, and
+    # the last one of the group stays
+    space, ids, succ = _successors(
+        "A ::[true] out(k)@B . 0 || A ::[true] in(v)@B . out(j)@B . 0\n"
+        "|| B ::[true] <v>")
+    assert _nils(space, succ["A:o(k)@B"]) == []
+    space, ids, succ = _successors("A ::[true] out(k)@B . 0 || B ::[true] <v>")
+    assert _nils(space, succ["A:o(k)@B"]) == ["A"]
+    # a continuation joins the group of the entry that acted, whose nil
+    # a canonical state cannot hold beside it; the data of an out join
+    # the group of the target's guard, and when that is nil it goes
+    space, ids, succ = _successors(
+        "A ::[true] 0 || B ::[true] out(k)@A . out(j)@A . 0")
+    assert _nils(space, ids) == ["A"]
+    assert _nils(space, succ["B:o(k)@A"]) == []
+    # a nil at the target in another group than its guard stays
+    space, ids, succ = _successors(
+        "A ::[true] 0 || A ::[false or true] <j> || B ::[true] out(k)@A . 0")
+    assert _nils(space, succ["B:o(k)@A"]) == ["A", "B"]
+    # and a guard that is the nil of its group goes
+    space, ids, succ = _successors(
+        "A ::[false or true] 0 || A ::[true] out(z)@Q . 0\n"
+        "|| B ::[true] out(k)@A . 0 || Q ::[true] <q>")
+    assert space.nils[ids[0]]
+    assert _nils(space, succ["B:o(k)@A"]) == ["B"]
+
+
+def test_a_parallel_continuation_splits_into_two_entries():
+    space, ids, succ = _successors(
+        "A ::[true] out(k)@B . (out(a)@B . 0 | in(b)@B . 0)\n"
+        "|| A ::[true] out(m)@B . 0 || B ::[true] <v>")
+    after = succ["A:o(k)@B"]
+    assert len(after) == len(ids) + 2
+    assert [space.entries[j].location for j in after].count("A") == 3
+
+
+@pytest.mark.parametrize("policy", ["true", "false or true"])
+def test_one_read_of_two_identical_tuples_is_one_step(policy):
+    # with one policy the two tuples are one entry, held twice; with
+    # two they are two entries
+    space, ids, succ = _successors(
+        f"A ::[true] <k> || A ::[{policy}] <k> || B ::[true] read(!x)@A . 0")
+    assert list(succ) == ["B:r(k)@A"]
 
 
 def test_policies_judging_binders_raise_evaluation_errors():
