@@ -732,7 +732,8 @@ def _count_repl(p: Process) -> int:
 
 def _replications(net: Net) -> list:
     """(entry, number of replications in its body) for each process
-    entry, in order; entries that share a body walk it once."""
+    entry whose body holds some, in order; entries that share a body
+    walk it once."""
     counts: dict = {}            # id of a body -> its replications
     found = []
     for e in net.entries:
@@ -740,12 +741,13 @@ def _replications(net: Net) -> list:
             n = counts.get(id(e.body))
             if n is None:
                 n = counts[id(e.body)] = _count_repl(e.body)
-            found.append((e, n))
+            if n:
+                found.append((e, n))
     return found
 
 
 def has_replication(net: Net) -> bool:
-    return any(n for _, n in _replications(net))
+    return bool(_replications(net))
 
 
 def validate(net: Net) -> list:
