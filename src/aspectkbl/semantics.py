@@ -472,8 +472,8 @@ class Interner:
             del succ[q]
             p -= q < p          # the slot moves up past consumed data
         if touched:
-            del succ[p]
-            return self.canonical(succ + list(new), touched)
+            succ[p:p + 1] = new
+            return self.canonical(succ, touched)
         key = self.keys.__getitem__
         first = key(new[0])
         if (p == 0 or key(succ[p - 1]) <= first) and (
