@@ -47,7 +47,6 @@ once.
 """
 from __future__ import annotations
 
-import copy
 from typing import NamedTuple, Optional
 
 from .belnap import FF, GRANTS, LIFTED, TT, names
@@ -57,7 +56,7 @@ from .model import (Action, CAP_LETTER, Const, ETest, Net, Obligation, OUT, IN,
 from .parser import render_action
 from .semantics import (ANY, data_index, ground_atom, meets, numeral,
                         occurs_in, policies_by_location, policy_values,
-                        pred_values, template, truth)
+                        pred_values, quantified, template, truth)
 from .unification import findsubs
 
 IRRELEVANT = "CertifiedIrrelevant"
@@ -84,6 +83,7 @@ class MutationInfo:
     evaluation may read.  A refined domain notes into the same set.
     """
 
+    __slots__ = ("initial", "sure", "asked", "actions", "_outs", "_ins")
     exact = False
 
     def __init__(self, net: Net):
@@ -91,18 +91,27 @@ class MutationInfo:
         self.sure = frozenset()             # tuples present at every firing
         self.asked: set = set()             # the test atoms asked so far
         self.actions = take_actions(net)
-        # the (location, tuple) templates the outs and the ins write
-        self._outs = {template(la.action.args, la.action.target)
-                      for la in self.actions if la.action.cap == OUT}
-        self._ins = {template(la.action.args, la.action.target)
-                     for la in self.actions if la.action.cap == IN}
+        # the (location, tuple) templates the outs and the ins write,
+        # taken once per action object, which entries sharing a body share
+        distinct = {id(la.action): la.action for la in self.actions}.values()
+        self._outs = {template(a.args, a.target)
+                      for a in distinct if a.cap == OUT}
+        self._ins = {template(a.args, a.target)
+                     for a in distinct if a.cap == IN}
+
+    def sharing(self, sure: frozenset, asked: set) -> "MutationInfo":
+        """The domain over the same tuples and actions, with sure for
+        the tuples present at every firing, noting into asked."""
+        known = object.__new__(MutationInfo)
+        known.initial, known.actions = self.initial, self.actions
+        known._outs, known._ins = self._outs, self._ins
+        known.sure, known.asked = sure, asked
+        return known
 
     def refined(self, atoms) -> "MutationInfo":
         """The domain at the firings of an action where the test atoms,
         as `might_grant` collects them, hold."""
-        known = copy.copy(self)
-        known.sure = frozenset(atoms)
-        return known
+        return self.sharing(frozenset(atoms), self.asked)
 
     def may_add(self, at: str, values) -> bool:
         return meets(self._outs, ((at, values),))
@@ -214,7 +223,9 @@ def check_network(net: Net, obl: Obligation) -> StaticVerdict:
             "replication is outside the checkable fragment")
     net = canonicalize(net)
     mut = MutationInfo(net)
-    pols, domain = policies_by_location(net), sorted(loc_set(net))
+    pols = policies_by_location(net)
+    # a predicate without quantifiers never reads the range
+    domain = sorted(loc_set(net)) if quantified(obl.pred) else ()
     reports = tuple(check_single_action(obl, act, pols, mut, domain)
                     for act in mut.actions)
     certified = all(r.outcome != NOT_CERTIFIED for r in reports)
@@ -228,10 +239,14 @@ def constraint_text(atom: tuple) -> str:
 
 def report_json(report: StaticVerdict, explain: bool = False) -> dict:
     actions = []
+    texts: dict = {}        # id of an action -> its text
     for r in report.actions:
+        text = texts.get(id(r.action))
+        if text is None:
+            text = texts[id(r.action)] = render_action(r.action)
         entry = {
             "source_loc": r.source,
-            "action_text": render_action(r.action),
+            "action_text": text,
             "outcome": r.outcome,
         }
         if r.theta0 is not None:

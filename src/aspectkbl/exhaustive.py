@@ -50,20 +50,18 @@ that answered.
 """
 from __future__ import annotations
 
-import copy
 from collections import Counter
 from typing import NamedTuple, Optional
 
 from .belnap import TT
 from .certify import (NOT_CERTIFIED, MutationInfo, StaticVerdict,
                       check_network)
-from .model import (CAP_LETTER, IN, OUT, READ, Const, EBin, ENot,
-                    EvaluationError, Label, LabelPattern, LimitExceeded, Net,
-                    NetEntry, Obligation, PExists, PForall, Substitution, Sum,
-                    process_actions)
+from .model import (CAP_LETTER, IN, OUT, READ, Const, EvaluationError,
+                    Label, LabelPattern, LimitExceeded, Net, NetEntry,
+                    Obligation, Substitution, Sum, process_actions)
 from .semantics import (ANY, LTS, StateDomain, build_lts, meet, meets,
                         policies_by_location, policy_values, pred_values,
-                        step_candidates, template)
+                        quantified, step_candidates, template)
 from .unification import findsubs
 
 
@@ -306,7 +304,7 @@ class Reduction:
         policy changes policy when its first entry goes.  The reduction
         works in a copy of the verdict's domain with its own `asked`,
         so the verdict is left as it was."""
-        if _quantified(obl.pred):
+        if quantified(obl.pred):
             return None
         pols = policies_by_location(net)
         if any(e.policy != pols[e.location] for e in net.entries):
@@ -316,8 +314,7 @@ class Reduction:
         loud = [(r.source, r.action.cap,
                  template(r.action.args, r.action.target))
                 for r in static.actions if r.outcome == NOT_CERTIFIED]
-        mut = copy.copy(static.domain)
-        mut.asked = set()
+        mut = static.domain.sharing(frozenset(), set())
         if loud:
             pred_values(obl.pred, mut, ())
         return cls(pols, loud, mut, frozenset(mut.asked))
@@ -442,12 +439,3 @@ class Reduction:
             past.append(label)
         return tuple(past[:0:-1])
 
-
-def _quantified(pred) -> bool:
-    if isinstance(pred, (PForall, PExists)):
-        return True
-    if isinstance(pred, ENot):
-        return _quantified(pred.body)
-    if isinstance(pred, EBin):
-        return _quantified(pred.left) or _quantified(pred.right)
-    return False

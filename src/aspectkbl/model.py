@@ -552,6 +552,12 @@ class Net(NamedTuple):
     entries: tuple                   # tuple of NetEntry
 
 
+class CanonicalNet(Net):
+    """A network in canonical form, as `canonicalize` makes it, which
+    canonicalizing gives back as it is."""
+    __slots__ = ()
+
+
 class Label(NamedTuple):
     """Transition label: subject performs cap(args) at target."""
     subject: str
@@ -697,8 +703,11 @@ def canonicalize(net: Net) -> Net:
     the result is sorted by a total syntactic order.  A nil entry is
     dropped only while another entry with the same location and policy
     remains; erasing the last entry of a location would disable later
-    outputs to it, which the congruence rules never do.
+    outputs to it, which the congruence rules never do.  A
+    `CanonicalNet` is already in normal form and comes back itself.
     """
+    if net.__class__ is CanonicalNet:
+        return net
     flat: list = []
     for e in net.entries:
         if isinstance(e.body, Par):
@@ -708,7 +717,7 @@ def canonicalize(net: Net) -> Net:
     kept = drop_nils(flat, lambda e: (e.location, e.sort_key[3]),
                      lambda e: isinstance(e.body, Nil))
     kept.sort(key=attrgetter("sort_key"))
-    return Net(tuple(kept))
+    return CanonicalNet(tuple(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +810,16 @@ def process_actions(p: Process):
 
 def take_actions(net: Net) -> list:
     """Every action occurring syntactically in the network, in document
-    order, paired with its hosting location, policy and continuation."""
-    return [LocatedAction(e.location, e.policy, action, cont)
-            for e in net.entries if not e.is_data()
-            for action, cont in process_actions(e.body)]
+    order, paired with its hosting location, policy and continuation.
+    Entries that share a body walk it once and share its action and
+    continuation objects."""
+    walked: dict = {}            # id of a body -> its (action, continuation)s
+    located = []
+    for e in net.entries:
+        if not e.is_data():
+            pairs = walked.get(id(e.body))
+            if pairs is None:
+                pairs = walked[id(e.body)] = list(process_actions(e.body))
+            located += [LocatedAction(e.location, e.policy, action, cont)
+                        for action, cont in pairs]
+    return located

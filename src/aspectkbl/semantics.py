@@ -370,6 +370,18 @@ def pred_values(pred, domain, locs) -> int:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
+def quantified(pred) -> bool:
+    """Does the predicate hold a quantifier, so that its value may
+    depend on the location constants `pred_values` is given."""
+    if isinstance(pred, (PForall, PExists)):
+        return True
+    if isinstance(pred, ENot):
+        return quantified(pred.body)
+    if isinstance(pred, EBin):
+        return quantified(pred.left) or quantified(pred.right)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # interned states
 

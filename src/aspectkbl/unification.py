@@ -25,12 +25,17 @@ def findsubs(pattern: tuple, action: tuple) -> Optional[Substitution]:
         return None
     pairs = []
     for p, a in zip(pattern, action):
-        for key, val in pairs:
-            p, a = subst_term(p, key, val), subst_term(a, key, val)
+        # a binding never changes a constant or a wildcard, and never
+        # makes a wildcard
         if p.__class__ is Wildcard:
             continue
         if a.__class__ is Wildcard:
             return None
+        for key, val in pairs:
+            if p.__class__ is not Const:
+                p = subst_term(p, key, val)
+            if a.__class__ is not Const:
+                a = subst_term(a, key, val)
         if p.__class__ is not Const:
             pairs.append((subst_key(p), a))
         elif a.__class__ is not Const:

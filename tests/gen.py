@@ -9,8 +9,9 @@ from aspectkbl.model import (Action, Aspect, AspectPol, BindVar, CAP_LETTER,
                              Const, Cut, EBin, EEqual, EFalse, ENot, EOccursIn,
                              ETest, ETrue, LabelPattern, Net, NetEntry, NIL,
                              Obligation, PExists, PForall, PTestPost, Par,
-                             Repl, Sum, Var, WILDCARD, take_actions)
-from aspectkbl.parser import parse_net
+                             Repl, Sum, Var, WILDCARD, canonicalize,
+                             take_actions)
+from aspectkbl.parser import parse_net, render_entry
 
 LOCS = ("A", "B", "C")
 CONSTS = ("k", "v", "w", "m", "n")
@@ -570,3 +571,12 @@ def congruent_variant(rng, net):
         else:
             rng.shuffle(entries)
     return Net(tuple(entries))
+
+
+def separate_bodies(net):
+    """The canonical form of the network with every entry parsed from
+    its own text, so that no two entries share a body node, where one
+    parse of the whole text shares one between entries whose bodies
+    read the same."""
+    return canonicalize(Net(tuple(e for x in net.entries
+                                  for e in parse_net(render_entry(x)).entries)))

@@ -15,9 +15,10 @@ from aspectkbl.exhaustive import TransitionCheck
 from aspectkbl.model import (CAP_LETTER, Action, Aspect, AspectPol, BindVar,
                              Const, Cut, Diagnostic, EBin, EEqual, EFalse,
                              ENot, EOccursIn, ETest, ETrue, EvaluationError,
-                             Label, Net, NetEntry, Nil, Par, PExists, PForall,
-                             PGeq, PTestPost, Repl, Substitution, Sum, Var,
-                             Wildcard, canonicalize, split_entry, subst_key)
+                             Label, LocatedAction, Net, NetEntry, Nil, Par,
+                             PExists, PForall, PGeq, PTestPost, Repl,
+                             Substitution, Sum, Var, Wildcard, canonicalize,
+                             split_entry, subst_key)
 from aspectkbl.parser import KEYWORDS
 from aspectkbl.semantics import (StateDomain, net_text, policy_values,
                                  pred_values)
@@ -184,6 +185,30 @@ def plain_subst(x, key, val):
     fields = (getattr(x, f) for f in NODE_FIELDS[type(x)])
     return type(x)(*(f if isinstance(f, str) else plain_subst(f, key, val)
                      for f in fields))
+
+
+def reference_actions(net) -> list:
+    """`take_actions` by a walk of every entry's body on its own, in
+    document order: the branches of a sum in turn, each action before
+    those of its continuation, the left of a parallel composition
+    first."""
+    acts = []
+
+    def walk(e, p):
+        if isinstance(p, Sum):
+            for action, cont in p.branches:
+                acts.append(LocatedAction(e.location, e.policy, action, cont))
+                walk(e, cont)
+        elif isinstance(p, Par):
+            walk(e, p.left)
+            walk(e, p.right)
+        elif isinstance(p, Repl):
+            walk(e, p.body)
+
+    for e in net.entries:
+        if not e.is_data():
+            walk(e, e.body)
+    return acts
 
 
 def reference_steps(net):

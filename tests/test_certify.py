@@ -13,7 +13,8 @@ from aspectkbl.belnap import GRANTS, members
 from aspectkbl.certify import (DENIED, ENTAILED, IRRELEVANT, NOT_CERTIFIED,
                                MutationInfo)
 from aspectkbl.model import (BindVar, Const, ETrue, LocatedAction, Net,
-                             NetEntry, Repl, Sum, loc_set)
+                             NetEntry, NIL, Par, Repl, Sum, loc_set)
+from aspectkbl.parser import render_action
 from aspectkbl.semantics import policies_by_location, pred_values
 from aspectkbl.unification import findsubs
 import corpusio
@@ -257,6 +258,81 @@ def test_replication_is_rejected_statically():
     repl = Net(net.entries + (NetEntry("Hansen", ETrue(), Repl(body)),))
     with pytest.raises(ReplicationPresent):
         check_network(repl, corpusio.obl("eq1.obl"))
+
+
+def test_quantifiers_range_over_the_location_constants():
+    # seed is a location constant of the network, Ghost is not, so only
+    # the first two obligations' predicates come out false on a step
+    net = parse_net("A ::[true] out(k)@B . 0 || B ::[true] <seed>")
+    for pred, holds in (("forall $x : not $x = seed", False),
+                        ("not (exists $x : $x = seed)", False),
+                        ("forall $x : not $x = Ghost", True),
+                        ("not (exists $x : $x = Ghost)", True)):
+        obl = parse_obligation(f"AG [$u : o(k)@B] {pred}")
+        report, = check_network(net, obl).actions
+        assert report.outcome == (ENTAILED if holds else NOT_CERTIFIED), pred
+        assert oracles.check_whole(net, obl).holds is holds
+
+
+def test_a_net_is_certified_as_its_canonical_form():
+    # entries out of order, a parallel body and a nil that the nil rule
+    # drops, since another entry at B with B's policy stays
+    a, seed, c_in, c_read = parse_net(
+        "A ::[true] out(k)@B . 0 || B ::[true] <seed>\n"
+        "|| C ::[true] in(seed)@B . out(k)@B . 0 || C ::[true] read(seed)@B . 0"
+    ).entries
+    net = Net((NetEntry("C", ETrue(), Par(c_read.body, c_in.body)),
+               NetEntry("B", ETrue(), NIL), seed, a))
+    canonical = canonicalize(net)
+    assert canonical.entries == (a, seed, c_in, c_read)
+    obl = parse_obligation("AG [$u : o(k)@B] test(seed)@B")
+    verdict, want = check_network(net, obl), check_network(canonical, obl)
+    assert verdict.actions == want.actions
+    assert [(r.source, r.action.cap) for r in verdict.actions] \
+        == [(a.source, a.action.cap) for a in take_actions(canonical)]
+    assert report_json(verdict) == report_json(want)
+
+
+def _same_verdict(got, want):
+    # every field of the verdicts, the domain's included
+    assert got.certified == want.certified
+    assert got.actions == want.actions
+    for field in MutationInfo.__slots__:
+        assert getattr(got.domain, field) == getattr(want.domain, field), \
+            field
+    for explain in (False, True):
+        doc = report_json(got, explain)
+        assert doc == report_json(want, explain)
+        assert [a["action_text"] for a in doc["actions"]] \
+            == [render_action(r.action) for r in got.actions]
+
+
+def test_shared_bodies_certify_as_separate_ones():
+    # the parser makes entries whose bodies read the same share one
+    # body node; the certifier's answer must not depend on it
+    pairs = [(corpusio.net(n), corpusio.obl(o))
+             for n in corpusio.names(".akbl") for o in corpusio.names(".obl")]
+    for seed in range(300):
+        rng = random.Random(seed)
+        net = gen.gen_ward_net(rng)
+        pairs.append((net, gen.gen_obligation_from_net(rng, net)))
+    for seed in range(100):
+        rng = random.Random(seed)
+        net = gen.gen_guarded_net(rng)
+        pairs.append((net, gen.gen_obligation_for(rng, net)))
+    sharing = 0
+    for net, obl in pairs:
+        separate = gen.separate_bodies(net)
+        assert separate == net
+        bodies = [id(e.body) for e in separate.entries if not e.is_data()]
+        assert len(set(bodies)) == len(bodies)
+        sharing += len({id(e.body) for e in net.entries
+                        if not e.is_data()}) < len(bodies)
+        got = check_network(net, obl)
+        _same_verdict(got, check_network(separate, obl))
+        assert [(r.source, r.action) for r in got.actions] \
+            == [(a.source, a.action) for a in oracles.reference_actions(net)]
+    assert sharing > 100
 
 
 def test_certifier_never_explores_states(monkeypatch):

@@ -30,3 +30,12 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_importing_the_cli_does_not_load_copy():
+    # the certifier's domain makes its copies itself
+    code = "import sys, aspectkbl.cli; print('copy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(aspectkbl.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

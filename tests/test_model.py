@@ -23,6 +23,7 @@ from aspectkbl.parser import ParseError
 from oracles import (NODE_FIELDS, entry_key, node_text, plain_consts,
                      plain_subst, subnodes)
 import gen
+import oracles
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -73,7 +74,9 @@ def test_canonicalize_is_idempotent_and_order_insensitive():
     for _ in range(100):
         net = gen.gen_net(rng)
         c = canonicalize(net)
-        assert canonicalize(c) == c
+        assert canonicalize(c) is c
+        # the normal form of a canonical net's entries is those entries
+        assert canonicalize(Net(c.entries)) == c
         shuffled = list(net.entries)
         rng.shuffle(shuffled)
         assert canonicalize(Net(tuple(shuffled))) == c
@@ -91,7 +94,7 @@ def test_sort_key_is_the_rendered_entry_and_survives_canonicalize():
             assert e.sort_key == (e.location, kind, repr(e.body),
                                   repr(e.policy))
         # a canonical net keeps its entry objects, and so their keys
-        again = canonicalize(canonical).entries
+        again = canonicalize(Net(canonical.entries)).entries
         assert len(again) == len(canonical.entries)
         assert all(a is b for a, b in zip(again, canonical.entries))
 
@@ -153,6 +156,28 @@ def test_take_actions_in_document_order():
     assert [(a.source, a.action.cap, a.action.args[0].name) for a in acts] \
         == [("A", "out", "a"), ("A", "in", "b"), ("A", "read", "c")]
     assert acts[0].continuation == chain(Action("in", (Const("b"),), Const("B")))
+
+
+def test_take_actions_is_the_walk_of_each_entry():
+    # the parser shares the body of entries that read the same, and
+    # take_actions walks a shared body once
+    nets = [parse_net(corpus_path(p.name).read_text())
+            for p in sorted(corpus_path("").iterdir())
+            if p.name.endswith(".akbl")]
+    for seed in range(200):
+        rng = random.Random(seed)
+        nets += [gen.gen_net(rng), gen.gen_ward_net(rng),
+                 gen.gen_guarded_net(rng)]
+        nets.append(gen.congruent_variant(rng, nets[-2]))
+    sharing = 0
+    for net in nets:
+        acts, want = take_actions(net), oracles.reference_actions(net)
+        assert acts == want
+        assert all(a.action is b.action and a.continuation is b.continuation
+                   for a, b in zip(acts, want))
+        bodies = [e.body for e in net.entries if not e.is_data()]
+        sharing += len(set(map(id, bodies))) < len(bodies)
+    assert sharing > 100
 
 
 def test_subst_key_forms():
