@@ -44,6 +44,18 @@ domain with an `asked` of its own which tuples an action's policies
 and the obligation's predicate may read, so the certifier and the
 reduced search share this one abstract domain, and a check certifies
 once.
+
+Role-based networks run one process at many locations, and the parser
+makes entries whose bodies read the same share one body node.  So the
+work that does not depend on where an action sits is done once per
+distinct body and action object: `take_actions` walks each distinct
+body once, the domain takes the out and in templates of each distinct
+action once, and `report_json` renders each distinct action once.
+Each located action is still judged on its own, as its location binds
+the pattern's subject.  The range of the predicate's quantifiers, the
+network's location constants, is collected only when the predicate
+quantifies, and a net that `canonicalize` made, as `parse_net`
+returns it, is not sorted again.
 """
 from __future__ import annotations
 

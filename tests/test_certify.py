@@ -289,7 +289,7 @@ def test_a_net_is_certified_as_its_canonical_form():
     verdict, want = check_network(net, obl), check_network(canonical, obl)
     assert verdict.actions == want.actions
     assert [(r.source, r.action.cap) for r in verdict.actions] \
-        == [(a.source, a.action.cap) for a in take_actions(canonical)]
+        == [(la.source, la.action.cap) for la in take_actions(canonical)]
     assert report_json(verdict) == report_json(want)
 
 
