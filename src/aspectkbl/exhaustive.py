@@ -103,7 +103,8 @@ class TransitionCheck:
     order a search discovers them.  Each distinct label is matched
     against the pattern, and the predicate instantiated for it, once;
     the first transition whose predicate comes out false gives the
-    witness."""
+    witness.  The location constants of a state, the range of the
+    quantifiers, are built only for a quantified predicate."""
 
     def __init__(self, obl: Obligation):
         self.obl = obl
@@ -111,13 +112,17 @@ class TransitionCheck:
         self.failing = None        # the first violating Transition
         self.witness: Optional[Witness] = None
         self._matched: dict = {}   # label -> (theta, instantiated pred) or None
-        self._states: dict = {}    # state -> (data index, location constants)
+        self._quantified = quantified(obl.pred)
+        # state -> (data index, location constants, or none when the
+        # predicate holds no quantifier)
+        self._states: dict = {}
 
     def _state(self, space, ids: tuple):
         got = self._states.get(ids)
         if got is None:
-            got = self._states[ids] = (space.data_index(ids),
-                                       space.constants(ids))
+            got = self._states[ids] = (
+                space.data_index(ids),
+                space.constants(ids) if self._quantified else frozenset())
         return got
 
     def violates(self, space, label: Label, pre: tuple, post: tuple) -> bool:

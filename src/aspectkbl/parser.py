@@ -50,7 +50,7 @@ from __future__ import annotations
 import re
 import string
 from functools import partial
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .model import (Action, Aspect, AspectPol, BindVar, Const, Cut,
                     Diagnostic, EBin, EEqual, EFalse, ENot, EOccursIn, ETest,
@@ -641,24 +641,52 @@ def _binary(e, render) -> str:
     return f" {op} ".join(parts + [end] if right else [end] + parts[::-1])
 
 
-def render_process(p, term: bool = False) -> str:
+def render_process(p, term: bool = False, memo: Optional[dict] = None) -> str:
     """The source text of a process; a term, the continuation of a
     prefix or the body of a replication, has a parallel or a choice in
-    parentheses.  One frame per prefix, so deep chains render."""
-    if isinstance(p, Nil):
-        return "0"
-    if isinstance(p, Sum):
-        parts = []
-        for a, c in p.branches:
-            parts.append(f"{render_action(a)} . {render_process(c, True)}")
-        text = " + ".join(parts)
-        return f"({text})" if term and len(parts) > 1 else text
-    if isinstance(p, Par):
-        text = f"{render_process(p.left)} | {render_process(p.right)}"
-        return f"({text})" if term else text
-    if isinstance(p, Repl):
-        return f"* {render_process(p.body, True)}"
-    raise TypeError(f"not a process: {p!r}")
+    parentheses.
+
+    A chain of single prefixes is walked down in a loop to the first
+    process that is not one, or whose text memo holds, and its texts
+    are built back up in a loop: a prefix's text is its action's text
+    joined to its continuation's.  So a chain costs no frame, and a
+    choice, a parallel or a replication one frame each.  With a dict
+    memo, which maps id(node) to the text of the node as a process,
+    not as a term, every text built is kept in it and no process found
+    there is rendered again; the caller keeps the nodes alive while
+    memo is in use."""
+    chain = []
+    while (p.__class__ is Sum and len(p.branches) == 1
+           and (memo is None or id(p) not in memo)):
+        chain.append(p)
+        p = p.branches[0][1]
+    text = None if memo is None else memo.get(id(p))
+    if text is None:
+        if isinstance(p, Nil):
+            text = "0"
+        elif isinstance(p, Sum):
+            parts = []
+            for a, c in p.branches:
+                parts.append(
+                    f"{render_action(a)} . {render_process(c, True, memo)}")
+            text = " + ".join(parts)
+        elif isinstance(p, Par):
+            text = (f"{render_process(p.left, False, memo)} | "
+                    f"{render_process(p.right, False, memo)}")
+        elif isinstance(p, Repl):
+            text = f"* {render_process(p.body, True, memo)}"
+        else:
+            raise TypeError(f"not a process: {p!r}")
+        if memo is not None:
+            memo[id(p)] = text
+    if (term or chain) and (isinstance(p, Par) or isinstance(p, Sum)
+                            and len(p.branches) > 1):
+        text = f"({text})"
+    for node in reversed(chain):
+        text = f"{render_action(node.branches[0][0])} . {text}"
+        if memo is not None:
+            memo[id(node)] = text
+    return text
 
 
 def render_cut(c: Cut) -> str:
@@ -695,11 +723,13 @@ def render_expr(e) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def render_entry(e: NetEntry) -> str:
+def render_entry(e: NetEntry, memo: Optional[dict] = None) -> str:
+    """The source text of an entry; memo is passed on to
+    `render_process`."""
     pol = render_expr(e.policy)
     if e.is_data():
         return f"{e.location} ::[{pol}] <{', '.join(e.body)}>"
-    return f"{e.location} ::[{pol}] {render_process(e.body)}"
+    return f"{e.location} ::[{pol}] {render_process(e.body, False, memo)}"
 
 
 def render_net(n: Net) -> str:

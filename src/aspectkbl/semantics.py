@@ -39,11 +39,12 @@ breadth first search.
 
 The search hash-conses its states.  A per-run `Interner` gives every
 distinct entry an integer id the first time it is seen, and computes
-its canonical sort key, nil group, data pair and location constants
-then and only then.  A state is the tuple of its entries' ids, sorted
-by those keys, so deduplicating a successor hashes a tuple of small
-integers once.  A step's label and the ids of the entries it adds,
-the continuation's first, make its move, kept per acting entry,
+its canonical sort key, as one string, nil group, data pair and
+location constants then and only then.  A state is the tuple of its
+entries' ids, sorted by those keys, so deduplicating a successor
+hashes a tuple of small integers once, and ordering two entries
+compares two strings.  A step's label and the ids of the entries it
+adds, the continuation's first, make its move, kept per acting entry,
 branch and target group for an out and in the match table (below) for
 an in or read, so each added entry is interned once.  The successor is
 built in one pass over one copy of the state's ids: the data an in
@@ -69,10 +70,14 @@ is read.
 
 An in or read finds its partners without scanning the state.  The
 interner keeps the ids of the data entries at each location, in the
-order they were interned, and each in or read branch of an acting
-entry keeps a match table: how many of its target's data ids it has
-tried, and the move of each that matched.  A step first extends the
-table over the data ids interned since its last use.  Since a state
+order they were interned, and also those of each arity and first
+constant at each location.  Each in or read branch of an acting
+entry keeps a match table: how many of its candidates it has tried,
+and the move of each that matched.  The candidates are the data ids
+of the template's arity and first constant at the target when the
+template starts with a constant, which no other tuple matches, and
+all of the target's data ids otherwise.  A step first extends the
+table over the candidates interned since its last use.  Since a state
 is sorted by key, and a key starts with the location and then the
 kind, data before processes, the entries at a location form a run
 that the data lead, and the first of them guards the location: one
@@ -87,10 +92,13 @@ escapes each interned entry and encodes each distinct label once; a
 state's text is the join of its entries' escaped texts, and the
 document is one join of its parts, byte for byte the text
 `json.dumps` gives for the same document with indent 2 and sorted
-keys.  `json_text` writes those bytes for any
+keys.  The entries are rendered with one memo of process texts for
+the export, so each distinct process node is rendered once, a prefix
+from its continuation's text.  `json_text` writes those bytes for any
 other document, such as a `check --json` report, with one recursive
 walk that appends to one list, where the stdlib's indented encoder
-runs in pure Python.
+runs in pure Python; it encodes each distinct string and lays out
+each dict shape once per call.
 
 The explorer also judges each step's policies once per exploration.
 A step's combined verdict depends on the acting entry, the branch and
@@ -393,18 +401,30 @@ class Interner:
     group (location and policy), its (location, tuple) pair when it is
     a data entry, and its location constants.  A state is the tuple of
     its entries' ids in canonical order, so comparing and hashing a
-    state touches only integers.  The ids of the data entries at each
-    location are listed as they are interned.  A step's move, its label
-    and the entries it adds, is remembered per acting entry and branch,
-    so each entry is interned once, and so are the policy verdicts of a
-    step, with the test atoms each one read, and for an in or read the
-    match table of the data ids it has tried.
+    state touches only integers.
+
+    The key kept is one string, the fields of `NetEntry.sort_key`
+    joined by NUL, which orders exactly as the tuple does: no location
+    the grammar admits holds a NUL, the kind is `data` or `proc`, and
+    the body and policy texts are reprs, which escape control
+    characters.  So a NUL in a key only ever ends a field, and a field
+    that is a prefix of another, as `A` is of `AB`, sorts first either
+    way.  The entries at a location start at the first key not below
+    the location followed by NUL.
+
+    The ids of the data entries at each location are listed as they
+    are interned, and so are those of each arity and first constant at
+    each location.  A step's move, its label and the entries it adds,
+    is remembered per acting entry and branch, so each entry is
+    interned once, and so are the policy verdicts of a step, with the
+    test atoms each one read, and for an in or read the match table of
+    the data ids it has tried.
     """
 
     def __init__(self):
         self.entries: list = []      # id -> NetEntry
         self.branches: list = []     # id -> branches of a Sum body, or None
-        self.keys: list = []         # id -> canonical sort key
+        self.keys: list = []         # id -> "\0".join(its sort key)
         self.locations: list = []    # id -> location
         self.groups: list = []       # id -> nil group number
         self.nils: list = []         # id -> is the body nil
@@ -413,13 +433,17 @@ class Interner:
         self._ids: dict = {}         # NetEntry -> id
         self._groups: dict = {}      # (location, policy text) -> group number
         self.data_at: dict = {}      # location -> ids of its data entries
+        # (location, arity, first constant) -> ids of those data entries
+        self.data_by: dict = {}
         # a move is [the step's label, ids of the entries it adds, the
         # continuation's first, and the nil groups of those that are nil,
         # both None until the step first fires]; (acting entry, branch,
         # target group) of an out -> its move
         self.outs: dict = {}
         # (acting entry, branch) of an in or read -> [number of the
-        # target's data ids tried, {matching data id: the step's move}]
+        # candidate data ids tried, {matching data id: the step's move},
+        # the list of candidate ids: the target's data ids, or those of
+        # the arity and first constant of a template led by a constant]
         self.matches: dict = {}
         # (acting entry, branch, target group) -> list of (atoms found
         # present, atoms found absent, combined policy value)
@@ -433,7 +457,7 @@ class Interner:
             self.entries.append(e)
             self.branches.append(e.body.branches
                                  if isinstance(e.body, Sum) else None)
-            self.keys.append(key)
+            self.keys.append("\0".join(key))
             self.locations.append(e.location)
             self.groups.append(self._groups.setdefault((key[0], key[3]),
                                                        len(self._groups)))
@@ -441,6 +465,9 @@ class Interner:
             if e.is_data():
                 self.data.append((e.location, e.body))
                 self.data_at.setdefault(e.location, []).append(i)
+                if e.body:
+                    self.data_by.setdefault(
+                        (e.location, len(e.body), e.body[0]), []).append(i)
             else:
                 self.data.append(None)
             self.consts.append(entry_consts(e))
@@ -556,7 +583,7 @@ def _steps(ids: tuple, space: Interner, ample=None):
     entries, locations, data_of = space.entries, space.locations, space.data
     nils = space.nils
     outs, verdicts, matches = space.outs, space.verdicts, space.matches
-    data_at, n = space.data_at, len(ids)
+    data_at, data_by, n = space.data_at, space.data_by, len(ids)
     oplus = LIFTED["oplus"]
     # a location's entries are a run of the sorted state, led by its
     # data, and the first guards it; identical entries have equal keys,
@@ -587,7 +614,8 @@ def _steps(ids: tuple, space: Interner, ample=None):
                 raise EvaluationError(f"unbound target in {action!r}")
             lo = firsts.get(tgt.name)
             if lo is None:
-                lo = firsts[tgt.name] = bisect_left(ids, (tgt.name,), key=key)
+                lo = firsts[tgt.name] = bisect_left(ids, tgt.name + "\0",
+                                                    key=key)
             if lo == n or locations[ids[lo]] != tgt.name:
                 continue            # no entry to receive or hold the data
             holder = ids[lo]
@@ -631,9 +659,12 @@ def _steps(ids: tuple, space: Interner, ample=None):
                 continue
             table = matches.get((i, k))
             if table is None:
-                table = matches[i, k] = [0, {}]
-            tried, found = table
-            held = data_at.get(tgt.name, ())
+                first = action.args[0] if action.args else None
+                table = matches[i, k] = [0, {}, data_by.setdefault(
+                    (tgt.name, len(action.args), first.name), [])
+                    if isinstance(first, Const)
+                    else data_at.setdefault(tgt.name, [])]
+            tried, found, held = table
             if tried < len(held):   # data ids interned since the last use
                 letter = CAP_LETTER[action.cap]
                 for d in held[tried:]:
@@ -727,6 +758,8 @@ def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000,
         lts.transitions
     index = {start: 0}
     depth = [0]
+    # a Transition made without the Python-level NamedTuple.__new__
+    new_tuple = tuple.__new__
     queue = deque([0])
     while queue:
         sid = queue.popleft()
@@ -742,10 +775,10 @@ def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000,
                 ids.append(succ)
                 depth.append(d)
                 queue.append(nid)
-                t = Transition(sid, nid, label)
+                t = new_tuple(Transition, (sid, nid, label))
                 discovered_by.append(t)
             else:
-                t = Transition(sid, nid, label)
+                t = new_tuple(Transition, (sid, nid, label))
             transitions.append(t)
             if visit is not None and visit(lts, t):
                 queue.clear()
@@ -764,8 +797,13 @@ def json_export(lts: LTS) -> str:
     States share their interned entries, so each interned entry is
     rendered and escaped once, a state's text joins the escaped texts,
     each distinct label is encoded once, and the document is one join
-    of its parts."""
-    texts = [encode_basestring_ascii(render_entry(e))[1:-1]
+    of its parts.  The entries share their process nodes too, the
+    continuation of a prefix often the body of another entry, so they
+    are rendered by `render_entry` with one memo of process texts for
+    the export: each distinct node is rendered once, a prefix as its
+    action's text joined to its continuation's."""
+    memo: dict = {}
+    texts = [encode_basestring_ascii(render_entry(e, memo))[1:-1]
              for e in lts.space.entries].__getitem__
     parts = ['{\n  "states": [']
     for sid, ids in enumerate(lts.ids):
@@ -801,42 +839,80 @@ def _end_list(parts: list, start: int):
         parts.append("\n  ]")
 
 
+class _Encoded(dict):
+    """str -> its JSON text, encoded when first asked."""
+
+    def __missing__(self, s: str) -> str:
+        text = self[s] = encode_basestring_ascii(s)
+        return text
+
+
 def json_text(doc) -> str:
     """The text `json.dumps(doc, indent=2, sort_keys=True)` gives for a
     document of dicts with string keys, lists, tuples, strings, ints,
-    bools and None, written into one list of parts."""
+    bools and None, written into one list of parts by one recursive
+    walk.  A report repeats a few dict shapes and many strings, so
+    within a call each distinct string is encoded once, a string in a
+    dict or a list is written without a call of the walk, and the
+    sorted keys of each dict shape at each depth are laid out once,
+    with the line breaks, indents and separators before them."""
     parts: list = []
-    _json_parts(doc, parts, "\n")
+    append = parts.append
+    strings = _Encoded()
+    # (keys in dict order, newline) -> [(key, the text before its value)]
+    shapes: dict = {}
+
+    def walk(value, newline: str):
+        # newline is the line break and indent of the enclosing level,
+        # which begins the value's lines after the first
+        if isinstance(value, str):
+            append(strings[value])
+        elif value is None:
+            append("null")
+        elif value is True or value is False:
+            append("true" if value else "false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            shape = (tuple(value), newline)
+            keys = shapes.get(shape)
+            if keys is None:
+                inner, sep, keys = newline + "  ", "{", []
+                for key in sorted(value):
+                    keys.append((key, f"{sep}{inner}{strings[key]}: "))
+                    sep = ","
+                shapes[shape] = keys
+            inner = newline + "  "
+            for key, before in keys:
+                append(before)
+                item = value[key]
+                if item.__class__ is str:
+                    append(strings[item])
+                else:
+                    walk(item, inner)
+            append(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                if item.__class__ is str:
+                    append(strings[item])
+                else:
+                    walk(item, inner)
+                sep = "," + inner
+            append(newline + "]")
+        else:
+            raise TypeError(f"not a JSON document value: {value!r}")
+
+    walk(doc, "\n")
     return "".join(parts)
-
-
-def _json_parts(value, parts: list, newline: str):
-    """Append the text of value, whose lines after the first begin with
-    newline, the line break and indent of the enclosing level."""
-    if isinstance(value, str):
-        parts.append(encode_basestring_ascii(value))
-    elif value is None:
-        parts.append("null")
-    elif value is True or value is False:
-        parts.append("true" if value else "false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        inner, sep = newline + "  ", "{"
-        for key in sorted(value):
-            parts += (sep, inner, encode_basestring_ascii(key), ": ")
-            _json_parts(value[key], parts, inner)
-            sep = ","
-        parts += (newline, "}") if value else ("{}",)
-    elif isinstance(value, (list, tuple)):
-        inner, sep = newline + "  ", "["
-        for item in value:
-            parts += (sep, inner)
-            _json_parts(item, parts, inner)
-            sep = ","
-        parts += (newline, "]") if value else ("[]",)
-    else:
-        raise TypeError(f"not a JSON document value: {value!r}")
 
 
 def dot_export(lts: LTS) -> str:

@@ -18,8 +18,8 @@ from aspectkbl.model import (CAP_LETTER, Action, Aspect, AspectPol, BindVar,
                              Label, LocatedAction, Net, NetEntry, Nil, Par,
                              PExists, PForall, PGeq, PTestPost, Repl,
                              Substitution, Sum, Var, Wildcard, canonicalize,
-                             split_entry, subst_key)
-from aspectkbl.parser import KEYWORDS
+                             render_term, split_entry, subst_key)
+from aspectkbl.parser import KEYWORDS, render_expr
 from aspectkbl.semantics import (StateDomain, net_text, policy_values,
                                  pred_values)
 
@@ -153,6 +153,33 @@ def subnodes(x):
         yield x
         for f in NODE_FIELDS[type(x)]:
             yield from subnodes(getattr(x, f))
+
+
+def plain_process_text(p, term=False) -> str:
+    """`render_process` by plain recursion, with no memo: a prefix is
+    its action's text, " . " and its continuation's text as a term,
+    where a choice of several branches or a parallel is bracketed."""
+    if isinstance(p, Nil):
+        return "0"
+    if isinstance(p, Sum):
+        text = " + ".join(
+            f"{a.cap}({', '.join(render_term(t) for t in a.args)})"
+            f"@{render_term(a.target)} . {plain_process_text(c, True)}"
+            for a, c in p.branches)
+        return f"({text})" if term and len(p.branches) > 1 else text
+    if isinstance(p, Par):
+        text = f"{plain_process_text(p.left)} | {plain_process_text(p.right)}"
+        return f"({text})" if term else text
+    if isinstance(p, Repl):
+        return "* " + plain_process_text(p.body, True)
+    raise TypeError(f"not a process: {p!r}")
+
+
+def plain_entry_text(e) -> str:
+    """`render_entry` with the body rendered by `plain_process_text`."""
+    body = (f"<{', '.join(e.body)}>" if e.is_data()
+            else plain_process_text(e.body))
+    return f"{e.location} ::[{render_expr(e.policy)}] {body}"
 
 
 def plain_consts(e) -> frozenset:

@@ -10,7 +10,7 @@ from aspectkbl.exhaustive import Reduction
 from aspectkbl.model import (Const, EEqual, ETest, Label, LabelPattern, PGeq,
                              PTestPost, Substitution, Sum, Var, Wildcard,
                              WILDCARD)
-from aspectkbl.semantics import StateDomain, meet, policy_values
+from aspectkbl.semantics import Interner, StateDomain, meet, policy_values
 import corpusio
 import gen
 import oracles
@@ -160,6 +160,22 @@ def test_instantiated_predicate_is_reported():
     got = v.witness.pred
     assert isinstance(got, ETest)
     assert got.args == (Const("Doctor"), Const("Olsen"))
+
+
+def test_only_a_quantified_check_builds_location_constants(monkeypatch):
+    net = corpusio.net("tiny_no_policies.akbl")
+    asked = []
+    constants = Interner.constants
+    monkeypatch.setattr(Interner, "constants", lambda self, ids: asked.append(
+        ids) or constants(self, ids))
+    for name in ("eq1.obl", "eq2.obl"):
+        v = check_lts(net, corpusio.obl(name))
+        assert not v.holds and v.witness is not None
+    assert not asked
+    # the quantifier ranges over both states' location constants
+    obl = parse_obligation(
+        "AG [$u : r(_, PrivateNotes, _)@EHDB] exists $l : $l = EHDB")
+    assert check_lts(net, obl).holds and asked
 
 
 def test_limits_propagate():

@@ -1,6 +1,7 @@
 """Operational layer: matching, policy evaluation, steps, state spaces."""
 import json
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -9,10 +10,12 @@ from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
                        json_export,
                        match, occurs_in, parse_net, parse_obligation,
                        parse_policy, sat_obl, step_candidates, take_actions)
+from aspectkbl import parser, semantics
 from aspectkbl.semantics import (Interner, ground_atom, json_text, net_text,
                                  numeral)
 from aspectkbl.model import (Action, BindVar, Const, ETrue, Net, NetEntry, NIL,
                              Par, Repl, Sum, Var, WILDCARD, canonicalize)
+from aspectkbl.parser import render_entry
 import corpusio
 import gen
 import oracles
@@ -272,6 +275,121 @@ def test_json_export_writes_the_document_json_dumps_writes():
     assert not build_lts(still).transitions
     assert '"transitions": []' in json_export(build_lts(still))
     assert "\\u00e9" in json_export(build_lts(_escaping_net()))
+
+
+def _assert_export_renders_as_the_plain_renderer(net):
+    # every state's text joins the plain renderer's texts of its entries
+    lts = build_lts(net)
+    plain = [oracles.plain_entry_text(e) for e in lts.space.entries]
+    states = json.loads(json_export(lts))["states"]
+    assert [s["net"] for s in states] == [
+        " || ".join(plain[j] for j in ids) for ids in lts.ids]
+
+
+def _out(name, cont=NIL, at="A"):
+    return Sum(((Action("out", (Const(name),), Const(at)), cont),))
+
+
+def _hand_made_nets():
+    """Continuations the generated nets lack: a choice and a parallel,
+    a nil, and one node that is a continuation in one entry and the
+    whole body of another, met as a body first and as a term first."""
+    choice = Sum((*_out("b").branches, *_out("c").branches))
+    shared = Sum(((Action("out", (Const("s"),), Const("A")), _out("t")),))
+    nets = [parse_net("A ::[true] out(a)@A . (out(b)@A . 0 + out(c)@A . 0)"),
+            parse_net("A ::[true] out(a)@A . (out(b)@A . 0 | out(c)@A . 0)"),
+            parse_net("A ::[true] out(a)@A . 0 || B ::[true] <k>")]
+    for first, second in (("A", "B"), ("B", "A")):
+        for node in (choice, shared):
+            nets.append(Net((NetEntry(first, ETrue(), _out("a", node)),
+                             NetEntry(second, ETrue(), node))))
+        nets.append(Net((NetEntry(first, ETrue(), _out("a", shared)),
+                         NetEntry(second, ETrue(), _out("z", shared)))))
+    return nets
+
+
+def test_export_renders_each_entry_as_the_plain_renderer():
+    for net in [*_corpus_nets(), *_generated_nets(range(300), range(300),
+                                                  range(300)),
+                *_hand_made_nets(), _escaping_net()]:
+        _assert_export_renders_as_the_plain_renderer(net)
+    # replications, parallels and choices nest in the nets of gen_net,
+    # which no LTS is built for; one memo serves a whole net
+    rng = random.Random(5)
+    for _ in range(300):
+        net, memo = gen.gen_net(rng), {}
+        for e in net.entries:
+            assert render_entry(e, memo) == oracles.plain_entry_text(e)
+
+
+def test_export_renders_each_action_node_once(monkeypatch):
+    chain = parse_net("A ::[true] " + " . ".join(
+        f"out(k{i})@A" for i in range(200)) + " . 0")
+    lts = build_lts(chain)
+    actions = set()
+    for e in lts.space.entries:
+        p = e.body
+        while isinstance(p, Sum):
+            actions.add(id(p.branches[0][0]))
+            p = p.branches[0][1]
+    calls = []
+    render_action = parser.render_action
+    monkeypatch.setattr(parser, "render_action",
+                        lambda a: calls.append(a) or render_action(a))
+    states = json.loads(json_export(lts))["states"]
+    assert len(states) == 201 and len(actions) == 200
+    assert 0 < len(calls) <= len(actions)
+
+
+def _sign(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+def test_string_keys_order_entries_as_their_sort_keys():
+    # locations that prefix one another, and data and processes at one
+    # location, where the fields after the location decide
+    locs = ("A", "AB", "A0", "B")
+    rng = random.Random(23)
+    for _ in range(40):
+        space = Interner()
+        for _ in range(rng.randint(2, 12)):
+            loc = rng.choice(locs)
+            body = (tuple(rng.choice(("k", "k, v", "")) for _ in range(
+                rng.randint(0, 2))) if rng.random() < 0.5
+                else gen.gen_small_process(rng, locs))
+            space.intern(NetEntry(loc, gen.gen_small_policy(rng, locs), body))
+        entries, keys = space.entries, space.keys
+        for i in range(len(entries)):
+            for j in range(len(entries)):
+                assert _sign(keys[i], keys[j]) == _sign(
+                    entries[i].sort_key, entries[j].sort_key)
+        ids = sorted(range(len(entries)), key=keys.__getitem__)
+        for loc in locs:
+            first = bisect_left(ids, loc + "\0", key=keys.__getitem__)
+            assert first == sum(entries[j].location < loc for j in ids)
+
+
+def test_a_deep_lts_tries_each_read_on_its_key_only(monkeypatch):
+    # two processes read 15 keys each, one tuple per key, and write 15
+    # copies under other keys: a read tries only the data of its key
+    entries = []
+    for p, (read, copy) in (("P", ("K", "C")), ("Q", ("L", "D"))):
+        steps = []
+        for i in range(30):
+            if i % 2 == 0:
+                entries.append(f"Store ::[true] <{read}{i}, {p}{i}>")
+                steps.append(f"read({read}{i}, !d{i})@Store")
+            else:
+                steps.append(f"out({copy}{i}, d{i - 1})@Store")
+        entries.append(f"{p} ::[true] {' . '.join(steps + ['0'])}")
+    net = parse_net("\n|| ".join(entries))
+    calls = []
+    match = semantics.match
+    monkeypatch.setattr(semantics, "match",
+                        lambda *args: calls.append(args) or match(*args))
+    lts = build_lts(net)
+    assert (len(lts.ids), len(lts.transitions)) == (961, 1860)
+    assert len(calls) < 200
 
 
 # quotes, backslashes, control characters, DEL, non-ASCII text of one
