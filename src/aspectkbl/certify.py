@@ -51,11 +51,39 @@ work that does not depend on where an action sits is done once per
 distinct body and action object: `take_actions` walks each distinct
 body once, the domain takes the out and in templates of each distinct
 action once, and `report_json` renders each distinct action once.
-Each located action is still judged on its own, as its location binds
-the pattern's subject.  The range of the predicate's quantifiers, the
-network's location constants, is collected only when the predicate
-quantifies, and a net that `canonicalize` made, as `parse_net`
-returns it, is not sorted again.
+The range of the predicate's quantifiers, the network's location
+constants, is collected only when the predicate quantifies, and a net
+that `canonicalize` made, as `parse_net` returns it, is not sorted
+again.
+
+A location binds the pattern's subject, so the same action is judged
+anew at each location; but principals with the same role are
+interchangeable, and each class of them is judged once (Ip and Dill,
+"Better Verification through Symmetry", FMSD 1996; Emerson and Sistla,
+"Symmetry and Model Checking", FMSD 1996).  A candidate is the
+location of a process entry that no policy, no process body and
+neither part of the obligation names.  Two candidates c and d are
+interchangeable when the entries naming c, each with c blanked, and
+those naming d, each with d blanked, are equal as multisets; an entry
+naming both would stand in the first with d and could not stand in the
+second, so no such pair is grouped.  Swapping c and d then maps the
+canonical net onto itself and fixes every policy, every body and the
+obligation.  Every step of the judgement compares constants only by
+equality: unification, the templates of `MutationInfo`, the sure atoms
+and both evaluators.  So judging an action at d gives the report of
+the same action at c with the two names swapped in its source, its
+`theta0` and its constraints, and asks the swapped atoms, which
+`check_network` adds to `asked` so that the domain stays what judging
+each action on its own makes.  Two guards keep the plain judgement of
+every action: a predicate that quantifies, whose `exists` and `forall`
+stop early in the order of the names and so ask atoms the names
+choose, and a location whose entries differ in policy, where the
+policy of its first entry in canonical order judges the actions aimed
+at it, and a swap may change which entry is first.  Numerals are never
+candidates, since `geq` reads their value.  Any refinement of the
+certifier must keep to this: compare constants only by equality, or
+keep apart the constants it reads otherwise, as numerals are kept
+apart.
 """
 from __future__ import annotations
 
@@ -227,21 +255,118 @@ def check_single_action(obl: Obligation, act, pols: dict, mut: MutationInfo,
                         constraints=constraints, side_values=sides)
 
 
+def interchangeable(net: Net, obl: Obligation, pols: dict) -> dict:
+    """Each location of a process entry that may take the place of a
+    smaller one, mapped to the least name of its class: two candidates,
+    constants that no policy, no body and no part of the obligation
+    names and that are not numerals, are interchangeable when the
+    entries naming each, the name blanked, are equal as multisets.
+    Empty when a location's entries differ in policy."""
+    cut = obl.cut
+    named = set(obl.pred.consts)
+    named.update([t.name for t in (cut.subject, *cut.args, cut.target)
+                  if t.__class__ is Const])
+    seen, sites = set(), set()     # ids of the nodes read; process locations
+    for e in net.entries:
+        pol, body = e.policy, e.body
+        if pol is not pols[e.location] and pol != pols[e.location]:
+            return {}
+        if id(pol) not in seen:
+            seen.add(id(pol))
+            named |= pol.consts
+        if body.__class__ is not tuple:
+            sites.add(e.location)
+            if id(body) not in seen:
+                seen.add(id(body))
+                named |= body.consts
+    # `geq` reads the value of a numeral, so numerals are kept apart
+    candidates = {c for c in sites - named
+                  if not (c.isascii() and c.isdigit())}
+    if len(candidates) < 2:
+        return {}
+    blanked: dict = {c: [] for c in candidates}
+    for e in net.entries:
+        loc, kind, body, pol = e.sort_key
+        if kind == "proc":
+            if loc in candidates:
+                blanked[loc].append((None, kind, body, pol))
+            continue
+        hits = candidates.intersection(e.body)
+        if loc in candidates:
+            hits.add(loc)
+        for c in hits:
+            blanked[c].append((None if loc == c else loc, kind,
+                               tuple([None if v == c else v for v in e.body]),
+                               pol))
+    classes: dict = {}          # signature -> the least candidate with it
+    least: dict = {}
+    for c in sorted(candidates):
+        # any fixed order of a multiset's items compares multisets
+        rep = classes.setdefault(tuple(sorted(blanked[c], key=hash)), c)
+        if rep != c:
+            least[c] = rep
+    return least
+
+
+def _swap_atom(atom: tuple, swap: dict) -> tuple:
+    at, values = atom
+    return swap.get(at, at), tuple([swap.get(v, v) for v in values])
+
+
+def _swapped(r: ActionReport, source: str, swap: dict) -> ActionReport:
+    """The report r with the two names of swap swapped, for the same
+    action at source."""
+    th0, constraints = r.theta0, r.constraints
+    if th0 is not None:
+        th0 = Substitution(tuple([
+            (k, Const(swap[t.name]) if t.__class__ is Const and t.name in swap
+             else t) for k, t in th0.pairs]))
+    if constraints:
+        constraints = tuple([_swap_atom(a, swap) for a in constraints])
+    return ActionReport(source, r.action, r.outcome, th0, constraints,
+                        r.side_values)
+
+
 def check_network(net: Net, obl: Obligation) -> StaticVerdict:
     """Certify every syntactic action of the network, without building
-    any part of the transition system."""
+    any part of the transition system.  An action of a location that
+    is `interchangeable` with a smaller one takes the report of the
+    same action there, renamed."""
     if has_replication(net):
         raise ReplicationPresent(
             "replication is outside the checkable fragment")
     net = canonicalize(net)
     mut = MutationInfo(net)
     pols = policies_by_location(net)
-    # a predicate without quantifiers never reads the range
-    domain = sorted(loc_set(net)) if quantified(obl.pred) else ()
-    reports = tuple(check_single_action(obl, act, pols, mut, domain)
-                    for act in mut.actions)
+    if quantified(obl.pred):
+        domain, least = sorted(loc_set(net)), {}
+    else:
+        # a predicate without quantifiers never reads the range
+        domain, least = (), interchangeable(net, obl, pols)
+    leaders = set(least.values())
+    asked = mut.asked
+    judged: dict = {}       # (location, action, continuation) -> report, asked
+    reports = []
+    for act in mut.actions:
+        rep = least.get(act.source)
+        got = rep and judged.get((rep, id(act.action), id(act.continuation)))
+        if got:
+            swap = {rep: act.source, act.source: rep}
+            report = _swapped(got[0], act.source, swap)
+            if got[1]:
+                asked.update([_swap_atom(a, swap) for a in got[1]])
+        elif act.source in leaders:
+            mut.asked = set()
+            report = check_single_action(obl, act, pols, mut, domain)
+            judged[act.source, id(act.action), id(act.continuation)] = \
+                report, mut.asked
+            asked |= mut.asked
+            mut.asked = asked
+        else:
+            report = check_single_action(obl, act, pols, mut, domain)
+        reports.append(report)
     certified = all(r.outcome != NOT_CERTIFIED for r in reports)
-    return StaticVerdict(certified, reports, mut)
+    return StaticVerdict(certified, tuple(reports), mut)
 
 
 def constraint_text(atom: tuple) -> str:

@@ -104,7 +104,10 @@ class TransitionCheck:
     against the pattern, and the predicate instantiated for it, once;
     the first transition whose predicate comes out false gives the
     witness.  The location constants of a state, the range of the
-    quantifiers, are built only for a quantified predicate."""
+    quantifiers, are built only for a quantified predicate, whose
+    value on a step is kept by the step's label, the data of its two
+    states and the range, so that each distinct step is evaluated
+    once."""
 
     def __init__(self, obl: Obligation):
         self.obl = obl
@@ -116,6 +119,8 @@ class TransitionCheck:
         # state -> (data index, location constants, or none when the
         # predicate holds no quantifier)
         self._states: dict = {}
+        # (label, pre data, post data, pre and post constants) -> violates
+        self._values: dict = {}
 
     def _state(self, space, ids: tuple):
         got = self._states.get(ids)
@@ -137,8 +142,15 @@ class TransitionCheck:
             return False
         (pre, pre_locs), (post, post_locs) = self._state(space, pre), \
             self._state(space, post)
-        return pred_values(m[1], StateDomain(pre, post),
-                           sorted(pre_locs | post_locs)) != TT
+        if not self._quantified:
+            return pred_values(m[1], StateDomain(pre, post), ()) != TT
+        key = (label, pre, post, pre_locs, post_locs)
+        got = self._values.get(key)
+        if got is None:
+            got = self._values[key] = pred_values(
+                m[1], StateDomain(pre, post),
+                sorted(pre_locs | post_locs)) != TT
+        return got
 
     def __call__(self, lts: LTS, t) -> bool:
         """Check one transition of lts; true when it violates."""

@@ -647,14 +647,16 @@ def render_process(p, term: bool = False, memo: Optional[dict] = None) -> str:
     parentheses.
 
     A chain of single prefixes is walked down in a loop to the first
-    process that is not one, or whose text memo holds, and its texts
-    are built back up in a loop: a prefix's text is its action's text
-    joined to its continuation's.  So a chain costs no frame, and a
-    choice, a parallel or a replication one frame each.  With a dict
-    memo, which maps id(node) to the text of the node as a process,
-    not as a term, every text built is kept in it and no process found
-    there is rendered again; the caller keeps the nodes alive while
-    memo is in use."""
+    process that is not one, or whose text memo holds.  Without a memo
+    the chain's action texts are then joined once, so that a chain's
+    text costs time linear in its length; with one, its texts are
+    built back up in a loop, a prefix's text its action's text joined
+    to its continuation's.  So a chain costs no frame, and a choice, a
+    parallel or a replication one frame each.  With a dict memo, which
+    maps id(node) to the text of the node as a process, not as a term,
+    every text built is kept in it and no process found there is
+    rendered again; the caller keeps the nodes alive while memo is in
+    use."""
     chain = []
     while (p.__class__ is Sum and len(p.branches) == 1
            and (memo is None or id(p) not in memo)):
@@ -682,10 +684,12 @@ def render_process(p, term: bool = False, memo: Optional[dict] = None) -> str:
     if (term or chain) and (isinstance(p, Par) or isinstance(p, Sum)
                             and len(p.branches) > 1):
         text = f"({text})"
+    if memo is None:
+        return " . ".join([render_action(node.branches[0][0])
+                           for node in chain] + [text])
     for node in reversed(chain):
         text = f"{render_action(node.branches[0][0])} . {text}"
-        if memo is not None:
-            memo[id(node)] = text
+        memo[id(node)] = text
     return text
 
 

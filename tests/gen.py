@@ -11,7 +11,7 @@ from aspectkbl.model import (Action, Aspect, AspectPol, BindVar, CAP_LETTER,
                              Obligation, PExists, PForall, PTestPost, Par,
                              Repl, Sum, Var, WILDCARD, canonicalize,
                              take_actions)
-from aspectkbl.parser import parse_net, render_entry
+from aspectkbl.parser import parse_net, parse_obligation, render_entry
 
 LOCS = ("A", "B", "C")
 CONSTS = ("k", "v", "w", "m", "n")
@@ -580,3 +580,106 @@ def separate_bodies(net):
     read the same."""
     return canonicalize(Net(tuple(e for x in net.entries
                                   for e in parse_net(render_entry(x)).entries)))
+
+
+ROLES = ("Doctor", "Nurse", "Clerk")
+STAFF = ("Ann", "Bo", "Cy", "Di", "Ed", "Flo", "Gus", "Hal", "Ida", "Jo",
+         "Kit", "Lu", "Max", "Ned", "Oz")
+
+
+def gen_role_net(rng):
+    """A role-based ward: 1-3 roles of 1-5 principals each, every
+    principal running its role's process, which reads the notes of a
+    store whose guard tests the reader's role.  Roles often run one
+    process, so that only their tuples at ROLES tell them apart.
+    Principals of one role are interchangeable unless a symmetry
+    breaker tells them apart: an admin whose process names one, a
+    policy `#u = P`, a data tuple naming two, a second entry or another
+    policy at one, or names that are numerals (`gen_role_obligation`
+    reads them with >=).  The numerals are not names the grammar
+    admits at a location, so such a network is built, not parsed."""
+    roles = ROLES[:rng.randint(1, 3)]
+    staff = iter(rng.sample(STAFF, len(STAFF)))
+    members = {r: [next(staff) for _ in range(rng.randint(1, 5))]
+               for r in roles}
+    people = [p for r in roles for p in members[r]]
+    steps = ("read(Index, !i)@Archive", "in(Notes, !d)@Store",
+             f"read({roles[-1]}, !x)@ROLES", "out(Done, i1)@Store")
+    shared = rng.random() < 0.6
+
+    def process():
+        tail = rng.sample(steps, rng.randint(0, 1))
+        return " . ".join(["read(Notes, !c)@Store", "out(Copy, c)@Archive",
+                           *tail, "0"])
+
+    bodies = dict.fromkeys(roles, process()) if shared \
+        else {r: process() for r in roles}
+    guard = (f"[test({rng.choice(roles)}, #u)@ROLES if #u :: "
+             "read(Notes, _)@Store . X : true]")
+    if rng.random() < 0.3:
+        guard += (f" oplus [not test({rng.choice(roles)}, #u)@ROLES if #u ::"
+                  " in(_, _)@Store . X : true]")
+    archive = "true"
+    if rng.random() < 0.2:            # a policy names a principal
+        archive = (f"[not #u = {rng.choice(people)} if #u :: "
+                   "out(Copy, _)@Archive . X : true]")
+    entries = [f"Store ::[{guard}] <Notes, n1>",
+               f"Archive ::[{archive}] <Index, i1>"]
+    if rng.random() < 0.2:            # an admin names a principal
+        p = rng.choice(people)
+        entries.append(f"Admin ::[true] in({rng.choice(roles)}, {p})@ROLES "
+                       f". out(Clerk, {p})@ROLES . 0")
+    if rng.random() < 0.2 and len(people) > 1:   # a tuple names two
+        a, b = rng.sample(people, 2)
+        entries.append(f"ROLES ::[true] <Mentor, {a}, {b}>")
+    if rng.random() < 0.2:            # a tuple names some
+        entries += [f"Archive ::[true] <Log, {p}>"
+                    for p in rng.sample(people, rng.randint(1, len(people)))]
+    for r in roles:
+        for p in members[r]:
+            entries.append(f"ROLES ::[true] <{r}, {p}>")
+            pol = "true"
+            if rng.random() < 0.1:
+                pol = "[false if #u :: out(Copy, _)@Archive . X : true]"
+            entries.append(f"{p} ::[{pol}] {bodies[r]}")
+            if rng.random() < 0.1:    # a second entry, or another policy
+                other = rng.choice(("true", "false"))
+                entries.append(f"{p} ::[{other}] {bodies[r]}")
+    rng.shuffle(entries)
+    net = parse_net(" || ".join(entries))
+    if rng.random() < 0.2:            # numerals for names
+        numeral = {p: str(n) for n, p in enumerate(people, 1)}
+        net = canonicalize(Net(tuple(
+            NetEntry(numeral.get(e.location, e.location), e.policy,
+                     tuple(numeral.get(v, v) for v in e.body)
+                     if e.is_data() else e.body)
+            for e in net.entries)))
+    return net
+
+
+def gen_role_obligation(rng, net):
+    """An obligation on a `gen_role_net` ward: a role test on who reads
+    the notes or files a copy, a quantified role test, a numeral bound
+    on the reader, or a subject that names one principal."""
+    roles = sorted({e.body[0] for e in net.entries
+                    if e.location == "ROLES" and e.body[0] in ROLES})
+    role = rng.choice(roles)
+    staff = sorted({e.location for e in net.entries if not e.is_data()}
+                   - {"Admin"})
+    who = rng.choice(staff) if rng.random() < 0.15 else "$u"
+    cut = rng.choice(("r(Notes, _)@Store", "o(Copy, _)@Archive"))
+    pred = rng.choice((
+        f"test({role}, {who})@ROLES",
+        f"not test({role}, {who})@ROLES",
+        f"test({role}, {who})@ROLES or test'(Clerk, {who})@ROLES",
+        f"{who} >= 3"))
+    if rng.random() < 0.05:
+        pred = rng.choice((
+            f"exists $x : test({role}, $x)@ROLES",
+            f"forall $x : (not test({role}, $x)@ROLES"
+            f" or test'({role}, $x)@ROLES)",
+            f"{pred} and (exists $x : test(Clerk, $x)@ROLES)"))
+    obl = parse_obligation(f"AG [$u : {cut}] {pred}\n")
+    if who != "$u":
+        obl = Obligation(obl.cut._replace(subject=Const(who)), obl.pred)
+    return obl

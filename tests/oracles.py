@@ -11,6 +11,8 @@ from typing import NamedTuple
 from aspectkbl import (BOT, TT, FF, TOP, VALUES, build_lts, data_index,
                        loc_set, match)
 from aspectkbl.belnap import GRANTS, LIFTED
+from aspectkbl.certify import (NOT_CERTIFIED, MutationInfo, StaticVerdict,
+                               check_single_action)
 from aspectkbl.exhaustive import TransitionCheck
 from aspectkbl.model import (CAP_LETTER, Action, Aspect, AspectPol, BindVar,
                              Const, Cut, Diagnostic, EBin, EEqual, EFalse,
@@ -20,8 +22,8 @@ from aspectkbl.model import (CAP_LETTER, Action, Aspect, AspectPol, BindVar,
                              Substitution, Sum, Var, Wildcard, canonicalize,
                              render_term, split_entry, subst_key)
 from aspectkbl.parser import KEYWORDS, render_expr
-from aspectkbl.semantics import (StateDomain, net_text, policy_values,
-                                 pred_values)
+from aspectkbl.semantics import (StateDomain, net_text, policies_by_location,
+                                 policy_values, pred_values, quantified)
 
 _TEXT = {BOT: "bot", TT: "tt", FF: "ff", TOP: "top"}
 
@@ -412,6 +414,20 @@ def check_whole(net, obl, **limits):
         if check(lts, t):
             break
     return check.verdict(lts)
+
+
+def judge_each(net, obl):
+    """`check_network`'s verdict with every located action judged on
+    its own, none taking the renamed report of an interchangeable
+    location: the reference for the certifier's per-class judging."""
+    net = canonicalize(net)
+    mut = MutationInfo(net)
+    pols = policies_by_location(net)
+    domain = sorted(loc_set(net)) if quantified(obl.pred) else ()
+    reports = tuple(check_single_action(obl, act, pols, mut, domain)
+                    for act in mut.actions)
+    return StaticVerdict(all(r.outcome != NOT_CERTIFIED for r in reports),
+                         reports, mut)
 
 
 # A lexer that reads one character at a time: the reference that

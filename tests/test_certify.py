@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from aspectkbl import (BOT, FF, TT, ReplicationPresent, build_lts,
+from aspectkbl import (BOT, FF, TT, ReplicationPresent, build_lts, certify,
                        canonicalize, check_network, check_single_action,
                        corpus_path, might_grant, parse_net,
                        parse_obligation, parse_policy, report_json, semantics,
@@ -482,3 +482,142 @@ def test_policy_values_are_sound_in_every_reachable_state():
     assert checked[gen.gen_guarded_net] > 10000
     assert checked[gen.gen_ward_net] > 20000
     assert unsound == []
+
+
+# ---------------------------------------------------------------------------
+# one judgement per class of interchangeable locations
+
+def _counting(monkeypatch) -> list:
+    """The sources of the located actions check_network judges itself,
+    in the order it judges them."""
+    judged = []
+
+    def counted(obl, act, *rest):
+        judged.append(act.source)
+        return check_single_action(obl, act, *rest)
+
+    monkeypatch.setattr(certify, "check_single_action", counted)
+    return judged
+
+
+def test_interchangeable_locations_certify_as_each_judged_alone(monkeypatch):
+    # principals of one role swap onto each other; check_network judges
+    # one of each class and renames its reports for the rest, which
+    # must give every report and every slot of the domain that judging
+    # each located action on its own gives
+    judged = _counting(monkeypatch)
+    renamed = relevant = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        net = gen.gen_role_net(rng)
+        obls = [gen.gen_role_obligation(rng, net) for _ in range(3)]
+        obls += [gen.gen_obligation_from_net(rng, net),
+                 gen.gen_obligation_for(rng, net)]
+        for obl in obls:
+            judged.clear()
+            got, want = check_network(net, obl), oracles.judge_each(net, obl)
+            assert got.certified == want.certified, (seed, obl)
+            assert got.actions == want.actions, (seed, obl)
+            for field in MutationInfo.__slots__:
+                assert getattr(got.domain, field) \
+                    == getattr(want.domain, field), (seed, obl, field)
+            renamed += len(got.actions) - len(judged)
+            relevant += sum(r.outcome != IRRELEVANT for r in got.actions
+                            if r.source not in judged)
+    assert renamed > 10000
+    assert relevant > 2000
+
+
+def _ward(staff: int) -> tuple:
+    # the shape of the benchmark's certify job: half the staff nurses,
+    # every one reading the guarded store and filing a copy
+    people = [f"S{n:03d}x" for n in range(staff)]
+    entries = ["EHDB ::[[test(Doctor, #u)@ROLES if #u :: "
+               "read(_, PrivateNotes, _)@EHDB . X : true]] "
+               "<Bob, PrivateNotes, Text>", "Archive ::[true] <Index, Ix>"]
+    for n, s in enumerate(people):
+        entries += [f"ROLES ::[true] <{'Nurse' if n % 2 else 'Doctor'}, {s}>",
+                    f"{s} ::[true] read(Bob, PrivateNotes, !c)@EHDB . "
+                    "out(Bob, Copy, c)@Archive . 0"]
+    random.Random(staff).shuffle(entries)
+    return (parse_net("\n|| ".join(entries)),
+            parse_obligation("AG [$u : r(_, PrivateNotes, _)@EHDB] "
+                             "test(Doctor, $u)@ROLES"))
+
+
+def test_a_role_ward_is_judged_once_per_role(monkeypatch):
+    judged = _counting(monkeypatch)
+    net, obl = _ward(400)
+    verdict = check_network(net, obl)
+    assert verdict.certified and len(verdict.actions) == 800
+    assert len(judged) <= 10
+    assert Counter(r.outcome for r in verdict.actions) \
+        == {ENTAILED: 200, DENIED: 200, IRRELEVANT: 400}
+    want = oracles.judge_each(net, obl)
+    assert verdict.actions == want.actions
+    assert verdict.domain.asked == want.domain.asked
+
+
+_ROLE_WARD = (
+    "Store ::[[test(Doctor, #u)@ROLES if #u :: read(Notes, _)@Store . X"
+    " : true]] <Notes, n1>\n"
+    "|| ROLES ::[true] <Doctor, A> || ROLES ::[true] <Doctor, B>\n"
+    "|| ROLES ::[true] <Nurse, C> || ROLES ::[true] <Nurse, D>\n"
+    "|| A ::[true] read(Notes, !c)@Store . 0"
+    " || B ::[true] read(Notes, !c)@Store . 0\n"
+    "|| C ::[true] read(Notes, !c)@Store . 0"
+    " || D ::[true] read(Notes, !c)@Store . 0\n")
+_ROLE_OBL = "AG [$u : r(Notes, _)@Store] test(Doctor, $u)@ROLES"
+
+
+@pytest.mark.parametrize("extra, obl, least", [
+    ("", _ROLE_OBL, {"B": "A", "D": "C"}),
+    # a name in a body, a policy or the obligation is no candidate
+    ("|| Admin ::[true] out(Nurse, B)@ROLES . 0", _ROLE_OBL, {"D": "C"}),
+    ("|| Log ::[[not #u = B if #u :: out(_)@Log . X : true]] <seen>",
+     _ROLE_OBL, {"D": "C"}),
+    ("", "AG [$u : r(Notes, _)@Store] test(Doctor, $u)@ROLES or $u = D",
+     {"B": "A"}),
+    # a tuple naming two keeps them apart
+    ("|| ROLES ::[true] <Mentor, A, B>", _ROLE_OBL, {"D": "C"}),
+    # so do different entries, policies or counts of entries
+    ("|| Archive ::[true] <Log, C>", _ROLE_OBL, {"B": "A"}),
+    ("|| D ::[true] read(Notes, !c)@Store . 0", _ROLE_OBL, {"B": "A"}),
+    ("|| B ::[true] out(Seen)@Store . 0", _ROLE_OBL, {"D": "C"}),
+    # a location whose entries differ in policy leaves every one alone
+    ("|| C ::[false] 0", _ROLE_OBL, {}),
+])
+def test_symmetry_breakers_keep_locations_apart(extra, obl, least):
+    net = parse_net(_ROLE_WARD + extra)
+    obl = parse_obligation(obl)
+    assert certify.interchangeable(net, obl, policies_by_location(net)) \
+        == least
+    got, want = check_network(net, obl), oracles.judge_each(net, obl)
+    assert got.actions == want.actions
+    assert got.domain.asked == want.domain.asked
+
+
+def test_numerals_and_quantified_predicates_are_judged_alone(monkeypatch):
+    # >= reads a numeral's value, and a quantifier stops early in the
+    # order of the names, so neither lets a report be renamed
+    judged = _counting(monkeypatch)
+    net = parse_net(_ROLE_WARD)
+    numeral = {"A": "1", "B": "5", "C": "7", "D": "8"}
+    numbered = canonicalize(Net(tuple(
+        NetEntry(numeral.get(e.location, e.location), e.policy,
+                 tuple(numeral.get(v, v) for v in e.body)
+                 if e.is_data() else e.body) for e in net.entries)))
+    geq = parse_obligation("AG [$u : r(Notes, _)@Store] $u >= 3")
+    assert certify.interchangeable(numbered, geq,
+                                   policies_by_location(numbered)) == {}
+    verdict = check_network(numbered, geq)
+    assert [r.outcome for r in verdict.actions] \
+        == [NOT_CERTIFIED, ENTAILED, DENIED, DENIED]
+    assert len(judged) == 4
+    judged.clear()
+    exists = parse_obligation("AG [$u : r(Notes, _)@Store] "
+                              "exists $x : test(Doctor, $x)@ROLES")
+    verdict = check_network(net, exists)
+    assert len(judged) == 4
+    assert verdict.actions == oracles.judge_each(net, exists).actions
+    assert verdict.domain.asked == oracles.judge_each(net, exists).domain.asked

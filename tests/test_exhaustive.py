@@ -4,13 +4,14 @@ import random
 import pytest
 
 from aspectkbl import (EvaluationError, LimitExceeded, build_lts, check_lts,
-                       check_network, parse_net, parse_obligation, sat_obl,
-                       unify_label)
-from aspectkbl.exhaustive import Reduction
-from aspectkbl.model import (Const, EEqual, ETest, Label, LabelPattern, PGeq,
-                             PTestPost, Substitution, Sum, Var, Wildcard,
-                             WILDCARD)
-from aspectkbl.semantics import Interner, StateDomain, meet, policy_values
+                       check_network, exhaustive, parse_net, parse_obligation,
+                       sat_obl, unify_label)
+from aspectkbl.exhaustive import Reduction, TransitionCheck
+from aspectkbl.model import (Const, EBin, EEqual, ETest, Label, LabelPattern,
+                             Obligation, PExists, PForall, PGeq, PTestPost,
+                             Substitution, Sum, Var, Wildcard, WILDCARD)
+from aspectkbl.semantics import (Interner, StateDomain, meet, policy_values,
+                                 quantified)
 import corpusio
 import gen
 import oracles
@@ -524,3 +525,94 @@ def test_a_violation_in_a_large_ward_is_answered_from_the_reduced_search():
     assert len(v.witness.path) == 6
     assert v.witness.label.text() == "D0:o(Bob,Copy,n1)@Archive"
     assert oracles.replay(net, v.witness)
+
+
+# ---------------------------------------------------------------------------
+# quantified checks
+
+def _quantify(rng, net, obl):
+    # obl with its predicate joined to a quantified test of a tuple of
+    # the network, one position of it left to the quantifier
+    at, body = rng.choice([(e.location, e.body) for e in net.entries
+                           if e.is_data()])
+    i = rng.randrange(len(body))
+    args = tuple(Var("$q") if j == i else Const(v) for j, v in enumerate(body))
+    q = rng.choice((PExists, PForall))("$q", ETest(args, Const(at)))
+    return Obligation(obl.cut, EBin(rng.choice(("and", "or")), obl.pred, q))
+
+
+def test_quantified_checks_evaluate_as_each_step_alone():
+    # a quantified check keeps its value by the step's label, data and
+    # range; on every matched step of the whole system the kept value is
+    # the plain evaluation of the step's predicate on its two states,
+    # and verdicts and witnesses are those of the whole system's check
+    pairs = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        net = gen.gen_small_net(rng)
+        obl = gen.gen_obligation_for(rng, net)
+        while not quantified(obl.pred):
+            obl = gen.gen_obligation_for(rng, net)
+        pairs.append((net, obl))
+        if seed % 3 == 0:
+            net = gen.gen_ward_net(rng)
+            pairs.append((net, _quantify(
+                rng, net, gen.gen_obligation_from_net(rng, net))))
+    compared = steps = violated = 0
+    for net, obl in pairs:
+        result = _agree(net, obl)
+        if result is None or isinstance(result, EvaluationError):
+            continue
+        compared += 1
+        violated += not result[0].holds
+        lts = build_lts(net, max_states=3000, max_depth=300)
+        check, states = TransitionCheck(obl), lts.states
+        for t in lts.transitions:
+            th = unify_label(obl.cut, t.label)
+            if th is None:
+                continue
+            steps += 1
+            got = _outcome(lambda: check.violates(
+                lts.space, t.label, lts.ids[t.src], lts.ids[t.dst]))
+            want = _outcome(lambda: not sat_pred(
+                (states[t.src], states[t.dst]), th, obl.pred))
+            assert type(got) is type(want), (net, obl, t)
+            if not isinstance(got, EvaluationError):
+                assert got == want, (net, obl, t)
+    assert compared >= 350
+    assert steps >= 1000
+    assert violated >= 20
+
+
+def _quantified_ward(doctors: int, nurses: int) -> tuple:
+    # the benchmark's ward with two nurses promoted and no demotion,
+    # under its copy obligation with a vacuous quantified conjunct
+    docs = [f"D{i}" for i in range(doctors)]
+    nurs = [f"N{i}" for i in range(nurses)]
+    net = parse_net("\n|| ".join(
+        ["EHDB ::[[test(Doctor, #u)@ROLES if "
+         "#u :: read(_, PrivateNotes, _)@EHDB . X : true]] "
+         "<Bob, PrivateNotes, n1>",
+         "Archive ::[true] <Index, i1>",
+         "Admin ::[true] in(Nurse, N0)@ROLES . out(Doctor, N0)@ROLES . "
+         "in(Nurse, N1)@ROLES . out(Doctor, N1)@ROLES . 0"]
+        + [f"ROLES ::[true] <Doctor, {d}>" for d in docs]
+        + [f"ROLES ::[true] <Nurse, {n}>" for n in nurs]
+        + [f"{s} ::[true] read(Bob, PrivateNotes, !c)@EHDB . "
+           "out(Bob, Copy, c)@Archive . read(Index, !i)@Archive . 0"
+           for s in docs + nurs]))
+    return net, parse_obligation(
+        "AG [$u : o(Bob, Copy, _)@Archive] test(Doctor, $u)@ROLES"
+        " and (exists $x : test(Index, $x)@Archive)")
+
+
+def test_a_quantified_ward_evaluates_each_distinct_step_once(monkeypatch):
+    evaluated = []
+    pred_values = exhaustive.pred_values
+    monkeypatch.setattr(exhaustive, "pred_values",
+                        lambda *args: evaluated.append(args)
+                        or pred_values(*args))
+    net, obl = _quantified_ward(3, 4)
+    v = sat_obl(net, obl)
+    assert v.holds and v.states_explored == 1664
+    assert len(evaluated) <= 100

@@ -2,6 +2,7 @@
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,10 +10,12 @@ import pytest
 from aspectkbl import (canonicalize, corpus_path, corpus_text, parse_net,
                        parse_obligation, parse_policy, render_expr,
                        render_net, render_obligation, ParseError)
-from aspectkbl.model import (Const, EBin, EFalse, ENot, ETrue, Net, Nil,
-                             WILDCARD, validate)
-from aspectkbl.parser import _TERMS, _lex, _positions, render_entry
+from aspectkbl.model import (NIL, Action, Const, EBin, EFalse, ENot, ETrue,
+                             Net, Nil, Sum, WILDCARD, validate)
+from aspectkbl.parser import (_TERMS, _lex, _positions, render_entry,
+                              render_process)
 import gen
+import oracles
 from oracles import reference_lex
 
 NET_FILES = sorted(f.name for f in corpus_path("eq1.obl").parent.iterdir()
@@ -341,6 +344,30 @@ def test_a_chain_of_one_operator_renders_in_a_loop():
         assert render_expr(parse_policy(ops)) == ops
     obl = "AG [$u : o(_)@A] " + " and ".join(["test(a)@A"] * 3000)
     assert render_obligation(parse_obligation(obl)) == obl
+
+
+def test_a_process_renders_without_a_memo_as_the_plain_renderer():
+    nets = [parse_net(corpus_text(name)) for name in NET_FILES]
+    for seed in range(300):
+        nets += [gen.gen_net(random.Random(seed)),
+                 gen.gen_small_net(random.Random(seed))]
+    for net in nets:
+        for e in net.entries:
+            assert render_entry(e) == oracles.plain_entry_text(e)
+    # a chain renders in time linear in its length, and in no frame per
+    # prefix; the plain renderer takes a frame per prefix
+    chain = NIL
+    for i in reversed(range(4000)):
+        chain = Sum(((Action("out", (Const(f"k{i}"), Const("v")),
+                             Const("B")), chain),))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 15000)
+    try:
+        want = oracles.plain_process_text(chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert render_process(chain) == render_process(chain, True) == want
+    assert want.count(" . ") == 4000
 
 
 def test_grammar_documents_every_term_position():
