@@ -1,4 +1,4 @@
-"""Concrete syntax: lexer, recursive descent parser and renderer.
+r"""Concrete syntax: lexer, recursive descent parser and renderer.
 
 Network files use one entry per location joined by ||, with ::[policy]
 attaching a policy expression, <a, b> for data tuples, | for parallel
@@ -9,13 +9,54 @@ files hold a single AG [label-pattern] predicate form.  $-variables
 belong to obligations, #-variables to aspects, !x binds in input and
 read templates and _ is the pattern wildcard.  // starts a comment.
 
-One regular expression, _TOKEN, lexes: a single findall over the whole
-source gives the text of every token, comment and text that is no
-token, and one dict lookup per distinct text gives its kind.  The
-parser reads two parallel lists, kinds and texts, and names a token by
-its index.  Lines and columns are worked out only for diagnostics, by
-_positions, which runs the same expression with finditer.  Input is
+One regular expression, _TOKEN, lexes, and one dict lookup per
+distinct text gives a token's kind.  The parser reads two parallel
+lists, kinds and texts, and names a token by its index.  Lines and
+columns are worked out only for diagnostics, by _positions, which runs
+the same expression with finditer over the whole source.  Input is
 ASCII; any other character is a stray character.
+
+A network repeats itself: role-based nets run one process under one
+policy at many locations, so their entries differ in the location
+alone.  So _lex cuts the source into the chunks between ||s and lexes
+each chunk's tail, its text after its first token, once per distinct
+tail, and a parse reads each distinct tail once.  The tokens are those
+of a findall over the whole source, comments and text that is no
+token left out, because:
+
+- comments go first, by a substitution of //.* with nothing.  Outside
+  a comment, // always starts one: the only match that holds a / but
+  a comment is the stray character /, which _TOKEN tries after //.*.
+  Comments are not tokens;
+- outside comments, every || is the separator token: a | always starts
+  a token, and \|\| is tried before |.  So a leftmost split at || cuts
+  where findall does, and ||| still gives || then |;
+- no token spans a blank or a ||, and the lookaheads of occurs-in and
+  _ read a blank, a | or the end of a chunk alike, so a chunk, its
+  first token and its tail, stripped of the blanks " \t\r\n" at both
+  ends, lex as they do in place.  The first token is the first match
+  of _TOKEN, which skips exactly those four blanks: \f and \v are
+  stray characters;
+- one kind table, filled on first sight, serves the whole parse.
+
+So the concatenated lists equal the whole source's, and _positions, on
+the original source, places every diagnostic where a whole-source
+lexer would.  The lexer reports, for each chunk whose first token is a
+token, that token's index and the chunk's tail.  _Parser.parsed maps
+each tail whose entry's parse ended exactly at the chunk's end, the
+next || or the end of input, to its policy, its body and its entry's
+number of tokens; a later entry with that tail takes the location it
+names and those nodes, and its tokens are skipped.  This is sound
+because the parser is deterministic in the tokens it reads and its one
+lookahead token, the || or end of input ends an entry before any rule
+looks beyond it, and a policy and a body start with nothing in scope.
+A recorded tail parsed without error, so a hit hides no diagnostic,
+and the lexer's diagnostics are raised whatever the table holds.
+Nodes are immutable and their memos are only ever filled, so sharing
+shows only to `is`, and a shared node brings its memoised text, hash,
+constants and free keys along: sort keys, canonical forms, location
+sets, action lists and the certifier's substitutions work once per
+distinct tail, not once per entry.
 
 One precedence table, _PREC, orders the binary operators of policies,
 rec/cond expressions and obligation predicates.  The parser reads it
@@ -23,25 +64,6 @@ in its one infix rule and the renderer in its one binary renderer, so
 the two agree on where parentheses are needed.  The three syntaxes
 build one node per constant and connective, and one rule reads true,
 false, not and parentheses for all of them.
-
-A network repeats itself: role-based nets run one process at many
-locations.  So a parse reads each distinct entry body once, and later
-copies are the same node (hash-consing at the parser, where the
-repetition shows in the tokens).  _Parser.bodies maps the token texts
-of each body that parsed, up to the next || or the end of input, to
-its node; a body whose whole slice is a recorded one is that node, and
-anything else is parsed by the rules below.  A body is recorded only
-when its parse ended exactly at the ||.  This is sound because the
-parser is deterministic in the tokens it reads and its one lookahead
-token, the || or end of input ends a body before any rule looks
-beyond it, and a body starts with no binder in scope.  A recorded
-slice parsed without error, so a hit hides no diagnostic, and the
-lexer's diagnostics are raised whatever the table holds.  Nodes are
-immutable and their memos are only ever filled, so sharing shows only
-to `is`, and a shared node brings its memoised text, hash, constants
-and free keys along: sort keys, canonical forms, location sets, action
-lists and the certifier's substitutions work once per distinct body,
-not once per entry.
 
 The full grammar is documented in docs/grammar.md.
 """
@@ -160,6 +182,7 @@ _TOKEN = re.compile(r"""
     occurs-in(?!\w) | [A-Za-z]\w* | [0-9]+ | [$\#][A-Za-z]\w*
   | \|\| | :: | >= | [|+*:.,()<>\[\]@!='] | _(?!\w)
   | //.* | _\w+ | [^ \t\r\n]""", re.ASCII | re.VERBOSE)
+_COMMENT = re.compile("//.*")
 
 # A match's kind by its text, else by its first character; None for a
 # comment and for text that is no token, a sigil with no name among it.
@@ -176,25 +199,61 @@ def _kind(text: str):
     return _KIND[text] if text in _KIND else _KIND_BY_FIRST.get(text[0])
 
 
-def _lex(src: str, diags: list) -> tuple:
+def _lex(src: str, diags: list, tails: Optional[dict] = None) -> tuple:
     """The kinds and the texts of the tokens of src, each list ending
-    with the end of input.  Positions are left to _positions."""
-    texts = _TOKEN.findall(src)
-    texts.append("")
-    kind_of = {text: _kind(text) for text in set(texts)}
-    if None in kind_of.values():        # a comment or text that is no token
-        if any(kind is None and not text.startswith("//")
-               for text, kind in kind_of.items()):
-            _positions(src, diags)
-        texts = [text for text in texts if kind_of[text]]
-    return list(map(kind_of.__getitem__, texts)), texts
+    with the end of input.  Positions are left to _positions.
+
+    Comments are removed and the rest is split at ||; each chunk's
+    tail, its text after its first token stripped of blanks, is lexed
+    once per distinct tail, and the chunks' tokens are joined by ||
+    tokens (the module docstring says why these are the whole
+    source's).  With a dict tails, the index of each chunk's first
+    token, when it is a token, maps to the chunk's tail."""
+    kinds: list = []
+    texts: list = []
+    kind_of: dict = {}
+    lexed: dict = {}        # tail -> (its kinds, its texts)
+    stray = False
+    for chunk in _COMMENT.sub("", src).split("||"):
+        m = _TOKEN.search(chunk)
+        if m is not None:
+            first = m.group()
+            tail = chunk[m.end():].strip(" \t\r\n")
+            hit = lexed.get(tail)
+            if hit is None:
+                words = _TOKEN.findall(tail)
+                for word in set(words).difference(kind_of):
+                    kind_of[word] = _kind(word)
+                found = list(map(kind_of.__getitem__, words))
+                if None in found:       # text that is no token is dropped
+                    stray = True
+                    words = list(filter(kind_of.__getitem__, words))
+                    found = list(map(kind_of.__getitem__, words))
+                hit = lexed[tail] = found, words
+            kind = kind_of.get(first) or _kind(first)
+            if kind:
+                if tails is not None:
+                    tails[len(texts)] = tail
+                kinds.append(kind)
+                texts.append(first)
+            else:
+                stray = True
+            kinds += hit[0]
+            texts += hit[1]
+        kinds.append("||")
+        texts.append("||")
+    kinds[-1], texts[-1] = "eof", ""
+    if stray:
+        _positions(src, diags)
+    return kinds, texts
 
 
 def _positions(src: str, diags=None) -> list:
     """The (line, column) of each token of src, then of the end of
     input; with diags, also a diagnostic for each text that is no
     token.  Only diagnostics read positions, so they are worked out
-    here, from the same matches as _lex, and only when needed."""
+    here, from one pass of _TOKEN over the whole source, whose tokens
+    are _lex's, and only when needed."""
     spots = []
     line, line_start, last = 1, 0, 0
     m = None
@@ -229,10 +288,11 @@ class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.diags: list = []
-        self.kinds, self.texts = _lex(src, self.diags)
+        self.tails: dict = {}       # see _lex
+        self.kinds, self.texts = _lex(src, self.diags, self.tails)
         self.end = len(self.texts) - 1      # the index of the end of input
         self.i = 0
-        self.bodies: dict = {}
+        self.parsed: dict = {}      # tail -> (policy, body, entry length)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -370,28 +430,26 @@ class _Parser:
         return Net(tuple(entries))
 
     def parse_entry(self) -> NetEntry:
-        """One entry; a body already read is that body's node."""
+        """One entry; a tail already read gives that tail's nodes."""
+        start = self.i
+        tail = self.tails.get(start)
         loc = self.expect_name("a location name")
+        hit = self.parsed.get(tail)
+        if hit is not None:
+            pol, body, length = hit
+            self.i = start + length
+            return NetEntry(loc, pol, body)
         self.expect("::")
         self.expect("[")
         pol = self.parse_policy()
         self.expect("]")
-        start = self.i
-        try:
-            stop = self.texts.index("||", start)
-        except ValueError:
-            stop = self.end
-        key = tuple(self.texts[start:stop])
-        body = self.bodies.get(key)
-        if body is not None:
-            self.i = stop
+        if self.accept("<"):
+            body = self.parse_list(">", _TERMS["data field"])
         else:
-            if self.accept("<"):
-                body = self.parse_list(">", _TERMS["data field"])
-            else:
-                body = self.parse_process(frozenset())
-            if self.i == stop:
-                self.bodies[key] = body
+            body = self.parse_process(frozenset())
+        if tail is not None and self.kinds[self.i] in ("||", "eof"):
+            # no rule passes a ||, so this is the end of the chunk
+            self.parsed[tail] = pol, body, self.i - start
         return NetEntry(loc, pol, body)
 
     def parse_process(self, scope):

@@ -39,8 +39,9 @@ breadth first search.
 
 The search hash-conses its states.  A per-run `Interner` gives every
 distinct entry an integer id the first time it is seen, and computes
-its canonical sort key, as one string, nil group, data pair and
-location constants then and only then.  A state is the tuple of its
+its canonical sort key, as one string, nil group and data pair then
+and only then; its location constants are computed the first time a
+quantified predicate asks for them.  A state is the tuple of its
 entries' ids, sorted by those keys, so deduplicating a successor
 hashes a tuple of small integers once, and ordering two entries
 compares two strings.  A step's label and the ids of the entries it
@@ -398,10 +399,11 @@ class Interner:
 
     The first time an entry is seen it gets an integer id, and with it
     everything later steps ask of it: its canonical sort key, its nil
-    group (location and policy), its (location, tuple) pair when it is
-    a data entry, and its location constants.  A state is the tuple of
-    its entries' ids in canonical order, so comparing and hashing a
-    state touches only integers.
+    group (location and policy) and its (location, tuple) pair when it
+    is a data entry.  Its location constants, which only a quantified
+    predicate reads, are computed when `constants` first asks for
+    them.  A state is the tuple of its entries' ids in canonical
+    order, so comparing and hashing a state touches only integers.
 
     The key kept is one string, the fields of `NetEntry.sort_key`
     joined by NUL, which orders exactly as the tuple does: no location
@@ -429,7 +431,7 @@ class Interner:
         self.groups: list = []       # id -> nil group number
         self.nils: list = []         # id -> is the body nil
         self.data: list = []         # id -> (location, tuple) or None
-        self.consts: list = []       # id -> frozenset of location constants
+        self.consts: dict = {}       # id -> frozenset of location constants
         self._ids: dict = {}         # NetEntry -> id
         self._groups: dict = {}      # (location, policy text) -> group number
         self.data_at: dict = {}      # location -> ids of its data entries
@@ -470,7 +472,6 @@ class Interner:
                         (e.location, len(e.body), e.body[0]), []).append(i)
             else:
                 self.data.append(None)
-            self.consts.append(entry_consts(e))
         return i
 
     def split(self, loc: str, pol, body) -> tuple:
@@ -541,7 +542,10 @@ class Interner:
 
     def constants(self, ids) -> frozenset:
         """`loc_set` of a state."""
-        return frozenset().union(*map(self.consts.__getitem__, ids))
+        consts = self.consts
+        for i in set(ids).difference(consts):
+            consts[i] = entry_consts(self.entries[i])
+        return frozenset().union(*map(consts.__getitem__, ids))
 
 
 # ---------------------------------------------------------------------------

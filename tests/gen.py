@@ -378,14 +378,17 @@ def gen_obligation_for(rng, net):
     return Obligation(pattern, pred)
 
 
-def gen_obligation_from_net(rng, net):
+def gen_obligation_from_net(rng, net, quantify=False):
     """An obligation whose pattern and predicate constants come from
     the network's own actions and data: the pattern takes the shape of
     one of its actions, and the tests name tuples it holds or writes,
     with positions sometimes left to the pattern's variables.  So the
     pattern matches steps the network takes and the tests read tuples
     whose presence changes, where `gen_obligation_for` draws from
-    CONSTS, which most networks never use."""
+    CONSTS, which most networks never use.  With quantify, and when
+    the network holds or writes a nonempty tuple, the predicate also
+    has an exists or forall over one position of such a tuple, drawn
+    after everything else, so the draws without it are unchanged."""
     acts = take_actions(net)
     locs = sorted({e.location for e in net.entries})
     tuples = [(e.location, e.body) for e in net.entries if e.is_data()]
@@ -446,6 +449,19 @@ def gen_obligation_from_net(rng, net):
         pred = EBin("and" if rng.random() < 0.5 else "or", pred, atom())
     elif r < 0.55:
         pred = ENot(EBin("and" if rng.random() < 0.5 else "or", pred, atom()))
+    tuples = [t for t in tuples if t[1]] if quantify else []
+    if tuples:
+        at, body = rng.choice(tuples)
+        q = rng.randrange(len(body))
+        args = tuple(Var("$q") if i == q else Var(rng.choice(bound))
+                     if bound and rng.random() < 0.2 else Const(n)
+                     for i, n in enumerate(body))
+        test = (ETest if rng.random() < 0.7 else PTestPost)(args, Const(at))
+        body = ENot(test) if rng.random() < 0.3 else test
+        quantified = rng.choice((PExists, PForall))("$q", body)
+        r = rng.random()
+        pred = quantified if r < 0.3 else EBin(
+            "and" if r < 0.65 else "or", pred, quantified)
     return Obligation(pattern, pred)
 
 

@@ -1,11 +1,13 @@
 """Obligation checking against fully explored state spaces."""
+import json
 import random
 
 import pytest
 
 from aspectkbl import (EvaluationError, LimitExceeded, build_lts, check_lts,
                        check_network, exhaustive, parse_net, parse_obligation,
-                       sat_obl, unify_label)
+                       render_net, sat_obl, semantics, unify_label)
+from aspectkbl.cli import main
 from aspectkbl.exhaustive import Reduction, TransitionCheck
 from aspectkbl.model import (Const, EBin, EEqual, ETest, Label, LabelPattern,
                              Obligation, PExists, PForall, PGeq, PTestPost,
@@ -558,8 +560,18 @@ def test_quantified_checks_evaluate_as_each_step_alone():
             net = gen.gen_ward_net(rng)
             pairs.append((net, _quantify(
                 rng, net, gen.gen_obligation_from_net(rng, net))))
-    compared = steps = violated = 0
-    for net, obl in pairs:
+    # and quantified obligations drawn from each net's own actions and
+    # tuples, whose patterns match the steps the net takes
+    from_net = len(pairs)
+    for seed in range(300):
+        rng = random.Random(f"from net {seed}")
+        obl = None
+        while obl is None or not quantified(obl.pred):
+            net = gen.gen_small_net(rng)
+            obl = gen.gen_obligation_from_net(rng, net, quantify=True)
+        pairs.append((net, obl))
+    compared = steps = violated = from_net_steps = 0
+    for k, (net, obl) in enumerate(pairs):
         result = _agree(net, obl)
         if result is None or isinstance(result, EvaluationError):
             continue
@@ -572,6 +584,7 @@ def test_quantified_checks_evaluate_as_each_step_alone():
             if th is None:
                 continue
             steps += 1
+            from_net_steps += k >= from_net
             got = _outcome(lambda: check.violates(
                 lts.space, t.label, lts.ids[t.src], lts.ids[t.dst]))
             want = _outcome(lambda: not sat_pred(
@@ -579,8 +592,9 @@ def test_quantified_checks_evaluate_as_each_step_alone():
             assert type(got) is type(want), (net, obl, t)
             if not isinstance(got, EvaluationError):
                 assert got == want, (net, obl, t)
-    assert compared >= 350
-    assert steps >= 1000
+    assert compared >= 650
+    assert steps >= 1400
+    assert from_net_steps >= 250
     assert violated >= 20
 
 
@@ -616,3 +630,43 @@ def test_a_quantified_ward_evaluates_each_distinct_step_once(monkeypatch):
     v = sat_obl(net, obl)
     assert v.holds and v.states_explored == 1664
     assert len(evaluated) <= 100
+
+
+def _deep_source(prefixes: int) -> str:
+    # two sequential processes that read a key and write a copy in turn
+    entries = []
+    for p, (read, copy) in (("P", ("K", "C")), ("Q", ("L", "D"))):
+        steps = []
+        for i in range(prefixes):
+            if i % 2 == 0:
+                entries.append(f"Store ::[true] <{read}{i}, {p}{i}>")
+                steps.append(f"read({read}{i}, !d{i})@Store")
+            else:
+                steps.append(f"out({copy}{i}, d{i - 1})@Store")
+        entries.append(f"{p} ::[true] {' . '.join(steps + ['0'])}")
+    return "\n|| ".join(entries)
+
+
+def test_location_constants_are_built_for_quantified_checks_only(
+        monkeypatch, tmp_path, capsys):
+    # the interner builds an entry's location constants only when a
+    # quantified predicate asks for the range of its state
+    calls = []
+    entry_consts = semantics.entry_consts
+    monkeypatch.setattr(semantics, "entry_consts",
+                        lambda e: calls.append(e) or entry_consts(e))
+    deep = tmp_path / "deep.akbl"
+    deep.write_text(_deep_source(10))
+    assert main(["lts", str(deep), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["states"]) == 121
+    net, quantified_obl = _quantified_ward(2, 3)
+    ward = tmp_path / "ward.akbl"
+    ward.write_text(render_net(net))
+    plain = tmp_path / "plain.obl"
+    plain.write_text(
+        "AG [$u : o(Bob, Copy, _)@Archive] test(Doctor, $u)@ROLES")
+    assert main(["check", str(ward), str(plain), "--mode", "auto"]) == 0
+    assert "holds: yes (" in capsys.readouterr().out
+    assert calls == []
+    assert sat_obl(net, quantified_obl).holds
+    assert calls

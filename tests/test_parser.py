@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from aspectkbl import (canonicalize, corpus_path, corpus_text, parse_net,
-                       parse_obligation, parse_policy, render_expr,
+                       parse_obligation, parse_policy, parser, render_expr,
                        render_net, render_obligation, ParseError)
 from aspectkbl.model import (NIL, Action, Const, EBin, EFalse, ENot, ETrue,
                              Net, Nil, Sum, WILDCARD, validate)
@@ -188,13 +188,27 @@ def _staff_net(size, last="out(Bob, Copy, c)@Archive . 0"):
 
 # Sources the random pieces do not reach: \r\n line ends, form feeds and
 # vertical tabs (stray characters), a trailing comment with no final
-# newline, blanks at the end of the last line, and long networks.
+# newline, blanks at the end of the last line, and long networks; and
+# where the lexer cuts the source at ||: a || in a comment, |||, an
+# empty chunk, _ and occurs-in just before ||, a form feed before an
+# entry, an entry with no location, a comment on the last line, and
+# repeated tails with text that is no token in them.
 LEX_EDGES = ("A ::[true] <a, b>\r\n|| B ::[true] 0\r\n",
              "A ::[true]\f<a>\v|| B\f::[true] 0",
              "A ::[true] <a> // one\n|| B ::[true] 0 // no final newline",
              "A ::[true] <a>\n|| B ::[true] 0 \t \r",
              "A ::[true] <a>\r\n  // last\r\n  \t",
              "//\r\n\r\n  // c\r", "\r\n", " \t\r\n\f",
+             "A ::[true] <a> // b || C ::[true] 0\n|| B ::[true] 0",
+             "A ::[true] <a> ||| B ::[true] 0", "|||", "||||", "| ||",
+             "A ::[true] <a> || || B ::[true] 0", "|| ||", " || ",
+             "A ::[true] _|| B ::[true] occurs-in|| C ::[true] _||_",
+             "occurs-in||occurs-in-||_x||occurs-in",
+             "\fA ::[true] <a>\n||\fB ::[true] 0\n||\v C ::[true] 0",
+             "A ::[true] <a>\n|| ::[true] 0\n|| ::[true] 0",
+             "A ::[true] <a>\n|| B ::[true] 0\n// last",
+             "A ::[true] <a>\n|| B ::[true] 0 // last || C",
+             "A ::[true] <$, ~>\n|| B ::[true] <$, ~>\n|| _c ::[true] <$, ~>",
              _staff_net(200), _staff_net(200, "out(Bob, Copy, c)@ . 0 // x"))
 
 
@@ -298,6 +312,58 @@ def test_repeated_bodies_are_one_node():
     store = parse_net(_store_net(20))
     assert len(store.entries) == 20
     assert len({id(e.body) for e in store.entries if not e.is_data()}) == 1
+
+
+def _certify_ward(staff):
+    """The shape of the benchmark's certify nets: the store and the
+    archive, then a role and the same staff process for each member."""
+    entries = [f"EHDB ::[{STORE_ASPECT}] <Bob, PrivateNotes, n1, Recent, t>",
+               "Archive ::[true] <Index, i1>"]
+    for k in range(staff):
+        entries.append(f"ROLES ::[true] <{('Doctor', 'Nurse')[k % 2]}, S{k}>")
+        entries.append(f"S{k} ::[true] {STAFF_BODY}")
+    return "\n|| ".join(entries) + "\n"
+
+
+class _CountingRegex:
+    """A compiled expression that notes the texts findall lexes."""
+
+    def __init__(self, regex):
+        self.regex, self.lexed = regex, []
+
+    def findall(self, text):
+        self.lexed.append(text)
+        return self.regex.findall(text)
+
+    def __getattr__(self, name):
+        return getattr(self.regex, name)
+
+
+def test_each_distinct_tail_is_lexed_and_parsed_once(monkeypatch):
+    # 400 members share one staff tail, and each role is its own tail:
+    # the staff process is read once and each distinct tail's policy once
+    counts = {"parse_policy": 0, "parse_process": 0}
+    for name in counts:
+        rule = getattr(parser._Parser, name)
+
+        def counted(self, *args, rule=rule, name=name):
+            counts[name] += 1
+            return rule(self, *args)
+        monkeypatch.setattr(parser._Parser, name, counted)
+    regex = _CountingRegex(parser._TOKEN)
+    monkeypatch.setattr(parser, "_TOKEN", regex)
+    src = _certify_ward(400)
+    net = parse_net(src)
+    assert len(net.entries) == 802
+    staff = [e for e in net.entries if e.location.startswith("S")]
+    assert len({(id(e.policy), id(e.body)) for e in staff}) == 1
+    assert counts["parse_process"] <= 10
+    assert counts["parse_policy"] == 2 + 400 + 1
+    tail = src.split("||")[3].split(None, 1)[1].strip()
+    assert tail.startswith("::[true] read(") and regex.lexed.count(tail) == 1
+    assert len(regex.lexed) == 2 + 400 + 1
+    monkeypatch.undo()
+    assert net == _one_at_a_time(src.split("||"))
 
 
 @pytest.mark.parametrize("first, second", [
