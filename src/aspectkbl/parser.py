@@ -37,26 +37,28 @@ token left out, because:
   ends, lex as they do in place.  The first token is the first match
   of _TOKEN, which skips exactly those four blanks: \f and \v are
   stray characters;
-- one kind table, filled on first sight, serves the whole parse.
+- the kinds are looked up once the chunks' texts are joined, in one
+  table over the distinct texts.
 
 So the concatenated lists equal the whole source's, and _positions, on
 the original source, places every diagnostic where a whole-source
-lexer would.  The lexer reports, for each chunk whose first token is a
-token, that token's index and the chunk's tail.  _Parser.parsed maps
-each tail whose entry's parse ended exactly at the chunk's end, the
-next || or the end of input, to its policy, its body and its entry's
-number of tokens; a later entry with that tail takes the location it
-names and those nodes, and its tokens are skipped.  This is sound
-because the parser is deterministic in the tokens it reads and its one
-lookahead token, the || or end of input ends an entry before any rule
-looks beyond it, and a policy and a body start with nothing in scope.
-A recorded tail parsed without error, so a hit hides no diagnostic,
-and the lexer's diagnostics are raised whatever the table holds.
-Nodes are immutable and their memos are only ever filled, so sharing
-shows only to `is`, and a shared node brings its memoised text, hash,
-constants and free keys along: sort keys, canonical forms, location
-sets, action lists and the certifier's substitutions work once per
-distinct tail, not once per entry.
+lexer would.  The lexer reports each chunk's tail by the index of its
+first token, unless the source holds text that is no token, whose
+parse fails and shares nothing.  _Parser.parsed maps each tail whose
+entry's parse ended exactly at the chunk's end, the next || or the end
+of input, to its policy, its body and its entry's number of tokens; a
+later entry with that tail takes the location it names and those
+nodes, and its tokens are skipped.  This is sound because the parser
+is deterministic in the tokens it reads and its one lookahead token,
+the || or end of input ends an entry before any rule looks beyond it,
+and a policy and a body start with nothing in scope.  A recorded tail
+parsed without error, so a hit hides no diagnostic, and the lexer's
+diagnostics are raised whatever the table holds.  Nodes are immutable
+and their memos are only ever filled, so sharing shows only to `is`,
+and a shared node brings its memoised text, hash, constants and free
+keys along: sort keys, canonical forms, location sets, action lists
+and the certifier's substitutions work once per distinct tail, not
+once per entry.
 
 One precedence table, _PREC, orders the binary operators of policies,
 rec/cond expressions and obligation predicates.  The parser reads it
@@ -208,44 +210,30 @@ def _lex(src: str, diags: list, tails: Optional[dict] = None) -> tuple:
     once per distinct tail, and the chunks' tokens are joined by ||
     tokens (the module docstring says why these are the whole
     source's).  With a dict tails, the index of each chunk's first
-    token, when it is a token, maps to the chunk's tail."""
-    kinds: list = []
+    token maps to the chunk's tail; when src holds text that is no
+    token, its parse fails and tails is left empty."""
     texts: list = []
-    kind_of: dict = {}
-    lexed: dict = {}        # tail -> (its kinds, its texts)
-    stray = False
+    lexed: dict = {}        # tail -> its texts
     for chunk in _COMMENT.sub("", src).split("||"):
         m = _TOKEN.search(chunk)
         if m is not None:
-            first = m.group()
             tail = chunk[m.end():].strip(" \t\r\n")
-            hit = lexed.get(tail)
-            if hit is None:
-                words = _TOKEN.findall(tail)
-                for word in set(words).difference(kind_of):
-                    kind_of[word] = _kind(word)
-                found = list(map(kind_of.__getitem__, words))
-                if None in found:       # text that is no token is dropped
-                    stray = True
-                    words = list(filter(kind_of.__getitem__, words))
-                    found = list(map(kind_of.__getitem__, words))
-                hit = lexed[tail] = found, words
-            kind = kind_of.get(first) or _kind(first)
-            if kind:
-                if tails is not None:
-                    tails[len(texts)] = tail
-                kinds.append(kind)
-                texts.append(first)
-            else:
-                stray = True
-            kinds += hit[0]
-            texts += hit[1]
-        kinds.append("||")
+            words = lexed.get(tail)
+            if words is None:
+                words = lexed[tail] = _TOKEN.findall(tail)
+            if tails is not None:
+                tails[len(texts)] = tail
+            texts.append(m.group())
+            texts += words
         texts.append("||")
-    kinds[-1], texts[-1] = "eof", ""
-    if stray:
+    texts[-1] = ""
+    kind_of = {text: _kind(text) for text in set(texts)}
+    if None in kind_of.values():        # text that is no token
         _positions(src, diags)
-    return kinds, texts
+        texts = list(filter(kind_of.__getitem__, texts))
+        if tails is not None:
+            tails.clear()       # its indices name other tokens now
+    return list(map(kind_of.__getitem__, texts)), texts
 
 
 def _positions(src: str, diags=None) -> list:

@@ -457,8 +457,8 @@ def gen_obligation_from_net(rng, net, quantify=False):
                      if bound and rng.random() < 0.2 else Const(n)
                      for i, n in enumerate(body))
         test = (ETest if rng.random() < 0.7 else PTestPost)(args, Const(at))
-        body = ENot(test) if rng.random() < 0.3 else test
-        quantified = rng.choice((PExists, PForall))("$q", body)
+        inner = ENot(test) if rng.random() < 0.3 else test
+        quantified = rng.choice((PExists, PForall))("$q", inner)
         r = rng.random()
         pred = quantified if r < 0.3 else EBin(
             "and" if r < 0.65 else "or", pred, quantified)
