@@ -543,9 +543,13 @@ class Interner:
     def constants(self, ids) -> frozenset:
         """`loc_set` of a state."""
         consts = self.consts
-        for i in set(ids).difference(consts):
-            consts[i] = entry_consts(self.entries[i])
-        return frozenset().union(*map(consts.__getitem__, ids))
+        try:
+            return frozenset().union(*map(consts.__getitem__, ids))
+        except KeyError:        # an entry asked for the first time
+            for i in ids:
+                if i not in consts:
+                    consts[i] = entry_consts(self.entries[i])
+            return frozenset().union(*map(consts.__getitem__, ids))
 
 
 # ---------------------------------------------------------------------------
