@@ -147,7 +147,8 @@ def cmd_lts(args) -> int:
         with _file_errors(args.dot):
             Path(args.dot).write_text(dot_export(lts) + "\n")
     if args.json:
-        print(json_export(lts))
+        json_export(lts, sys.stdout.write)
+        print()
     else:
         print(f"states: {len(lts.ids)}")
         print(f"transitions: {len(lts.transitions)}")

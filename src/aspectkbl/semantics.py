@@ -89,11 +89,16 @@ for each id of the table, so its work is bounded by the size of the
 table and not by the size of the state.
 
 `json_export` writes the LTS's JSON text itself.  It renders and
-escapes each interned entry and encodes each distinct label once; a
-state's text is the join of its entries' escaped texts, and the
-document is one join of its parts, byte for byte the text
-`json.dumps` gives for the same document with indent 2 and sorted
-keys.  The entries are rendered with one memo of process texts for
+escapes each interned entry and encodes each distinct label once,
+before it writes anything; a state's net is a run of its entries'
+escaped texts, each but the last with its " || ", and the document is
+the run of all the states' and transitions' parts, byte for byte the
+text `json.dumps` gives for the same document with indent 2 and
+sorted keys.  Given a `write` callable, as `akbl lts --json` gives it
+`sys.stdout.write`, it passes the parts on in pieces of about
+CHUNK_PARTS parts, so neither a state's net nor the whole document is
+ever one string; without one it returns the join of those pieces.
+The entries are rendered with one memo of process texts for
 the export, so each distinct process node is rendered once, a prefix
 from its continuation's text.  `json_text` writes those bytes for any
 other document, such as a `check --json` report, with one recursive
@@ -798,35 +803,74 @@ def net_text(net: Net) -> str:
     return " || ".join(map(render_entry, net.entries))
 
 
-def json_export(lts: LTS) -> str:
+# Parts a streamed export gathers before it writes them as one piece.
+# Counting parts costs one `len` per state, where counting characters
+# cost about half of what streaming saves; on the `deep` benchmark
+# pieces of 1024 parts (about 60 KB) beat 4096 and 16384.
+CHUNK_PARTS = 1024
+
+
+def json_export(lts: LTS, write=None) -> Optional[str]:
     """The LTS as the text `json.dumps(doc, indent=2, sort_keys=True)`
     gives for the document {"states": [{"id", "net"}], "transitions":
     [{"from", "label", "to"}]}, where a state's net is its `net_text`.
+
+    Without `write` the text is returned.  With it, the text is passed
+    to `write` piece by piece, in order, and None is returned; no
+    string of one state's net or of the whole document is built.  A
+    piece joins the parts gathered since the last one, and is written
+    once a state, or a run of CHUNK_PARTS transitions, leaves at least
+    CHUNK_PARTS of them, so the rule costs one length check per state.
+    Every entry and label is rendered, escaped and encoded before the
+    first piece is written: an export that raises has written nothing,
+    and once writing starts only `write` can fail.
+
     States share their interned entries, so each interned entry is
-    rendered and escaped once, a state's text joins the escaped texts,
-    each distinct label is encoded once, and the document is one join
-    of its parts.  The entries share their process nodes too, the
-    continuation of a prefix often the body of another entry, so they
-    are rendered by `render_entry` with one memo of process texts for
-    the export: each distinct node is rendered once, a prefix as its
-    action's text joined to its continuation's."""
+    rendered and escaped once, and kept with and without the " || "
+    that follows all but the last entry of a state; a state's net is
+    a run of those parts.  Each distinct label is encoded once.  The
+    entries share their process nodes too, the continuation of a
+    prefix often the body of another entry, so they are rendered by
+    `render_entry` with one memo of process texts for the export: each
+    distinct node is rendered once, a prefix as its action's text
+    joined to its continuation's."""
+    if write is None:
+        pieces: list = []
+        json_export(lts, pieces.append)
+        return "".join(pieces)
     memo: dict = {}
     texts = [encode_basestring_ascii(render_entry(e, memo))[1:-1]
-             for e in lts.space.entries].__getitem__
-    parts = ['{\n  "states": [']
-    for sid, ids in enumerate(lts.ids):
-        parts += (f',\n    {{\n      "id": {sid},\n      "net": "',
-                  " || ".join(map(texts, ids)), '"\n    }')
-    _end_list(parts, 1)
-    parts.append(',\n  "transitions": [')
-    start = len(parts)
+             for e in lts.space.entries]
+    joined = [text + " || " for text in texts].__getitem__
     label = _label_texts(lts.transitions, encode_basestring_ascii)
-    parts += (f',\n    {{\n      "from": {t.src},\n      "label": '
-              f'{label[t.label]},\n      "to": {t.dst}\n    }}'
-              for t in lts.transitions)
-    _end_list(parts, start)
-    parts.append("\n}")
-    return "".join(parts)
+    parts = ['{\n  "states": [']
+    sep = ""
+    for sid, ids in enumerate(lts.ids):
+        parts.append(f'{sep}\n    {{\n      "id": {sid},\n      "net": "')
+        sep = ","
+        if ids:
+            parts += map(joined, ids)
+            parts[-1] = texts[ids[-1]]
+        parts.append('"\n    }')
+        if len(parts) >= CHUNK_PARTS:
+            write("".join(parts))
+            parts.clear()
+    parts.append("\n  ]" if sep else "]")
+    parts.append(',\n  "transitions": [')
+    transitions = lts.transitions
+    for i in range(0, len(transitions), CHUNK_PARTS):
+        start = len(parts)
+        parts += (f',\n    {{\n      "from": {t.src},\n      "label": '
+                  f'{label[t.label]},\n      "to": {t.dst}\n    }}'
+                  for t in transitions[i:i + CHUNK_PARTS])
+        if not i:   # the list's first item
+            parts[start] = parts[start][1:]
+        if len(parts) >= CHUNK_PARTS:
+            write("".join(parts))
+            parts.clear()
+    parts.append("\n  ]\n}" if transitions else "]\n}")
+    write("".join(parts))
+    return None
 
 
 def _label_texts(transitions: list, encode) -> dict:
@@ -835,16 +879,6 @@ def _label_texts(transitions: list, encode) -> dict:
     for label in texts:
         texts[label] = encode(label.text())
     return texts
-
-
-def _end_list(parts: list, start: int):
-    """Close the JSON list whose items, each led by a comma, are
-    parts[start:], as `json.dumps` indents a list one level down."""
-    if len(parts) == start:
-        parts.append("]")
-    else:
-        parts[start] = parts[start][1:]
-        parts.append("\n  ]")
 
 
 class _Encoded(dict):
