@@ -598,6 +598,25 @@ def separate_bodies(net):
                                   for e in parse_net(render_entry(x)).entries)))
 
 
+
+def alternating_chains(prefixes: int, processes: int = 2) -> str:
+    """The text of `processes` sequential processes of `prefixes` steps
+    each, alternating read(K, !d) and out(C, d) on a shared store.
+    Every read matches one tuple and no out adds one a read matches, so
+    the state space is every combination of the processes' positions,
+    (prefixes + 1) ** processes states of deep terms."""
+    entries = []
+    for p in range(processes):
+        steps = []
+        for i in range(prefixes):
+            if i % 2 == 0:
+                entries.append(f"Store ::[true] <K{p}x{i}, P{p}x{i}>")
+                steps.append(f"read(K{p}x{i}, !d{i})@Store")
+            else:
+                steps.append(f"out(C{p}x{i}, d{i - 1})@Store")
+        entries.append(f"P{p} ::[true] {' . '.join(steps + ['0'])}")
+    return "\n|| ".join(entries)
+
 ROLES = ("Doctor", "Nurse", "Clerk")
 STAFF = ("Ann", "Bo", "Cy", "Di", "Ed", "Flo", "Gus", "Hal", "Ida", "Jo",
          "Kit", "Lu", "Max", "Ned", "Oz")

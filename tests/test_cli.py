@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import aspectkbl
-from aspectkbl import check_network, cli, exhaustive
+from aspectkbl import (build_lts, check_network, cli, exhaustive,
+                       json_export, parse_net, semantics)
 from aspectkbl.cli import main
 import corpusio
+import gen
 
 WITH = corpusio.path("tiny_with_policies.akbl")
 WITHOUT = corpusio.path("tiny_no_policies.akbl")
@@ -509,6 +511,61 @@ def test_a_closed_stdout_exits_141_in_silence(tmp_path):
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141, (argv, err)
         assert err == b"", argv
+
+
+def _chains(tmp_path):
+    """A net file whose `lts --json` document is written in many
+    pieces, and its LTS."""
+    path = tmp_path / "chains.akbl"
+    path.write_text(gen.alternating_chains(30))
+    return path, build_lts(parse_net(path.read_text()))
+
+
+def test_lts_json_streams_the_exported_text(tmp_path):
+    path, lts = _chains(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "aspectkbl.cli", "lts",
+                           str(path), "--json"], capture_output=True,
+                          env=cli_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (json_export(lts) + "\n").encode()
+    # the `lts` document of the closed-stdout test is written in
+    # several pieces too, so the reader closes the pipe between writes
+    nine = parse_net("\n|| ".join(f"A ::[true] out(k{i})@A . 0"
+                                  for i in range(9)))
+    pieces = []
+    json_export(build_lts(nine), pieces.append)
+    assert len(pieces) > 2
+
+
+def test_an_export_that_fails_writes_nothing(capsys, monkeypatch, tmp_path):
+    # the last interned entry is first met in a late state, long after
+    # the first piece of the document would be due
+    path, lts = _chains(tmp_path)
+    last, render = lts.space.entries[-1], semantics.render_entry
+
+    def render_entry(entry, memo=None):
+        if entry == last:
+            raise ValueError("cannot render")
+        return render(entry, memo)
+
+    monkeypatch.setattr(semantics, "render_entry", render_entry)
+    rc, out, err = run(capsys, "lts", str(path), "--json")
+    assert (rc, out) == (4, "")
+    assert err == "internal error: ValueError: cannot render\n"
+
+
+def test_lts_json_exports_through_the_cli_name_once(capsys, monkeypatch):
+    # perfbench's tracer times the export by wrapping `cli.json_export`
+    calls = []
+
+    def export(lts, write=None):
+        calls.append(write)
+        return json_export(lts, write)
+
+    monkeypatch.setattr(cli, "json_export", export)
+    rc, out, _ = run(capsys, "lts", WITHOUT, "--json")
+    assert rc == 0 and len(calls) == 1
+    assert out == json_export(build_lts(cli._load_net(WITHOUT))) + "\n"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),

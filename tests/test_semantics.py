@@ -265,13 +265,25 @@ def _corpus_nets():
 
 def test_json_export_writes_the_document_json_dumps_writes():
     still = parse_net("A ::[true] <k> || B ::[true] in(j)@A . 0")
+    # 961 states of about 50 entries each: many pieces when streamed
+    chains = parse_net(gen.alternating_chains(30))
     nets = [*_corpus_nets(), *_generated_nets(range(50), range(30),
                                               range(50)),
-            still, _escaping_net()]
+            still, _escaping_net(), Net(()), chains]
+    most = 0
     for n, net in enumerate(nets):
         lts = build_lts(net)
-        assert json_export(lts) == json.dumps(oracles.lts_document(lts),
-                                              indent=2, sort_keys=True), n
+        text = json_export(lts)
+        assert text == json.dumps(oracles.lts_document(lts), indent=2,
+                                  sort_keys=True), n
+        # streamed, the pieces join to the text, and none is empty
+        pieces = []
+        assert json_export(lts, write=pieces.append) is None
+        assert "".join(pieces) == text and all(pieces), n
+        most = max(most, len(pieces))
+    assert most > 10
+    assert json.loads(json_export(build_lts(Net(()))))["states"] == [
+        {"id": 0, "net": ""}]
     assert not build_lts(still).transitions
     assert '"transitions": []' in json_export(build_lts(still))
     assert "\\u00e9" in json_export(build_lts(_escaping_net()))
