@@ -117,22 +117,22 @@ class TransitionCheck:
         self._matched: dict = {}   # label -> (theta, instantiated pred) or None
         self._quantified = quantified(obl.pred)
         # state -> (data index, location constants, or none when the
-        # predicate holds no quantifier)
+        # predicate holds no quantifier), each built from its runs'
         self._states: dict = {}
         # (label, pre data, post data, pre and post constants) -> violates
         self._values: dict = {}
 
-    def _state(self, space, ids: tuple):
-        got = self._states.get(ids)
+    def _state(self, space, state: tuple):
+        got = self._states.get(state)
         if got is None:
-            got = self._states[ids] = (
-                space.data_index(ids),
-                space.constants(ids) if self._quantified else frozenset())
+            got = self._states[state] = (
+                space.data_index(state),
+                space.constants(state) if self._quantified else frozenset())
         return got
 
     def violates(self, space, label: Label, pre: tuple, post: tuple) -> bool:
         """Does the step with that label from state pre to state post,
-        id tuples of space, violate the obligation."""
+        states of space, violate the obligation."""
         m = self._matched.get(label, False)
         if m is False:
             th = unify_label(self.obl.cut, label)
@@ -383,22 +383,28 @@ class Reduction:
             dep = self._deps[i, j] = dependent(self._now[i], ever)
         return dep
 
-    def __call__(self, space, ids: tuple, p: int) -> bool:
-        i = ids[p]
+    def __call__(self, space, state: tuple, slot: int, p: int) -> bool:
+        """May the process entry at position p of the run at index slot
+        of the state be expanded alone: no other process entry of the
+        state, in any run, is dependent on it."""
+        runs = space.runs
+        i = runs[state[slot]][p]
         if not self._may_be_ample(space, i):
             return False
-        data, nils = space.data, space.nils
-        return not any(self._dependent(space, i, j)
-                       for q, j in enumerate(ids)
-                       if q != p and data[j] is None and not nils[j])
+        for b, r in enumerate(state):
+            run = runs[r]
+            for q in space.procs[r]:
+                if (q != p or b != slot) and self._dependent(space, i, run[q]):
+                    return False
+        return True
 
-    def _reads(self, space, ids: tuple, i: int, label: Label) -> set:
-        # what the step with that label that entry i makes in state ids
+    def _reads(self, space, state: tuple, i: int, label: Label) -> set:
+        # what the step with that label that entry i makes in the state
         # reads: the tuple an in or read matches, and the test atoms its
         # policies ask there, which decide their verdict as they do for
         # `Interner.verdicts`
         e, atom = space.entries[i], (label.target, label.args)
-        here = StateDomain(space.data_index(ids))
+        here = StateDomain(space.data_index(state))
         for a, cont in e.body.branches:
             if CAP_LETTER[a.cap] == label.cap \
                     and meet(template(a.args, a.target), atom):
@@ -425,14 +431,14 @@ class Reduction:
         to the same violation: the causal past of t in the Mazurkiewicz
         trace of the path, for a dependence that asks only whether an
         earlier step may change what a later one reads."""
-        space, ids = lts.space, lts.ids
+        space, ids, flat = lts.space, lts.ids, lts.space.flat
         run = _run_to(lts, t.src) + [t]
         made: dict = {}     # entry id -> steps that made its live copies
-        for i in ids[0]:
+        for i in flat(ids[0]):
             made.setdefault(i, []).append(None)
         acts = []           # per step: (acting entry, step that made it)
         for k, s in enumerate(run):
-            pre, post = Counter(ids[s.src]), Counter(ids[s.dst])
+            pre, post = Counter(flat(ids[s.src])), Counter(flat(ids[s.dst]))
             i = next(j for j in pre - post
                      if isinstance(space.entries[j].body, Sum))
             acts.append((i, made[i].pop(0)))

@@ -37,37 +37,51 @@ States are kept in canonical form, which makes the state space of a
 replication-free network finite and the construction below a plain
 breadth first search.
 
-The search hash-conses its states.  A per-run `Interner` gives every
+The search hash-conses its states in two levels, as SPIN's collapse
+mode and LTSmin's tree compression store a state as a short vector of
+interned components (Holzmann, "State Compression in SPIN", SPIN
+1997; Laarman, van de Pol and Weber, "Parallel Recursive State
+Compression for Free", SPIN 2011).  A per-run `Interner` gives every
 distinct entry an integer id the first time it is seen, and computes
 its canonical sort key, as one string, nil group and data pair then
 and only then; its location constants are computed the first time a
-quantified predicate asks for them.  A state is the tuple of its
-entries' ids, sorted by those keys, so deduplicating a successor
-hashes a tuple of small integers once, and ordering two entries
-compares two strings.  A step's label and the ids of the entries it
-adds, the continuation's first, make its move, kept per acting entry,
-branch and target group for an out and in the match table (below) for
-an in or read, so each added entry is interned once.  The successor is
-built in one pass over one copy of the state's ids: the data an in
-consumes are deleted, the continuation takes the acting entry's slot
-when its key lies between its neighbours' keys and is inserted by
-bisection otherwise, and so is every other added id.  Only a step that
-touches the nil rule sorts again.  A step touches it when an added
-entry is nil, or when it is an out whose target's guard is nil: a
-continuation joins the group of the entry that acted, which holds no
-nil in a canonical state beside that entry, and the data an out adds
-join the guard's group, whose nil, when the state holds it, is the
-group's only entry and so the guard.  No state is scanned for its
-nils.  The acting entries of a state are found by `itertools.compress`
-over its ids, without a Python loop.  A step is checked against the
-other steps of its entry only when the entry has several branches,
-since steps of distinct entries differ.  Policy test atoms are set
-lookups in the state's data index, built only in a state where a
-policy's verdict depends on it.  The LTS keeps the id tuples
-and the interner, along with the transition that first discovered
-each state, from which witnesses are read back; `LTS.states` builds
-ordinary `Net` values from the shared interned entries each time it
-is read.
+quantified predicate asks for them.  It also gives an id to every
+distinct run: the tuple of one location's entry ids in key order, or
+the empty run once the location has no entries.  A state is the tuple
+of the run ids of the locations of the initial network, in location
+order.  No step adds a location, since an out to a location without
+entries does not fire, so every state has the same length, and since
+a canonical network is sorted by key, whose first field is the
+location, it is the concatenation of its state's runs
+(`Interner.flat`).  Deduplicating a successor hashes one integer per
+location, and ordering two entries compares two strings.
+
+A step changes at most two runs, the acting location's and, for an out
+or an in, the target's.  A step's label, the entries its continuation
+splits into and the data it adds or consumes make its `Move`, kept per
+acting entry, branch and target group for an out and in the match
+table (below) for an in or read, so each added entry is interned
+once.  The move keeps, for every run it has changed, the run it made,
+so a successor is a copy of the state with one or two run ids
+replaced, and a run is edited once per move.  An edit deletes the
+entries that leave, inserts each added one by bisection and applies
+the nil rule only where the step touches it: when an added entry is
+nil, or when it is an out whose target's guard is nil.  A continuation
+joins the group of the entry that acted, which holds no nil in a
+canonical state beside that entry, and the data an out adds join the
+guard's group, whose nil, when the state holds it, is the group's only
+entry and so the guard.  A nil group never spans locations, so the
+rule is applied within the run.  Each run keeps the positions of its
+process entries, which are the acting entries of every state that
+holds it, and its data index and location constants once asked.  A
+step is checked against the other steps of its entry only when the
+entry has several branches, since steps of distinct entries differ.
+Policy test atoms are set lookups in the state's data index, the
+union of its runs', built only in a state where a policy's verdict
+depends on it.  The LTS keeps the states and the interner, along with
+the transition that first discovered each state, from which witnesses
+are read back; `LTS.states` builds ordinary `Net` values from the
+shared interned entries each time it is read.
 
 An in or read finds its partners without scanning the state.  The
 interner keeps the ids of the data entries at each location, in the
@@ -78,33 +92,30 @@ and the move of each that matched.  The candidates are the data ids
 of the template's arity and first constant at the target when the
 template starts with a constant, which no other tuple matches, and
 all of the target's data ids otherwise.  A step first extends the
-table over the candidates interned since its last use.  Since a state
-is sorted by key, and a key starts with the location and then the
-kind, data before processes, the entries at a location form a run
-that the data lead, and the first of them guards the location: one
-bisection per target location and state finds the guard, and with it
-where the state's data at the target start.  The step then takes the
-matches present there, in state order, by a bisection from the guard
-for each id of the table, so its work is bounded by the size of the
-table and not by the size of the state.
+table over the candidates interned since its last use.  A key starts
+with the location and then the kind, data before processes, so a
+location's run is led by its data, and its first entry guards the
+location.  The step takes the matches present in the target's run, in
+run order, by a bisection for each id of the table, so its work is
+bounded by the size of the table and not by the size of the state.
 
 `json_export` writes the LTS's JSON text itself.  It renders and
-escapes each interned entry and encodes each distinct label once,
-before it writes anything; a state's net is a run of its entries'
-escaped texts, each but the last with its " || ", and the document is
-the run of all the states' and transitions' parts, byte for byte the
-text `json.dumps` gives for the same document with indent 2 and
-sorted keys.  Given a `write` callable, as `akbl lts --json` gives it
+escapes each interned entry, joins each run's entry texts and encodes
+each distinct label once, before it writes anything; a state's net
+joins the texts of its non-empty runs, and the document is the run of
+all the states' and transitions' parts, byte for byte the text
+`json.dumps` gives for the same document with indent 2 and sorted
+keys.  Given a `write` callable, as `akbl lts --json` gives it
 `sys.stdout.write`, it passes the parts on in pieces of about
-CHUNK_PARTS parts, so neither a state's net nor the whole document is
-ever one string; without one it returns the join of those pieces.
-The entries are rendered with one memo of process texts for
-the export, so each distinct process node is rendered once, a prefix
-from its continuation's text.  `json_text` writes those bytes for any
-other document, such as a `check --json` report, with one recursive
-walk that appends to one list, where the stdlib's indented encoder
-runs in pure Python; it encodes each distinct string and lays out
-each dict shape once per call.
+CHUNK_CHARS characters, so the whole document is never one string;
+without one it returns the join of those pieces.  The entries are
+rendered with one memo of process texts for the export, so each
+distinct process node is rendered once, a prefix from its
+continuation's text.  `json_text` writes those bytes for any other
+document, such as a `check --json` report, with one recursive walk
+that appends to one list, where the stdlib's indented encoder runs in
+pure Python; it encodes each distinct string and lays out each dict
+shape once per call.
 
 The explorer also judges each step's policies once per exploration.
 A step's combined verdict depends on the acting entry, the branch and
@@ -135,7 +146,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from itertools import compress, count
+from itertools import chain, compress, count
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
@@ -399,16 +410,35 @@ def quantified(pred) -> bool:
 # ---------------------------------------------------------------------------
 # interned states
 
+class Move:
+    """What a step does to a state, kept per acting entry, branch and
+    target group for an out and per matching data id in the match
+    table (below) for an in or read.  Its label is known when the move
+    is made; the ids of the entries the continuation splits into, and
+    the nil groups of those that are nil, are interned when the step
+    first fires.  `edits` maps each run the step has changed to the
+    run it made of it."""
+    __slots__ = ("label", "entry", "put", "take", "new", "touched", "edits")
+
+    def __init__(self, label: Label, entry: int, take: Optional[int] = None):
+        self.label = label
+        self.entry = entry           # the acting entry's id
+        self.put = None              # id of the data an out adds
+        self.take = take             # id of the data an in consumes
+        self.new = None              # ids of the continuation's entries
+        self.touched = None          # nil groups of those that are nil
+        self.edits: dict = {}        # run id -> run id after the step
+
+
 class Interner:
-    """The distinct entries met by one exploration.
+    """The distinct entries and runs met by one exploration.
 
     The first time an entry is seen it gets an integer id, and with it
     everything later steps ask of it: its canonical sort key, its nil
     group (location and policy) and its (location, tuple) pair when it
     is a data entry.  Its location constants, which only a quantified
     predicate reads, are computed when `constants` first asks for
-    them.  A state is the tuple of its entries' ids in canonical
-    order, so comparing and hashing a state touches only integers.
+    them.
 
     The key kept is one string, the fields of `NetEntry.sort_key`
     joined by NUL, which orders exactly as the tuple does: no location
@@ -416,16 +446,25 @@ class Interner:
     the body and policy texts are reprs, which escape control
     characters.  So a NUL in a key only ever ends a field, and a field
     that is a prefix of another, as `A` is of `AB`, sorts first either
-    way.  The entries at a location start at the first key not below
-    the location followed by NUL.
+    way.
+
+    A run is the tuple of the ids of one location's entries in key
+    order, and gets an integer id the first time it is seen; run 0 is
+    the empty run.  The first network given to `state` fixes the
+    locations, in order, and a state is the tuple of the ids of their
+    runs, so comparing and hashing a state touches one integer per
+    location.  Since a canonical network is sorted by key, and a key
+    starts with the location, it is the concatenation of its state's
+    runs, `flat`.  Each run keeps the positions of its process
+    entries, and its data index and location constants once asked.
 
     The ids of the data entries at each location are listed as they
     are interned, and so are those of each arity and first constant at
-    each location.  A step's move, its label and the entries it adds,
-    is remembered per acting entry and branch, so each entry is
-    interned once, and so are the policy verdicts of a step, with the
-    test atoms each one read, and for an in or read the match table of
-    the data ids it has tried.
+    each location.  A step's `Move` is remembered per acting entry and
+    branch, so each entry is interned once and each run a step changes
+    is changed once, and so are the policy verdicts of a step, with
+    the test atoms each one read, and for an in or read the match
+    table of the data ids it has tried.
     """
 
     def __init__(self):
@@ -439,16 +478,19 @@ class Interner:
         self.consts: dict = {}       # id -> frozenset of location constants
         self._ids: dict = {}         # NetEntry -> id
         self._groups: dict = {}      # (location, policy text) -> group number
+        self.slots: dict = {}        # location -> its index in a state
+        self.runs: list = [()]       # run id -> entry ids in key order
+        self.procs: list = [()]      # run id -> positions of its Sum entries
+        self._runs: dict = {(): 0}   # run -> run id
+        self._indexes: dict = {}     # run id -> `data_index` of the run
+        self._constants: dict = {}   # run id -> `loc_set` of the run
         self.data_at: dict = {}      # location -> ids of its data entries
         # (location, arity, first constant) -> ids of those data entries
         self.data_by: dict = {}
-        # a move is [the step's label, ids of the entries it adds, the
-        # continuation's first, and the nil groups of those that are nil,
-        # both None until the step first fires]; (acting entry, branch,
-        # target group) of an out -> its move
+        # (acting entry, branch, target group) of an out -> its Move
         self.outs: dict = {}
         # (acting entry, branch) of an in or read -> [number of the
-        # candidate data ids tried, {matching data id: the step's move},
+        # candidate data ids tried, {matching data id: the step's Move},
         # the list of candidate ids: the target's data ids, or those of
         # the arity and first constant of a template led by a constant]
         self.matches: dict = {}
@@ -500,61 +542,101 @@ class Interner:
         ids.sort(key=self.keys.__getitem__)
         return tuple(ids)
 
-    def successor(self, ids: tuple, p: int, q: Optional[int], new: tuple,
-                  touched) -> tuple:
-        """The canonical state after the entry at position p of the
-        state ids acts: it leaves, and so does the data entry at
-        position q unless q is None, and the split entries new, the
-        continuation's first, come, which touch the nil rule in the
-        nil groups touched.  One copy of ids is made.  The continuation
-        takes the acting entry's slot when its key lies between its
-        neighbours' keys, and every other new id is inserted by
-        bisection; entries with equal keys are identical, so that is
-        the tuple a full sort gives.  Only a step that touches the nil
-        rule sorts."""
-        succ = list(ids)
-        if q is not None:
-            del succ[q]
-            p -= q < p          # the slot moves up past consumed data
-        if touched:
-            succ[p:p + 1] = new
-            return self.canonical(succ, touched)
+    def run(self, ids: tuple) -> int:
+        """The id of the run of one location's entry ids in key order."""
+        r = self._runs.get(ids)
+        if r is None:
+            r = self._runs[ids] = len(self.runs)
+            self.runs.append(ids)
+            # without a Python loop over the run: branches is None for
+            # the entries that are not Sums
+            self.procs.append(tuple(compress(
+                count(), map(self.branches.__getitem__, ids))))
+        return r
+
+    def edit(self, r: int, move: Move) -> int:
+        """The run r after the step of move, at the acting location, at
+        the target or at both: the acting entry leaves and the
+        continuation's entries come, an out's data come and an in's
+        go.  An added entry is inserted by bisection, which is where a
+        sort puts it, since entries with equal keys are identical; the
+        nil rule is applied only in the groups the step touches: those
+        of the continuation's nils, which join the group of the entry
+        that acted, and that of the target's guard when an out adds to
+        it and it is nil, as a nil guard is the only entry of its
+        group.  A nil group never spans locations, so it lies in one
+        run."""
+        run = self.runs[r]
+        ids = list(run)
+        label, touched = move.label, move.touched
         key = self.keys.__getitem__
-        first = key(new[0])
-        if (p == 0 or key(succ[p - 1]) <= first) and (
-                p + 1 == len(succ) or first <= key(succ[p + 1])):
-            succ[p] = new[0]
+        at = self.locations[run[0]]
+        if at == label.subject:
+            ids.remove(move.entry)
+            for j in move.new:
+                insort(ids, j, key=key)
         else:
-            del succ[p]
-            insort(succ, new[0], key=key)
-        for j in new[1:]:
-            insort(succ, j, key=key)
-        return tuple(succ)
+            touched = ()
+        if at == label.target:
+            if move.take is not None:
+                ids.remove(move.take)
+            elif move.put is not None:
+                insort(ids, move.put, key=key)
+                if self.nils[run[0]]:
+                    touched = {self.groups[run[0]], *touched}
+        return self.run(self.canonical(ids, touched) if touched
+                        else tuple(ids))
 
     def state(self, net: Net) -> tuple:
-        """The canonical state of a network."""
+        """The canonical state of a network; the first one given fixes
+        the locations of every state of the interner."""
         new: tuple = ()
         for e in net.entries:
             new += self.split(e.location, e.policy, e.body)
-        return self.canonical(list(new), self.nil_groups(new))
+        slots, locations = self.slots, self.locations
+        if not slots:
+            slots.update((loc, n) for n, loc in enumerate(
+                sorted({locations[i] for i in new})))
+        runs: list = [[] for _ in slots]
+        for i in self.canonical(list(new), self.nil_groups(new)):
+            runs[slots[locations[i]]].append(i)
+        return tuple([self.run(tuple(run)) for run in runs])
 
-    def net(self, ids) -> Net:
-        return Net(tuple(map(self.entries.__getitem__, ids)))
+    def flat(self, state: tuple) -> tuple:
+        """The ids of a state's entries in canonical order."""
+        return tuple(chain.from_iterable(map(self.runs.__getitem__, state)))
 
-    def data_index(self, ids) -> frozenset:
+    def net(self, state: tuple) -> Net:
+        return Net(tuple(map(self.entries.__getitem__, self.flat(state))))
+
+    def data_index(self, state: tuple) -> frozenset:
         """`data_index` of a state."""
-        return frozenset(filter(None, map(self.data.__getitem__, ids)))
-
-    def constants(self, ids) -> frozenset:
-        """`loc_set` of a state."""
-        consts = self.consts
+        indexes = self._indexes
         try:
-            return frozenset().union(*map(consts.__getitem__, ids))
-        except KeyError:        # an entry asked for the first time
-            for i in ids:
-                if i not in consts:
-                    consts[i] = entry_consts(self.entries[i])
-            return frozenset().union(*map(consts.__getitem__, ids))
+            return frozenset().union(*map(indexes.__getitem__, state))
+        except KeyError:        # a run asked for the first time
+            data, runs = self.data, self.runs
+            for r in state:
+                if r not in indexes:
+                    indexes[r] = frozenset(filter(None, map(
+                        data.__getitem__, runs[r])))
+            return frozenset().union(*map(indexes.__getitem__, state))
+
+    def constants(self, state: tuple) -> frozenset:
+        """`loc_set` of a state."""
+        known = self._constants
+        try:
+            return frozenset().union(*map(known.__getitem__, state))
+        except KeyError:        # a run asked for the first time
+            consts, entries = self.consts, self.entries
+            for r in state:
+                if r not in known:
+                    for i in self.runs[r]:
+                        if i not in consts:
+                            consts[i] = entry_consts(entries[i])
+                    known[r] = frozenset().union(
+                        *map(consts.__getitem__, self.runs[r]))
+            return frozenset().union(*map(known.__getitem__, state))
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +658,15 @@ def step_candidates(state, space: Optional[Interner] = None, ample=None):
     blocked by the policies.
 
     `state` is a Net, taken to its canonical form first, and the
-    successors are canonical Nets; within an exploration it is the id
-    tuple of a state of `space`, and so are the successors.
+    successors are canonical Nets; within an exploration it is a state
+    of `space`, a tuple of run ids, and so are the successors.
 
-    `ample`, when given, is called as ample(space, ids, p) for the
-    entries at positions p of the state that have a step, in order,
-    and the steps are those of the first entry it accepts, or of every
-    entry when it accepts none.  Every entry's branches are judged
-    either way, so an EvaluationError surfaces in the same states.
+    `ample`, when given, is called as ample(space, state, slot, p) for
+    the process entries at position p of the run at index slot of the
+    state that have a step, in state order, and the steps are those of
+    the first entry it accepts, or of every entry when it accepts
+    none.  Every entry's branches are judged either way, so an
+    EvaluationError surfaces in the same states.
     """
     if space is not None:
         return _steps(state, space, ample)
@@ -592,140 +675,152 @@ def step_candidates(state, space: Optional[Interner] = None, ample=None):
     return [(label, space.net(succ)) for label, succ in steps], denied
 
 
-def _steps(ids: tuple, space: Interner, ample=None):
-    entries, locations, data_of = space.entries, space.locations, space.data
-    nils = space.nils
+def _steps(state: tuple, space: Interner, ample=None):
+    entries, branches_of, data_of = space.entries, space.branches, space.data
+    runs, procs, slots, groups = space.runs, space.procs, space.slots, \
+        space.groups
     outs, verdicts, matches = space.outs, space.verdicts, space.matches
-    data_at, data_by, n = space.data_at, space.data_by, len(ids)
+    data_at, data_by = space.data_at, space.data_by
     oplus = LIFTED["oplus"]
-    # a location's entries are a run of the sorted state, led by its
-    # data, and the first guards it; identical entries have equal keys,
-    # so a bisection for an entry's key finds its first position
     key = space.keys.__getitem__
-    firsts: dict = {}           # target location -> its first position
     data = None                 # the state's data index, once a policy reads it
-    # (position of the acting entry, its move, position of the data
-    # entry an in consumes or None, nil groups the step touches, does
+    # (index of the acting run, position of the acting entry in it, index
+    # of another run the step changes or None, the step's Move, does
     # the entry have other branches)
     moves: list = []
     denied: dict = {}           # (label, value) -> None, in order
 
-    # the positions of the entries that act, found without a Python
-    # loop over the state: branches is None for the others
-    for p in compress(count(), map(space.branches.__getitem__, ids)):
-        i = ids[p]
-        if p and ids[p - 1] == i:
-            # an identical entry, next to it in the sorted state, makes
-            # identical steps
-            continue
-        branches = space.branches[i]
-        several = len(branches) > 1
-        e = entries[i]
-        for k, (action, cont) in enumerate(branches):
-            tgt = action.target
-            if not isinstance(tgt, Const):
-                raise EvaluationError(f"unbound target in {action!r}")
-            lo = firsts.get(tgt.name)
-            if lo is None:
-                lo = firsts[tgt.name] = bisect_left(ids, tgt.name + "\0",
-                                                    key=key)
-            if lo == n or locations[ids[lo]] != tgt.name:
-                continue            # no entry to receive or hold the data
-            holder = ids[lo]
-            step = (i, k, space.groups[holder])
-            for present, absent, f in verdicts.get(step, ()):
-                if not (present or absent):
-                    break           # the verdict read nothing of the state
-                if data is None:
-                    data = space.data_index(ids)
-                if present <= data and data.isdisjoint(absent):
-                    break
-            else:
-                if data is None:
-                    data = space.data_index(ids)
-                here = StateDomain(data)
-                src = policy_values(e.policy, e.location, action, cont, here)
-                f = oplus[src][policy_values(entries[holder].policy,
-                                             e.location, action, cont, here)]
-                verdicts.setdefault(step, []).append(
-                    (frozenset(here.present), frozenset(here.absent), f))
-            granted = f & GRANTS
-            if action.cap == "out":
-                move = outs.get(step)
-                if move is None:
-                    move = outs[step] = [Label(
-                        e.location, CAP_LETTER["out"],
-                        tuple(_ground_name(t, "out argument")
-                              for t in action.args), tgt.name), None, None]
-                if not granted:
-                    denied[move[0], f] = None
-                    continue
-                if move[1] is None:
-                    new = space.split(e.location, e.policy, cont)
-                    move[2] = space.nil_groups(new)
-                    move[1] = new + (space.intern(NetEntry(
-                        tgt.name, entries[holder].policy, move[0].args)),)
-                # a nil guard is the only entry of its group, which the
-                # data join
-                moves.append((p, move, None, move[2] | {step[2]}
-                              if nils[holder] else move[2], several))
+    for a, r in enumerate(state):
+        run = runs[r]
+        for p in procs[r]:
+            i = run[p]
+            if p and run[p - 1] == i:
+                # an identical entry, next to it in the sorted run, makes
+                # identical steps
                 continue
-            table = matches.get((i, k))
-            if table is None:
-                first = action.args[0] if action.args else None
-                table = matches[i, k] = [0, {}, data_by.setdefault(
-                    (tgt.name, len(action.args), first.name), [])
-                    if isinstance(first, Const)
-                    else data_at.setdefault(tgt.name, [])]
-            tried, found, held = table
-            if tried < len(held):   # data ids interned since the last use
-                letter = CAP_LETTER[action.cap]
-                for d in held[tried:]:
-                    values = data_of[d][1]
-                    if match(action.args, values) is not None:
-                        found[d] = [Label(e.location, letter, values,
-                                          tgt.name), None, None]
-                table[0] = len(held)
-            # the matches among the state's data at the target, by
-            # position: a bisection from lo for each id of the table
-            hits = []
-            for d in found:
-                r = bisect_left(ids, key(d), lo, key=key)
-                if r < n and ids[r] == d:
-                    hits.append((r, d))
-            hits.sort()
-            consumed = set()        # identical tuples make identical steps
-            for r, d in hits:
-                move = found[d]
-                label = move[0]
-                if label.args in consumed:
+            branches = branches_of[i]
+            several = len(branches) > 1
+            e = entries[i]
+            for k, (action, cont) in enumerate(branches):
+                tgt = action.target
+                if not isinstance(tgt, Const):
+                    raise EvaluationError(f"unbound target in {action!r}")
+                b = slots.get(tgt.name)
+                target = runs[state[b]] if b is not None else ()
+                if not target:
+                    continue            # no entry to receive or hold the data
+                # the first entry of a location guards it
+                holder = target[0]
+                step = (i, k, groups[holder])
+                for present, absent, f in verdicts.get(step, ()):
+                    if not (present or absent):
+                        break           # the verdict read nothing of the state
+                    if data is None:
+                        data = space.data_index(state)
+                    if present <= data and data.isdisjoint(absent):
+                        break
+                else:
+                    if data is None:
+                        data = space.data_index(state)
+                    here = StateDomain(data)
+                    src = policy_values(e.policy, e.location, action, cont,
+                                        here)
+                    f = oplus[src][policy_values(entries[holder].policy,
+                                                 e.location, action, cont,
+                                                 here)]
+                    verdicts.setdefault(step, []).append(
+                        (frozenset(here.present), frozenset(here.absent), f))
+                granted = f & GRANTS
+                other = None if b == a else b
+                if action.cap == "out":
+                    move = outs.get(step)
+                    if move is None:
+                        move = outs[step] = Move(Label(
+                            e.location, CAP_LETTER["out"],
+                            tuple(_ground_name(t, "out argument")
+                                  for t in action.args), tgt.name), i)
+                    if not granted:
+                        denied[move.label, f] = None
+                        continue
+                    if move.new is None:
+                        move.new = space.split(e.location, e.policy, cont)
+                        move.touched = space.nil_groups(move.new)
+                        move.put = space.intern(NetEntry(
+                            tgt.name, entries[holder].policy,
+                            move.label.args))
+                    moves.append((a, p, other, move, several))
                     continue
-                consumed.add(label.args)
-                if not granted:
-                    denied[label, f] = None
-                    continue
-                if move[1] is None:
-                    move[1] = space.split(
-                        e.location, e.policy,
-                        match(action.args, label.args).apply(cont))
-                    move[2] = space.nil_groups(move[1])
-                moves.append((p, move, None if action.cap == "read" else r,
-                              move[2], several))
+                table = matches.get((i, k))
+                if table is None:
+                    first = action.args[0] if action.args else None
+                    table = matches[i, k] = [0, {}, data_by.setdefault(
+                        (tgt.name, len(action.args), first.name), [])
+                        if isinstance(first, Const)
+                        else data_at.setdefault(tgt.name, [])]
+                tried, found, held = table
+                if tried < len(held):   # data ids interned since the last use
+                    letter = CAP_LETTER[action.cap]
+                    for d in held[tried:]:
+                        values = data_of[d][1]
+                        if match(action.args, values) is not None:
+                            found[d] = Move(
+                                Label(e.location, letter, values, tgt.name),
+                                i, None if action.cap == "read" else d)
+                    table[0] = len(held)
+                # the matches among the target's data, by position: a
+                # bisection in its run for each id of the table
+                hits = []
+                for d in found:
+                    q = bisect_left(target, key(d), key=key)
+                    if q < len(target) and target[q] == d:
+                        hits.append((q, d))
+                hits.sort()
+                consumed = set()        # identical tuples make identical steps
+                for q, d in hits:
+                    move = found[d]
+                    label = move.label
+                    if label.args in consumed:
+                        continue
+                    consumed.add(label.args)
+                    if not granted:
+                        denied[label, f] = None
+                        continue
+                    if move.new is None:
+                        move.new = space.split(
+                            e.location, e.policy,
+                            match(action.args, label.args).apply(cont))
+                        move.touched = space.nil_groups(move.new)
+                    moves.append((a, p, None if move.take is None else other,
+                                  move, several))
     if ample is not None:
-        for p in dict.fromkeys(m[0] for m in moves):
-            if ample(space, ids, p):
-                moves = [m for m in moves if m[0] == p]
+        for a, p in dict.fromkeys([m[:2] for m in moves]):
+            if ample(space, state, a, p):
+                moves = [m for m in moves if m[0] == a and m[1] == p]
                 break
     steps: list = []
+    edit = space.edit
     # distinct entries never make the same step; branches of one can
     seen: set = set()
-    for p, (label, new, _), q, touched, several in moves:
-        succ = space.successor(ids, p, q, new, touched)
+    for a, p, b, move, several in moves:
+        edits = move.edits
+        succ = list(state)
+        r = state[a]
+        n = edits.get(r)
+        if n is None:
+            n = edits[r] = edit(r, move)
+        succ[a] = n
+        if b is not None:
+            r = state[b]
+            n = edits.get(r)
+            if n is None:
+                n = edits[r] = edit(r, move)
+            succ[b] = n
+        succ = tuple(succ)
         if several:
-            if (p, label, succ) in seen:
+            if (move.entry, move.label, succ) in seen:
                 continue
-            seen.add((p, label, succ))
-        steps.append((label, succ))
+            seen.add((move.entry, move.label, succ))
+        steps.append((move.label, succ))
     return steps, list(denied)
 
 
@@ -742,12 +837,15 @@ class LTS(NamedTuple):
     """A transition system whose state 0 is the initial network."""
     transitions: list        # in discovery order
     discovered_by: list      # state id -> first Transition into it, or None
-    ids: list                # state id -> its id tuple in `space`
-    space: Interner          # the entries the states are built from
+    ids: list                # state id -> its tuple of run ids in `space`
+    space: Interner          # the entries and runs the states are built from
 
     @property
     def states(self) -> list:
-        """State id -> canonical Net, built anew on each access."""
+        """State id -> canonical Net, built anew on each access.  The
+        commands never read it; the tests do, and so does
+        `perfbench/tracer.py::_count_lts`, which counts a traced
+        build's states and entries."""
         return [self.space.net(s) for s in self.ids]
 
 
@@ -803,13 +901,15 @@ def net_text(net: Net) -> str:
     return " || ".join(map(render_entry, net.entries))
 
 
-# Parts a streamed export gathers before it writes them as one piece.
-# Counting parts costs one `len` per state, where counting characters
-# would sum the lengths of every entry text.  On `deep` jobs (an Intel
-# Xeon vCPU, Python 3.11) pieces of 1024 parts, about 60 KB, took 16.2 ms a
-# job, as 4096 did, where 256 took 17.4-17.7 and 16384 17.3-18.1; the
-# smaller piece holds less memory.
-CHUNK_PARTS = 1024
+# The characters a streamed export gathers before it writes them as one
+# piece.  A state's net is one part and transitions are rendered
+# CHUNK_CHARS >> 8 (256) at a time, so the rule costs one `len` per
+# state and per run of transitions.  On the first `deep` job of seed 61
+# (an Intel Xeon vCPU, Python 3.11), pieces of 16, 64 and 256 KB took
+# 15.7-16.9, 16.2-16.4 and 16.3-16.4 ms a job, while the export's
+# traced peak was 588, 716 and 1217 KB: 64 KB keeps the piece near the
+# 60 KB that 1024 parts made when a state's net was a part per entry.
+CHUNK_CHARS = 1 << 16
 
 
 def json_export(lts: LTS, write=None) -> Optional[str]:
@@ -818,24 +918,23 @@ def json_export(lts: LTS, write=None) -> Optional[str]:
     [{"from", "label", "to"}]}, where a state's net is its `net_text`.
 
     Without `write` the text is returned.  With it, the text is passed
-    to `write` piece by piece, in order, and None is returned; no
-    string of one state's net or of the whole document is built.  A
-    piece joins the parts gathered since the last one, and is written
-    once a state, or a run of CHUNK_PARTS transitions, leaves at least
-    CHUNK_PARTS of them, so the rule costs one length check per state.
-    Every entry and label is rendered, escaped and encoded before the
-    first piece is written: an export that raises has written nothing,
-    and once writing starts only `write` can fail.
+    to `write` piece by piece, in order, and None is returned; the
+    whole document is never one string.  A piece joins the parts
+    gathered since the last one, and is written once they reach
+    CHUNK_CHARS characters.  Every entry, run and label is rendered,
+    escaped and encoded before the first piece is written: an export
+    that raises has written nothing, and once writing starts only
+    `write` can fail.
 
-    States share their interned entries, so each interned entry is
-    rendered and escaped once, and kept with and without the " || "
-    that follows all but the last entry of a state; a state's net is
-    a run of those parts.  Each distinct label is encoded once.  The
-    entries share their process nodes too, the continuation of a
-    prefix often the body of another entry, so they are rendered by
-    `render_entry` with one memo of process texts for the export: each
-    distinct node is rendered once, a prefix as its action's text
-    joined to its continuation's."""
+    States share their runs, and runs their interned entries, so each
+    interned entry is rendered and escaped once, each run's text joins
+    its entries' texts once, and a state's net joins the texts of its
+    non-empty runs.  Each distinct label is encoded once.  The entries
+    share their process nodes too, the continuation of a prefix often
+    the body of another entry, so they are rendered by `render_entry`
+    with one memo of process texts for the export: each distinct node
+    is rendered once, a prefix as its action's text joined to its
+    continuation's."""
     if write is None:
         pieces: list = []
         json_export(lts, pieces.append)
@@ -843,33 +942,34 @@ def json_export(lts: LTS, write=None) -> Optional[str]:
     memo: dict = {}
     texts = [encode_basestring_ascii(render_entry(e, memo))[1:-1]
              for e in lts.space.entries]
-    joined = [text + " || " for text in texts].__getitem__
+    runs = [" || ".join(map(texts.__getitem__, run))
+            for run in lts.space.runs]
     label = _label_texts(lts.transitions, encode_basestring_ascii)
     parts = ['{\n  "states": [']
-    sep = ""
-    for sid, ids in enumerate(lts.ids):
-        parts.append(f'{sep}\n    {{\n      "id": {sid},\n      "net": "')
+    size, sep = 0, ""
+    for sid, state in enumerate(lts.ids):
+        part = (f'{sep}\n    {{\n      "id": {sid},\n      "net": '
+                f'"{" || ".join([runs[r] for r in state if r])}"\n    }}')
         sep = ","
-        if ids:
-            parts += map(joined, ids)
-            parts[-1] = texts[ids[-1]]
-        parts.append('"\n    }')
-        if len(parts) >= CHUNK_PARTS:
+        parts.append(part)
+        size += len(part)
+        if size >= CHUNK_CHARS:
             write("".join(parts))
             parts.clear()
+            size = 0
     parts.append("\n  ]" if sep else "]")
     parts.append(',\n  "transitions": [')
-    transitions = lts.transitions
-    for i in range(0, len(transitions), CHUNK_PARTS):
-        start = len(parts)
-        parts += (f',\n    {{\n      "from": {t.src},\n      "label": '
-                  f'{label[t.label]},\n      "to": {t.dst}\n    }}'
-                  for t in transitions[i:i + CHUNK_PARTS])
-        if not i:   # the list's first item
-            parts[start] = parts[start][1:]
-        if len(parts) >= CHUNK_PARTS:
+    transitions, step = lts.transitions, CHUNK_CHARS >> 8
+    for i in range(0, len(transitions), step):
+        part = "".join([f',\n    {{\n      "from": {t.src},\n      "label": '
+                        f'{label[t.label]},\n      "to": {t.dst}\n    }}'
+                        for t in transitions[i:i + step]])
+        parts.append(part[1:] if not i else part)    # the list's first item
+        size += len(part)
+        if size >= CHUNK_CHARS:
             write("".join(parts))
             parts.clear()
+            size = 0
     parts.append("\n  ]\n}" if transitions else "]\n}")
     write("".join(parts))
     return None

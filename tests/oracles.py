@@ -17,13 +17,15 @@ from aspectkbl.exhaustive import TransitionCheck
 from aspectkbl.model import (CAP_LETTER, Action, Aspect, AspectPol, BindVar,
                              Const, Cut, Diagnostic, EBin, EEqual, EFalse,
                              ENot, EOccursIn, ETest, ETrue, EvaluationError,
-                             Label, LocatedAction, Net, NetEntry, Nil, Par,
-                             PExists, PForall, PGeq, PTestPost, Repl,
-                             Substitution, Sum, Var, Wildcard, canonicalize,
-                             render_term, split_entry, subst_key)
+                             Label, LimitExceeded, LocatedAction, Net,
+                             NetEntry, Nil, Par, PExists, PForall, PGeq,
+                             PTestPost, Repl, Substitution, Sum, Var,
+                             Wildcard, canonicalize, render_term,
+                             split_entry, subst_key)
 from aspectkbl.parser import KEYWORDS, render_expr
-from aspectkbl.semantics import (StateDomain, net_text, policies_by_location,
-                                 policy_values, pred_values, quantified)
+from aspectkbl.semantics import (StateDomain, Transition, net_text,
+                                 policies_by_location, policy_values,
+                                 pred_values, quantified)
 
 _TEXT = {BOT: "bot", TT: "tt", FF: "ff", TOP: "top"}
 
@@ -389,10 +391,37 @@ def replay(net, witness):
                for n in nets for l, s in enabled_steps(n))
 
 
+class ReferenceLTS(NamedTuple):
+    states: list             # state id -> canonical Net
+    transitions: list        # Transitions in discovery order
+
+
+def reference_lts(net, max_states: int = 100000) -> ReferenceLTS:
+    """The whole reachable state space of a network, found without the
+    explorer: a breadth first search over canonical `Net`s whose steps
+    are `reference_steps`, each state numbered when first met and
+    looked up in a dict of `Net`s, so nothing is interned and two
+    states are one only when their networks are equal.  Raises
+    LimitExceeded as `build_lts` does."""
+    states = [canonicalize(net)]
+    index = {states[0]: 0}
+    transitions = []
+    for sid, state in enumerate(states):    # grows as states are met
+        for label, succ in reference_steps(state)[0]:
+            nid = index.setdefault(succ, len(states))
+            if nid == len(states):
+                if nid >= max_states:
+                    raise LimitExceeded("states", max_states)
+                states.append(succ)
+            transitions.append(Transition(sid, nid, label))
+    return ReferenceLTS(states, transitions)
+
+
 def lts_document(lts):
-    """The JSON document of an LTS as a dict, for `json.dumps`: the
-    states with their `net_text` and the transitions with their label
-    text, each in order.  `json_export` writes this document's text."""
+    """The JSON document of an LTS, or of a `ReferenceLTS`, as a dict,
+    for `json.dumps`: the states with their `net_text` and the
+    transitions with their label text, each in order.  `json_export`
+    writes this document's text."""
     return {
         "states": [{"id": sid, "net": net_text(net)}
                    for sid, net in enumerate(lts.states)],

@@ -169,8 +169,8 @@ def test_only_a_quantified_check_builds_location_constants(monkeypatch):
     net = corpusio.net("tiny_no_policies.akbl")
     asked = []
     constants = Interner.constants
-    monkeypatch.setattr(Interner, "constants", lambda self, ids: asked.append(
-        ids) or constants(self, ids))
+    monkeypatch.setattr(Interner, "constants", lambda self, state: asked.append(
+        state) or constants(self, state))
     for name in ("eq1.obl", "eq2.obl"):
         v = check_lts(net, corpusio.obl(name))
         assert not v.holds and v.witness is not None
@@ -375,9 +375,9 @@ def test_footprints_cover_every_concrete_read():
                 continue
             nets += 1
             space, reads = lts.space, {}
-            for ids in lts.ids:
-                data = space.data_index(ids)
-                for i in ids:
+            for state in lts.ids:
+                data = space.data_index(state)
+                for i in space.flat(state):
                     e = space.entries[i]
                     if not isinstance(e.body, Sum):
                         continue

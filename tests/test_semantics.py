@@ -295,7 +295,8 @@ def _assert_export_renders_as_the_plain_renderer(net):
     plain = [oracles.plain_entry_text(e) for e in lts.space.entries]
     states = json.loads(json_export(lts))["states"]
     assert [s["net"] for s in states] == [
-        " || ".join(plain[j] for j in ids) for ids in lts.ids]
+        " || ".join(plain[j] for j in lts.space.flat(state))
+        for state in lts.ids]
 
 
 def _out(name, cont=NIL, at="A"):
@@ -451,6 +452,58 @@ def _assert_steps_as_reference(lts):
                 denied) == oracles.reference_steps(space.net(ids)), sid
 
 
+def _outcome(build):
+    try:
+        return build()
+    except (EvaluationError, LimitExceeded) as e:
+        return type(e)
+
+
+# hand-made nets for the runs of a state: an in that takes the last
+# entry of a location, outs aimed at nil-guarded locations, and entries
+# acting on their own location, so the acting run is the target run
+_RUN_NETS = (
+    "A ::[true] <k> || B ::[true] in(!x)@A . out(x)@A . 0",
+    "A ::[true] <k> || B ::[true] in(k)@A . 0 || C ::[true] read(k)@A . 0",
+    "A ::[true] 0 || B ::[true] out(k)@A . out(j)@A . 0",
+    "A ::[false or true] 0 || A ::[true] out(z)@Q . 0\n"
+    "|| B ::[true] out(k)@A . 0 || Q ::[true] <q>",
+    "A ::[true] 0 || A ::[false or true] <j> || B ::[true] out(k)@A . 0",
+    "A ::[true] <k> || A ::[true] in(!x)@A . out(x)@A . read(x)@A . 0",
+    "C ::[true] out(b)@C . 0 || C ::[true] out(c)@C . in(a)@C . 0",
+    "A ::[true] in(k)@A . 0 || A ::[true] <k> || A ::[true] <k>",
+    "A ::[true] out(k)@A . in(k)@A . 0 || B ::[true] in(k)@A . 0",
+    "A ::[true] out(a)@A . (out(b)@A . 0 | in(a)@A . 0)",
+)
+
+
+def test_the_explorer_builds_the_state_space_of_the_reference():
+    # the reference numbers the states it meets by equality of their
+    # networks, with no interning, so two states the explorer merged
+    # or split show as a different numbering, net or transition
+    nets = [*_corpus_nets(), *_generated_nets(range(300), range(300),
+                                              range(300)),
+            *_hand_made_nets(), *map(parse_net, _RUN_NETS), _escaping_net(),
+            Net(()), parse_net(gen.alternating_chains(30)),
+            # a policy that raises in a later state, and a net past the
+            # state budget
+            parse_net(_RAISES_LATER), parse_net(gen.alternating_chains(40))]
+    built = states = raised = 0
+    for n, net in enumerate(nets):
+        got = _outcome(lambda: json.loads(json_export(build_lts(
+            net, max_states=1000))))
+        want = _outcome(lambda: oracles.lts_document(oracles.reference_lts(
+            net, max_states=1000)))
+        assert got == want, n
+        if isinstance(got, dict):
+            built += 1
+            states += len(got["states"])
+        else:
+            raised += 1
+    assert built >= 900 and states >= 19000 and raised == 2, \
+        (built, states, raised)
+
+
 def test_kernel_caches_never_change_a_step():
     states = 0
     # ward nets have the most states, some 45 each; the guarded nets of
@@ -473,14 +526,14 @@ def test_match_tables_follow_the_state():
     assert len(gone.ids) == 4
     (found,) = [table[1] for (i, _), table in gone.space.matches.items()
                 if gone.space.entries[i].location == "C"]
-    assert any(set(found) - set(ids) for ids in gone.ids)
+    assert any(set(found) - set(gone.space.flat(s)) for s in gone.ids)
     # an in consumes one of two identical tuples, and the next the other
     twice = build_lts(parse_net(
         "A ::[true] <k> || A ::[true] <k>\n"
         "|| B ::[true] in(!x)@A . in(!y)@A . 0"))
     _assert_steps_as_reference(twice)
-    assert [sum(twice.space.data[j] is not None for j in ids)
-            for ids in twice.ids] == [2, 1, 0]
+    assert [sum(twice.space.data[j] is not None
+                for j in twice.space.flat(s)) for s in twice.ids] == [2, 1, 0]
     # R's read(_, _) has matched more tuples than any state holds
     # entries, so most ids of its table are not in the state
     puts = " . ".join(f"out({n}, {n})@A . in(!a, !b)@A" for n in range(8))
@@ -491,21 +544,23 @@ def test_match_tables_follow_the_state():
     _assert_steps_as_reference(many)
     (found,) = [table[1] for (i, _), table in many.space.matches.items()
                 if many.space.entries[i].location == "R"]
-    assert len(found) == 8 > max(map(len, many.ids))
+    assert len(found) == 8 > max(len(many.space.flat(s)) for s in many.ids)
 
 
 def _successors(source):
-    """The interner, the initial state and {label text: successor} of
-    a network, whose steps from every state, the initial one with a
-    fresh interner, are those of the reference."""
+    """The interner, the entry ids of the initial state and {label
+    text: entry ids of the successor} of a network, read through
+    `Interner.flat`, whose steps from every state, the initial one with
+    a fresh interner, are those of the reference."""
     net = parse_net(source)
     space = Interner()
-    ids = space.state(net)
-    steps, denied = step_candidates(ids, space)
+    state = space.state(net)
+    steps, denied = step_candidates(state, space)
     assert ([(label, space.net(succ)) for label, succ in steps],
             denied) == oracles.reference_steps(net)
     _assert_steps_as_reference(build_lts(net))
-    return space, ids, {label.text(): succ for label, succ in steps}
+    return space, space.flat(state), {label.text(): space.flat(succ)
+                                      for label, succ in steps}
 
 
 def _ranks(space, ids, succ):
@@ -646,13 +701,16 @@ def test_policy_memo_matches_fresh_evaluation():
     assert read_apart >= 1
 
 
+# A's in is judged while flag is absent from B, and the trap's condition
+# is false; once C has put flag there, the recommendation is evaluated
+# and tests the binder #a is bound to
+_RAISES_LATER = (
+    "B ::[[test(#a)@B if #u :: in(#a)@B . X : test(flag)@B]] <seed>\n"
+    "|| A ::[true] in(!x)@B . 0 || C ::[true] out(flag)@B . 0")
+
+
 def test_cached_verdicts_do_not_hide_evaluation_errors():
-    # A's in is judged while flag is absent from B, and the trap's
-    # condition is false; once C has put flag there, the recommendation
-    # is evaluated and tests the binder #a is bound to
-    net = parse_net(
-        "B ::[[test(#a)@B if #u :: in(#a)@B . X : test(flag)@B]] <seed>\n"
-        "|| A ::[true] in(!x)@B . 0 || C ::[true] out(flag)@B . 0")
+    net = parse_net(_RAISES_LATER)
     steps, _ = step_candidates(net)
     assert len(steps) == 2
     with pytest.raises(EvaluationError):
