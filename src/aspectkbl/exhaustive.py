@@ -117,7 +117,7 @@ class TransitionCheck:
         self._matched: dict = {}   # label -> (theta, instantiated pred) or None
         self._quantified = quantified(obl.pred)
         # state -> (data index, location constants, or none when the
-        # predicate holds no quantifier), each built from its runs'
+        # predicate holds no quantifier), unions of its runs' own
         self._states: dict = {}
         # (label, pre data, post data, pre and post constants) -> violates
         self._values: dict = {}

@@ -395,6 +395,21 @@ def pred_values(pred, domain, locs) -> int:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
+def tests(pol) -> bool:
+    """Does a policy hold a `test`, the only leaf of `StateDomain` that
+    reads the state, in itself or in a trap's condition or
+    recommendation."""
+    if isinstance(pol, ETest):
+        return True
+    if isinstance(pol, ENot):
+        return tests(pol.body)
+    if isinstance(pol, EBin):
+        return tests(pol.left) or tests(pol.right)
+    if isinstance(pol, AspectPol):
+        return tests(pol.aspect.cond) or tests(pol.aspect.rec)
+    return False
+
+
 def quantified(pred) -> bool:
     """Does the predicate hold a quantifier, so that its value may
     depend on the location constants `pred_values` is given."""
@@ -482,8 +497,8 @@ class Interner:
         self.runs: list = [()]       # run id -> entry ids in key order
         self.procs: list = [()]      # run id -> positions of its Sum entries
         self._runs: dict = {(): 0}   # run -> run id
-        self._indexes: dict = {}     # run id -> `data_index` of the run
-        self._constants: dict = {}   # run id -> `loc_set` of the run
+        self.indexes = None          # run id -> its data index, once asked
+        self.run_consts = None       # run id -> its `loc_set`, once asked
         self.data_at: dict = {}      # location -> ids of its data entries
         # (location, arity, first constant) -> ids of those data entries
         self.data_by: dict = {}
@@ -548,6 +563,10 @@ class Interner:
         if r is None:
             r = self._runs[ids] = len(self.runs)
             self.runs.append(ids)
+            if self.indexes is not None:
+                self.indexes.append(self._index(ids))
+            if self.run_consts is not None:
+                self.run_consts.append(self._constants(ids))
             # without a Python loop over the run: branches is None for
             # the entries that are not Sums
             self.procs.append(tuple(compress(
@@ -610,33 +629,29 @@ class Interner:
         return Net(tuple(map(self.entries.__getitem__, self.flat(state))))
 
     def data_index(self, state: tuple) -> frozenset:
-        """`data_index` of a state."""
-        indexes = self._indexes
-        try:
-            return frozenset().union(*map(indexes.__getitem__, state))
-        except KeyError:        # a run asked for the first time
-            data, runs = self.data, self.runs
-            for r in state:
-                if r not in indexes:
-                    indexes[r] = frozenset(filter(None, map(
-                        data.__getitem__, runs[r])))
-            return frozenset().union(*map(indexes.__getitem__, state))
+        """`data_index` of a state: the union of its runs'.  A run's is
+        made for every run once a state has asked, and for none before,
+        as a search that never asks makes many runs."""
+        if self.indexes is None:
+            self.indexes = list(map(self._index, self.runs))
+        return frozenset().union(*map(self.indexes.__getitem__, state))
+
+    def _index(self, run: tuple) -> frozenset:
+        return frozenset(filter(None, map(self.data.__getitem__, run)))
 
     def constants(self, state: tuple) -> frozenset:
-        """`loc_set` of a state."""
-        known = self._constants
-        try:
-            return frozenset().union(*map(known.__getitem__, state))
-        except KeyError:        # a run asked for the first time
-            consts, entries = self.consts, self.entries
-            for r in state:
-                if r not in known:
-                    for i in self.runs[r]:
-                        if i not in consts:
-                            consts[i] = entry_consts(entries[i])
-                    known[r] = frozenset().union(
-                        *map(consts.__getitem__, self.runs[r]))
-            return frozenset().union(*map(known.__getitem__, state))
+        """`loc_set` of a state: the union of its runs', made as the
+        runs' data indexes are."""
+        if self.run_consts is None:
+            self.run_consts = list(map(self._constants, self.runs))
+        return frozenset().union(*map(self.run_consts.__getitem__, state))
+
+    def _constants(self, run: tuple) -> frozenset:
+        consts, entries = self.consts, self.entries
+        for i in run:
+            if i not in consts:
+                consts[i] = entry_consts(entries[i])
+        return frozenset().union(*map(consts.__getitem__, run))
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +735,10 @@ def _steps(state: tuple, space: Interner, ample=None):
                     if present <= data and data.isdisjoint(absent):
                         break
                 else:
-                    if data is None:
+                    if data is None and (tests(e.policy)
+                                         or tests(entries[holder].policy)):
                         data = space.data_index(state)
-                    here = StateDomain(data)
+                    here = StateDomain(frozenset() if data is None else data)
                     src = policy_values(e.policy, e.location, action, cont,
                                         here)
                     f = oplus[src][policy_values(entries[holder].policy,
@@ -906,9 +922,9 @@ def net_text(net: Net) -> str:
 # CHUNK_CHARS >> 8 (256) at a time, so the rule costs one `len` per
 # state and per run of transitions.  On the first `deep` job of seed 61
 # (an Intel Xeon vCPU, Python 3.11), pieces of 16, 64 and 256 KB took
-# 15.7-16.9, 16.2-16.4 and 16.3-16.4 ms a job, while the export's
-# traced peak was 588, 716 and 1217 KB: 64 KB keeps the piece near the
-# 60 KB that 1024 parts made when a state's net was a part per entry.
+# 15.7-16.9, 16.2-16.4 and 16.3-16.4 ms a job, and the export's traced
+# peak was 588, 716 and 1217 KB: past 64 KB a piece costs memory and
+# saves no time.
 CHUNK_CHARS = 1 << 16
 
 
