@@ -431,14 +431,18 @@ class Reduction:
         to the same violation: the causal past of t in the Mazurkiewicz
         trace of the path, for a dependence that asks only whether an
         earlier step may change what a later one reads."""
-        space, ids, flat = lts.space, lts.ids, lts.space.flat
+        space, ids, runs = lts.space, lts.ids, lts.space.runs
         run = _run_to(lts, t.src) + [t]
         made: dict = {}     # entry id -> steps that made its live copies
-        for i in flat(ids[0]):
+        for i in space.flat(ids[0]):
             made.setdefault(i, []).append(None)
         acts = []           # per step: (acting entry, step that made it)
         for k, s in enumerate(run):
-            pre, post = Counter(flat(ids[s.src])), Counter(flat(ids[s.dst]))
+            pre, post = Counter(), Counter()
+            for a, b in zip(ids[s.src], ids[s.dst]):
+                if a != b:      # a run the step changed
+                    pre.update(runs[a])
+                    post.update(runs[b])
             i = next(j for j in pre - post
                      if isinstance(space.entries[j].body, Sum))
             acts.append((i, made[i].pop(0)))

@@ -73,12 +73,15 @@ guard's group, whose nil, when the state holds it, is the group's only
 entry and so the guard.  A nil group never spans locations, so the
 rule is applied within the run.  Each run keeps the positions of its
 process entries, which are the acting entries of every state that
-holds it, and its data index and location constants once asked.  A
-step is checked against the other steps of its entry only when the
-entry has several branches, since steps of distinct entries differ.
-Policy test atoms are set lookups in the state's data index, the
-union of its runs', built only in a state where a policy's verdict
-depends on it.  The LTS keeps the states and the interner, along with
+holds it.  A step is checked against the other steps of its entry
+only when the entry has several branches, since steps of distinct
+entries differ.  Policy test atoms are set lookups in the state's data
+index, the union of its runs' data indexes, built only in a state
+where a policy that holds a `test` is judged afresh or its verdict's
+atoms are checked.  A search that never builds one makes no run's; once
+one is built, every run gets its index when it is made, and the
+location constants of a quantified predicate's range are kept per run
+the same way.  The LTS keeps the states and the interner, along with
 the transition that first discovered each state, from which witnesses
 are read back; `LTS.states` builds ordinary `Net` values from the
 shared interned entries each time it is read.
@@ -395,18 +398,18 @@ def pred_values(pred, domain, locs) -> int:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-def tests(pol) -> bool:
+def holds_test(pol) -> bool:
     """Does a policy hold a `test`, the only leaf of `StateDomain` that
     reads the state, in itself or in a trap's condition or
     recommendation."""
     if isinstance(pol, ETest):
         return True
     if isinstance(pol, ENot):
-        return tests(pol.body)
+        return holds_test(pol.body)
     if isinstance(pol, EBin):
-        return tests(pol.left) or tests(pol.right)
+        return holds_test(pol.left) or holds_test(pol.right)
     if isinstance(pol, AspectPol):
-        return tests(pol.aspect.cond) or tests(pol.aspect.rec)
+        return holds_test(pol.aspect.cond) or holds_test(pol.aspect.rec)
     return False
 
 
@@ -471,7 +474,8 @@ class Interner:
     location.  Since a canonical network is sorted by key, and a key
     starts with the location, it is the concatenation of its state's
     runs, `flat`.  Each run keeps the positions of its process
-    entries, and its data index and location constants once asked.
+    entries and, once any state has asked for them, its data index
+    and location constants.
 
     The ids of the data entries at each location are listed as they
     are interned, and so are those of each arity and first constant at
@@ -735,8 +739,9 @@ def _steps(state: tuple, space: Interner, ample=None):
                     if present <= data and data.isdisjoint(absent):
                         break
                 else:
-                    if data is None and (tests(e.policy)
-                                         or tests(entries[holder].policy)):
+                    if data is None and (
+                            holds_test(e.policy)
+                            or holds_test(entries[holder].policy)):
                         data = space.data_index(state)
                     here = StateDomain(frozenset() if data is None else data)
                     src = policy_values(e.policy, e.location, action, cont,

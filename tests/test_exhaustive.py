@@ -169,8 +169,8 @@ def test_only_a_quantified_check_builds_location_constants(monkeypatch):
     net = corpusio.net("tiny_no_policies.akbl")
     asked = []
     constants = Interner.constants
-    monkeypatch.setattr(Interner, "constants", lambda self, state: asked.append(
-        state) or constants(self, state))
+    monkeypatch.setattr(Interner, "constants", lambda self, state: (
+        asked.append(state) or constants(self, state)))
     for name in ("eq1.obl", "eq2.obl"):
         v = check_lts(net, corpusio.obl(name))
         assert not v.holds and v.witness is not None
