@@ -78,13 +78,13 @@ only when the entry has several branches, since steps of distinct
 entries differ.  Policy test atoms are set lookups in the state's data
 index, the union of its runs' data indexes, built only in a state
 where a policy that holds a `test` is judged afresh or its verdict's
-atoms are checked.  A search that never builds one makes no run's; once
-one is built, every run gets its index when it is made, and the
-location constants of a quantified predicate's range are kept per run
-the same way.  The LTS keeps the states and the interner, along with
-the transition that first discovered each state, from which witnesses
-are read back; `LTS.states` builds ordinary `Net` values from the
-shared interned entries each time it is read.
+atoms are checked.  No run keeps a data index until a state's is
+first built; from then on every run gets its index when it is made.
+The location constants of a quantified predicate's range are kept
+per run the same way.  The LTS keeps the states and the interner,
+along with the transition that first discovered each state, from which
+witnesses are read back; `LTS.states` builds ordinary `Net` values
+from the shared interned entries each time it is read.
 
 An in or read finds its partners without scanning the state.  The
 interner keeps the ids of the data entries at each location, in the
