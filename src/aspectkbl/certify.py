@@ -43,7 +43,9 @@ reduction of exhaustive.py, given that verdict, notes in a copy of the
 domain with an `asked` of its own which tuples an action's policies
 and the obligation's predicate may read, so the certifier and the
 reduced search share this one abstract domain, and a check certifies
-once.
+once.  Nothing reads the verdict's own `asked`: it holds what the
+judgements `check_network` made asked, and a renamed report (below)
+asks nothing.
 
 Role-based networks run one process at many locations, and the parser
 makes entries whose bodies read the same share one body node.  So the
@@ -72,12 +74,17 @@ obligation.  Every step of the judgement compares constants only by
 equality: unification, the templates of `MutationInfo`, the sure atoms
 and both evaluators.  So judging an action at d gives the report of
 the same action at c with the two names swapped in its source, its
-`theta0` and its constraints, and asks the swapped atoms, which
-`check_network` adds to `asked` so that the domain stays what judging
-each action on its own makes.  Two guards keep the plain judgement of
-every action: a predicate that quantifies, whose `exists` and `forall`
-stop early in the order of the names and so ask atoms the names
-choose, and a location whose entries differ in policy, where the
+`theta0` and its constraints.  Of the candidates, the report at c
+names c alone: its names come from c, the action's body, the policies
+and the obligation, and no candidate is named in the last three.  So
+`check_network` notes once per report at c which `theta0` pairs and
+which constraint atoms name c, and a member d's report rebuilds only
+those, with one `Const` for d per report.  The renamed report asks nothing, so
+the verdict's `asked` holds fewer atoms than judging each action on
+its own would note; nothing reads them.  Two guards keep the plain
+judgement of every action: a predicate that quantifies, whose `exists`
+and `forall` stop early in the order of the names and so ask atoms the
+names choose, and a location whose entries differ in policy, where the
 policy of its first entry in canonical order judges the actions aimed
 at it, and a swap may change which entry is first.  Numerals are never
 candidates, since `geq` reads their value.  Any refinement of the
@@ -308,21 +315,36 @@ def interchangeable(net: Net, obl: Obligation, pols: dict) -> dict:
     return least
 
 
-def _swap_atom(atom: tuple, swap: dict) -> tuple:
-    at, values = atom
-    return swap.get(at, at), tuple([swap.get(v, v) for v in values])
+def _naming(r: ActionReport, name: str) -> tuple:
+    """The positions of the theta0 pairs and of the constraint atoms of
+    r that name name."""
+    th0 = () if r.theta0 is None else tuple([
+        k for k, (_, t) in enumerate(r.theta0.pairs)
+        if t.__class__ is Const and t.name == name])
+    return th0, tuple([k for k, (at, values) in enumerate(r.constraints)
+                       if at == name or name in values])
 
 
-def _swapped(r: ActionReport, source: str, swap: dict) -> ActionReport:
-    """The report r with the two names of swap swapped, for the same
-    action at source."""
+def _renamed(r: ActionReport, th0_at: tuple, constraints_at: tuple,
+             rep: str, source: str) -> ActionReport:
+    """The report r of an action at rep, for the same action at source:
+    the theta0 pairs and constraint atoms at the positions given, those
+    that name rep, name source instead."""
     th0, constraints = r.theta0, r.constraints
-    if th0 is not None:
-        th0 = Substitution(tuple([
-            (k, Const(swap[t.name]) if t.__class__ is Const and t.name in swap
-             else t) for k, t in th0.pairs]))
-    if constraints:
-        constraints = tuple([_swap_atom(a, swap) for a in constraints])
+    if th0_at:
+        const = Const(source)
+        pairs = list(th0.pairs)
+        for k in th0_at:
+            pairs[k] = pairs[k][0], const
+        th0 = Substitution(tuple(pairs))
+    if constraints_at:
+        constraints = list(constraints)
+        for k in constraints_at:
+            at, values = constraints[k]
+            constraints[k] = (source if at == rep else at,
+                              tuple([source if v == rep else v
+                                     for v in values]))
+        constraints = tuple(constraints)
     return ActionReport(source, r.action, r.outcome, th0, constraints,
                         r.side_values)
 
@@ -344,26 +366,21 @@ def check_network(net: Net, obl: Obligation) -> StaticVerdict:
         # a predicate without quantifiers never reads the range
         domain, least = (), interchangeable(net, obl, pols)
     leaders = set(least.values())
-    asked = mut.asked
-    judged: dict = {}       # (location, action, continuation) -> report, asked
+    # (location, action, continuation) -> the report, and the positions
+    # of its theta0 pairs and constraint atoms that name the location
+    judged: dict = {}
     reports = []
     for act in mut.actions:
-        rep = least.get(act.source)
+        source = act.source
+        rep = least.get(source)
         got = rep and judged.get((rep, id(act.action), id(act.continuation)))
         if got:
-            swap = {rep: act.source, act.source: rep}
-            report = _swapped(got[0], act.source, swap)
-            if got[1]:
-                asked.update([_swap_atom(a, swap) for a in got[1]])
-        elif act.source in leaders:
-            mut.asked = set()
-            report = check_single_action(obl, act, pols, mut, domain)
-            judged[act.source, id(act.action), id(act.continuation)] = \
-                report, mut.asked
-            asked |= mut.asked
-            mut.asked = asked
+            report = _renamed(*got, rep, source)
         else:
             report = check_single_action(obl, act, pols, mut, domain)
+            if source in leaders:
+                judged[source, id(act.action), id(act.continuation)] = \
+                    report, *_naming(report, source)
         reports.append(report)
     certified = all(r.outcome != NOT_CERTIFIED for r in reports)
     return StaticVerdict(certified, tuple(reports), mut)

@@ -703,21 +703,28 @@ def canonicalize(net: Net) -> Net:
     the result is sorted by a total syntactic order.  A nil entry is
     dropped only while another entry with the same location and policy
     remains; erasing the last entry of a location would disable later
-    outputs to it, which the congruence rules never do.  A
-    `CanonicalNet` is already in normal form and comes back itself.
+    outputs to it, which the congruence rules never do; a net without
+    a nil entry skips the rule.  A `CanonicalNet` is already in normal
+    form and comes back itself.
     """
     if net.__class__ is CanonicalNet:
         return net
     flat: list = []
+    nils = False            # whether some entry is nil
     for e in net.entries:
-        if isinstance(e.body, Par):
-            split_entry(e.location, e.policy, e.body, flat)
+        body = e.body
+        if isinstance(body, Par):
+            start = len(flat)
+            split_entry(e.location, e.policy, body, flat)
+            nils = nils or any(x.body is NIL for x in flat[start:])
         else:
             flat.append(e)      # the same object, so its key is rendered once
-    kept = drop_nils(flat, lambda e: (e.location, e.sort_key[3]),
-                     lambda e: isinstance(e.body, Nil))
-    kept.sort(key=attrgetter("sort_key"))
-    return CanonicalNet(tuple(kept))
+            nils = nils or body is NIL
+    if nils:
+        flat = drop_nils(flat, lambda e: (e.location, e.sort_key[3]),
+                         lambda e: e.body is NIL)
+    flat.sort(key=attrgetter("sort_key"))
+    return CanonicalNet(tuple(flat))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,15 @@ ASCII; any other character is a stray character.
 
 A network repeats itself: role-based nets run one process under one
 policy at many locations, so their entries differ in the location
-alone.  So _lex cuts the source into the chunks between ||s and lexes
-each chunk's tail, its text after its first token, once per distinct
-tail, and a parse reads each distinct tail once.  The tokens are those
-of a findall over the whole source, comments and text that is no
-token left out, because:
+alone, and their role records under one policy differ in the location
+and the data list alone.  So _lex cuts the source into the chunks
+between ||s, takes each chunk's tail, its text after its first token,
+and cuts a tail that holds a < after its first <: the head, up to and
+with the <, and the data list after it.  A tail without a < and a head
+are lexed once per distinct text, a data list each time, and a parse
+reads each distinct tail or head once.  The tokens are those of a findall
+over the whole source, comments and text that is no token left out,
+because:
 
 - comments go first, by a substitution of //.* with nothing.  Outside
   a comment, // always starts one: the only match that holds a / but
@@ -37,28 +41,43 @@ token left out, because:
   ends, lex as they do in place.  The first token is the first match
   of _TOKEN, which skips exactly those four blanks: \f and \v are
   stray characters;
+- the only token that holds a < is < itself, so every < starts a token
+  and the split after a tail's first < cuts between two tokens.  No
+  token before it reads past it: a name or a numeral stops at a < as at
+  the end of a text, and the lookaheads of occurs-in and _ read a < and
+  the end of a text alike.  So the head and the data list, the list
+  lexed from its own start in the tail, give the tail's tokens;
 - the kinds are looked up once the chunks' texts are joined, in one
   table over the distinct texts.
 
 So the concatenated lists equal the whole source's, and _positions, on
 the original source, places every diagnostic where a whole-source
-lexer would.  The lexer reports each chunk's tail by the index of its
-first token, unless the source holds text that is no token, whose
-parse fails and shares nothing.  _Parser.parsed maps each tail whose
-entry's parse ended exactly at the chunk's end, the next || or the end
-of input, to its policy, its body and its entry's number of tokens; a
-later entry with that tail takes the location it names and those
-nodes, and its tokens are skipped.  This is sound because the parser
-is deterministic in the tokens it reads and its one lookahead token,
-the || or end of input ends an entry before any rule looks beyond it,
-and a policy and a body start with nothing in scope.  A recorded tail
-parsed without error, so a hit hides no diagnostic, and the lexer's
-diagnostics are raised whatever the table holds.  Nodes are immutable
-and their memos are only ever filled, so sharing shows only to `is`,
-and a shared node brings its memoised text, hash, constants and free
-keys along: sort keys, canonical forms, location sets, action lists
-and the certifier's substitutions work once per distinct tail, not
-once per entry.
+lexer would.  The lexer reports each chunk's key, its tail or its head,
+by the index of its first token, unless the source holds text that is
+no token, whose parse fails and shares nothing.  A head ends in a < and
+a tail without one does not, so the two kinds of key never meet.
+_Parser.parsed maps each key to its policy, a body and the number of
+tokens read:
+
+- a tail whose entry's parse ended exactly at the chunk's end, the
+  next || or the end of input, to its body;
+- a head whose entry's parse passed the ] of the policy and then the
+  <, to None for the body: no rule before the data list reads a <, so
+  that < is the head's last token.
+
+A later entry with the key takes the location it names and those
+nodes, its tokens up to there are skipped, and after a head it reads
+its own data list.  This is sound because the parser is deterministic
+in the tokens it reads and its one lookahead token, the || or end of
+input ends an entry and the < ends a head before any rule looks beyond
+it, and a policy and a body start with nothing in scope.  A recorded
+tail or head parsed without error, so a hit hides no diagnostic, a
+data list is always read, and the lexer's diagnostics are raised
+whatever the table holds.  Nodes are immutable and their memos are
+only ever filled, so sharing shows only to `is`, and a shared node
+brings its memoised text, hash, constants and free keys along: sort
+keys, canonical forms, location sets, action lists and the certifier's
+substitutions work once per distinct tail, not once per entry.
 
 One precedence table, _PREC, orders the binary operators of policies,
 rec/cond expressions and obligation predicates.  The parser reads it
@@ -206,25 +225,32 @@ def _lex(src: str, diags: list, tails: Optional[dict] = None) -> tuple:
     with the end of input.  Positions are left to _positions.
 
     Comments are removed and the rest is split at ||; each chunk's
-    tail, its text after its first token stripped of blanks, is lexed
-    once per distinct tail, and the chunks' tokens are joined by ||
-    tokens (the module docstring says why these are the whole
-    source's).  With a dict tails, the index of each chunk's first
-    token maps to the chunk's tail; when src holds text that is no
-    token, its parse fails and tails is left empty."""
+    tail, its text after its first token stripped of blanks, is cut
+    before its first <, if any, into a head and a data list.  A tail
+    without a < and a head are lexed once per distinct text, a data
+    list each time, and the chunks' tokens are joined by || tokens (the
+    module docstring says why these are the whole source's).  With a
+    dict tails, the index of each chunk's first token maps to the
+    chunk's key: its tail, or its head and the < after it; when src
+    holds text that is no token, its parse fails and tails is left
+    empty."""
     texts: list = []
-    lexed: dict = {}        # tail -> its texts
+    lexed: dict = {}        # tail or head -> its texts
     for chunk in _COMMENT.sub("", src).split("||"):
         m = _TOKEN.search(chunk)
         if m is not None:
             tail = chunk[m.end():].strip(" \t\r\n")
-            words = lexed.get(tail)
+            cut = tail.find("<")
+            key = tail if cut < 0 else tail[:cut + 1]
+            words = lexed.get(key)
             if words is None:
-                words = lexed[tail] = _TOKEN.findall(tail)
+                words = lexed[key] = _TOKEN.findall(key)
             if tails is not None:
-                tails[len(texts)] = tail
+                tails[len(texts)] = key
             texts.append(m.group())
             texts += words
+            if cut >= 0:
+                texts += _TOKEN.findall(tail, cut + 1)
         texts.append("||")
     texts[-1] = ""
     kind_of = {text: _kind(text) for text in set(texts)}
@@ -280,7 +306,7 @@ class _Parser:
         self.kinds, self.texts = _lex(src, self.diags, self.tails)
         self.end = len(self.texts) - 1      # the index of the end of input
         self.i = 0
-        self.parsed: dict = {}      # tail -> (policy, body, entry length)
+        self.parsed: dict = {}      # key -> (policy, body, length read)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -418,26 +444,33 @@ class _Parser:
         return Net(tuple(entries))
 
     def parse_entry(self) -> NetEntry:
-        """One entry; a tail already read gives that tail's nodes."""
+        """One entry; a tail already read gives that tail's nodes, and a
+        head already read its policy, after which the data list is
+        read."""
         start = self.i
-        tail = self.tails.get(start)
+        key = self.tails.get(start)
         loc = self.expect_name("a location name")
-        hit = self.parsed.get(tail)
+        hit = self.parsed.get(key)
         if hit is not None:
             pol, body, length = hit
             self.i = start + length
+            if body is None:
+                body = self.parse_list(">", _TERMS["data field"])
             return NetEntry(loc, pol, body)
         self.expect("::")
         self.expect("[")
         pol = self.parse_policy()
         self.expect("]")
         if self.accept("<"):
+            if key is not None:
+                # no rule passes a <, so this is the end of the head
+                self.parsed[key] = pol, None, self.i - start
             body = self.parse_list(">", _TERMS["data field"])
         else:
             body = self.parse_process(frozenset())
-        if tail is not None and self.kinds[self.i] in ("||", "eof"):
-            # no rule passes a ||, so this is the end of the chunk
-            self.parsed[tail] = pol, body, self.i - start
+            if key is not None and self.kinds[self.i] in ("||", "eof"):
+                # no rule passes a ||, so this is the end of the chunk
+                self.parsed[key] = pol, body, self.i - start
         return NetEntry(loc, pol, body)
 
     def parse_process(self, scope):

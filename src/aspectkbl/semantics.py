@@ -1029,16 +1029,27 @@ def json_text(doc) -> str:
 
     def walk(value, newline: str):
         # newline is the line break and indent of the enclosing level,
-        # which begins the value's lines after the first
-        if isinstance(value, str):
-            append(strings[value])
-        elif value is None:
-            append("null")
-        elif value is True or value is False:
-            append("true" if value else "false")
-        elif isinstance(value, int):
-            append(int.__repr__(value))
-        elif isinstance(value, dict):
+        # which begins the value's lines after the first; the exact
+        # classes of a report come first, subclasses write as their base
+        cls = value.__class__
+        if cls is not dict and cls is not list and cls is not tuple:
+            if isinstance(value, str):
+                append(strings[value])
+                return
+            if value is None:
+                append("null")
+                return
+            if value is True or value is False:
+                append("true" if value else "false")
+                return
+            if isinstance(value, int):
+                append(int.__repr__(value))
+                return
+            if isinstance(value, dict):
+                cls = dict
+            elif not isinstance(value, (list, tuple)):
+                raise TypeError(f"not a JSON document value: {value!r}")
+        if cls is dict:
             if not value:
                 append("{}")
                 return
@@ -1059,7 +1070,7 @@ def json_text(doc) -> str:
                 else:
                     walk(item, inner)
             append(newline + "}")
-        elif isinstance(value, (list, tuple)):
+        else:
             if not value:
                 append("[]")
                 return
@@ -1073,8 +1084,6 @@ def json_text(doc) -> str:
                     walk(item, inner)
                 sep = "," + inner
             append(newline + "]")
-        else:
-            raise TypeError(f"not a JSON document value: {value!r}")
 
     walk(doc, "\n")
     return "".join(parts)

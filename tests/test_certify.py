@@ -12,8 +12,10 @@ from aspectkbl import (BOT, FF, TT, ReplicationPresent, build_lts, certify,
 from aspectkbl.belnap import GRANTS, members
 from aspectkbl.certify import (DENIED, ENTAILED, IRRELEVANT, NOT_CERTIFIED,
                                MutationInfo)
+from aspectkbl.exhaustive import Reduction
 from aspectkbl.model import (BindVar, Const, ETrue, LocatedAction, Net,
-                             NetEntry, NIL, Par, Repl, Sum, loc_set)
+                             NetEntry, NIL, Par, Repl, Sum, loc_set,
+                             process_actions)
 from aspectkbl.parser import render_action
 from aspectkbl.semantics import policies_by_location, pred_values
 from aspectkbl.unification import findsubs
@@ -293,13 +295,35 @@ def test_a_net_is_certified_as_its_canonical_form():
     assert report_json(verdict) == report_json(want)
 
 
-def _same_verdict(got, want):
-    # every field of the verdicts, the domain's included
+def _same_reduction(got, want, net, obl, where=None):
+    # what the two verdicts on net give the partial-order reduction:
+    # every slot of the domain but `asked`, which may only lack the
+    # atoms that renamed reports no longer ask and which no code reads;
+    # the loud actions, the predicate's reads and every footprint
+    for field in MutationInfo.__slots__:
+        if field != "asked":
+            assert getattr(got.domain, field) \
+                == getattr(want.domain, field), (where, field)
+    assert got.domain.asked <= want.domain.asked, where
+    net = canonicalize(net)
+    mine, theirs = Reduction.of(net, obl, got), Reduction.of(net, obl, want)
+    assert (mine is None) == (theirs is None), where
+    if mine is None:
+        return
+    assert mine.loud == theirs.loud, where
+    assert mine.pred_reads == theirs.pred_reads, where
+    for e in net.entries:
+        if not e.is_data():
+            branches = list(process_actions(e.body))
+            assert mine.footprint(e, branches) \
+                == theirs.footprint(e, branches), (where, e)
+
+
+def _same_verdict(got, want, net, obl):
+    # every field of the verdicts, and what they give the reduction
     assert got.certified == want.certified
     assert got.actions == want.actions
-    for field in MutationInfo.__slots__:
-        assert getattr(got.domain, field) == getattr(want.domain, field), \
-            field
+    _same_reduction(got, want, net, obl)
     for explain in (False, True):
         doc = report_json(got, explain)
         assert doc == report_json(want, explain)
@@ -329,7 +353,7 @@ def test_shared_bodies_certify_as_separate_ones():
         sharing += len({id(e.body) for e in net.entries
                         if not e.is_data()}) < len(bodies)
         got = check_network(net, obl)
-        _same_verdict(got, check_network(separate, obl))
+        _same_verdict(got, check_network(separate, obl), net, obl)
         assert [(r.source, r.action) for r in got.actions] \
             == [(a.source, a.action) for a in oracles.reference_actions(net)]
     assert sharing > 100
@@ -503,8 +527,8 @@ def _counting(monkeypatch) -> list:
 def test_interchangeable_locations_certify_as_each_judged_alone(monkeypatch):
     # principals of one role swap onto each other; check_network judges
     # one of each class and renames its reports for the rest, which
-    # must give every report and every slot of the domain that judging
-    # each located action on its own gives
+    # must give every report that judging each located action on its
+    # own gives, and the same reduction
     judged = _counting(monkeypatch)
     renamed = relevant = 0
     for seed in range(1500):
@@ -518,9 +542,7 @@ def test_interchangeable_locations_certify_as_each_judged_alone(monkeypatch):
             got, want = check_network(net, obl), oracles.judge_each(net, obl)
             assert got.certified == want.certified, (seed, obl)
             assert got.actions == want.actions, (seed, obl)
-            for field in MutationInfo.__slots__:
-                assert getattr(got.domain, field) \
-                    == getattr(want.domain, field), (seed, obl, field)
+            _same_reduction(got, want, net, obl, (seed, obl))
             renamed += len(got.actions) - len(judged)
             relevant += sum(r.outcome != IRRELEVANT for r in got.actions
                             if r.source not in judged)
@@ -555,7 +577,7 @@ def test_a_role_ward_is_judged_once_per_role(monkeypatch):
         == {ENTAILED: 200, DENIED: 200, IRRELEVANT: 400}
     want = oracles.judge_each(net, obl)
     assert verdict.actions == want.actions
-    assert verdict.domain.asked == want.domain.asked
+    _same_reduction(verdict, want, net, obl)
 
 
 _ROLE_WARD = (
@@ -594,7 +616,7 @@ def test_symmetry_breakers_keep_locations_apart(extra, obl, least):
         == least
     got, want = check_network(net, obl), oracles.judge_each(net, obl)
     assert got.actions == want.actions
-    assert got.domain.asked == want.domain.asked
+    _same_reduction(got, want, net, obl)
 
 
 def test_numerals_and_quantified_predicates_are_judged_alone(monkeypatch):

@@ -192,7 +192,24 @@ def _staff_net(size, last="out(Bob, Copy, c)@Archive . 0"):
 # where the lexer cuts the source at ||: a || in a comment, |||, an
 # empty chunk, _ and occurs-in just before ||, a form feed before an
 # entry, an entry with no location, a comment on the last line, and
-# repeated tails with text that is no token in them.
+# repeated tails with text that is no token in them.  Then where the
+# lexer cuts a tail at its first <: right after occurs-in, _, a name and
+# a numeral, and after an entry's first token; empty and blank-spaced
+# lists; heads that differ only in blanks; and stray characters inside
+# a list, after a head read before.
+HEAD_EDGES = ("A ::[true] occurs-in<a> || B ::[true] occurs-in <a>",
+              "A ::[true] _<a> || B ::[true] _ <a> || C ::[true] _<",
+              "A ::[true] x<a> || B ::[true] x1<a> || C ::[true]x<a>",
+              "A ::[true] 12<a> || B ::[true] 1<a> || C ::[true] 12 <a>",
+              "A<a> || B <b> || C<c",
+              "A ::[true] <> || B ::[true] < A , B > || C ::[true] <>",
+              "A ::[true] <a> || B ::[true]<b> || C ::[true]  <c>\n"
+              "|| D ::[ true ] <d> || E ::[true]\n<e> || F ::[true] <f>",
+              "A ::[true] <a> || B ::[true] <b, ~> || C ::[true] <c>",
+              "A ::[true] <a> || B ::[true] <b\f> || C ::[true] <$c>",
+              "A ::[true] <a> || B ::[true] <A,, B>",
+              "A ::[true] <a> || B ::[true] <a < b> || C ::[true] <<c>",
+              "A ::[true] <a> || B ::[true] <a> || C ::[true] <a>")
 LEX_EDGES = ("A ::[true] <a, b>\r\n|| B ::[true] 0\r\n",
              "A ::[true]\f<a>\v|| B\f::[true] 0",
              "A ::[true] <a> // one\n|| B ::[true] 0 // no final newline",
@@ -209,7 +226,8 @@ LEX_EDGES = ("A ::[true] <a, b>\r\n|| B ::[true] 0\r\n",
              "A ::[true] <a>\n|| B ::[true] 0\n// last",
              "A ::[true] <a>\n|| B ::[true] 0 // last || C",
              "A ::[true] <$, ~>\n|| B ::[true] <$, ~>\n|| _c ::[true] <$, ~>",
-             _staff_net(200), _staff_net(200, "out(Bob, Copy, c)@ . 0 // x"))
+             _staff_net(200), _staff_net(200, "out(Bob, Copy, c)@ . 0 // x")
+             ) + HEAD_EDGES
 
 
 def _lexed(text):
@@ -305,6 +323,39 @@ def test_shared_bodies_give_the_net_of_separate_parses():
     assert cases == 3 * (len(NET_FILES) + 4 * 300)
 
 
+def _unshared(src):
+    """parse_net with no tail or head taken from an earlier entry."""
+    p = parser._Parser(src)
+    p.tails.clear()
+    return canonicalize(parser._run(p, p.parse_net))
+
+
+def _outcome(parse, src):
+    try:
+        return parse(src)
+    except ParseError as err:
+        return [(d.message, d.line, d.col) for d in err.diagnostics]
+
+
+@pytest.mark.parametrize("src", HEAD_EDGES + (
+    "A ::[true] <a>\n|| B ::[true] <b>\n|| A ::[false] <c>",
+    "A ::[true] <a>\n|| B ::[true] <b\n|| C ::[true] <c>",
+    "A ::[true] <a>\n|| B ::[true] <b> | 0",
+    "A ::[true] out(a)@B . 0\n|| B ::[true] out(a)@B . 0 <b>",
+    "A ::[true] 0\n|| B ::[true] 0 <b>\n|| C ::[true] 0 <c>"))
+def test_shared_heads_parse_as_unshared_ones(src):
+    # nets compare entry by entry, by their sort keys
+    assert _outcome(parse_net, src) == _outcome(_unshared, src)
+
+
+def test_a_bad_data_list_after_a_shared_head_is_placed():
+    with pytest.raises(ParseError) as err:
+        parse_net("ROLES ::[true] <Doctor, A>\n|| ROLES ::[true] <A,, B>\n")
+    [d] = err.value.diagnostics
+    assert (d.message, d.line, d.col) \
+        == ("data tuples hold constants only", 2, 22)
+
+
 def test_repeated_bodies_are_one_node():
     net = parse_net(_staff_net(50))
     assert len(net.entries) == 50
@@ -331,17 +382,18 @@ class _CountingRegex:
     def __init__(self, regex):
         self.regex, self.lexed = regex, []
 
-    def findall(self, text):
-        self.lexed.append(text)
-        return self.regex.findall(text)
+    def findall(self, text, start=0):
+        self.lexed.append(text[start:])
+        return self.regex.findall(text, start)
 
     def __getattr__(self, name):
         return getattr(self.regex, name)
 
 
 def test_each_distinct_tail_is_lexed_and_parsed_once(monkeypatch):
-    # 400 members share one staff tail, and each role is its own tail:
-    # the staff process is read once and each distinct tail's policy once
+    # 400 members share one staff tail, and the roles and the archive
+    # one head, "::[true] <": the staff process is read once, each
+    # distinct head's or tail's policy once, and each data list alone
     counts = {"parse_policy": 0, "parse_process": 0}
     for name in counts:
         rule = getattr(parser._Parser, name)
@@ -358,10 +410,12 @@ def test_each_distinct_tail_is_lexed_and_parsed_once(monkeypatch):
     staff = [e for e in net.entries if e.location.startswith("S")]
     assert len({(id(e.policy), id(e.body)) for e in staff}) == 1
     assert counts["parse_process"] <= 10
-    assert counts["parse_policy"] == 2 + 400 + 1
+    assert counts["parse_policy"] == 3
     tail = src.split("||")[3].split(None, 1)[1].strip()
     assert tail.startswith("::[true] read(") and regex.lexed.count(tail) == 1
-    assert len(regex.lexed) == 2 + 400 + 1
+    assert regex.lexed.count("::[true] <") == 1
+    # the three distinct keys, then the 402 data lists one by one
+    assert len(regex.lexed) == 3 + 402
     monkeypatch.undo()
     assert net == _one_at_a_time(src.split("||"))
 
