@@ -79,15 +79,13 @@ names c alone: its names come from c, the action's body, the policies
 and the obligation, and no candidate is named in the last three.  So
 `check_network` notes once per report at c which `theta0` pairs and
 which constraint atoms name c, and a member d's report rebuilds only
-those, with one `Const` for d per report.  The renamed report asks nothing, so
-the verdict's `asked` holds fewer atoms than judging each action on
-its own would note; nothing reads them.  Two guards keep the plain
-judgement of every action: a predicate that quantifies, whose `exists`
-and `forall` stop early in the order of the names and so ask atoms the
-names choose, and a location whose entries differ in policy, where the
-policy of its first entry in canonical order judges the actions aimed
-at it, and a swap may change which entry is first.  Numerals are never
-candidates, since `geq` reads their value.  Any refinement of the
+those, with one `Const` for d per report.  The renamed report asks
+nothing, so the verdict's `asked` holds fewer atoms than judging each
+action on its own would note; nothing reads them.  One guard keeps the
+plain judgement of every action: a predicate that quantifies, whose
+`exists` and `forall` stop early in the order of the names and so ask
+atoms the names choose.  Numerals are never candidates, since `geq`
+reads their value.  Any refinement of the
 certifier must keep to this: compare constants only by equality, or
 keep apart the constants it reads otherwise, as numerals are kept
 apart.
@@ -99,11 +97,12 @@ from typing import NamedTuple, Optional
 from .belnap import FF, GRANTS, LIFTED, TT, names
 from .model import (Action, CAP_LETTER, Const, ETest, Net, Obligation, OUT, IN,
                     ReplicationPresent, Substitution, canonicalize,
-                    has_replication, loc_set, take_actions)
+                    has_replication, loc_set, policies_by_location,
+                    take_actions)
 from .parser import render_action
 from .semantics import (ANY, data_index, ground_atom, meets, numeral,
-                        occurs_in, policies_by_location, policy_values,
-                        pred_values, quantified, template, truth)
+                        occurs_in, policy_values, pred_values, quantified,
+                        template, truth)
 from .unification import findsubs
 
 IRRELEVANT = "CertifiedIrrelevant"
@@ -262,13 +261,12 @@ def check_single_action(obl: Obligation, act, pols: dict, mut: MutationInfo,
                         constraints=constraints, side_values=sides)
 
 
-def interchangeable(net: Net, obl: Obligation, pols: dict) -> dict:
+def interchangeable(net: Net, obl: Obligation) -> dict:
     """Each location of a process entry that may take the place of a
     smaller one, mapped to the least name of its class: two candidates,
     constants that no policy, no body and no part of the obligation
     names and that are not numerals, are interchangeable when the
-    entries naming each, the name blanked, are equal as multisets.
-    Empty when a location's entries differ in policy."""
+    entries naming each, the name blanked, are equal as multisets."""
     cut = obl.cut
     named = set(obl.pred.consts)
     named.update([t.name for t in (cut.subject, *cut.args, cut.target)
@@ -276,8 +274,6 @@ def interchangeable(net: Net, obl: Obligation, pols: dict) -> dict:
     seen, sites = set(), set()     # ids of the nodes read; process locations
     for e in net.entries:
         pol, body = e.policy, e.body
-        if pol is not pols[e.location] and pol != pols[e.location]:
-            return {}
         if id(pol) not in seen:
             seen.add(id(pol))
             named |= pol.consts
@@ -364,7 +360,7 @@ def check_network(net: Net, obl: Obligation) -> StaticVerdict:
         domain, least = sorted(loc_set(net)), {}
     else:
         # a predicate without quantifiers never reads the range
-        domain, least = (), interchangeable(net, obl, pols)
+        domain, least = (), interchangeable(net, obl)
     leaders = set(least.values())
     # (location, action, continuation) -> the report, and the positions
     # of its theta0 pairs and constraint atoms that name the location

@@ -58,10 +58,11 @@ from .certify import (NOT_CERTIFIED, MutationInfo, StaticVerdict,
                       check_network)
 from .model import (CAP_LETTER, IN, OUT, READ, Const, EvaluationError,
                     Label, LabelPattern, LimitExceeded, Net, NetEntry,
-                    Obligation, Substitution, Sum, process_actions)
+                    Obligation, Substitution, Sum, policies_by_location,
+                    process_actions)
 from .semantics import (ANY, LTS, StateDomain, build_lts, meet, meets,
-                        policies_by_location, policy_values, pred_values,
-                        quantified, step_candidates, template)
+                        policy_values, pred_values, quantified,
+                        step_candidates, template)
 from .unification import findsubs
 
 
@@ -317,14 +318,12 @@ class Reduction:
         `static`, the certifier's verdict on them (when None, one made
         here), or None where the argument does not hold: a predicate's
         quantifiers range over the location constants of the states,
-        which most steps change, and a location whose entries differ in
-        policy changes policy when its first entry goes.  The reduction
-        works in a copy of the verdict's domain with its own `asked`,
-        so the verdict is left as it was."""
-        if quantified(obl.pred):
-            return None
+        which most steps change.  The reduction works in a copy of the
+        verdict's domain with its own `asked`, so the verdict is left
+        as it was.  A location whose entries differ in policy raises
+        AkblError, as `policies_by_location` does."""
         pols = policies_by_location(net)
-        if any(e.policy != pols[e.location] for e in net.entries):
+        if quantified(obl.pred):
             return None
         if static is None:
             static = check_network(net, obl)

@@ -785,6 +785,19 @@ def validate(net: Net) -> list:
     return diags
 
 
+def policies_by_location(net: Net) -> dict:
+    """Location -> the one policy of its entries.  Raises AkblError
+    with `validate`'s message on the first location whose entries
+    differ in policy, so the checkers hold the invariant the CLI does."""
+    pols: dict = {}
+    for e in net.entries:
+        pol = pols.setdefault(e.location, e.policy)
+        if pol is not e.policy and pol != e.policy:
+            raise AkblError(
+                f"location {e.location} carries inconsistent policies")
+    return pols
+
+
 # ---------------------------------------------------------------------------
 # location constants and action enumeration
 

@@ -35,43 +35,47 @@ touch by the templates defined here, `template` and `meet`.
 
 States are kept in canonical form, which makes the state space of a
 replication-free network finite and the construction below a plain
-breadth first search.
+breadth first search.  The entries of a location share one policy
+(`model.policies_by_location`, which `Interner.state` calls and which
+raises on any other network, as `validate` rejects it), and no step
+adds a second one: a continuation keeps the policy of the entry that
+acted, and the data of an out take the policy of their target.  So a
+location's policy is that of the network it starts in.
 
 The search hash-conses its states in two levels, as SPIN's collapse
 mode and LTSmin's tree compression store a state as a short vector of
 interned components (Holzmann, "State Compression in SPIN", SPIN
 1997; Laarman, van de Pol and Weber, "Parallel Recursive State
 Compression for Free", SPIN 2011).  A per-run `Interner` gives every
-distinct entry an integer id the first time it is seen, and computes
-its canonical sort key, as one string, nil group and data pair then
-and only then; its location constants are computed the first time a
-quantified predicate asks for them.  It also gives an id to every
-distinct run: the tuple of one location's entry ids in key order, or
-the empty run once the location has no entries.  A state is the tuple
-of the run ids of the locations of the initial network, in location
-order.  No step adds a location, since an out to a location without
-entries does not fire, so every state has the same length, and since
-a canonical network is sorted by key, whose first field is the
-location, it is the concatenation of its state's runs
-(`Interner.flat`).  Deduplicating a successor hashes one integer per
-location, and ordering two entries compares two strings.
+distinct entry an integer id the first time it is seen, and keeps its
+key and data pair then and only then; its location constants are
+computed the first time a quantified predicate asks for them.  It also
+gives an id to every distinct run: the tuple of one location's entry
+ids in key order, or the empty run once the location has no entries.
+A state is the tuple of the run ids of the locations of the initial
+network, in location order.  No step adds a location, since an out to
+a location without entries does not fire, so every state has the same
+length, and since a canonical network is sorted by its sort keys,
+whose first field is the location, it is the concatenation of its
+state's runs (`Interner.flat`).  Deduplicating a successor hashes one
+integer per location.  Keys order entries only within a run, where
+location and policy are the same, so an entry's key is its body's
+memoised text, `sort_key[2]`, the string itself and not a copy: a data
+tuple's text starts with `(` and a process's with a capital, so the
+texts put data first, as the kind field of the sort key does.
 
 A step changes at most two runs, the acting location's and, for an out
 or an in, the target's.  A step's label, the entries its continuation
 splits into and the data it adds or consumes make its `Move`, kept per
-acting entry, branch and target group for an out and in the match
-table (below) for an in or read, so each added entry is interned
-once.  The move keeps, for every run it has changed, the run it made,
-so a successor is a copy of the state with one or two run ids
-replaced, and a run is edited once per move.  An edit deletes the
-entries that leave, inserts each added one by bisection and applies
-the nil rule only where the step touches it: when an added entry is
-nil, or when it is an out whose target's guard is nil.  A continuation
-joins the group of the entry that acted, which holds no nil in a
-canonical state beside that entry, and the data an out adds join the
-guard's group, whose nil, when the state holds it, is the group's only
-entry and so the guard.  A nil group never spans locations, so the
-rule is applied within the run.  Each run keeps the positions of its
+acting entry and branch for an out and in the match table (below) for
+an in or read, so each added entry is interned once.  The move keeps,
+for every run it has changed, the run it made, so a successor is a
+copy of the state with one or two run ids replaced, and a run is
+edited once per move.  An edit deletes the entries that leave, inserts
+each added one by bisection and applies the nil rule, within the run,
+only where the step may break it: when the continuation holds a nil,
+or when an out adds to a location whose run is its nil.  Each run
+keeps the positions of its
 process entries, which are the acting entries of every state that
 holds it.  A step is checked against the other steps of its entry
 only when the entry has several branches, since steps of distinct
@@ -95,12 +99,10 @@ and the move of each that matched.  The candidates are the data ids
 of the template's arity and first constant at the target when the
 template starts with a constant, which no other tuple matches, and
 all of the target's data ids otherwise.  A step first extends the
-table over the candidates interned since its last use.  A key starts
-with the location and then the kind, data before processes, so a
-location's run is led by its data, and its first entry guards the
-location.  The step takes the matches present in the target's run, in
-run order, by a bisection for each id of the table, so its work is
-bounded by the size of the table and not by the size of the state.
+table over the candidates interned since its last use.  The step
+takes the matches present in the target's run, in run order, by a
+bisection for each id of the table, so its work is bounded by the size
+of the table and not by the size of the state.
 
 `json_export` writes the LTS's JSON text itself.  It renders and
 escapes each interned entry, joins each run's entry texts and encodes
@@ -121,10 +123,9 @@ pure Python; it encodes each distinct string and lays out each dict
 shape once per call.
 
 The explorer also judges each step's policies once per exploration.
-A step's combined verdict depends on the acting entry, the branch and
-the nil group of the entry that guards the target (which fixes the
-target policy), and on the state only through the `test` atoms of the
-policies: `test` is the only leaf of `StateDomain` that reads the
+A step's combined verdict depends on the acting entry and the branch,
+which fix the target and so its policy, and on the state only through
+the `test` atoms of the policies: `test` is the only leaf of `StateDomain` that reads the
 state, while equality, >= and occurs-in read the step alone.  The
 `Interner` keeps, per such key, every verdict computed so far with the
 test atoms its evaluation found present and absent.  A later step
@@ -159,8 +160,8 @@ from .model import (Action, AspectPol, BindVar, CAP_LETTER, Const, Cut, EBin,
                     EvaluationError, Label, LimitExceeded, Net, NetEntry, Nil,
                     PExists, PForall, PGeq, PTestPost, Process,
                     ReplicationPresent, Substitution, Sum, Wildcard,
-                    drop_nils, entry_consts, has_replication, process_actions,
-                    split_entry)
+                    canonicalize, drop_nils, entry_consts, has_replication,
+                    policies_by_location, process_actions, split_entry)
 from .parser import render_entry
 from .unification import findsubs
 
@@ -429,14 +430,13 @@ def quantified(pred) -> bool:
 # interned states
 
 class Move:
-    """What a step does to a state, kept per acting entry, branch and
-    target group for an out and per matching data id in the match
-    table (below) for an in or read.  Its label is known when the move
-    is made; the ids of the entries the continuation splits into, and
-    the nil groups of those that are nil, are interned when the step
-    first fires.  `edits` maps each run the step has changed to the
-    run it made of it."""
-    __slots__ = ("label", "entry", "put", "take", "new", "touched", "edits")
+    """What a step does to a state, kept per acting entry and branch
+    for an out and per matching data id in the match table (below) for
+    an in or read.  Its label is known when the move is made; the ids
+    of the entries the continuation splits into are interned when the
+    step first fires.  `edits` maps each run the step has changed to
+    the run it made of it."""
+    __slots__ = ("label", "entry", "put", "take", "new", "nil", "edits")
 
     def __init__(self, label: Label, entry: int, take: Optional[int] = None):
         self.label = label
@@ -444,7 +444,7 @@ class Move:
         self.put = None              # id of the data an out adds
         self.take = take             # id of the data an in consumes
         self.new = None              # ids of the continuation's entries
-        self.touched = None          # nil groups of those that are nil
+        self.nil = False             # is one of them nil
         self.edits: dict = {}        # run id -> run id after the step
 
 
@@ -452,30 +452,23 @@ class Interner:
     """The distinct entries and runs met by one exploration.
 
     The first time an entry is seen it gets an integer id, and with it
-    everything later steps ask of it: its canonical sort key, its nil
-    group (location and policy) and its (location, tuple) pair when it
-    is a data entry.  Its location constants, which only a quantified
+    everything later steps ask of it: its key, its body's memoised
+    text `sort_key[2]`, and its (location, tuple) pair when it is a
+    data entry.  Its location constants, which only a quantified
     predicate reads, are computed when `constants` first asks for
-    them.
-
-    The key kept is one string, the fields of `NetEntry.sort_key`
-    joined by NUL, which orders exactly as the tuple does: no location
-    the grammar admits holds a NUL, the kind is `data` or `proc`, and
-    the body and policy texts are reprs, which escape control
-    characters.  So a NUL in a key only ever ends a field, and a field
-    that is a prefix of another, as `A` is of `AB`, sorts first either
-    way.
+    them.  Keys compare only entries of one location, which share its
+    policy, and there they order as the sort keys do.
 
     A run is the tuple of the ids of one location's entries in key
     order, and gets an integer id the first time it is seen; run 0 is
     the empty run.  The first network given to `state` fixes the
-    locations, in order, and a state is the tuple of the ids of their
-    runs, so comparing and hashing a state touches one integer per
-    location.  Since a canonical network is sorted by key, and a key
-    starts with the location, it is the concatenation of its state's
-    runs, `flat`.  Each run keeps the positions of its process
-    entries and, once any state has asked for them, its data index
-    and location constants.
+    locations, in order, and their policies, and a state is the tuple
+    of the ids of their runs, so comparing and hashing a state touches
+    one integer per location.  Since a canonical network is sorted by
+    location first, it is the concatenation of its state's runs,
+    `flat`.  Each run keeps the positions of its process entries and,
+    once any state has asked for them, its data index and location
+    constants.
 
     The ids of the data entries at each location are listed as they
     are interned, and so are those of each arity and first constant at
@@ -489,15 +482,14 @@ class Interner:
     def __init__(self):
         self.entries: list = []      # id -> NetEntry
         self.branches: list = []     # id -> branches of a Sum body, or None
-        self.keys: list = []         # id -> "\0".join(its sort key)
+        self.keys: list = []         # id -> its body's text, sort_key[2]
         self.locations: list = []    # id -> location
-        self.groups: list = []       # id -> nil group number
         self.nils: list = []         # id -> is the body nil
         self.data: list = []         # id -> (location, tuple) or None
         self.consts: dict = {}       # id -> frozenset of location constants
         self._ids: dict = {}         # NetEntry -> id
-        self._groups: dict = {}      # (location, policy text) -> group number
         self.slots: dict = {}        # location -> its index in a state
+        self.policies: dict = {}     # location -> its one policy
         self.runs: list = [()]       # run id -> entry ids in key order
         self.procs: list = [()]      # run id -> positions of its Sum entries
         self._runs: dict = {(): 0}   # run -> run id
@@ -506,29 +498,26 @@ class Interner:
         self.data_at: dict = {}      # location -> ids of its data entries
         # (location, arity, first constant) -> ids of those data entries
         self.data_by: dict = {}
-        # (acting entry, branch, target group) of an out -> its Move
+        # (acting entry, branch) of an out -> its Move
         self.outs: dict = {}
         # (acting entry, branch) of an in or read -> [number of the
         # candidate data ids tried, {matching data id: the step's Move},
         # the list of candidate ids: the target's data ids, or those of
         # the arity and first constant of a template led by a constant]
         self.matches: dict = {}
-        # (acting entry, branch, target group) -> list of (atoms found
-        # present, atoms found absent, combined policy value)
+        # (acting entry, branch) -> list of (atoms found present, atoms
+        # found absent, combined policy value)
         self.verdicts: dict = {}
 
     def intern(self, e: NetEntry) -> int:
         i = self._ids.get(e)
         if i is None:
             i = self._ids[e] = len(self.entries)
-            key = e.sort_key
             self.entries.append(e)
             self.branches.append(e.body.branches
                                  if isinstance(e.body, Sum) else None)
-            self.keys.append("\0".join(key))
+            self.keys.append(e.sort_key[2])
             self.locations.append(e.location)
-            self.groups.append(self._groups.setdefault((key[0], key[3]),
-                                                       len(self._groups)))
             self.nils.append(isinstance(e.body, Nil))
             if e.is_data():
                 self.data.append((e.location, e.body))
@@ -545,21 +534,6 @@ class Interner:
         flat: list = []
         split_entry(loc, pol, body, flat)
         return tuple(self.intern(e) for e in flat)
-
-    def nil_groups(self, ids) -> frozenset:
-        """The nil groups of the nil entries among ids."""
-        return frozenset(self.groups[j] for j in ids if self.nils[j])
-
-    def canonical(self, ids: list, touched) -> tuple:
-        """The id form of `canonicalize` for a list of split entries
-        whose nil groups other than touched obey the nil rule already."""
-        groups = self.groups
-        if touched:
-            ids = [j for j in ids if groups[j] not in touched] + drop_nils(
-                [j for j in ids if groups[j] in touched],
-                groups.__getitem__, self.nils.__getitem__)
-        ids.sort(key=self.keys.__getitem__)
-        return tuple(ids)
 
     def run(self, ids: tuple) -> int:
         """The id of the run of one location's entry ids in key order."""
@@ -582,47 +556,46 @@ class Interner:
         the target or at both: the acting entry leaves and the
         continuation's entries come, an out's data come and an in's
         go.  An added entry is inserted by bisection, which is where a
-        sort puts it, since entries with equal keys are identical; the
-        nil rule is applied only in the groups the step touches: those
-        of the continuation's nils, which join the group of the entry
-        that acted, and that of the target's guard when an out adds to
-        it and it is nil, as a nil guard is the only entry of its
-        group.  A nil group never spans locations, so it lies in one
-        run."""
+        sort puts it, since entries with equal keys are identical.  The
+        nil rule is applied only where the step may break it: when the
+        continuation holds a nil, or when an out adds to a location
+        whose run is its nil."""
         run = self.runs[r]
         ids = list(run)
-        label, touched = move.label, move.touched
+        label = move.label
         key = self.keys.__getitem__
         at = self.locations[run[0]]
+        nil = False
         if at == label.subject:
             ids.remove(move.entry)
             for j in move.new:
                 insort(ids, j, key=key)
-        else:
-            touched = ()
+            nil = move.nil
         if at == label.target:
             if move.take is not None:
                 ids.remove(move.take)
             elif move.put is not None:
                 insort(ids, move.put, key=key)
-                if self.nils[run[0]]:
-                    touched = {self.groups[run[0]], *touched}
-        return self.run(self.canonical(ids, touched) if touched
-                        else tuple(ids))
+                nil = nil or self.nils[run[0]]
+        if nil:
+            ids = drop_nils(ids, self.locations.__getitem__,
+                            self.nils.__getitem__)
+        return self.run(tuple(ids))
 
     def state(self, net: Net) -> tuple:
-        """The canonical state of a network; the first one given fixes
-        the locations of every state of the interner."""
-        new: tuple = ()
-        for e in net.entries:
-            new += self.split(e.location, e.policy, e.body)
-        slots, locations = self.slots, self.locations
+        """The state of a network, read off its canonical form; the
+        first one given fixes the locations of every state of the
+        interner, and their policies."""
+        net = canonicalize(net)
+        pols = policies_by_location(net)
+        slots = self.slots
         if not slots:
-            slots.update((loc, n) for n, loc in enumerate(
-                sorted({locations[i] for i in new})))
+            # a canonical network is sorted by location
+            self.policies = pols
+            slots.update(zip(pols, count()))
         runs: list = [[] for _ in slots]
-        for i in self.canonical(list(new), self.nil_groups(new)):
-            runs[slots[locations[i]]].append(i)
+        for e in net.entries:
+            runs[slots[e.location]].append(self.intern(e))
         return tuple([self.run(tuple(run)) for run in runs])
 
     def flat(self, state: tuple) -> tuple:
@@ -661,13 +634,6 @@ class Interner:
 # ---------------------------------------------------------------------------
 # steps
 
-def policies_by_location(net: Net) -> dict:
-    pols: dict = {}
-    for e in net.entries:
-        pols.setdefault(e.location, e.policy)
-    return pols
-
-
 def step_candidates(state, space: Optional[Interner] = None, ample=None):
     """All transition candidates out of a network.
 
@@ -678,7 +644,8 @@ def step_candidates(state, space: Optional[Interner] = None, ample=None):
 
     `state` is a Net, taken to its canonical form first, and the
     successors are canonical Nets; within an exploration it is a state
-    of `space`, a tuple of run ids, and so are the successors.
+    of `space`, a tuple of run ids, and so are the successors.  A Net
+    whose entries at one location differ in policy raises AkblError.
 
     `ample`, when given, is called as ample(space, state, slot, p) for
     the process entries at position p of the run at index slot of the
@@ -696,10 +663,10 @@ def step_candidates(state, space: Optional[Interner] = None, ample=None):
 
 def _steps(state: tuple, space: Interner, ample=None):
     entries, branches_of, data_of = space.entries, space.branches, space.data
-    runs, procs, slots, groups = space.runs, space.procs, space.slots, \
-        space.groups
+    runs, procs, slots, policies = space.runs, space.procs, space.slots, \
+        space.policies
     outs, verdicts, matches = space.outs, space.verdicts, space.matches
-    data_at, data_by = space.data_at, space.data_by
+    data_at, data_by, nils = space.data_at, space.data_by, space.nils
     oplus = LIFTED["oplus"]
     key = space.keys.__getitem__
     data = None                 # the state's data index, once a policy reads it
@@ -728,9 +695,8 @@ def _steps(state: tuple, space: Interner, ample=None):
                 target = runs[state[b]] if b is not None else ()
                 if not target:
                     continue            # no entry to receive or hold the data
-                # the first entry of a location guards it
-                holder = target[0]
-                step = (i, k, groups[holder])
+                guard = policies[tgt.name]
+                step = (i, k)
                 for present, absent, f in verdicts.get(step, ()):
                     if not (present or absent):
                         break           # the verdict read nothing of the state
@@ -739,16 +705,14 @@ def _steps(state: tuple, space: Interner, ample=None):
                     if present <= data and data.isdisjoint(absent):
                         break
                 else:
-                    if data is None and (
-                            holds_test(e.policy)
-                            or holds_test(entries[holder].policy)):
+                    if data is None and (holds_test(e.policy)
+                                         or holds_test(guard)):
                         data = space.data_index(state)
                     here = StateDomain(frozenset() if data is None else data)
                     src = policy_values(e.policy, e.location, action, cont,
                                         here)
-                    f = oplus[src][policy_values(entries[holder].policy,
-                                                 e.location, action, cont,
-                                                 here)]
+                    f = oplus[src][policy_values(guard, e.location, action,
+                                                 cont, here)]
                     verdicts.setdefault(step, []).append(
                         (frozenset(here.present), frozenset(here.absent), f))
                 granted = f & GRANTS
@@ -765,16 +729,15 @@ def _steps(state: tuple, space: Interner, ample=None):
                         continue
                     if move.new is None:
                         move.new = space.split(e.location, e.policy, cont)
-                        move.touched = space.nil_groups(move.new)
+                        move.nil = any(map(nils.__getitem__, move.new))
                         move.put = space.intern(NetEntry(
-                            tgt.name, entries[holder].policy,
-                            move.label.args))
+                            tgt.name, guard, move.label.args))
                     moves.append((a, p, other, move, several))
                     continue
-                table = matches.get((i, k))
+                table = matches.get(step)
                 if table is None:
                     first = action.args[0] if action.args else None
-                    table = matches[i, k] = [0, {}, data_by.setdefault(
+                    table = matches[step] = [0, {}, data_by.setdefault(
                         (tgt.name, len(action.args), first.name), [])
                         if isinstance(first, Const)
                         else data_at.setdefault(tgt.name, [])]
@@ -810,7 +773,7 @@ def _steps(state: tuple, space: Interner, ample=None):
                         move.new = space.split(
                             e.location, e.policy,
                             match(action.args, label.args).apply(cont))
-                        move.touched = space.nil_groups(move.new)
+                        move.nil = any(map(nils.__getitem__, move.new))
                     moves.append((a, p, None if move.take is None else other,
                                   move, several))
     if ample is not None:
@@ -879,7 +842,9 @@ def build_lts(net: Net, max_states: int = 100000, max_depth: int = 10000,
     without it the LTS is the whole reachable state space.  `visit` is
     called as visit(lts, transition) on every transition as it is
     discovered, and the search stops after the first one for which it
-    returns true; the LTS then holds the states discovered so far.
+    returns true; the LTS then holds the states discovered so far.  A
+    network whose entries at one location differ in policy raises
+    AkblError, as one holding a replication raises ReplicationPresent.
     """
     if has_replication(net):
         raise ReplicationPresent("replication is outside the checkable fragment")

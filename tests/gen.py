@@ -629,8 +629,8 @@ def gen_role_net(rng):
     process, so that only their tuples at ROLES tell them apart.
     Principals of one role are interchangeable unless a symmetry
     breaker tells them apart: an admin whose process names one, a
-    policy `#u = P`, a data tuple naming two, a second entry or another
-    policy at one, or names that are numerals (`gen_role_obligation`
+    policy `#u = P`, a data tuple naming two, a second entry or a policy
+    of its own at one, or names that are numerals (`gen_role_obligation`
     reads them with >=).  The numerals are not names the grammar
     admits at a location, so such a network is built, not parsed."""
     roles = ROLES[:rng.randint(1, 3)]
@@ -668,7 +668,7 @@ def gen_role_net(rng):
         a, b = rng.sample(people, 2)
         entries.append(f"ROLES ::[true] <Mentor, {a}, {b}>")
     if rng.random() < 0.2:            # a tuple names some
-        entries += [f"Archive ::[true] <Log, {p}>"
+        entries += [f"Archive ::[{archive}] <Log, {p}>"
                     for p in rng.sample(people, rng.randint(1, len(people)))]
     for r in roles:
         for p in members[r]:
@@ -677,9 +677,8 @@ def gen_role_net(rng):
             if rng.random() < 0.1:
                 pol = "[false if #u :: out(Copy, _)@Archive . X : true]"
             entries.append(f"{p} ::[{pol}] {bodies[r]}")
-            if rng.random() < 0.1:    # a second entry, or another policy
-                other = rng.choice(("true", "false"))
-                entries.append(f"{p} ::[{other}] {bodies[r]}")
+            if rng.random() < 0.1:    # a second entry
+                entries.append(f"{p} ::[{pol}] {bodies[r]}")
     rng.shuffle(entries)
     net = parse_net(" || ".join(entries))
     if rng.random() < 0.2:            # numerals for names

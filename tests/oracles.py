@@ -20,12 +20,11 @@ from aspectkbl.model import (CAP_LETTER, Action, Aspect, AspectPol, BindVar,
                              Label, LimitExceeded, LocatedAction, Net,
                              NetEntry, Nil, Par, PExists, PForall, PGeq,
                              PTestPost, Repl, Substitution, Sum, Var,
-                             Wildcard, canonicalize, render_term,
-                             split_entry, subst_key)
+                             Wildcard, canonicalize, policies_by_location,
+                             render_term, split_entry, subst_key)
 from aspectkbl.parser import KEYWORDS, render_expr
 from aspectkbl.semantics import (StateDomain, Transition, net_text,
-                                 policies_by_location, policy_values,
-                                 pred_values, quantified)
+                                 policy_values, pred_values, quantified)
 
 _TEXT = {BOT: "bot", TT: "tt", FF: "ff", TOP: "top"}
 

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from aspectkbl import (EvaluationError, LimitExceeded, build_lts, check_lts,
-                       check_network, exhaustive, parse_net, parse_obligation,
-                       render_net, sat_obl, semantics, unify_label)
+from aspectkbl import (AkblError, EvaluationError, LimitExceeded, build_lts,
+                       check_lts, check_network, exhaustive, parse_net,
+                       parse_obligation, render_net, sat_obl, semantics,
+                       unify_label, validate)
 from aspectkbl.cli import main
 from aspectkbl.exhaustive import Reduction, TransitionCheck
 from aspectkbl.model import (Const, EBin, EEqual, ETest, Label, LabelPattern,
@@ -459,11 +460,16 @@ def test_reduction_skips_quantifiers_and_mixed_policies():
     holds = parse_obligation("AG [$u : o(_)@S] exists $x : $x = S")
     v = sat_obl(parse_net(outs), holds)
     assert v.holds and v.states_explored == whole
-    # S's first entry, whose policy guards S, changes with the states
+    # a location whose entries differ in policy is rejected, by the
+    # reduction and by the search alike
     mixed = parse_net(outs + "\n|| S ::[[true if #u :: in(_)@S . X : true]] <t>")
-    assert len({e.policy for e in mixed.entries if e.location == "S"}) == 2
-    v = sat_obl(mixed, plain)
-    assert v.holds and v.states_explored == len(build_lts(mixed).states)
+    message = "^location S carries inconsistent policies$"
+    assert [d.message for d in validate(mixed)] == [message[1:-1]]
+    with pytest.raises(AkblError, match=message):
+        Reduction.of(mixed, plain, None)
+    for obl in (plain, holds):
+        with pytest.raises(AkblError, match=message):
+            sat_obl(mixed, obl)
 
 
 def test_violation_is_found_within_a_state_budget_the_whole_system_exceeds():

@@ -1,15 +1,15 @@
 """Operational layer: matching, policy evaluation, steps, state spaces."""
 import json
 import random
-from bisect import bisect_left
+import tracemalloc
 
 import pytest
 
-from aspectkbl import (BOT, FF, TOP, TT, EvaluationError, LimitExceeded,
-                       ReplicationPresent, build_lts, data_index, dot_export,
-                       json_export,
-                       match, occurs_in, parse_net, parse_obligation,
-                       parse_policy, sat_obl, step_candidates, take_actions)
+from aspectkbl import (BOT, FF, TOP, TT, AkblError, EvaluationError,
+                       LimitExceeded, ReplicationPresent, build_lts,
+                       data_index, dot_export, json_export, match, occurs_in,
+                       parse_net, parse_obligation, parse_policy, sat_obl,
+                       step_candidates, take_actions, validate)
 from aspectkbl import parser, semantics
 from aspectkbl.semantics import (Interner, ground_atom, json_text, net_text,
                                  numeral)
@@ -144,12 +144,10 @@ def test_identical_tuples_give_one_step():
     # one copy is consumed, the other stays
     _, succ = steps[0]
     assert [e.body for e in succ.entries if e.is_data()] == [("k",)]
-    # so too when the copies differ in policy, which `validate` rejects
-    # but the library steps: the first copy in canonical order is taken
-    net = parse_net("A ::[true] <k> || A ::[false or true] <k>\n"
-                    "|| B ::[true] in(!x)@A . 0")
-    (_, succ), = step_candidates(net)[0]
-    assert [e.policy for e in succ.entries if e.is_data()] == [ETrue()]
+    # copies that differ in policy are rejected, as `validate` rejects
+    # them
+    _assert_rejected("A ::[true] <k> || A ::[false or true] <k>\n"
+                     "|| B ::[true] in(!x)@A . 0", step_candidates)
 
 
 def test_identical_branches_give_one_step():
@@ -359,27 +357,66 @@ def _sign(a, b) -> int:
 
 
 def test_string_keys_order_entries_as_their_sort_keys():
-    # locations that prefix one another, and data and processes at one
-    # location, where the fields after the location decide
-    locs = ("A", "AB", "A0", "B")
+    # keys order only the entries of one location, which share its one
+    # policy; a key is the body's memoised text, not a copy, and data,
+    # whose text starts with "(", sort before processes, whose text
+    # starts with a capital, as in the sort key
+    locs = ("A", "AB", "B")
     rng = random.Random(23)
     for _ in range(40):
         space = Interner()
+        policy = gen.gen_small_policy(rng, locs)
         for _ in range(rng.randint(2, 12)):
-            loc = rng.choice(locs)
+            pick = rng.random()
             body = (tuple(rng.choice(("k", "k, v", "")) for _ in range(
-                rng.randint(0, 2))) if rng.random() < 0.5
-                else gen.gen_small_process(rng, locs))
-            space.intern(NetEntry(loc, gen.gen_small_policy(rng, locs), body))
+                rng.randint(0, 2))) if pick < 0.45
+                else NIL if pick < 0.55 else gen.gen_small_process(rng, locs))
+            space.intern(NetEntry("A", policy, body))
         entries, keys = space.entries, space.keys
+        assert all(k is e.sort_key[2] for k, e in zip(keys, entries))
         for i in range(len(entries)):
             for j in range(len(entries)):
                 assert _sign(keys[i], keys[j]) == _sign(
                     entries[i].sort_key, entries[j].sort_key)
-        ids = sorted(range(len(entries)), key=keys.__getitem__)
-        for loc in locs:
-            first = bisect_left(ids, loc + "\0", key=keys.__getitem__)
-            assert first == sum(entries[j].location < loc for j in ids)
+
+
+def _policies_held(lts) -> int:
+    """The number of states of the LTS, after asserting that each one
+    is canonical with every entry under its location's one policy."""
+    space = lts.space
+    for ids in lts.ids:
+        entries = space.net(ids).entries
+        assert all(e.policy == space.policies[e.location] for e in entries)
+        assert list(entries) == sorted(entries, key=lambda e: e.sort_key)
+    return len(lts.ids)
+
+
+def test_every_reachable_state_holds_one_policy_per_location():
+    # a key orders a location's entries as their sort keys only while
+    # they share one policy: no step may add a second one
+    states = 0
+    roles = (gen.gen_role_net(random.Random(seed)) for seed in range(60))
+    for net in [*_corpus_nets(), *_generated_nets(range(300), range(100),
+                                                  range(300)),
+                *roles, *_hand_made_nets(), *map(parse_net, _RUN_NETS)]:
+        if not validate(net):
+            states += _policies_held(build_lts(net))
+    assert states >= 22000, states
+
+
+def test_a_chains_lts_holds_no_copy_of_its_texts():
+    # each suffix of a chain is an entry whose text is memoised once;
+    # a key that copied it would hold the chain's length squared
+    prefixes = " . ".join(f"out(k{i})@A" for i in range(400))
+    net = parse_net(f"A ::[true] {prefixes} . 0")
+    tracemalloc.start()
+    try:
+        lts = build_lts(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lts.ids) == 401
+    assert peak < 3 << 20, peak
 
 
 def test_a_deep_lts_tries_each_read_on_its_key_only(monkeypatch):
@@ -466,15 +503,30 @@ _RUN_NETS = (
     "A ::[true] <k> || B ::[true] in(!x)@A . out(x)@A . 0",
     "A ::[true] <k> || B ::[true] in(k)@A . 0 || C ::[true] read(k)@A . 0",
     "A ::[true] 0 || B ::[true] out(k)@A . out(j)@A . 0",
-    "A ::[false or true] 0 || A ::[true] out(z)@Q . 0\n"
-    "|| B ::[true] out(k)@A . 0 || Q ::[true] <q>",
-    "A ::[true] 0 || A ::[false or true] <j> || B ::[true] out(k)@A . 0",
     "A ::[true] <k> || A ::[true] in(!x)@A . out(x)@A . read(x)@A . 0",
     "C ::[true] out(b)@C . 0 || C ::[true] out(c)@C . in(a)@C . 0",
     "A ::[true] in(k)@A . 0 || A ::[true] <k> || A ::[true] <k>",
     "A ::[true] out(k)@A . in(k)@A . 0 || B ::[true] in(k)@A . 0",
     "A ::[true] out(a)@A . (out(b)@A . 0 | in(a)@A . 0)",
 )
+
+# nets whose location A holds two policies: a nil at the target beside
+# data of another policy, and a nil guard of another policy than the
+# process beside it
+_MIXED_NETS = (
+    "A ::[true] 0 || A ::[false or true] <j> || B ::[true] out(k)@A . 0",
+    "A ::[false or true] 0 || A ::[true] out(z)@Q . 0\n"
+    "|| B ::[true] out(k)@A . 0 || Q ::[true] <q>",
+)
+
+
+def _assert_rejected(source, explore):
+    """explore raises on the network of source with `validate`'s one
+    message, as akbl rejects it."""
+    net = parse_net(source)
+    (diag,) = validate(net)
+    with pytest.raises(AkblError, match=f"^{diag.message}$"):
+        explore(net)
 
 
 def test_the_explorer_builds_the_state_space_of_the_reference():
@@ -502,6 +554,9 @@ def test_the_explorer_builds_the_state_space_of_the_reference():
             raised += 1
     assert built >= 900 and states >= 19000 and raised == 2, \
         (built, states, raised)
+    # nets that mix policies at a location are rejected, not explored
+    for source in _MIXED_NETS:
+        _assert_rejected(source, build_lts)
 
 
 def test_kernel_caches_never_change_a_step():
@@ -627,16 +682,10 @@ def test_nil_continuations_and_groups_whose_nil_the_state_holds():
         "A ::[true] 0 || B ::[true] out(k)@A . out(j)@A . 0")
     assert _nils(space, ids) == ["A"]
     assert _nils(space, succ["B:o(k)@A"]) == []
-    # a nil at the target in another group than its guard stays
-    space, ids, succ = _successors(
-        "A ::[true] 0 || A ::[false or true] <j> || B ::[true] out(k)@A . 0")
-    assert _nils(space, succ["B:o(k)@A"]) == ["A", "B"]
-    # and a guard that is the nil of its group goes
-    space, ids, succ = _successors(
-        "A ::[false or true] 0 || A ::[true] out(z)@Q . 0\n"
-        "|| B ::[true] out(k)@A . 0 || Q ::[true] <q>")
-    assert space.nils[ids[0]]
-    assert _nils(space, succ["B:o(k)@A"]) == ["B"]
+    # a nil beside an entry of another policy at its location is
+    # rejected, as its location mixes policies
+    for source in _MIXED_NETS:
+        _assert_rejected(source, lambda net: Interner().state(net))
 
 
 def test_a_parallel_continuation_splits_into_two_entries():
@@ -650,10 +699,14 @@ def test_a_parallel_continuation_splits_into_two_entries():
 
 @pytest.mark.parametrize("policy", ["true", "false or true"])
 def test_one_read_of_two_identical_tuples_is_one_step(policy):
-    # with one policy the two tuples are one entry, held twice; with
-    # two they are two entries
-    space, ids, succ = _successors(
-        f"A ::[true] <k> || A ::[{policy}] <k> || B ::[true] read(!x)@A . 0")
+    # with one policy the two tuples are one entry, held twice; two
+    # policies at one location are rejected
+    source = (f"A ::[true] <k> || A ::[{policy}] <k>"
+              " || B ::[true] read(!x)@A . 0")
+    if policy != "true":
+        _assert_rejected(source, step_candidates)
+        return
+    space, ids, succ = _successors(source)
     assert list(succ) == ["B:r(k)@A"]
 
 

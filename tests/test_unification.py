@@ -2,8 +2,8 @@
 import random
 from collections import Counter
 
-from aspectkbl import (LimitExceeded, build_lts, findsubs, has_replication,
-                       take_actions)
+from aspectkbl import (LimitExceeded, build_lts, findsubs, take_actions,
+                       validate)
 from aspectkbl.model import (AspectPol, BindVar, Const, EOccursIn, Var,
                              WILDCARD, process_actions)
 import corpusio
@@ -65,7 +65,7 @@ def _pairs(net, obls) -> dict:
 
 
 def _labels(net) -> set:
-    if has_replication(net):
+    if validate(net):           # replicated, or mixing policies
         return set()
     try:
         return {t.label for t in build_lts(net, max_states=300).transitions}
