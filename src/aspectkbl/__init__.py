@@ -24,7 +24,8 @@ from .semantics import (LTS, build_lts, data_index, dot_export, json_export,
                         match, occurs_in, step_candidates)
 from .exhaustive import Verdict, Witness, check_lts, sat_obl, unify_label
 from .certify import (ActionReport, MutationInfo, StaticVerdict, check_network,
-                      check_single_action, might_grant, report_json)
+                      check_single_action, might_grant, report_json,
+                      report_text)
 
 __version__ = "0.1.0"
 

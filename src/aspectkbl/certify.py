@@ -52,7 +52,8 @@ makes entries whose bodies read the same share one body node.  So the
 work that does not depend on where an action sits is done once per
 distinct body and action object: `take_actions` walks each distinct
 body once, the domain takes the out and in templates of each distinct
-action once, and `report_json` renders each distinct action once.
+action once, and `report_json` and `report_text` render each distinct
+action's text once.
 The range of the predicate's quantifiers, the network's location
 constants, is collected only when the predicate quantifies, and a net
 that `canonicalize` made, as `parse_net` returns it, is not sorted
@@ -79,16 +80,20 @@ names c alone: its names come from c, the action's body, the policies
 and the obligation, and no candidate is named in the last three.  So
 `check_network` notes once per report at c which `theta0` pairs and
 which constraint atoms name c, and a member d's report rebuilds only
-those, with one `Const` for d per report.  The renamed report asks
-nothing, so the verdict's `asked` holds fewer atoms than judging each
-action on its own would note; nothing reads them.  One guard keeps the
-plain judgement of every action: a predicate that quantifies, whose
-`exists` and `forall` stop early in the order of the names and so ask
-atoms the names choose.  Numerals are never candidates, since `geq`
-reads their value.  Any refinement of the
-certifier must keep to this: compare constants only by equality, or
-keep apart the constants it reads otherwise, as numerals are kept
-apart.
+those, with one `Const` for d per report, and the verdict keeps the
+index of the report each renames.  `report_text` renders a report
+at c once more with a placeholder for c in those slots and the source,
+splits that text at the placeholder and joins the pieces with d, so a
+class's JSON costs one walk per report at c and one join per member.
+The renamed report asks nothing, so the verdict's `asked` holds fewer
+atoms than judging each action on its own would note; nothing reads
+them.  One guard keeps the plain judgement of every action: a
+predicate that quantifies, whose `exists` and `forall` stop early in
+the order of the names and so ask atoms the names choose.  Numerals
+are never candidates, since `geq` reads their value.  Any refinement
+of the certifier must keep to this: compare constants only by
+equality, or keep apart the constants it reads otherwise, as numerals
+are kept apart.
 """
 from __future__ import annotations
 
@@ -100,9 +105,9 @@ from .model import (Action, CAP_LETTER, Const, ETest, Net, Obligation, OUT, IN,
                     has_replication, loc_set, policies_by_location,
                     take_actions)
 from .parser import render_action
-from .semantics import (ANY, data_index, ground_atom, meets, numeral,
-                        occurs_in, policy_values, pred_values, quantified,
-                        template, truth)
+from .semantics import (ANY, data_index, ground_atom, json_writer, meets,
+                        numeral, occurs_in, policy_values, pred_values,
+                        quantified, template, truth)
 from .unification import findsubs
 
 IRRELEVANT = "CertifiedIrrelevant"
@@ -227,6 +232,8 @@ class StaticVerdict(NamedTuple):
     certified: bool
     actions: tuple
     domain: MutationInfo     # the domain the actions were judged in
+    renamed: tuple = ()      # per report, the index of the report it
+                             # renames or None; () when none does
 
 
 def check_single_action(obl: Obligation, act, pols: dict, mut: MutationInfo,
@@ -365,21 +372,23 @@ def check_network(net: Net, obl: Obligation) -> StaticVerdict:
     # (location, action, continuation) -> the report, and the positions
     # of its theta0 pairs and constraint atoms that name the location
     judged: dict = {}
-    reports = []
+    reports, renamed = [], []
     for act in mut.actions:
         source = act.source
         rep = least.get(source)
         got = rep and judged.get((rep, id(act.action), id(act.continuation)))
         if got:
-            report = _renamed(*got, rep, source)
+            k, r, th0_at, constraints_at = got
+            report = _renamed(r, th0_at, constraints_at, rep, source)
         else:
-            report = check_single_action(obl, act, pols, mut, domain)
+            k, report = None, check_single_action(obl, act, pols, mut, domain)
             if source in leaders:
                 judged[source, id(act.action), id(act.continuation)] = \
-                    report, *_naming(report, source)
+                    len(reports), report, *_naming(report, source)
         reports.append(report)
+        renamed.append(k)
     certified = all(r.outcome != NOT_CERTIFIED for r in reports)
-    return StaticVerdict(certified, tuple(reports), mut)
+    return StaticVerdict(certified, tuple(reports), mut, tuple(renamed))
 
 
 def constraint_text(atom: tuple) -> str:
@@ -387,24 +396,71 @@ def constraint_text(atom: tuple) -> str:
     return f"test({', '.join(values)})@{at}"
 
 
+def _entry(r: ActionReport, texts: dict, explain: bool) -> dict:
+    """One report's document; texts maps an action's id to its text."""
+    text = texts.get(id(r.action))
+    if text is None:
+        text = texts[id(r.action)] = render_action(r.action)
+    entry = {"source_loc": r.source, "action_text": text, "outcome": r.outcome}
+    if r.theta0 is not None:
+        entry["theta0"] = repr(r.theta0)
+    entry["constraints"] = [constraint_text(c) for c in r.constraints]
+    if explain and r.side_values:
+        src, tgt = r.side_values
+        entry["source_values"] = names(src)
+        entry["target_values"] = names(tgt)
+    return entry
+
+
 def report_json(report: StaticVerdict, explain: bool = False) -> dict:
-    actions = []
-    texts: dict = {}        # id of an action -> its text
-    for r in report.actions:
-        text = texts.get(id(r.action))
-        if text is None:
-            text = texts[id(r.action)] = render_action(r.action)
-        entry = {
-            "source_loc": r.source,
-            "action_text": text,
-            "outcome": r.outcome,
-        }
-        if r.theta0 is not None:
-            entry["theta0"] = repr(r.theta0)
-        entry["constraints"] = [constraint_text(c) for c in r.constraints]
-        if explain and r.side_values:
-            src, tgt = r.side_values
-            entry["source_values"] = names(src)
-            entry["target_values"] = names(tgt)
-        actions.append(entry)
-    return {"certified": report.certified, "actions": actions}
+    """The static report as a document of dicts, for library callers;
+    `report_text` writes its JSON text."""
+    texts: dict = {}
+    return {"certified": report.certified,
+            "actions": [_entry(r, texts, explain) for r in report.actions]}
+
+
+PLACEHOLDER = "\0"           # a name no parsed network holds
+
+
+def report_text(verdict: StaticVerdict, explain: bool = False,
+                newline: str = "\n") -> str:
+    """The text `json_text(report_json(verdict, explain), newline)`
+    gives, written by one `json_writer`.  A renamed report joins by the
+    member's name its representative's text with PLACEHOLDER in the
+    slots `_naming` finds, split at the placeholder; when the pieces are
+    not one more than the slots (a name holds it), its own text."""
+    parts, walk, strings = json_writer()
+    mark = strings[PLACEHOLDER][1:-1]
+    texts: dict = {}
+    templates: dict = {}         # index of a report -> its split text, or ()
+    inner, item = newline + "  ", newline + "    "
+    parts.append(f'{{{inner}"actions": ')
+    sep = "[" + item
+    renamed = verdict.renamed or [None] * len(verdict.actions)
+    for r, k in zip(verdict.actions, renamed):
+        parts.append(sep)
+        sep = "," + item
+        if k is not None:
+            split = templates.get(k)
+            if split is None:
+                rep = verdict.actions[k]
+                th0_at, constraints_at = _naming(rep, rep.source)
+                start = len(parts)
+                walk(_entry(_renamed(rep, th0_at, constraints_at, rep.source,
+                                     PLACEHOLDER), texts, explain), item)
+                split = "".join(parts[start:]).split(mark)
+                del parts[start:]
+                slots = 1 + len(th0_at) + sum(
+                    (at == rep.source) + values.count(rep.source)
+                    for at, values in map(rep.constraints.__getitem__,
+                                          constraints_at))
+                split = templates[k] = split if len(split) == slots + 1 else ()
+            if split:
+                parts.append(strings[r.source][1:-1].join(split))
+                continue
+        walk(_entry(r, texts, explain), item)
+    parts.append(f'{inner}]' if verdict.actions else "[]")
+    parts.append(f',{inner}"certified": '
+                 f'{"true" if verdict.certified else "false"}{newline}}}')
+    return "".join(parts)

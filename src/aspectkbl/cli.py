@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .belnap import names
-from .certify import check_network, constraint_text, report_json
+from .certify import check_network, constraint_text, report_text
 from .exhaustive import Verdict, sat_obl
 from .model import AkblError, Net, validate
 from .parser import (ParseError, parse_net, parse_obligation, render_action,
@@ -121,18 +121,21 @@ def cmd_check(args) -> int:
         static_report = check_network(net, obl)
         if args.mode == "static" or static_report.certified:
             if args.json:
-                print(json_text(report_json(static_report, args.explain_denied)))
+                print(report_text(static_report, args.explain_denied))
             else:
                 _print_static(static_report, args.explain_denied)
             return OK if static_report.certified else UNDECIDED
     verdict = sat_obl(net, obl, max_states=args.max_states,
                       max_depth=args.max_depth, static=static_report)
     if args.json:
-        out = _verdict_json(verdict)
-        if static_report is not None:
-            out = {"static": report_json(static_report, args.explain_denied),
-                   "exhaustive": out}
-        print(json_text(out))
+        if static_report is None:
+            print(json_text(_verdict_json(verdict)))
+        else:   # {"exhaustive", "static"}, its keys sorted
+            print('{\n  "exhaustive": '
+                  + json_text(_verdict_json(verdict), "\n  ")
+                  + ',\n  "static": '
+                  + report_text(static_report, args.explain_denied, "\n  ")
+                  + "\n}")
     else:
         if static_report is not None:
             _print_static(static_report, args.explain_denied)

@@ -753,7 +753,7 @@ def _replications(net: Net) -> list:
     counts: dict = {}            # id of a body -> its replications
     found = []
     for e in net.entries:
-        if not e.is_data():
+        if e.sort_key[1] != "data":          # `is_data`, read off the key
             n = counts.get(id(e.body))
             if n is None:
                 n = counts[id(e.body)] = _count_repl(e.body)
@@ -836,7 +836,7 @@ def take_actions(net: Net) -> list:
     walked: dict = {}            # id of a body -> its (action, continuation)s
     located = []
     for e in net.entries:
-        if not e.is_data():
+        if e.sort_key[1] != "data":
             pairs = walked.get(id(e.body))
             if pairs is None:
                 pairs = walked[id(e.body)] = list(process_actions(e.body))

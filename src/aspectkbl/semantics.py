@@ -116,11 +116,11 @@ CHUNK_CHARS characters, so the whole document is never one string;
 without one it returns the join of those pieces.  The entries are
 rendered with one memo of process texts for the export, so each
 distinct process node is rendered once, a prefix from its
-continuation's text.  `json_text` writes those bytes for any other
+continuation's text.  `json_writer` writes those bytes for any other
 document, such as a `check --json` report, with one recursive walk
 that appends to one list, where the stdlib's indented encoder runs in
 pure Python; it encodes each distinct string and lays out each dict
-shape once per call.
+shape once per writer, and `json_text` is one document's text.
 
 The explorer also judges each step's policies once per exploration.
 A step's combined verdict depends on the acting entry and the branch,
@@ -205,7 +205,8 @@ def occurs_in(template: Action, proc: Process) -> bool:
 
 def data_index(net: Net) -> frozenset:
     """The (location, tuple) pairs of the network's data entries."""
-    return frozenset((e.location, e.body) for e in net.entries if e.is_data())
+    return frozenset([(e.location, e.body) for e in net.entries
+                      if e.sort_key[1] == "data"])
 
 
 def numeral(t) -> Optional[int]:
@@ -519,7 +520,7 @@ class Interner:
             self.keys.append(e.sort_key[2])
             self.locations.append(e.location)
             self.nils.append(isinstance(e.body, Nil))
-            if e.is_data():
+            if e.sort_key[1] == "data":
                 self.data.append((e.location, e.body))
                 self.data_at.setdefault(e.location, []).append(i)
                 if e.body:
@@ -977,15 +978,16 @@ class _Encoded(dict):
         return text
 
 
-def json_text(doc) -> str:
-    """The text `json.dumps(doc, indent=2, sort_keys=True)` gives for a
+def json_writer() -> tuple:
+    """(parts, walk, strings): walk(value, newline) appends to parts the
+    text `json.dumps(value, indent=2, sort_keys=True)` gives for a
     document of dicts with string keys, lists, tuples, strings, ints,
-    bools and None, written into one list of parts by one recursive
-    walk.  A report repeats a few dict shapes and many strings, so
-    within a call each distinct string is encoded once, a string in a
-    dict or a list is written without a call of the walk, and the
-    sorted keys of each dict shape at each depth are laid out once,
-    with the line breaks, indents and separators before them."""
+    bools and None, its lines after the first led by newline; strings
+    maps a str to its JSON text.  A report repeats a few dict shapes and
+    many strings, so within a writer each distinct string is encoded
+    once, a string in a dict or a list is written without a call of the
+    walk, and the sorted keys of each dict shape at each depth are laid
+    out once, with the line breaks, indents and separators before them."""
     parts: list = []
     append = parts.append
     strings = _Encoded()
@@ -1050,7 +1052,13 @@ def json_text(doc) -> str:
                 sep = "," + inner
             append(newline + "]")
 
-    walk(doc, "\n")
+    return parts, walk, strings
+
+
+def json_text(doc, newline: str = "\n") -> str:
+    """doc's text as `json_writer` writes it at the indent of newline."""
+    parts, walk, _ = json_writer()
+    walk(doc, newline)
     return "".join(parts)
 
 

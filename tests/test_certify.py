@@ -8,7 +8,7 @@ from aspectkbl import (BOT, FF, TT, AkblError, ReplicationPresent, build_lts,
                        certify, canonicalize, check_network,
                        check_single_action, corpus_path, might_grant,
                        parse_net, parse_obligation, parse_policy, report_json,
-                       semantics, take_actions)
+                       report_text, semantics, take_actions)
 from aspectkbl.belnap import GRANTS, members
 from aspectkbl.certify import (DENIED, ENTAILED, IRRELEVANT, NOT_CERTIFIED,
                                MutationInfo)
@@ -17,7 +17,7 @@ from aspectkbl.model import (BindVar, Const, ETrue, LocatedAction, Net,
                              NetEntry, NIL, Par, Repl, Sum, loc_set,
                              policies_by_location, process_actions, validate)
 from aspectkbl.parser import render_action
-from aspectkbl.semantics import pred_values
+from aspectkbl.semantics import json_text, pred_values
 from aspectkbl.unification import findsubs
 import corpusio
 import gen
@@ -543,6 +543,10 @@ def test_interchangeable_locations_certify_as_each_judged_alone(monkeypatch):
             assert got.certified == want.certified, (seed, obl)
             assert got.actions == want.actions, (seed, obl)
             _same_reduction(got, want, net, obl, (seed, obl))
+            assert got.renamed.count(None) == len(judged)
+            for explain in (False, True):
+                assert report_text(got, explain) \
+                    == json_text(report_json(want, explain)), (seed, obl)
             renamed += len(got.actions) - len(judged)
             relevant += sum(r.outcome != IRRELEVANT for r in got.actions
                             if r.source not in judged)
@@ -623,6 +627,43 @@ def test_symmetry_breakers_keep_locations_apart(extra, obl, least):
     _same_reduction(got, want, net, obl)
 
 
+# principals whose names are parts of each other's, of the role and of
+# the actions' texts: Do, Doc and oc are doctors, Don and Dones nurses
+_NAMES_WARD = (
+    "Store ::[[test(Doctor, #u)@ROLES if #u :: read(Notes, _)@Store . X"
+    " : true]] <Notes, n1>\n|| Log ::[true] <Done>\n"
+    + "".join(f"|| ROLES ::[true] <{role}, {p}>\n"
+              f"|| {p} ::[true] read(Notes, !c)@Store . out(Done, c)@Log . 0\n"
+              for role, p in (("Doctor", "Do"), ("Doctor", "Doc"),
+                              ("Doctor", "oc"), ("Nurse", "Don"),
+                              ("Nurse", "Dones"))))
+
+
+@pytest.mark.parametrize("placeholder", [
+    certify.PLACEHOLDER,
+    # a placeholder that other strings hold: each member's own report
+    "Do", "Doc", "o", "Done", "ROLES", "["])
+@pytest.mark.parametrize("obl, least", [
+    ("AG [$u : r(Notes, _)@Store] test(Doctor, $u)@ROLES",
+     {"Doc": "Do", "oc": "Do", "Dones": "Don"}),
+    ("AG [$u : o(Done, _)@Log] test(Doctor, $u)@ROLES or $u = Don",
+     {"Doc": "Do", "oc": "Do"})])
+def test_renamed_reports_write_the_text_of_their_own_document(
+        monkeypatch, placeholder, obl, least):
+    # a member's text is its representative's with the member's name in
+    # the renamed slots only, never where the name is part of another
+    net, obl = parse_net(_NAMES_WARD), parse_obligation(obl)
+    assert certify.interchangeable(net, obl) == least
+    monkeypatch.setattr(certify, "PLACEHOLDER", placeholder)
+    got, want = check_network(net, obl), oracles.judge_each(net, obl)
+    assert got.actions == want.actions
+    assert got.renamed.count(None) < len(got.actions)
+    for explain in (False, True):
+        for newline in ("\n", "\n    "):
+            assert report_text(got, explain, newline) \
+                == json_text(report_json(want, explain), newline)
+
+
 def test_numerals_and_quantified_predicates_are_judged_alone(monkeypatch):
     # >= reads a numeral's value, and a quantifier stops early in the
     # order of the names, so neither lets a report be renamed
@@ -646,3 +687,23 @@ def test_numerals_and_quantified_predicates_are_judged_alone(monkeypatch):
     assert len(judged) == 4
     assert verdict.actions == oracles.judge_each(net, exists).actions
     assert verdict.domain.asked == oracles.judge_each(net, exists).domain.asked
+
+
+@pytest.mark.parametrize("family, floor", [
+    (gen.gen_small_net, 162), (gen.gen_guarded_net, 150),
+    (gen.gen_ward_net, 155)])
+def test_precision_ledger(family, floor):
+    # how many of 300 drawn pairs the certifier decides, against the
+    # whole transition system: a certified pair must hold, and a change
+    # that certifies fewer is a loss of precision.  Measured (certified,
+    # not certified but holds, violated): gen_small_net 162/95/43,
+    # gen_guarded_net 150/68/82, gen_ward_net 155/50/95
+    certified = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        net = family(rng)
+        obl = gen.gen_obligation_from_net(rng, net)
+        if check_network(net, obl).certified:
+            certified += 1
+            assert oracles.check_whole(net, obl, max_states=3000).holds, seed
+    assert certified >= floor
