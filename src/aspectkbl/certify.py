@@ -81,10 +81,11 @@ and the obligation, and no candidate is named in the last three.  So
 `check_network` notes once per report at c which `theta0` pairs and
 which constraint atoms name c, and a member d's report rebuilds only
 those, with one `Const` for d per report, and the verdict keeps the
-index of the report each renames.  `report_text` renders a report
-at c once more with a placeholder for c in those slots and the source,
-splits that text at the placeholder and joins the pieces with d, so a
-class's JSON costs one walk per report at c and one join per member.
+index of the report each renames.  `report_text` writes each report
+at c with `json_text`, and once more with a placeholder for c in
+those slots and the source, splits that text at the placeholder and
+joins the pieces with d's escaped name, so a class's JSON costs two
+`json_text` calls per report at c and one join per member.
 The renamed report asks nothing, so the verdict's `asked` holds fewer
 atoms than judging each action on its own would note; nothing reads
 them.  One guard keeps the plain judgement of every action: a
@@ -97,6 +98,7 @@ are kept apart.
 """
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional
 
 from .belnap import FF, GRANTS, LIFTED, TT, names
@@ -105,7 +107,7 @@ from .model import (Action, CAP_LETTER, Const, ETest, Net, Obligation, OUT, IN,
                     has_replication, loc_set, policies_by_location,
                     take_actions)
 from .parser import render_action
-from .semantics import (ANY, data_index, ground_atom, json_writer, meets,
+from .semantics import (ANY, data_index, ground_atom, json_text, meets,
                         numeral, occurs_in, policy_values, pred_values,
                         quantified, template, truth)
 from .unification import findsubs
@@ -426,16 +428,15 @@ PLACEHOLDER = "\0"           # a name no parsed network holds
 def report_text(verdict: StaticVerdict, explain: bool = False,
                 newline: str = "\n") -> str:
     """The text `json_text(report_json(verdict, explain), newline)`
-    gives, written by one `json_writer`.  A renamed report joins by the
-    member's name its representative's text with PLACEHOLDER in the
-    slots `_naming` finds, split at the placeholder; when the pieces are
-    not one more than the slots (a name holds it), its own text."""
-    parts, walk, strings = json_writer()
-    mark = strings[PLACEHOLDER][1:-1]
+    gives.  A renamed report joins by the member's name its
+    representative's text with PLACEHOLDER in the slots `_naming`
+    finds, split at the placeholder; when the pieces are not one more
+    than the slots (a name holds it), its own text."""
+    mark = encode_basestring_ascii(PLACEHOLDER)[1:-1]
     texts: dict = {}
     templates: dict = {}         # index of a report -> its split text, or ()
     inner, item = newline + "  ", newline + "    "
-    parts.append(f'{{{inner}"actions": ')
+    parts = [f'{{{inner}"actions": ']
     sep = "[" + item
     renamed = verdict.renamed or [None] * len(verdict.actions)
     for r, k in zip(verdict.actions, renamed):
@@ -446,20 +447,19 @@ def report_text(verdict: StaticVerdict, explain: bool = False,
             if split is None:
                 rep = verdict.actions[k]
                 th0_at, constraints_at = _naming(rep, rep.source)
-                start = len(parts)
-                walk(_entry(_renamed(rep, th0_at, constraints_at, rep.source,
-                                     PLACEHOLDER), texts, explain), item)
-                split = "".join(parts[start:]).split(mark)
-                del parts[start:]
+                split = json_text(_entry(
+                    _renamed(rep, th0_at, constraints_at, rep.source,
+                             PLACEHOLDER), texts, explain), item).split(mark)
                 slots = 1 + len(th0_at) + sum(
                     (at == rep.source) + values.count(rep.source)
                     for at, values in map(rep.constraints.__getitem__,
                                           constraints_at))
                 split = templates[k] = split if len(split) == slots + 1 else ()
             if split:
-                parts.append(strings[r.source][1:-1].join(split))
+                parts.append(encode_basestring_ascii(r.source)[1:-1]
+                             .join(split))
                 continue
-        walk(_entry(r, texts, explain), item)
+        parts.append(json_text(_entry(r, texts, explain), item))
     parts.append(f'{inner}]' if verdict.actions else "[]")
     parts.append(f',{inner}"certified": '
                  f'{"true" if verdict.certified else "false"}{newline}}}')

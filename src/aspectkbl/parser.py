@@ -220,7 +220,7 @@ def _kind(text: str):
     return _KIND[text] if text in _KIND else _KIND_BY_FIRST.get(text[0])
 
 
-def _lex(src: str, diags: list, tails: Optional[dict] = None) -> tuple:
+def _lex(src: str, diags: list, tails: dict) -> tuple:
     """The kinds and the texts of the tokens of src, each list ending
     with the end of input.  Positions are left to _positions.
 
@@ -229,11 +229,10 @@ def _lex(src: str, diags: list, tails: Optional[dict] = None) -> tuple:
     before its first <, if any, into a head and a data list.  A tail
     without a < and a head are lexed once per distinct text, a data
     list each time, and the chunks' tokens are joined by || tokens (the
-    module docstring says why these are the whole source's).  With a
-    dict tails, the index of each chunk's first token maps to the
-    chunk's key: its tail, or its head and the < after it; when src
-    holds text that is no token, its parse fails and tails is left
-    empty."""
+    module docstring says why these are the whole source's).  In
+    tails, the index of each chunk's first token maps to the chunk's
+    key: its tail, or its head and the < after it; when src holds text
+    that is no token, its parse fails and tails is left empty."""
     texts: list = []
     lexed: dict = {}        # tail or head -> its texts
     for chunk in _COMMENT.sub("", src).split("||"):
@@ -245,8 +244,7 @@ def _lex(src: str, diags: list, tails: Optional[dict] = None) -> tuple:
             words = lexed.get(key)
             if words is None:
                 words = lexed[key] = _TOKEN.findall(key)
-            if tails is not None:
-                tails[len(texts)] = key
+            tails[len(texts)] = key
             texts.append(m.group())
             texts += words
             if cut >= 0:
@@ -257,8 +255,7 @@ def _lex(src: str, diags: list, tails: Optional[dict] = None) -> tuple:
     if None in kind_of.values():        # text that is no token
         _positions(src, diags)
         texts = list(filter(kind_of.__getitem__, texts))
-        if tails is not None:
-            tails.clear()       # its indices name other tokens now
+        tails.clear()           # its indices name other tokens now
     return list(map(kind_of.__getitem__, texts)), texts
 
 

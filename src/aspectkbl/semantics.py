@@ -116,11 +116,10 @@ CHUNK_CHARS characters, so the whole document is never one string;
 without one it returns the join of those pieces.  The entries are
 rendered with one memo of process texts for the export, so each
 distinct process node is rendered once, a prefix from its
-continuation's text.  `json_writer` writes those bytes for any other
+continuation's text.  `json_text` writes those bytes for any other
 document, such as a `check --json` report, with one recursive walk
 that appends to one list, where the stdlib's indented encoder runs in
-pure Python; it encodes each distinct string and lays out each dict
-shape once per writer, and `json_text` is one document's text.
+pure Python.
 
 The explorer also judges each step's policies once per exploration.
 A step's combined verdict depends on the acting entry and the branch,
@@ -161,8 +160,9 @@ from .model import (Action, AspectPol, BindVar, CAP_LETTER, Const, Cut, EBin,
                     PExists, PForall, PGeq, PTestPost, Process,
                     ReplicationPresent, Substitution, Sum, Wildcard,
                     canonicalize, drop_nils, entry_consts, has_replication,
-                    policies_by_location, process_actions, split_entry)
-from .parser import render_entry
+                    policies_by_location, process_actions, render_term,
+                    split_entry)
+from .parser import render_action, render_entry
 from .unification import findsubs
 
 # ---------------------------------------------------------------------------
@@ -255,13 +255,13 @@ def truth(b: bool) -> int:
 def _ground_name(t, what: str) -> str:
     if isinstance(t, Const):
         return t.name
-    raise EvaluationError(f"unbound variable in {what}: {t!r}")
+    raise EvaluationError(f"unbound variable in {what}: {render_term(t)}")
 
 
 def _numeric(t) -> int:
     n = numeral(t)
     if n is None:
-        raise EvaluationError(f"not a numeric constant: {t!r}")
+        raise EvaluationError(f"not a numeric constant: {render_term(t)}")
     return n
 
 
@@ -295,7 +295,8 @@ class StateDomain:
                          and atom in (self.post if post else self.pre))
         if atom is None:
             unbound = next(t for t in (*args, at) if not isinstance(t, Const))
-            raise EvaluationError(f"unbound variable in test: {unbound!r}")
+            raise EvaluationError(
+                f"unbound variable in test: {render_term(unbound)}")
         found = atom in self.pre
         (self.present if found else self.absent).add(atom)
         return truth(found)
@@ -586,7 +587,8 @@ class Interner:
     def state(self, net: Net) -> tuple:
         """The state of a network, read off its canonical form; the
         first one given fixes the locations of every state of the
-        interner, and their policies."""
+        interner, and their policies.  A network whose entries at one
+        location differ in policy raises AkblError."""
         net = canonicalize(net)
         pols = policies_by_location(net)
         slots = self.slots
@@ -635,18 +637,14 @@ class Interner:
 # ---------------------------------------------------------------------------
 # steps
 
-def step_candidates(state, space: Optional[Interner] = None, ample=None):
-    """All transition candidates out of a network.
+def step_candidates(state: tuple, space: Interner, ample=None):
+    """All transition candidates out of a state of space, a tuple of
+    run ids, as `Interner.state` gives one.
 
     Returns (steps, denied): steps is a list of (label, successor) in
-    deterministic order with duplicates removed, denied is a list of
-    (label, combined-policy-value) for candidates whose action was
-    blocked by the policies.
-
-    `state` is a Net, taken to its canonical form first, and the
-    successors are canonical Nets; within an exploration it is a state
-    of `space`, a tuple of run ids, and so are the successors.  A Net
-    whose entries at one location differ in policy raises AkblError.
+    deterministic order with duplicates removed, each successor a state
+    of space, and denied is a list of (label, combined-policy-value)
+    for candidates whose action was blocked by the policies.
 
     `ample`, when given, is called as ample(space, state, slot, p) for
     the process entries at position p of the run at index slot of the
@@ -655,14 +653,6 @@ def step_candidates(state, space: Optional[Interner] = None, ample=None):
     none.  Every entry's branches are judged either way, so an
     EvaluationError surfaces in the same states.
     """
-    if space is not None:
-        return _steps(state, space, ample)
-    space = Interner()
-    steps, denied = _steps(space.state(state), space, ample)
-    return [(label, space.net(succ)) for label, succ in steps], denied
-
-
-def _steps(state: tuple, space: Interner, ample=None):
     entries, branches_of, data_of = space.entries, space.branches, space.data
     runs, procs, slots, policies = space.runs, space.procs, space.slots, \
         space.policies
@@ -691,7 +681,8 @@ def _steps(state: tuple, space: Interner, ample=None):
             for k, (action, cont) in enumerate(branches):
                 tgt = action.target
                 if not isinstance(tgt, Const):
-                    raise EvaluationError(f"unbound target in {action!r}")
+                    raise EvaluationError(
+                        f"unbound target in {render_action(action)}")
                 b = slots.get(tgt.name)
                 target = runs[state[b]] if b is not None else ()
                 if not target:
@@ -970,74 +961,35 @@ def _label_texts(transitions: list, encode) -> dict:
     return texts
 
 
-class _Encoded(dict):
-    """str -> its JSON text, encoded when first asked."""
-
-    def __missing__(self, s: str) -> str:
-        text = self[s] = encode_basestring_ascii(s)
-        return text
-
-
-def json_writer() -> tuple:
-    """(parts, walk, strings): walk(value, newline) appends to parts the
-    text `json.dumps(value, indent=2, sort_keys=True)` gives for a
+def json_text(doc, newline: str = "\n") -> str:
+    """The text `json.dumps(doc, indent=2, sort_keys=True)` gives for a
     document of dicts with string keys, lists, tuples, strings, ints,
-    bools and None, its lines after the first led by newline; strings
-    maps a str to its JSON text.  A report repeats a few dict shapes and
-    many strings, so within a writer each distinct string is encoded
-    once, a string in a dict or a list is written without a call of the
-    walk, and the sorted keys of each dict shape at each depth are laid
-    out once, with the line breaks, indents and separators before them."""
+    bools and None, its lines after the first led by newline."""
     parts: list = []
     append = parts.append
-    strings = _Encoded()
-    # (keys in dict order, newline) -> [(key, the text before its value)]
-    shapes: dict = {}
 
     def walk(value, newline: str):
         # newline is the line break and indent of the enclosing level,
-        # which begins the value's lines after the first; the exact
-        # classes of a report come first, subclasses write as their base
-        cls = value.__class__
-        if cls is not dict and cls is not list and cls is not tuple:
-            if isinstance(value, str):
-                append(strings[value])
-                return
-            if value is None:
-                append("null")
-                return
-            if value is True or value is False:
-                append("true" if value else "false")
-                return
-            if isinstance(value, int):
-                append(int.__repr__(value))
-                return
-            if isinstance(value, dict):
-                cls = dict
-            elif not isinstance(value, (list, tuple)):
-                raise TypeError(f"not a JSON document value: {value!r}")
-        if cls is dict:
+        # which begins the value's lines after the first
+        if isinstance(value, str):
+            append(encode_basestring_ascii(value))
+        elif value is None:
+            append("null")
+        elif value is True or value is False:
+            append("true" if value else "false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, dict):
             if not value:
                 append("{}")
                 return
-            shape = (tuple(value), newline)
-            keys = shapes.get(shape)
-            if keys is None:
-                inner, sep, keys = newline + "  ", "{", []
-                for key in sorted(value):
-                    keys.append((key, f"{sep}{inner}{strings[key]}: "))
-                    sep = ","
-                shapes[shape] = keys
-            inner = newline + "  "
-            for key, before in keys:
-                append(before)
-                item = value[key]
-                if item.__class__ is str:
-                    append(strings[item])
-                else:
-                    walk(item, inner)
+            inner, sep = newline + "  ", "{"
+            for key in sorted(value):
+                append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+                walk(value[key], inner)
+                sep = ","
             append(newline + "}")
-        else:
+        elif isinstance(value, (list, tuple)):
             if not value:
                 append("[]")
                 return
@@ -1045,19 +997,12 @@ def json_writer() -> tuple:
             sep = "[" + inner
             for item in value:
                 append(sep)
-                if item.__class__ is str:
-                    append(strings[item])
-                else:
-                    walk(item, inner)
+                walk(item, inner)
                 sep = "," + inner
             append(newline + "]")
+        else:
+            raise TypeError(f"not a JSON document value: {value!r}")
 
-    return parts, walk, strings
-
-
-def json_text(doc, newline: str = "\n") -> str:
-    """doc's text as `json_writer` writes it at the indent of newline."""
-    parts, walk, _ = json_writer()
     walk(doc, newline)
     return "".join(parts)
 

@@ -22,9 +22,10 @@ from aspectkbl.model import (CAP_LETTER, Action, Aspect, AspectPol, BindVar,
                              PTestPost, Repl, Substitution, Sum, Var,
                              Wildcard, canonicalize, policies_by_location,
                              render_term, split_entry, subst_key)
-from aspectkbl.parser import KEYWORDS, render_expr
-from aspectkbl.semantics import (StateDomain, Transition, net_text,
-                                 policy_values, pred_values, quantified)
+from aspectkbl.parser import KEYWORDS, render_action, render_expr
+from aspectkbl.semantics import (Interner, StateDomain, Transition,
+                                 net_text, policy_values, pred_values,
+                                 quantified, step_candidates)
 
 _TEXT = {BOT: "bot", TT: "tt", FF: "ff", TOP: "top"}
 
@@ -262,7 +263,8 @@ def reference_steps(net):
         for action, cont in e.body.branches:
             tgt = action.target
             if not isinstance(tgt, Const):
-                raise EvaluationError(f"unbound target in {action!r}")
+                raise EvaluationError(
+                    f"unbound target in {render_action(action)}")
             guard = next((g for g in entries if g.location == tgt.name), None)
             if guard is None:
                 continue
@@ -274,7 +276,8 @@ def reference_steps(net):
             letter = CAP_LETTER[action.cap]
             if action.cap == "out":
                 if not all(isinstance(t, Const) for t in action.args):
-                    raise EvaluationError(f"unbound out argument in {action!r}")
+                    raise EvaluationError(
+                        f"unbound out argument in {render_action(action)}")
                 values = tuple(t.name for t in action.args)
                 moves = [(values, rest, cont,
                           (NetEntry(tgt.name, guard.policy, values),))]
@@ -302,6 +305,15 @@ def reference_steps(net):
                 succ = canonicalize(Net(kept + tuple(flat) + put))
                 steps[p, label, succ] = None
     return [(label, succ) for _, label, succ in steps], list(denied)
+
+
+def net_steps(net):
+    """`step_candidates` of a network, (steps, denied), each successor
+    a canonical `Net`: the network is interned in a fresh `Interner`,
+    stepped, and its successors are read back with `Interner.net`."""
+    space = Interner()
+    steps, denied = step_candidates(space.state(net), space)
+    return [(label, space.net(succ)) for label, succ in steps], denied
 
 
 def enabled_steps(net):

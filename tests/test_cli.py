@@ -327,6 +327,18 @@ def test_input_errors_exit_three(capsys, tmp_path):
     assert rc == 3
     assert "location A carries inconsistent policies" in err
 
+    # an evaluation error names the source text: the read binds $u to
+    # the reader, which is no numeral
+    net, obl = tmp_path / "reader.akbl", tmp_path / "geq.obl"
+    net.write_text("Bo ::[true] read(Notes, !c)@Store . 0\n"
+                   "|| Store ::[true] <Notes, x>\n")
+    obl.write_text("AG [$u : r(Notes, _)@Store] $u >= 3\n")
+    for mode in ("auto", "exhaustive"):
+        rc, _, err = run(capsys, "check", str(net), str(obl), "--mode", mode)
+        assert (rc, err) == (3, "error: not a numeric constant: Bo\n"), mode
+    rc, _, _ = run(capsys, "check", str(net), str(obl), "--mode", "static")
+    assert rc == 2
+
 
 @pytest.mark.parametrize("text, err", [
     ("A ::[[test(k)@#v if #u :: out(k)@A . X : true]] out(k)@A . 0",

@@ -232,7 +232,7 @@ LEX_EDGES = ("A ::[true] <a, b>\r\n|| B ::[true] 0\r\n",
 
 def _lexed(text):
     diags = []
-    kinds, texts = _lex(text, diags)
+    kinds, texts = _lex(text, diags, {})
     spots = _positions(text)
     assert len(spots) == len(kinds) == len(texts), repr(text)
     return [(k, t, *at) for k, t, at in zip(kinds, texts, spots)], diags

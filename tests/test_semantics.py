@@ -1,4 +1,5 @@
 """Operational layer: matching, policy evaluation, steps, state spaces."""
+import enum
 import json
 import random
 import tracemalloc
@@ -19,7 +20,7 @@ from aspectkbl.parser import render_entry
 import corpusio
 import gen
 import oracles
-from oracles import enabled_steps, eval_policy
+from oracles import enabled_steps, eval_policy, net_steps
 
 
 def test_match_positionwise():
@@ -89,14 +90,14 @@ def test_policies_judge_the_unsubstituted_template():
 
 def test_step_yields_and_denials_on_the_guarded_record_store():
     net = corpusio.net("tiny_with_policies.akbl")
-    steps, denied = step_candidates(net)
+    steps, denied = net_steps(net)
     assert [lbl.text() for lbl, _ in steps] == \
         ["Hansen:r(Bob,PrivateNotes,bobtext)@EHDB"]
     assert [(lbl.text(), f) for lbl, f in denied] == \
         [("Olsen:r(Bob,PrivateNotes,bobtext)@EHDB", TOP)]
 
     _, after = steps[0]
-    steps2, denied2 = step_candidates(after)
+    steps2, denied2 = net_steps(after)
     assert steps2 == []
     assert sorted((lbl.text(), f) for lbl, f in denied2) == [
         ("Hansen:o(Bob,PrivateNotes,bobtext)@Olsen", TOP),
@@ -106,7 +107,7 @@ def test_step_yields_and_denials_on_the_guarded_record_store():
 
 def test_out_requires_an_entry_at_the_target():
     net = parse_net("A ::[true] out(k)@Nowhere . 0")
-    steps, denied = step_candidates(net)
+    steps, denied = net_steps(net)
     assert steps == [] and denied == []
 
 
@@ -139,7 +140,7 @@ def test_read_keeps_and_in_consumes():
 def test_identical_tuples_give_one_step():
     net = parse_net("A ::[true] <k> || A ::[true] <k>\n"
                     "|| B ::[true] in(!x)@A . 0")
-    steps, _ = step_candidates(net)
+    steps, _ = net_steps(net)
     assert len(steps) == 1
     # one copy is consumed, the other stays
     _, succ = steps[0]
@@ -147,12 +148,12 @@ def test_identical_tuples_give_one_step():
     # copies that differ in policy are rejected, as `validate` rejects
     # them
     _assert_rejected("A ::[true] <k> || A ::[false or true] <k>\n"
-                     "|| B ::[true] in(!x)@A . 0", step_candidates)
+                     "|| B ::[true] in(!x)@A . 0", net_steps)
 
 
 def test_identical_branches_give_one_step():
     net = parse_net("A ::[true] out(k)@B . 0 + out(k)@B . 0 || B ::[true] <v>")
-    steps, _ = step_candidates(net)
+    steps, _ = net_steps(net)
     assert len(steps) == 1
 
 
@@ -170,7 +171,7 @@ def test_unbound_target_is_an_evaluation_error():
     body = Sum(((Action("out", (Const("k"),), Var("x")), NIL),))
     net = Net((NetEntry("A", ETrue(), body),))
     with pytest.raises(EvaluationError):
-        step_candidates(net)
+        net_steps(net)
 
 
 def test_state_space_of_the_unguarded_record_store():
@@ -470,11 +471,48 @@ def _json_document(rng, depth=0):
     return items if pick == 6 else tuple(items)
 
 
+class _Count(enum.IntEnum):
+    NONE, SOME, LESS = 0, 7, -1
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def _subclassed(doc):
+    """doc with each dict, list and str, and each int of a _Count, a
+    value of a subclass."""
+    if isinstance(doc, str):
+        return _Str(doc)
+    if isinstance(doc, bool) or doc is None:
+        return doc
+    if isinstance(doc, int):
+        return _Count(doc) if doc in (0, 7, -1) else doc
+    if isinstance(doc, dict):
+        return _Dict({_Str(k): _subclassed(v) for k, v in doc.items()})
+    items = map(_subclassed, doc)
+    return _List(items) if isinstance(doc, list) else tuple(items)
+
+
 def test_json_text_writes_what_json_dumps_writes():
     rng = random.Random(11)
     for _ in range(5000):
         doc = _json_document(rng)
-        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+        want = json.dumps(doc, indent=2, sort_keys=True)
+        assert json_text(doc) == want, doc
+        assert json_text(doc, "\n    ") == want.replace("\n", "\n    "), doc
+        # subclasses write as their base classes
+        sub = _subclassed(doc)
+        assert json_text(sub) == json.dumps(sub, indent=2, sort_keys=True) \
+            == want, doc
     with pytest.raises(TypeError):
         json_text({"a": 1.5})
 
@@ -704,7 +742,7 @@ def test_one_read_of_two_identical_tuples_is_one_step(policy):
     source = (f"A ::[true] <k> || A ::[{policy}] <k>"
               " || B ::[true] read(!x)@A . 0")
     if policy != "true":
-        _assert_rejected(source, step_candidates)
+        _assert_rejected(source, net_steps)
         return
     space, ids, succ = _successors(source)
     assert list(succ) == ["B:r(k)@A"]
@@ -736,7 +774,7 @@ def test_policy_memo_matches_fresh_evaluation():
         space, nets = lts.space, lts.states
         for sid, ids in enumerate(lts.ids):
             steps, denied = step_candidates(ids, space)
-            fresh = step_candidates(nets[sid])
+            fresh = net_steps(nets[sid])
             assert ([(label, space.net(succ)) for label, succ in steps],
                     denied) == fresh, (seed, sid)
             # the interner's nil rule, run over the groups a step
@@ -764,7 +802,7 @@ _RAISES_LATER = (
 
 def test_cached_verdicts_do_not_hide_evaluation_errors():
     net = parse_net(_RAISES_LATER)
-    steps, _ = step_candidates(net)
+    steps, _ = net_steps(net)
     assert len(steps) == 2
     with pytest.raises(EvaluationError):
         build_lts(net)
